@@ -43,8 +43,6 @@ from .hermitian import (
     delta_classes,
     enumerate_semi_integral,
     gl_action,
-    is_pd,
-    is_psd,
     min_represented,
     reduce_class,
     small_rep,

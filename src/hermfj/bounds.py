@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import floor
 
-from .field import FieldTag, euclidean_constant
+from .field import FieldTag, Immutable, euclidean_constant
 
 
 def slope_lower_bound(g: int, tag: FieldTag) -> Fraction:
@@ -76,7 +76,7 @@ def trace_formula_constant(k: int, g: int) -> tuple[Fraction, int]:
     return q, -(g * g)
 
 
-class BoundReport:
+class BoundReport(Immutable):
     """Exact bound data for one (degree, weight, field) triple."""
 
     __slots__ = ("g", "k", "tag", "slope_lb", "ord_vanish_threshold",
@@ -92,9 +92,6 @@ class BoundReport:
         fm, graded = dimension_exponents(g)
         object.__setattr__(self, "fm_exponent", fm)
         object.__setattr__(self, "graded_exponent", graded)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BoundReport is immutable")
 
     def text_block(self) -> str:
         lines = [

@@ -92,12 +92,15 @@ def _build_parser() -> _Parser:
 def _read_file(path: str) -> str:
     try:
         return Path(path).read_text(encoding="ascii")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError("cannot read %s: %s" % (path, exc))
 
 
 def _write_file(path: str, text: str):
-    Path(path).write_text(text, encoding="ascii")
+    try:
+        Path(path).write_text(text, encoding="ascii")
+    except OSError as exc:
+        raise _UsageError("cannot write %s: %s" % (path, exc))
 
 
 def _cmd_c_constant(args) -> int:

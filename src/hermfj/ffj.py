@@ -10,7 +10,9 @@ assembled block
 
 is the corresponding full degree-g Fourier index.  The family is the single
 source of truth; the full series, other cogenus arrangements, the psi_0
-slice and formal theta components are all derived views.
+slice and formal theta components are all derived views.  The formal theta
+components of a cogenus-2 family are `jacobi.theta_decompose` of its
+cogenus-1 slice at the chosen index.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from typing import Mapping, Optional, Sequence
 
 from . import linalg
 from .errors import ConsistencyError
-from .field import FieldElement, FieldTag
-from .hermitian import CosetClass, HermMatrix, UnitMatrix, delta_classes, reduce_class, small_rep
-from .jacobi import shift_matrix
+from .field import FieldElement, FieldTag, Immutable
+from .hermitian import CosetClass, HermMatrix, UnitMatrix, reduce_class, small_rep
+from .jacobi import JacobiTable, shift_matrix, theta_decompose
 from .series import FourierSeries, RhoMap, Vec, _zero_vec, check_symmetry
 
 RMat = tuple[tuple[FieldElement, ...], ...]
@@ -53,7 +55,7 @@ def _freeze_r(r) -> RMat:
     return tuple(tuple(row) for row in r)
 
 
-class FJFamily:
+class FJFamily(Immutable):
     """A symmetric formal Fourier-Jacobi series held by its cogenus-l tables."""
 
     __slots__ = ("g", "l", "k", "tag", "trunc", "dim", "tables")
@@ -100,9 +102,6 @@ class FJFamily:
         object.__setattr__(self, "trunc", trunc)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "tables", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FJFamily is immutable")
 
     def indices(self) -> list[HermMatrix]:
         return sorted(self.tables, key=HermMatrix.sort_key)
@@ -224,14 +223,6 @@ def zero_pad(fam: FJFamily) -> FJFamily:
 # formal theta decomposition (cogenus step l -> l' = l - 1 = 1)
 
 
-def _column_vector(r: RMat) -> tuple[FieldElement, ...]:
-    return tuple(row[0] for row in r)
-
-
-def _as_column(vec: Sequence[FieldElement]) -> RMat:
-    return tuple((x,) for x in vec)
-
-
 def _index_value(m_prime, tag: FieldTag) -> int:
     if isinstance(m_prime, HermMatrix):
         if m_prime.g != 1:
@@ -245,82 +236,41 @@ def _index_value(m_prime, tag: FieldTag) -> int:
     return int(value)
 
 
+def _cogenus_one_slice(fam: FJFamily, m: int) -> JacobiTable:
+    """The index-m coefficient of the cogenus-1 rearrangement, as a genus
+    g-1 Jacobi table truncated at trunc - m.
+
+    A key's lower-right corner is the corner of its cogenus-l index, so only
+    the indices with corner m contribute; their keys are re-split by the last
+    row and column.
+    """
+    coeffs = {}
+    for idx, body in fam.tables.items():
+        if idx.entries[-1][-1].as_rational() != m:
+            continue
+        for (n, r), vec in body.items():
+            n1, r1, _m1 = split_block(join_block(n, r, idx), 1)
+            coeffs[(n1, tuple(row[0] for row in r1))] = vec
+    return JacobiTable(fam.g - 1, fam.k, m, fam.tag, fam.trunc - m, coeffs, fam.dim)
+
+
 def formal_theta_coeffs(
     fam: FJFamily, m_prime, strict: bool = False
 ) -> dict[CosetClass, FourierSeries]:
     """Theta components of the cogenus-1 coefficient of index m' > 0.
 
-    Returns one shifted series per class of the (g-1)-component coset group,
-    reading through canonical small representatives.  Cross-representative
-    consistency is probed exactly as in the cogenus-1 module; violations
-    raise ConsistencyError with the witness (n', r', r'').
+    This is `theta_decompose` of the cogenus-1 slice at index m': one shifted
+    series per class of the (g-1)-component coset group, with the same
+    well-definedness probes; violations raise ConsistencyError with the
+    witness (n', r', r'').
     """
     if fam.l < 2:
         raise ValueError("formal theta decomposition needs cogenus >= 2")
     if fam.l != 2:
         raise ValueError("only the cogenus step 2 -> 1 is supported "
                          "(coset classes are built for cogenus 1)")
-    tag = fam.tag
-    m_val = _index_value(m_prime, tag)
-    psi = rearrange_cogenus(fam, 1)
-    idx = HermMatrix.from_rational(m_val, tag)
-    body = psi.tables.get(idx, {})
-    g1 = fam.g - 1
-    classes = delta_classes(g1, m_val, tag)
-    reps = {s: small_rep(s) for s in classes}
-    by_class: dict[CosetClass, dict[HermMatrix, Vec]] = {s: {} for s in classes}
-
-    def read(n: HermMatrix, rv) -> Optional[Vec]:
-        if n.trace() + m_val > psi.trunc:
-            return None
-        vec = body.get((n, _as_column(rv)))
-        return vec if vec is not None else _zero_vec(fam.dim, tag)
-
-    for (n, rmat), vec in body.items():
-        rv = _column_vector(rmat)
-        s = reduce_class(rv, m_val)
-        nprime = n.sub(shift_matrix(rv, m_val))
-        r0 = reps[s]
-        canonical = read(nprime.add(shift_matrix(r0, m_val)), r0)
-        if canonical is not None and canonical != vec:
-            raise ConsistencyError(
-                "formal theta decomposition is not well defined",
-                witness=(nprime, rv, r0),
-            )
-        by_class[s][nprime] = vec
-
-    components: dict[CosetClass, FourierSeries] = {}
-    for s in classes:
-        r0 = reps[s]
-        shift0 = shift_matrix(r0, m_val)
-        h_trunc = fam.trunc - m_val - shift0.trace()
-        table = by_class[s]
-        r1 = tuple(
-            x + FieldElement(m_val if i == 0 else 0, 0, tag) for i, x in enumerate(r0)
-        )
-        for nprime, vec in table.items():
-            spare = read(nprime.add(shift_matrix(r1, m_val)), r1)
-            if spare is not None and spare != vec:
-                raise ConsistencyError(
-                    "formal theta decomposition is not well defined",
-                    witness=(nprime, r0, r1),
-                )
-        if strict:
-            from .jacobi import _class_points
-
-            for nprime, vec in table.items():
-                budget = (psi.trunc - m_val - nprime.trace()) * m_val
-                for r_any in _class_points(CosetClass(m_val, r0, tag), budget):
-                    got = read(nprime.add(shift_matrix(r_any, m_val)), r_any)
-                    if got is not None and got != vec:
-                        raise ConsistencyError(
-                            "formal theta decomposition is not well defined",
-                            witness=(nprime, r0, r_any),
-                        )
-        components[s] = FourierSeries(
-            g1, fam.k - 1, tag, h_trunc, table, fam.dim, semi_integral=False
-        )
-    return components
+    m_val = _index_value(m_prime, fam.tag)
+    return theta_decompose(_cogenus_one_slice(fam, m_val), strict).components
 
 
 def partial_decomposition_check(fam: FJFamily, m_prime, s2: CosetClass, r_prime: FieldElement) -> bool:
@@ -335,18 +285,12 @@ def partial_decomposition_check(fam: FJFamily, m_prime, s2: CosetClass, r_prime:
         raise ValueError("shift class does not match the index")
     if not ((r_prime - s2.rep[0]) / m_val).is_integral():
         raise ValueError("r' is not a representative of the shift class")
-    psi = rearrange_cogenus(fam, 1)
-    idx = HermMatrix.from_rational(m_val, tag)
-    body = psi.tables.get(idx, {})
+    phi = _cogenus_one_slice(fam, m_val)
 
     def value(n: HermMatrix, rv) -> Optional[Vec]:
-        if n.trace() + m_val > psi.trunc:
-            return None
-        vec = body.get((n, _as_column(rv)))
-        return vec if vec is not None else _zero_vec(fam.dim, tag)
+        return phi.coefficient(n, rv) if n.trace() <= phi.trunc else None
 
-    for (n, rmat), vec in body.items():
-        rv = _column_vector(rmat)
+    for (n, rv), vec in phi.coeffs.items():
         s = reduce_class(rv, m_val)
         r0 = small_rep(s)
         shift_r = shift_matrix(rv, m_val)
@@ -383,7 +327,7 @@ def shear_generators(g: int, l: int, tag: FieldTag) -> list[UnitMatrix]:
     return gens
 
 
-class FamilyReport:
+class FamilyReport(Immutable):
     """Outcome of check_family: empty lists mean a symmetric family."""
 
     __slots__ = ("symmetry_violations", "subaction_violations")
@@ -391,9 +335,6 @@ class FamilyReport:
     def __init__(self, symmetry_violations, subaction_violations):
         object.__setattr__(self, "symmetry_violations", list(symmetry_violations))
         object.__setattr__(self, "subaction_violations", list(subaction_violations))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FamilyReport is immutable")
 
     @property
     def ok(self) -> bool:

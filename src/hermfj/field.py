@@ -24,7 +24,17 @@ RationalLike = Union[int, Fraction]
 NORM_EUCLIDEAN_D = (-1, -2, -3, -7, -11)
 
 
-class FieldTag:
+class Immutable:
+    """Slotted base of the value classes: constructors set each slot once
+    with `object.__setattr__`, and assignment afterwards raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
+class FieldTag(Immutable):
     """Identifies one of the five fields and fixes its integral basis.
 
     `half_basis` is True exactly when d = 1 (mod 4), i.e. when the second
@@ -43,9 +53,6 @@ class FieldTag:
         half = d % 4 == 1
         object.__setattr__(self, "half_basis", half)
         object.__setattr__(self, "disc", d if half else 4 * d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldTag is immutable")
 
     def __eq__(self, other):
         return isinstance(other, FieldTag) and other.d == self.d
@@ -86,7 +93,7 @@ def _as_fraction(x: RationalLike) -> Fraction:
     raise TypeError("expected int or Fraction, got %r" % type(x).__name__)
 
 
-class FieldElement:
+class FieldElement(Immutable):
     """An element a + b*w of E = Q(sqrt(d)), in exact basis coordinates."""
 
     __slots__ = ("a", "b", "tag", "_hash")
@@ -96,9 +103,6 @@ class FieldElement:
         object.__setattr__(self, "b", _as_fraction(b))
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElement is immutable")
 
     # ------------------------------------------------------------------
     # constructors
@@ -303,18 +307,6 @@ def sqrt_disc(tag: FieldTag) -> FieldElement:
     return el
 
 
-def norm(x: FieldElement) -> Fraction:
-    return x.norm()
-
-
-def is_integral(x: FieldElement) -> bool:
-    return x.is_integral()
-
-
-def is_dual_integral(x: FieldElement) -> bool:
-    return x.is_dual_integral()
-
-
 def unit_group(tag: FieldTag) -> tuple[FieldElement, ...]:
     """All units of O, found by solving N(u)=1 within coordinate bound 1."""
     found = []
@@ -351,7 +343,7 @@ def euclidean_round(beta: FieldElement) -> FieldElement:
     return best[1]
 
 
-class EuclideanConstant:
+class EuclideanConstant(Immutable):
     """The deep-hole norm mu of the lattice O and the derived constants.
 
     `c` is the uniform constant adopted as 1 - mu, so that rounding proves
@@ -367,9 +359,6 @@ class EuclideanConstant:
         object.__setattr__(self, "c", 1 - mu)
         object.__setattr__(self, "c_squared", 1 - mu * mu)
         object.__setattr__(self, "deep_hole", deep_hole)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EuclideanConstant is immutable")
 
     def __repr__(self):
         return "EuclideanConstant(d=%d, mu=%s, c=%s)" % (self.tag.d, self.mu, self.c)

@@ -276,6 +276,8 @@ def read_components(text: str) -> ThetaComponentVector:
     g = _parse_int(h["g"], 1)
     k = _parse_int(h["k"], 1)
     m = _parse_int(h["m"], 1)
+    if m < 1:
+        raise ParseError("index m must be >= 1", 1)
     dim = _parse_int(h["dim"], 1)
     classes: list[CosetClass] = []
     components: dict[CosetClass, FourierSeries] = {}

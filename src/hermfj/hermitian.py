@@ -16,6 +16,7 @@ from . import linalg
 from .field import (
     FieldElement,
     FieldTag,
+    Immutable,
     coset_points,
     euclidean_round,
     sqrt_disc,
@@ -24,7 +25,7 @@ from .field import (
 Vector = tuple[FieldElement, ...]
 
 
-class HermMatrix:
+class HermMatrix(Immutable):
     """A g x g Hermitian matrix over E with exact entries.
 
     The constructor checks hermicity (and hence rationality of the
@@ -47,9 +48,6 @@ class HermMatrix:
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_trace", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HermMatrix is immutable")
 
     @classmethod
     def from_rational(cls, x, tag: FieldTag) -> "HermMatrix":
@@ -162,7 +160,7 @@ class HermMatrix:
         return "HermMatrix(%s, g=%d, d=%d)" % (self.to_text(), self.g, self.tag.d)
 
 
-class UnitMatrix:
+class UnitMatrix(Immutable):
     """An element of GL_g(O): integral entries and unit determinant."""
 
     __slots__ = ("g", "entries", "tag", "det_unit")
@@ -183,9 +181,6 @@ class UnitMatrix:
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "det_unit", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UnitMatrix is immutable")
 
     @classmethod
     def identity(cls, g: int, tag: FieldTag) -> "UnitMatrix":
@@ -251,14 +246,6 @@ class UnitMatrix:
             self.g,
             self.tag.d,
         )
-
-
-def is_psd(t: HermMatrix) -> bool:
-    return t.is_psd()
-
-
-def is_pd(t: HermMatrix) -> bool:
-    return t.is_pd()
 
 
 def gl_action(u: UnitMatrix, t: HermMatrix) -> HermMatrix:
@@ -433,7 +420,7 @@ def min_represented(t: HermMatrix) -> Fraction:
 # coset classes Delta_g(m) = (O^#)^g / m O^g
 
 
-class _SublatticeData:
+class _SublatticeData(Immutable):
     """Reduction data for m*sqrt(D)*O inside O, in basis coordinates.
 
     Basis of the sublattice brought to the shape v1 = (p, q), v2 = (ell, 0)
@@ -462,9 +449,6 @@ class _SublatticeData:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "ell", ell)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("_SublatticeData is immutable")
 
     def reduce(self, a: int, b: int) -> tuple[int, int]:
         k = b // self.q
@@ -502,7 +486,7 @@ def _sublattice(tag: FieldTag, m: int) -> _SublatticeData:
     return data
 
 
-class CosetClass:
+class CosetClass(Immutable):
     """A class in (O^#)^g / m O^g, held by its canonical representative."""
 
     __slots__ = ("m", "rep", "tag")
@@ -511,9 +495,6 @@ class CosetClass:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "rep", tuple(rep))
         object.__setattr__(self, "tag", tag)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CosetClass is immutable")
 
     @property
     def g(self) -> int:

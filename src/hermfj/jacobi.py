@@ -19,7 +19,7 @@ from math import inf
 from typing import Mapping, Sequence
 
 from .errors import ConsistencyError
-from .field import FieldElement, FieldTag, coset_points
+from .field import FieldElement, FieldTag, Immutable, coset_points
 from .hermitian import (
     CosetClass,
     HermMatrix,
@@ -70,7 +70,7 @@ def _as_key_matrix(n, g: int, tag: FieldTag) -> HermMatrix:
     return HermMatrix.from_rational(n, tag)
 
 
-class JacobiTable:
+class JacobiTable(Immutable):
     """Coefficient table of a cogenus-1 Hermitian Jacobi form."""
 
     __slots__ = ("g", "k", "m", "tag", "trunc", "dim", "coeffs")
@@ -122,9 +122,6 @@ class JacobiTable:
         object.__setattr__(self, "trunc", trunc)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("JacobiTable is immutable")
 
     def coefficient(self, n, r: Sequence[FieldElement]) -> Vec:
         n = _as_key_matrix(n, self.g, self.tag)
@@ -194,14 +191,6 @@ def _key_sort(key: tuple[HermMatrix, Vector]):
     return (n.trace(), n.to_text(), tuple(x.sort_key() for x in r))
 
 
-def ord_table(phi: JacobiTable):
-    return phi.vanishing_order()
-
-
-def ord_r(phi: JacobiTable, r: Sequence[FieldElement]):
-    return phi.vanishing_order_at(r)
-
-
 # ----------------------------------------------------------------------
 # theta tables
 
@@ -242,7 +231,7 @@ def theta_coeffs(m: int, s: CosetClass, trunc) -> JacobiTable:
     return JacobiTable(s.g, 1, m, tag, trunc, coeffs)
 
 
-class ThetaComponentVector:
+class ThetaComponentVector(Immutable):
     """The components (h_s)_s of a theta decomposition: one shifted series
     per class of Delta_g(m), in the canonical class order."""
 
@@ -256,9 +245,6 @@ class ThetaComponentVector:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "components", dict(components))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ThetaComponentVector is immutable")
 
     def __eq__(self, other):
         return (

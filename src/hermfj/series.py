@@ -16,7 +16,7 @@ from math import inf
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import linalg
-from .field import FieldElement, FieldTag
+from .field import FieldElement, FieldTag, Immutable
 from .hermitian import HermMatrix, UnitMatrix, gl_action, min_represented
 
 Vec = tuple[FieldElement, ...]
@@ -27,7 +27,7 @@ def _zero_vec(dim: int, tag: FieldTag) -> Vec:
     return (z,) * dim
 
 
-class FourierSeries:
+class FourierSeries(Immutable):
     """A truncated formal expansion sum_t c(t) e(t tau) of degree g.
 
     Coefficients are vectors of field elements (dimension 1 = scalar
@@ -76,9 +76,6 @@ class FourierSeries:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "semi_integral", semi_integral)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FourierSeries is immutable")
 
     # ------------------------------------------------------------------
 
@@ -184,22 +181,6 @@ class FourierSeries:
         if not self.coeffs:
             return inf
         return min(min_represented(t) for t in self.coeffs)
-
-
-def add(f1: FourierSeries, f2: FourierSeries) -> FourierSeries:
-    return f1 + f2
-
-
-def scale(x, f: FourierSeries) -> FourierSeries:
-    return f.scale(x)
-
-
-def mul(f1: FourierSeries, f2: FourierSeries) -> FourierSeries:
-    return f1 * f2
-
-
-def vanishing_order(f: FourierSeries):
-    return f.vanishing_order()
 
 
 # ----------------------------------------------------------------------

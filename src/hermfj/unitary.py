@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import linalg
-from .field import FieldElement, FieldTag
+from .field import FieldElement, FieldTag, Immutable
 from .hermitian import UnitMatrix
 
 
@@ -29,7 +29,7 @@ def _j_matrix(g: int, tag: FieldTag) -> linalg.Matrix:
     return tuple(rows)
 
 
-class UnitaryElement:
+class UnitaryElement(Immutable):
     """A 2g x 2g matrix over O, a candidate element of U(g,g)(Z)."""
 
     __slots__ = ("g", "entries", "tag")
@@ -46,9 +46,6 @@ class UnitaryElement:
         object.__setattr__(self, "g", n // 2)
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "tag", tag)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UnitaryElement is immutable")
 
     @classmethod
     def from_blocks(cls, a, b, c, d, tag: FieldTag) -> "UnitaryElement":
@@ -138,7 +135,7 @@ def rot(u: UnitMatrix) -> UnitaryElement:
     return UnitaryElement.from_blocks(u.entries, zero, zero, lower, tag)
 
 
-class HeisenbergElement:
+class HeisenbergElement(Immutable):
     """[(lambda, mu), kappa] with lambda, mu integral l x g and kappa
     integral l x l such that kappa + mu lambda* is Hermitian."""
 
@@ -167,9 +164,6 @@ class HeisenbergElement:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "tag", tag)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HeisenbergElement is immutable")
 
     @classmethod
     def identity(cls, l: int, g: int, tag: FieldTag) -> "HeisenbergElement":

@@ -174,3 +174,40 @@ def test_parse_error_exit_code(tmp_path):
     code, _, err = run_cli("multiply", "--in", str(bad), "--in2", str(bad),
                            "--out", str(tmp_path / "o.fjs"))
     assert code == 2 and "parse" in err
+
+
+def test_non_ascii_input_exit_code(tmp_path):
+    tag = make_field(-1)
+    fjs = tmp_path / "f.fjs"
+    write_sample_series(fjs, tag, seed=3)
+    fjs.write_bytes(fjs.read_bytes() + b"\xc3\n")
+    code, _, err = run_cli("validate", "--in", str(fjs))
+    assert code == 2 and "parse" in err
+    assert "Traceback" not in err
+
+
+def test_recompose_rejects_zero_index(tmp_path):
+    theta_file = tmp_path / "t.hjf"
+    comp_file = tmp_path / "t.hjc"
+    out_file = tmp_path / "back.hjf"
+    assert run_cli("theta", "--field", "-1", "--m", "1", "--shift", "0",
+                   "--trunc", "2", "--out", str(theta_file))[0] == 0
+    assert run_cli("decompose", "--in", str(theta_file), "--out", str(comp_file))[0] == 0
+    text = comp_file.read_text(encoding="ascii")
+    assert "; m=1;" in text.splitlines()[0]
+    comp_file.write_text(text.replace("; m=1;", "; m=0;", 1), encoding="ascii")
+    code, _, err = run_cli("recompose", "--in", str(comp_file), "--trunc", "2",
+                           "--out", str(out_file))
+    assert code == 2 and "parse" in err
+    assert "Traceback" not in err
+    assert not out_file.exists()
+
+
+def test_unwritable_out_exit_code(tmp_path):
+    out_file = tmp_path / "missing" / "x.hjf"
+    code, _, err = run_cli("theta", "--field", "-1", "--m", "1", "--shift", "0",
+                           "--trunc", "2", "--out", str(out_file))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out_file.exists()

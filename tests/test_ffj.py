@@ -154,23 +154,28 @@ def test_family_constructor_rejects_invalid_keys():
                  {idx0: {(HermMatrix.from_rational(1, tag), one_col): (fe(1, 0, tag),)}})
 
 
+def index_one_table(fam1, body):
+    """The index-1 body of a degree-3 cogenus-1 family as a genus-2 table."""
+    return JacobiTable(
+        2, fam1.k, 1, fam1.tag, fam1.trunc - 1,
+        {(n, tuple(row[0] for row in r)): vec for (n, r), vec in body.items()},
+    )
+
+
 def test_formal_theta_matches_cogenus_one_decomposition():
     rng = random.Random(83)
     for tag in (make_field(-1), make_field(-3)):
         fam1 = build_degree3_family(rng, tag)
         fam2 = disassemble(assemble(fam1), 2)
-        comps = formal_theta_coeffs(fam2, 1)
         # independent path: the stored cogenus-1 table as a genus-2 Jacobi table
         idx1 = HermMatrix.from_rational(1, tag)
-        body = fam1.tables.get(idx1, {})
-        slice_table = JacobiTable(
-            2, fam1.k, 1, tag, fam1.trunc - 1,
-            {(n, tuple(row[0] for row in r)): vec for (n, r), vec in body.items()},
-        )
-        v = theta_decompose(slice_table)
-        assert set(comps) == set(v.classes)
-        for s in v.classes:
-            assert comps[s] == v.components[s]
+        slice_table = index_one_table(fam1, fam1.tables.get(idx1, {}))
+        for strict in (False, True):
+            comps = formal_theta_coeffs(fam2, 1, strict=strict)
+            v = theta_decompose(slice_table, strict=strict)
+            assert set(comps) == set(v.classes)
+            for s in v.classes:
+                assert comps[s] == v.components[s]
 
 
 def test_formal_theta_rejects_higher_cogenus():
@@ -201,8 +206,12 @@ def test_formal_theta_detects_broken_fixture():
     broken = FJFamily(3, 1, fam1.k, tag, fam1.trunc,
                       {**fam1.tables, idx1: body})
     fam2 = disassemble(assemble(broken), 2)
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError) as formal:
         formal_theta_coeffs(fam2, 1)
+    # the same slice read straight from the broken cogenus-1 table
+    with pytest.raises(ConsistencyError) as direct:
+        theta_decompose(index_one_table(fam1, body))
+    assert formal.value.witness == direct.value.witness
 
 
 def test_partial_decomposition_identity():
