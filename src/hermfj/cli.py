@@ -174,6 +174,14 @@ def _unit_text(u) -> str:
     return ",".join(e.to_text() for row in u.entries for e in row)
 
 
+def _witness_part_text(part) -> str:
+    """A matrix by `to_text`; a vector or an r-matrix as its comma-joined
+    entries, row by row."""
+    if isinstance(part, tuple):
+        return ",".join(_witness_part_text(x) for x in part)
+    return part.to_text()
+
+
 def _cmd_rearrange(args) -> int:
     fam = formats.read_family(_read_file(args.infile))
     out = ffj.rearrange_cogenus(fam, args.cogenus)
@@ -239,6 +247,11 @@ def run(argv=None) -> int:
         return EXIT_PARSE
     except ConsistencyError as exc:
         print("error: consistency: %s" % exc, file=sys.stderr)
+        witness = exc.witness
+        if witness is not None:
+            parts = witness if isinstance(witness, tuple) else (witness,)
+            print("witness: %s" % " | ".join(_witness_part_text(p) for p in parts),
+                  file=sys.stderr)
         return EXIT_MATH
     except ValueError as exc:
         print("error: usage: %s" % exc, file=sys.stderr)

@@ -20,7 +20,9 @@ readers parse exactly and reject anything malformed with the line number.
     n = <matrix> ; c = <elem>,...
 
 Matrices are row-major, comma-separated field elements in the "a/b+c/d*w"
-form; <Q> is a rational in lowest terms.
+form; <Q> is a rational in lowest terms.  An HJC bundle has one section per
+class of `delta_classes(g, m)`, numbered from 0 in that canonical order and
+naming each class by its canonical rep.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Sequence
 from .errors import ParseError
 from .ffj import FJFamily
 from .field import FieldElement, FieldTag, make_field
-from .hermitian import CosetClass, HermMatrix
+from .hermitian import CosetClass, HermMatrix, delta_classes
 from .jacobi import JacobiTable, ThetaComponentVector
 from .series import FourierSeries
 
@@ -280,6 +282,7 @@ def read_components(text: str) -> ThetaComponentVector:
         raise ParseError("index m must be >= 1", 1)
     dim = _parse_int(h["dim"], 1)
     classes: list[CosetClass] = []
+    class_lines: list[int] = []
     components: dict[CosetClass, FourierSeries] = {}
     pending: dict[HermMatrix, tuple] = {}
     pending_class = None
@@ -313,10 +316,13 @@ def read_components(text: str) -> ThetaComponentVector:
             if len(parts) != 3 or not parts[1].startswith("rep = ") \
                     or not parts[2].startswith("htrunc = "):
                 raise ParseError("bad class header", i)
+            if parts[0] != "class %d" % len(classes):
+                raise ParseError("expected section 'class %d'" % len(classes), i)
             rep = _parse_vector(parts[1][len("rep = "):], g, tag, i)
             if any(not x.is_dual_integral() for x in rep):
                 raise ParseError("class representative must lie in the inverse different", i)
             pending_class = CosetClass(m, rep, tag)
+            class_lines.append(i)
             pending_trunc = _parse_q(parts[2][len("htrunc = "):], i)
             continue
         if pending_class is None:
@@ -329,6 +335,14 @@ def read_components(text: str) -> ThetaComponentVector:
     flush(len(lines) + 1)
     if not classes:
         raise ParseError("bundle holds no classes", 1)
+    # compare counts before listing Delta_g(m), which has (m^2 |D|)^g classes
+    want = (m * m * abs(tag.disc)) ** g
+    if len(classes) != want:
+        raise ParseError("expected %d class sections, got %d" % (want, len(classes)), 1)
+    for i, (got, canonical) in enumerate(zip(classes, delta_classes(g, m, tag))):
+        if got != canonical:
+            raise ParseError("class %d: rep must be the canonical %s"
+                             % (i, canonical.to_text()), class_lines[i])
     try:
         return ThetaComponentVector(m, classes, components)
     except ValueError as exc:

@@ -90,31 +90,55 @@ class HermMatrix(Immutable):
                     return False
         return True
 
-    def _principal_minor(self, idx: tuple[int, ...]) -> Fraction:
-        sub = tuple(tuple(self.entries[i][j] for j in idx) for i in idx)
-        d = linalg.det(sub)
-        # determinants of Hermitian matrices are rational
-        return d.as_rational()
+    def _psd_rank(self) -> int | None:
+        """The rank if the matrix is positive semidefinite, else None.
+
+        Exact Hermitian LDL*: row k is eliminated with its current diagonal
+        entry p as the pivot, and the rows below it are replaced by the Schur
+        complement, whose diagonal stays rational (a_ii - N(a_ki)/p).  A
+        negative p rules out semidefiniteness, and so does p = 0 with a
+        nonzero entry a_kj left in its row (the 2x2 principal minor on k, j
+        is -N(a_kj) < 0); p = 0 over a zero row drops the row.  Only the
+        upper triangle is kept.
+        """
+        g, tag = self.g, self.tag
+        upper = [list(row) for row in self.entries]
+        diag = [row[i].a for i, row in enumerate(self.entries)]
+        rank = 0
+        for k in range(g):
+            p = diag[k]
+            row = upper[k]
+            if p < 0:
+                return None
+            if not p:
+                for j in range(k + 1, g):
+                    if not row[j].is_zero():
+                        return None
+                continue
+            rank += 1
+            for i in range(k + 1, g):
+                x = row[i]
+                if x.is_zero():
+                    continue
+                diag[i] -= x.norm() / p
+                xc = x.conj()  # a_ik
+                ratio = FieldElement(xc.a / p, xc.b / p, tag)
+                target = upper[i]
+                for j in range(i + 1, g):
+                    y = row[j]
+                    if not y.is_zero():
+                        target[j] = target[j] - ratio * y
+        return rank
 
     def is_psd(self) -> bool:
-        """Positive semidefinite: every principal minor is >= 0.
-
-        Leading minors are not enough for semidefiniteness, so all 2^g - 1
-        index subsets are tested.
-        """
-        n = self.g
-        for mask in range(1, 1 << n):
-            idx = tuple(i for i in range(n) if mask >> i & 1)
-            if self._principal_minor(idx) < 0:
-                return False
-        return True
+        """Positive semidefinite, tested by exact LDL* with O(g^3) field
+        operations (see `_psd_rank`)."""
+        return self._psd_rank() is not None
 
     def is_pd(self) -> bool:
-        """Positive definite: leading principal minors are > 0."""
-        for k in range(1, self.g + 1):
-            if self._principal_minor(tuple(range(k))) <= 0:
-                return False
-        return True
+        """Positive definite: semidefinite with all g pivots positive, i.e.
+        no row dropped by the elimination."""
+        return self._psd_rank() == self.g
 
     def add(self, other: "HermMatrix") -> "HermMatrix":
         if other.g != self.g or other.tag != self.tag:

@@ -2,7 +2,9 @@
 
 Matrices are immutable tuples of tuples of FieldElement.  Sizes here are
 tiny (degree <= 4 in practice), so determinants use cofactor expansion and
-rank uses plain Gaussian elimination over the field.
+rank uses plain Gaussian elimination over the field.  Cofactor determinants
+serve only `UnitMatrix` (its unit determinant) and `adjugate`; Hermitian
+definiteness is tested by LDL* in `hermitian`.
 """
 
 from __future__ import annotations
@@ -73,12 +75,25 @@ def conj_transpose(x: Matrix) -> Matrix:
 
 
 def is_hermitian(x: Matrix) -> bool:
+    """Whether x equals its conjugate transpose.
+
+    Compared on basis coordinates, without building conjugates: the
+    diagonal has no w-part, and for each pair p = x_ij, q = x_ji of one
+    field, p.b = -q.b and p.a = q.a + q.b when w = (1+sqrt(d))/2 (since
+    conj(w) = 1 - w), else p.a = q.a.
+    """
     n, m = shape(x)
     if n != m:
         return False
     for i in range(n):
-        for j in range(i, n):
-            if x[i][j] != x[j][i].conj():
+        row = x[i]
+        if row[i].b:
+            return False
+        for j in range(i + 1, n):
+            p, q = row[j], x[j][i]
+            if p.tag != q.tag or p.b != -q.b:
+                return False
+            if p.a != (q.a + q.b if p.tag.half_basis else q.a):
                 return False
     return True
 

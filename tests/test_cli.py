@@ -211,3 +211,91 @@ def test_unwritable_out_exit_code(tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not out_file.exists()
+
+
+def _theta_bundle(tmp_path):
+    """The d=-1, m=2 theta table at shift 1 and its HJC bundle, split into
+    its header and its class sections."""
+    theta_file = tmp_path / "t.hjf"
+    comp_file = tmp_path / "t.hjc"
+    assert run_cli("theta", "--field", "-1", "--m", "2", "--shift", "1",
+                   "--trunc", "3", "--out", str(theta_file))[0] == 0
+    assert run_cli("decompose", "--in", str(theta_file), "--out", str(comp_file))[0] == 0
+    header, *rest = comp_file.read_text(encoding="ascii").splitlines(keepends=True)
+    sections = []
+    for line in rest:
+        if line.startswith("[class "):
+            sections.append([line])
+        else:
+            sections[-1].append(line)
+    assert len(sections) == 16  # |Delta_1(2)| = 2^2 * 4
+    return theta_file, header, sections
+
+
+def _assert_bundle_rejected(tmp_path, text):
+    bad = tmp_path / "bad.hjc"
+    out_file = tmp_path / "back.hjf"
+    bad.write_text(text, encoding="ascii")
+    code, _, err = run_cli("recompose", "--in", str(bad), "--trunc", "3",
+                           "--out", str(out_file))
+    assert code == 2 and "parse" in err
+    assert "Traceback" not in err
+    assert not out_file.exists()
+    code, _, err = run_cli("validate", "--in", str(bad))
+    assert code == 2 and "parse" in err
+
+
+def test_bundle_missing_class_section(tmp_path):
+    _, header, sections = _theta_bundle(tmp_path)
+    last_dropped = header + "".join("".join(s) for s in sections[:-1])
+    _assert_bundle_rejected(tmp_path, last_dropped)
+    third_dropped = header + "".join("".join(s) for s in sections[:3] + sections[4:])
+    _assert_bundle_rejected(tmp_path, third_dropped)
+
+
+def test_bundle_non_canonical_class_rep(tmp_path):
+    _, header, sections = _theta_bundle(tmp_path)
+    assert sections[1][0].startswith("[class 1; rep = 1/2+0/1*w;")
+    # 5/2 = 1/2 + 2 names the same class, but not by its canonical rep
+    sections[1][0] = sections[1][0].replace("rep = 1/2+0/1*w", "rep = 5/2+0/1*w")
+    _assert_bundle_rejected(tmp_path, header + "".join("".join(s) for s in sections))
+
+
+def test_bundle_duplicated_class_section(tmp_path):
+    _, header, sections = _theta_bundle(tmp_path)
+    # section 1 repeats the class of section 0, so class 1 has no section
+    dup = [sections[0][0].replace("[class 0;", "[class 1;")] + sections[0][1:]
+    _assert_bundle_rejected(tmp_path, header + "".join(
+        "".join(s) for s in sections[:1] + [dup] + sections[2:]))
+    appended = sections + [[sections[0][0].replace("[class 0;", "[class 16;")]
+                            + sections[0][1:]]
+    _assert_bundle_rejected(tmp_path, header + "".join("".join(s) for s in appended))
+
+
+def test_consistency_error_prints_witness(tmp_path):
+    from hermfj.errors import ConsistencyError
+    from hermfj.jacobi import theta_decompose
+
+    theta_file, _, _ = _theta_bundle(tmp_path)
+    lines = theta_file.read_text(encoding="ascii").splitlines(keepends=True)
+    key, _ = lines[1].rsplit(" = ", 1)
+    lines[1] = key + " = 2/1+0/1*w\n"
+    broken = tmp_path / "broken.hjf"
+    broken.write_text("".join(lines), encoding="ascii")
+    try:
+        theta_decompose(read_jacobi(broken.read_text(encoding="ascii")))
+    except ConsistencyError as exc:
+        witness = exc.witness
+    else:
+        raise AssertionError("the broken table decomposed")
+    nprime, r, r0 = witness
+
+    out_file = tmp_path / "b.hjc"
+    code, out, err = run_cli("decompose", "--in", str(broken), "--out", str(out_file))
+    assert code == 3 and out == ""
+    assert not out_file.exists()
+    first, second = err.splitlines()
+    assert first.startswith("error: consistency: ")
+    # n' first, then the two disagreeing representatives
+    assert second == "witness: %s | %s | %s" % (
+        nprime.to_text(), ",".join(x.to_text() for x in r), ",".join(x.to_text() for x in r0))

@@ -134,6 +134,42 @@ def all_tags():
 
 
 # ----------------------------------------------------------------------
+# definiteness and hermicity oracles (the library's predecessors)
+
+
+def principal_minor(m, idx) -> Fraction:
+    """det of the principal submatrix of the HermMatrix m on the index tuple
+    idx, by cofactor expansion; rational since the submatrix is Hermitian."""
+    from hermfj import linalg
+
+    sub = tuple(tuple(m.entries[i][j] for j in idx) for i in idx)
+    return linalg.det(sub).as_rational()
+
+
+def psd_by_minors(m) -> bool:
+    """Positive semidefinite: all 2^g - 1 principal minors are >= 0."""
+    g = m.g
+    for mask in range(1, 1 << g):
+        idx = tuple(i for i in range(g) if mask >> i & 1)
+        if principal_minor(m, idx) < 0:
+            return False
+    return True
+
+
+def pd_by_leading_minors(m) -> bool:
+    """Positive definite: the g leading principal minors are > 0."""
+    return all(principal_minor(m, tuple(range(k))) > 0 for k in range(1, m.g + 1))
+
+
+def hermitian_by_conj(x) -> bool:
+    """x_ij == conj(x_ji) for every entry, comparing whole field elements."""
+    n = len(x)
+    if any(len(row) != n for row in x):
+        return False
+    return all(x[i][j] == x[j][i].conj() for i in range(n) for j in range(i, n))
+
+
+# ----------------------------------------------------------------------
 # group element builders (guaranteed members by construction)
 
 
