@@ -8,6 +8,7 @@ bit-identical bytes.  Exit codes: 0 success, 1 usage, 2 parse error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -97,10 +98,22 @@ def _read_file(path: str) -> str:
 
 
 def _write_file(path: str, text: str):
+    """Replaces `path` atomically: the text goes to a new temporary file in
+    the same directory, which `os.replace` then moves over the target.  On
+    any failure the temporary file is removed and the target is untouched."""
+    target = Path(path)
+    tmp = target.with_name(".%s.%s.tmp" % (target.name, os.urandom(6).hex()))
     try:
-        Path(path).write_text(text, encoding="ascii")
+        fh = open(tmp, "x", encoding="ascii")
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     except OSError as exc:
-        raise _UsageError("cannot write %s: %s" % (path, exc))
+        raise _UsageError("cannot write %s: %s" % (path, exc.strerror or exc))
 
 
 def _cmd_c_constant(args) -> int:

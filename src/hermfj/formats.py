@@ -22,7 +22,8 @@ readers parse exactly and reject anything malformed with the line number.
 Matrices are row-major, comma-separated field elements in the "a/b+c/d*w"
 form; <Q> is a rational in lowest terms.  An HJC bundle has one section per
 class of `delta_classes(g, m)`, numbered from 0 in that canonical order and
-naming each class by its canonical rep.
+naming each class by its canonical rep; its header trunc is the htrunc of
+class 0.
 """
 
 from __future__ import annotations
@@ -256,7 +257,7 @@ def read_family(text: str) -> FJFamily:
 
 
 def write_components(v: ThetaComponentVector) -> str:
-    sample = next(iter(v.components.values()))
+    sample = v.components[v.classes[0]]
     lines = [
         "HJC v1; d=%d; g=%d; k=%d; m=%d; trunc=%s; dim=%d"
         % (sample.tag.d, sample.g, sample.k, v.m, _fmt_q(sample.trunc), sample.dim)
@@ -280,6 +281,7 @@ def read_components(text: str) -> ThetaComponentVector:
     m = _parse_int(h["m"], 1)
     if m < 1:
         raise ParseError("index m must be >= 1", 1)
+    trunc = _parse_q(h["trunc"], 1)
     dim = _parse_int(h["dim"], 1)
     classes: list[CosetClass] = []
     class_lines: list[int] = []
@@ -343,6 +345,10 @@ def read_components(text: str) -> ThetaComponentVector:
         if got != canonical:
             raise ParseError("class %d: rep must be the canonical %s"
                              % (i, canonical.to_text()), class_lines[i])
+    # the writer puts the class-0 htrunc in the header
+    if trunc != components[classes[0]].trunc:
+        raise ParseError("header trunc=%s must equal the class 0 htrunc %s"
+                         % (_fmt_q(trunc), _fmt_q(components[classes[0]].trunc)), 1)
     try:
         return ThetaComponentVector(m, classes, components)
     except ValueError as exc:

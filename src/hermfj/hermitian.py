@@ -9,7 +9,7 @@ small canonical representatives.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor, isqrt
+from math import isqrt, lcm
 from typing import Iterator, Sequence
 
 from . import linalg
@@ -130,6 +130,20 @@ class HermMatrix(Immutable):
                         target[j] = target[j] - ratio * y
         return rank
 
+    def _int_coords(self) -> tuple[list[list[tuple[int, int]]], int]:
+        """The entries as integer coordinate pairs over one denominator.
+
+        Returns (rows, den) with den the lcm of all coordinate denominators
+        and entry (i, j) equal to (A + B*w) / den for rows[i][j] = (A, B).
+        Exact, so integer kernels on these pairs give exact results.
+        """
+        den = lcm(*(x.denominator for row in self.entries for e in row for x in (e.a, e.b)))
+        return [
+            [(e.a.numerator * (den // e.a.denominator), e.b.numerator * (den // e.b.denominator))
+             for e in row]
+            for row in self.entries
+        ], den
+
     def is_psd(self) -> bool:
         """Positive semidefinite, tested by exact LDL* with O(g^3) field
         operations (see `_psd_rank`)."""
@@ -185,9 +199,11 @@ class HermMatrix(Immutable):
 
 
 class UnitMatrix(Immutable):
-    """An element of GL_g(O): integral entries and unit determinant."""
+    """An element of GL_g(O): integral entries and unit determinant.
 
-    __slots__ = ("g", "entries", "tag", "det_unit")
+    `_coords` holds the entries as integer coordinate pairs (a, b)."""
+
+    __slots__ = ("g", "entries", "tag", "det_unit", "_coords")
 
     def __init__(self, entries: Sequence[Sequence[FieldElement]], tag: FieldTag):
         rows = linalg.freeze(entries)
@@ -205,6 +221,8 @@ class UnitMatrix(Immutable):
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "det_unit", d)
+        object.__setattr__(self, "_coords", tuple(
+            tuple((e.a.numerator, e.b.numerator) for e in row) for row in rows))
 
     @classmethod
     def identity(cls, g: int, tag: FieldTag) -> "UnitMatrix":
@@ -272,12 +290,46 @@ class UnitMatrix(Immutable):
         )
 
 
+def _omega_square(tag: FieldTag) -> tuple[int, int]:
+    """(s, n) with w^2 = s*w + n: w^2 = w - (1-d)/4 in the half basis, else
+    d.  Then conj(a + b*w) = (a + s*b) - b*w and N(w) = -n."""
+    return (1, -tag._norm_t) if tag.half_basis else (0, tag.d)
+
+
+def _int_dot(xs, ys, s: int, n: int) -> tuple[int, int]:
+    """sum_k x_k * y_k over integer coordinate pairs, with w^2 = s*w + n."""
+    p = q = 0
+    for (a, b), (c, e) in zip(xs, ys):
+        be = b * e
+        p += a * c + n * be
+        q += a * e + b * c + s * be
+    return p, q
+
+
 def gl_action(u: UnitMatrix, t: HermMatrix) -> HermMatrix:
-    """u* t u; preserves semi-integrality and positive semidefiniteness."""
+    """u* t u; preserves semi-integrality and positive semidefiniteness.
+
+    Exact, on integer coordinates: V = t u is formed from
+    `t._int_coords()` and the integral coordinates of u, then only the
+    upper triangle of u* V; the lower triangle is its conjugate.  Each
+    entry is divided by the common denominator of t once, as it is built.
+    """
     if u.g != t.g or u.tag != t.tag:
         raise ValueError("matrix size or field mismatch")
-    product = linalg.mat_mul(linalg.mat_mul(u.conj_transpose_entries(), t.entries), u.entries)
-    return HermMatrix(product, t.tag)
+    g, tag = t.g, t.tag
+    s, n = _omega_square(tag)
+    rows, den = t._int_coords()
+    ucols = list(zip(*u._coords))
+    vcols = [[_int_dot(row, col, s, n) for row in rows] for col in ucols]
+    out = [[None] * g for _ in range(g)]
+    for i in range(g):
+        ustar_row = [(a + s * b, -b) for a, b in ucols[i]]
+        for j in range(i, g):
+            a, b = _int_dot(ustar_row, vcols[j], s, n)
+            out[i][j] = FieldElement(Fraction(a, den), Fraction(b, den), tag)
+            if j != i:
+                out[j][i] = FieldElement(Fraction(a + s * b, den), Fraction(-b, den), tag)
+    return HermMatrix(out, tag)
 
 
 # ----------------------------------------------------------------------
@@ -350,36 +402,14 @@ def enumerate_semi_integral(g: int, trace_bound: int, tag: FieldTag) -> list[Her
 # minimal represented values
 
 
-def _real_gram(t: HermMatrix) -> list[list[Fraction]]:
-    """The rational Gram matrix of omega* t omega on the coordinate lattice
-    Z^{2g}, with basis e_i and w*e_i interleaved."""
-    g = t.g
-    tag = t.tag
-    w = FieldElement.omega(tag)
-    basis = []
-    for i in range(g):
-        basis.append((i, FieldElement.one(tag)))
-        basis.append((i, w))
-    n = 2 * g
-    gram = [[Fraction(0)] * n for _ in range(n)]
-    for r in range(n):
-        i, x = basis[r]
-        for c in range(r, n):
-            j, y = basis[c]
-            # Re(conj(x) t_ij y) = Tr(.)/2
-            val = (x.conj() * t.entries[i][j] * y).trace() / 2
-            gram[r][c] = val
-            gram[c][r] = val
-    return gram
-
-
-def _ldl(gram: list[list[Fraction]]):
-    """LDL^T of a positive definite rational matrix; L unit lower triangular."""
+def _ldl(gram: list[list[int]]):
+    """LDL^T of a positive definite integer matrix, in Fractions; L unit
+    lower triangular."""
     n = len(gram)
     L = [[Fraction(0)] * n for _ in range(n)]
     D = [Fraction(0)] * n
     for j in range(n):
-        s = gram[j][j]
+        s = Fraction(gram[j][j])
         for k in range(j):
             s -= L[j][k] * L[j][k] * D[k]
         if s <= 0:
@@ -387,57 +417,75 @@ def _ldl(gram: list[list[Fraction]]):
         D[j] = s
         L[j][j] = Fraction(1)
         for i in range(j + 1, n):
-            v = gram[i][j]
+            v = Fraction(gram[i][j])
             for k in range(j):
                 v -= L[i][k] * L[j][k] * D[k]
             L[i][j] = v / D[j]
     return L, D
 
 
-def _short_vectors(L, D, bound: Fraction) -> Iterator[tuple[Fraction, tuple[int, ...]]]:
-    """All nonzero integer vectors u with q(u) <= bound for q = L D L^T."""
-    n = len(D)
-    u = [0] * n
-
-    def recurse(i: int, rem: Fraction):
-        if i < 0:
-            if any(u):
-                yield (bound - rem, tuple(u))
-            return
-        s = Fraction(0)
-        for j in range(i + 1, n):
-            s += L[j][i] * u[j]
-        radius2 = rem / D[i]
-        r_int = isqrt(radius2.numerator * radius2.denominator) // radius2.denominator + 1
-        lo = ceil(-s - r_int)
-        hi = floor(-s + r_int)
-        for v in range(lo, hi + 1):
-            w = v + s
-            used = D[i] * w * w
-            if used <= rem:
-                u[i] = v
-                yield from recurse(i - 1, rem - used)
-
-    yield from recurse(n - 1, bound)
-
-
 def min_represented(t: HermMatrix) -> Fraction:
     """min over nonzero omega in O^g of omega* t omega, for PSD t.
 
-    Degenerate t represents 0: a kernel vector over E scales to an integral
-    one by clearing denominators.  For definite t the search is certified by
-    the smallest diagonal entry, which e_i attains.
+    Exact.  Degenerate t (rank < g by `HermMatrix._psd_rank`) represents 0:
+    a kernel vector over E scales to an integral one by clearing
+    denominators.  A t that is not positive semidefinite raises ValueError.
+    For definite t the search is certified by the smallest diagonal entry,
+    which e_i attains.
+
+    The search is Fincke-Pohst on the coordinate lattice Z^{2g} of O^g
+    (basis e_i and w*e_i interleaved), in integers: the Gram matrix is
+    taken times 2*den, with den from `t._int_coords()`, and its rational
+    LDL^T is cleared to one denominator c_i per column of L and scaled
+    pivots K_i, so that coordinate i contributes K_i * (c_i z_i + off_i)^2
+    with off_i an integer fixed by the coordinates above it.
     """
-    if linalg.rank(t.entries) < t.g:
+    rank = t._psd_rank()
+    if rank is None:
+        raise ValueError("matrix is not positive semidefinite")
+    if rank < t.g:
         return Fraction(0)
-    bound = min(t.entries[i][i].as_rational() for i in range(t.g))
-    gram = _real_gram(t)
+    s, n = _omega_square(t.tag)
+    rows, den = t._int_coords()
+    dim = 2 * t.g
+    # Tr(x), Tr(x w), Tr(conj(w) x) and N(w) Tr(x) for x = den * t_ij
+    gram = [[0] * dim for _ in range(dim)]
+    for i, row in enumerate(rows):
+        for j, (a, b) in enumerate(row):
+            tr = 2 * a + s * b
+            gram[2 * i][2 * j] = tr
+            gram[2 * i][2 * j + 1] = 2 * n * b + s * (a + s * b)
+            gram[2 * i + 1][2 * j] = s * a - 2 * n * b
+            gram[2 * i + 1][2 * j + 1] = -n * tr
     L, D = _ldl(gram)
-    best = bound
-    for q, _u in _short_vectors(L, D, bound):
-        if q < best:
-            best = q
-    return best
+    col_dens = [lcm(*(L[j][i].denominator for j in range(i + 1, dim))) for i in range(dim)]
+    scale = lcm(*((D[i] / (c * c)).denominator for i, c in enumerate(col_dens)))
+    levels = [
+        (c, int(scale * D[i] / (c * c)),
+         [(j, int(L[j][i] * c)) for j in range(i + 1, dim) if L[j][i]])
+        for i, c in enumerate(col_dens)
+    ]
+    z = [0] * dim
+    best = 0  # the most budget a nonzero vector leaves; 0 means the bound
+
+    def search(i: int, rem: int):
+        nonlocal best
+        if i < 0:
+            if rem > best and any(z):
+                best = rem
+            return
+        c, k, terms = levels[i]
+        off = sum(l * z[j] for j, l in terms)
+        r = isqrt(rem // k)
+        for v in range(-((r + off) // c), (r - off) // c + 1):
+            z[i] = v
+            x = c * v + off
+            search(i - 1, rem - k * x * x)
+        z[i] = 0
+
+    top = scale * min(gram[i][i] for i in range(0, dim, 2))
+    search(dim - 1, top)
+    return Fraction(top - best, 2 * den * scale)
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Small exact linear algebra over field elements.
 
 Matrices are immutable tuples of tuples of FieldElement.  Sizes here are
-tiny (degree <= 4 in practice), so determinants use cofactor expansion and
-rank uses plain Gaussian elimination over the field.  Cofactor determinants
-serve only `UnitMatrix` (its unit determinant) and `adjugate`; Hermitian
-definiteness is tested by LDL* in `hermitian`.
+tiny (degree <= 4 in practice), so determinants use cofactor expansion.
+Cofactor determinants serve only `UnitMatrix` (its unit determinant) and
+`adjugate`.  Hermitian definiteness and rank are found by LDL* in
+`hermitian`, and the lattice kernels there (`gl_action`,
+`min_represented`) run on integer coordinates instead of these products.
 """
 
 from __future__ import annotations
@@ -135,31 +136,6 @@ def adjugate(x: Matrix) -> Matrix:
             row.append(m if (i + j) % 2 == 0 else -m)
         cof.append(row)
     return tuple(tuple(cof[j][i] for j in range(n)) for i in range(n))
-
-
-def rank(x: Matrix) -> int:
-    rows = [list(r) for r in x]
-    n, m = shape(x)
-    r = 0
-    for col in range(m):
-        pivot = None
-        for i in range(r, n):
-            if not rows[i][col].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][col].inv()
-        rows[r] = [inv * v for v in rows[r]]
-        for i in range(n):
-            if i != r and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == n:
-            break
-    return r
 
 
 def trace_rational(x: Matrix) -> Fraction:

@@ -278,7 +278,7 @@ def symmetrize(f: FourierSeries, units: Sequence[UnitMatrix]) -> FourierSeries:
     factors, only the zero coefficient is symmetric and the orbit is
     dropped.  The result passes `check_symmetry` for these generators.
     """
-    steps = list(units) + [u.inverse() for u in units]
+    steps = [(u, u.det_unit.conj() ** f.k) for u in list(units) + [u.inverse() for u in units]]
     out: dict[HermMatrix, Vec] = {}
     done: set[HermMatrix] = set()
     for seed in sorted(f.coeffs, key=HermMatrix.sort_key):
@@ -293,11 +293,11 @@ def symmetrize(f: FourierSeries, units: Sequence[UnitMatrix]) -> FourierSeries:
             nxt = []
             for t in frontier:
                 base = factors[t]
-                for u in steps:
+                for u, det_pow in steps:
                     image = gl_action(u, t)
                     if image.trace() > f.trunc:
                         continue
-                    fac = base * (u.det_unit.conj() ** f.k)
+                    fac = base * det_pow
                     prev = factors.get(image)
                     if prev is None:
                         factors[image] = fac

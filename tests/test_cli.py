@@ -1,3 +1,4 @@
+import os
 import random
 import subprocess
 import sys
@@ -213,6 +214,44 @@ def test_unwritable_out_exit_code(tmp_path):
     assert not out_file.exists()
 
 
+def test_out_is_replaced_atomically(tmp_path):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out_file = out_dir / "t.hjf"
+    args = ("theta", "--field", "-1", "--m", "1", "--shift", "0", "--trunc", "3",
+            "--out", str(out_file))
+    assert run_cli(*args)[0] == 0
+    first = out_file.read_bytes()
+    assert run_cli(*args)[0] == 0  # over an existing file
+    assert [p.name for p in out_dir.iterdir()] == ["t.hjf"]
+    assert out_file.read_bytes() == first
+
+
+def test_failed_write_keeps_existing_out(tmp_path, monkeypatch, capsys):
+    from hermfj import cli, formats
+
+    out_file = tmp_path / "t.hjf"
+    out_file.write_bytes(b"previous contents\n")
+    args = ["theta", "--field", "-1", "--m", "1", "--shift", "0", "--trunc", "3",
+            "--out", str(out_file)]
+
+    def failing_replace(src, dst):
+        raise OSError(28, "No space left on device")
+
+    # the rename fails after the new text is complete
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", failing_replace)
+        assert cli.run(args) == 1
+    # the write itself fails part way: the text is not ASCII at its end
+    with monkeypatch.context() as m:
+        m.setattr(formats, "write_jacobi", lambda table: "HJF v1" + "x" * 9000 + "\u00e9\n")
+        assert cli.run(args) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 2 and all(line.startswith("error: ") for line in err.splitlines())
+    assert out_file.read_bytes() == b"previous contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.hjf"]
+
+
 def _theta_bundle(tmp_path):
     """The d=-1, m=2 theta table at shift 1 and its HJC bundle, split into
     its header and its class sections."""
@@ -270,6 +309,14 @@ def test_bundle_duplicated_class_section(tmp_path):
     appended = sections + [[sections[0][0].replace("[class 0;", "[class 16;")]
                             + sections[0][1:]]
     _assert_bundle_rejected(tmp_path, header + "".join("".join(s) for s in appended))
+
+
+def test_bundle_header_trunc_must_match_class_zero(tmp_path):
+    _, header, sections = _theta_bundle(tmp_path)
+    assert "; trunc=3;" in header and sections[0][0].endswith("htrunc = 3]\n")
+    body = "".join("".join(s) for s in sections)
+    _assert_bundle_rejected(tmp_path, header.replace("; trunc=3;", "; trunc=99;") + body)
+    _assert_bundle_rejected(tmp_path, header.replace("; trunc=3;", "; trunc=2;") + body)
 
 
 def test_consistency_error_prints_witness(tmp_path):

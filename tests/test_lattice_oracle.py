@@ -1,0 +1,116 @@
+"""Cross-checks of the integer-coordinate lattice kernels `gl_action` and
+`min_represented` against their predecessors in `util`: two generic
+field-element matrix products, and a Fincke-Pohst search in Fractions."""
+
+import random
+
+import pytest
+
+from hermfj.hermitian import (
+    HermMatrix,
+    delta_classes,
+    enumerate_semi_integral,
+    gl_action,
+    min_represented,
+    small_rep,
+)
+from hermfj.jacobi import shift_matrix, theta_coeffs
+from hermfj.series import gl_generators
+from util import (
+    all_tags,
+    gl_action_by_mat_mul,
+    min_represented_by_fractions,
+    random_field_element,
+)
+
+
+def semi_integral_keys(rng, g, tag):
+    """Every semi-integral PSD key of trace <= 6, 3, 2 for g = 1, 2, 3; for
+    g = 3 also 80 keys of trace 3, the least trace of a definite one."""
+    if g < 3:
+        return enumerate_semi_integral(g, 6 if g == 1 else 3, tag)
+    keys = enumerate_semi_integral(3, 3, tag)
+    low = [t for t in keys if t.trace() <= 2]
+    return low + rng.sample(keys[len(low):], 80)
+
+
+def outcome(kernel, t):
+    """The kernel's value at t, or ValueError if it raises one."""
+    try:
+        return kernel(t)
+    except ValueError:
+        return ValueError
+
+
+def units_for(rng, g, tag):
+    """Every generator of `gl_generators` and its inverse, and products of
+    two to four of them."""
+    gens = gl_generators(g, tag)
+    units = gens + [u.inverse() for u in gens]
+    for _ in range(8):
+        u = rng.choice(units)
+        for _ in range(rng.randint(1, 3)):
+            u = u.mul(rng.choice(units))
+        units.append(u)
+    return units
+
+
+def shifted_keys(rng, g, tag, keys):
+    """n + r m^-1 r* and n - r m^-1 r* for small representatives r of
+    classes of Delta_g(m), m = 1, 2: rational diagonals, PSD or not."""
+    out = []
+    for m in (1, 2):
+        classes = delta_classes(g, m, tag)
+        for s in rng.sample(classes, min(6, len(classes))):
+            shift = shift_matrix(small_rep(s), m)
+            for n in rng.sample(keys, min(4, len(keys))):
+                out.append(n.add(shift))
+                out.append(n.sub(shift))
+    return out
+
+
+def degenerate_keys(rng, g, tag):
+    """Zero, diagonal with a zero entry, rank one x x*, and sums of rank-one
+    matrices with fewer than g terms."""
+    out = [HermMatrix.zero(g, tag), HermMatrix.diagonal([0] + [1] * (g - 1), tag)]
+    for _ in range(6):
+        acc = HermMatrix.zero(g, tag)
+        for _ in range(rng.randint(1, max(1, g - 1))):
+            x = [random_field_element(rng, tag, den=2, span=2) for _ in range(g)]
+            rows = [[x[i] * x[j].conj() for j in range(g)] for i in range(g)]
+            acc = acc.add(HermMatrix(rows, tag))
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("tag", all_tags(), ids=lambda t: "d%d" % t.d)
+def test_kernels_match_oracles(tag):
+    rng = random.Random(7000 - tag.d)
+    for g in (1, 2, 3):
+        keys = semi_integral_keys(rng, g, tag)
+        cases = keys + shifted_keys(rng, g, tag, keys) + degenerate_keys(rng, g, tag)
+        for t in cases:
+            assert outcome(min_represented, t) == outcome(min_represented_by_fractions, t), t
+        units = units_for(rng, g, tag)
+        sample = rng.sample(cases, min(40, len(cases)))
+        for t in sample:
+            for u in units:
+                assert gl_action(u, t) == gl_action_by_mat_mul(u, t), (u, t)
+
+
+def test_min_represented_rejects_non_psd():
+    for tag in all_tags():
+        with pytest.raises(ValueError):
+            min_represented(HermMatrix.diagonal([0, -1], tag))
+        with pytest.raises(ValueError):
+            min_represented(HermMatrix.diagonal([1, -1], tag))
+
+
+def test_theta_table_vanishing_order_matches_oracle():
+    # theta keys r m^-1 r* have rational diagonals; genus 2 makes them rank one
+    rng = random.Random(7100)
+    for tag in all_tags():
+        for g, m, trunc in ((1, 2, 3), (1, 3, 4), (2, 1, 2)):
+            table = theta_coeffs(m, rng.choice(delta_classes(g, m, tag)), trunc)
+            want = min(min_represented_by_fractions(n) for (n, _r) in table.coeffs)
+            assert table.vanishing_order() == want

@@ -170,6 +170,101 @@ def hermitian_by_conj(x) -> bool:
 
 
 # ----------------------------------------------------------------------
+# lattice kernel oracles (the library's predecessors, on field elements and
+# Fractions)
+
+
+def gl_action_by_mat_mul(u, t):
+    """u* t u as two generic field-element matrix products."""
+    from hermfj import linalg
+    from hermfj.hermitian import HermMatrix
+
+    product = linalg.mat_mul(linalg.mat_mul(u.conj_transpose_entries(), t.entries), u.entries)
+    return HermMatrix(product, t.tag)
+
+
+def real_gram_by_fractions(t):
+    """The rational Gram matrix of omega* t omega on the coordinate lattice
+    Z^{2g}, with basis e_i and w*e_i interleaved."""
+    tag = t.tag
+    w = FieldElement.omega(tag)
+    basis = []
+    for i in range(t.g):
+        basis.append((i, FieldElement.one(tag)))
+        basis.append((i, w))
+    n = 2 * t.g
+    gram = [[Fraction(0)] * n for _ in range(n)]
+    for r in range(n):
+        i, x = basis[r]
+        for c in range(r, n):
+            j, y = basis[c]
+            # Re(conj(x) t_ij y) = Tr(.)/2
+            val = (x.conj() * t.entries[i][j] * y).trace() / 2
+            gram[r][c] = val
+            gram[c][r] = val
+    return gram
+
+
+def ldl_by_fractions(gram):
+    """LDL^T of a positive definite rational matrix; L unit lower triangular."""
+    n = len(gram)
+    L = [[Fraction(0)] * n for _ in range(n)]
+    D = [Fraction(0)] * n
+    for j in range(n):
+        s = gram[j][j]
+        for k in range(j):
+            s -= L[j][k] * L[j][k] * D[k]
+        D[j] = s
+        L[j][j] = Fraction(1)
+        for i in range(j + 1, n):
+            v = gram[i][j]
+            for k in range(j):
+                v -= L[i][k] * L[j][k] * D[k]
+            L[i][j] = v / D[j]
+    return L, D
+
+
+def short_vectors_by_fractions(L, D, bound):
+    """All nonzero integer vectors u with q(u) <= bound for q = L D L^T, as
+    (q(u), u)."""
+    from math import ceil, floor, isqrt
+
+    n = len(D)
+    u = [0] * n
+
+    def recurse(i, rem):
+        if i < 0:
+            if any(u):
+                yield (bound - rem, tuple(u))
+            return
+        s = Fraction(0)
+        for j in range(i + 1, n):
+            s += L[j][i] * u[j]
+        radius2 = rem / D[i]
+        r_int = isqrt(radius2.numerator * radius2.denominator) // radius2.denominator + 1
+        for v in range(ceil(-s - r_int), floor(-s + r_int) + 1):
+            used = D[i] * (v + s) ** 2
+            if used <= rem:
+                u[i] = v
+                yield from recurse(i - 1, rem - used)
+
+    yield from recurse(n - 1, bound)
+
+
+def min_represented_by_fractions(t) -> Fraction:
+    """min over nonzero omega in O^g of omega* t omega: ValueError unless t
+    is PSD by its minors, 0 when det t = 0, else the least value of a
+    Fincke-Pohst search in Fractions below the smallest diagonal entry."""
+    if not psd_by_minors(t):
+        raise ValueError("matrix is not positive semidefinite")
+    if principal_minor(t, tuple(range(t.g))) == 0:
+        return Fraction(0)
+    bound = min(t.entries[i][i].as_rational() for i in range(t.g))
+    L, D = ldl_by_fractions(real_gram_by_fractions(t))
+    return min([bound] + [q for q, _u in short_vectors_by_fractions(L, D, bound)])
+
+
+# ----------------------------------------------------------------------
 # group element builders (guaranteed members by construction)
 
 
