@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
+import stat
 import sys
 from pathlib import Path
 
@@ -98,16 +100,31 @@ def _read_file(path: str) -> str:
 
 
 def _write_file(path: str, text: str):
-    """Replaces `path` atomically: the text goes to a new temporary file in
-    the same directory, which `os.replace` then moves over the target.  On
-    any failure the temporary file is removed and the target is untouched."""
-    target = Path(path)
-    tmp = target.with_name(".%s.%s.tmp" % (target.name, os.urandom(6).hex()))
+    """Writes `text` to `path`.  A regular file, or a path that does not
+    exist yet, is replaced atomically: the text goes to a new temporary file
+    in the directory of the resolved target, which takes the mode of an
+    existing target and which `os.replace` then moves over it.  On any
+    failure the temporary file is removed and the target is untouched.  A
+    symlinked `path` keeps its link; the file it points to is replaced.
+    Anything else that exists (a device such as /dev/stdout, a FIFO) is
+    opened and written through, as there is no file to replace."""
     try:
+        try:
+            regular = stat.S_ISREG(os.stat(path).st_mode)
+        except FileNotFoundError:
+            regular = None
+        if regular is False:
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write(text)
+            return
+        target = Path(os.path.realpath(path))
+        tmp = target.with_name(".%s.%s.tmp" % (target.name, os.urandom(6).hex()))
         fh = open(tmp, "x", encoding="ascii")
         try:
             with fh:
                 fh.write(text)
+            if regular:
+                shutil.copymode(target, tmp)
             os.replace(tmp, target)
         except BaseException:
             tmp.unlink(missing_ok=True)

@@ -290,14 +290,10 @@ class UnitMatrix(Immutable):
         )
 
 
-def _omega_square(tag: FieldTag) -> tuple[int, int]:
-    """(s, n) with w^2 = s*w + n: w^2 = w - (1-d)/4 in the half basis, else
-    d.  Then conj(a + b*w) = (a + s*b) - b*w and N(w) = -n."""
-    return (1, -tag._norm_t) if tag.half_basis else (0, tag.d)
-
-
 def _int_dot(xs, ys, s: int, n: int) -> tuple[int, int]:
-    """sum_k x_k * y_k over integer coordinate pairs, with w^2 = s*w + n."""
+    """sum_k x_k * y_k over integer coordinate pairs, with w^2 = s*w + n,
+    where s = tag._norm_s and n = -tag._norm_t = -N(w).  Then
+    conj(a + b*w) = (a + s*b) - b*w."""
     p = q = 0
     for (a, b), (c, e) in zip(xs, ys):
         be = b * e
@@ -317,7 +313,7 @@ def gl_action(u: UnitMatrix, t: HermMatrix) -> HermMatrix:
     if u.g != t.g or u.tag != t.tag:
         raise ValueError("matrix size or field mismatch")
     g, tag = t.g, t.tag
-    s, n = _omega_square(tag)
+    s, n = tag._norm_s, -tag._norm_t
     rows, den = t._int_coords()
     ucols = list(zip(*u._coords))
     vcols = [[_int_dot(row, col, s, n) for row in rows] for col in ucols]
@@ -445,7 +441,7 @@ def min_represented(t: HermMatrix) -> Fraction:
         raise ValueError("matrix is not positive semidefinite")
     if rank < t.g:
         return Fraction(0)
-    s, n = _omega_square(t.tag)
+    s, n = t.tag._norm_s, -t.tag._norm_t
     rows, den = t._int_coords()
     dim = 2 * t.g
     # Tr(x), Tr(x w), Tr(conj(w) x) and N(w) Tr(x) for x = den * t_ij

@@ -227,6 +227,36 @@ def test_out_is_replaced_atomically(tmp_path):
     assert out_file.read_bytes() == first
 
 
+def test_out_through_symlink_keeps_link_and_mode(tmp_path):
+    real = tmp_path / "real.hjf"
+    real.write_bytes(b"previous contents\n")
+    real.chmod(0o640)
+    link = tmp_path / "link.hjf"
+    link.symlink_to(real)
+    args = ("theta", "--field", "-1", "--m", "1", "--shift", "0", "--trunc", "3")
+    assert run_cli(*args, "--out", str(link))[0] == 0
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_bytes() != b"previous contents\n"
+    assert (real.stat().st_mode & 0o777) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.hjf", "real.hjf"]
+    direct = tmp_path / "direct.hjf"
+    assert run_cli(*args, "--out", str(direct))[0] == 0
+    assert real.read_bytes() == direct.read_bytes()
+
+
+def test_out_to_stdout_is_written_through(tmp_path):
+    # a link to /dev/stdout: the pipe to this process is written, not replaced
+    link = tmp_path / "stdout"
+    link.symlink_to("/dev/stdout")
+    args = ("theta", "--field", "-1", "--m", "1", "--shift", "0", "--trunc", "3")
+    code, out, err = run_cli(*args, "--out", str(link))
+    assert (code, err) == (0, "")
+    assert link.is_symlink() and [p.name for p in tmp_path.iterdir()] == ["stdout"]
+    direct = tmp_path / "direct.hjf"
+    assert run_cli(*args, "--out", str(direct))[0] == 0
+    assert out == direct.read_text(encoding="ascii")
+
+
 def test_failed_write_keeps_existing_out(tmp_path, monkeypatch, capsys):
     from hermfj import cli, formats
 

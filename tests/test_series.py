@@ -5,7 +5,7 @@ from math import inf
 import pytest
 
 from hermfj.field import FieldElement, make_field
-from hermfj.hermitian import HermMatrix, UnitMatrix, enumerate_semi_integral
+from hermfj.hermitian import HermMatrix, UnitMatrix, enumerate_semi_integral, gl_action
 from hermfj.series import (
     FourierSeries,
     check_symmetry,
@@ -169,6 +169,28 @@ def test_symmetrized_series_passes_check():
         t = HermMatrix.diagonal([1, 2], tag)
         broken = f_sym + FourierSeries(2, 12, tag, 3, {t: (fe(1, 0, tag),)})
         assert check_symmetry(broken, gens) != []
+
+
+def test_symmetrize_factor_is_conjugate_determinant_power():
+    # The factor of c(u* t u) is det(u*)^k = conj(det u)^k.  At k = 12 every
+    # unit has u^12 = 1, so this needs a small weight and a key whose orbit
+    # under the unit diag(w, 1) of d = -3 (w a primitive sixth root of
+    # unity) has trivial stabilizer: a nonzero off-diagonal entry.
+    tag = make_field(-3)
+    w = FieldElement.omega(tag)
+    u = UnitMatrix.diagonal_units([w, FieldElement.one(tag)], tag)
+    t = next(m for m in enumerate_semi_integral(2, 2, tag)
+             if m.entries[0][1] != FieldElement.zero(tag) and m.is_pd())
+    c = fe(3, 0, tag)
+    for k in (1, 2, 4, 5):
+        f_sym = symmetrize(FourierSeries(2, k, tag, 2, {t: (c,)}), [u])
+        assert len(f_sym.coeffs) == 6
+        image = t
+        for j in range(1, 6):
+            image = gl_action(u, image)
+            assert f_sym.coeffs[image] == (w.conj() ** (j * k) * c,)
+        assert w.conj() ** k != w ** k
+        assert check_symmetry(f_sym, [u]) == []
 
 
 def test_symmetrization_preserves_vanishing_order():
