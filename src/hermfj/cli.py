@@ -181,7 +181,7 @@ def _cmd_symmetry_check(args) -> int:
         violations = check_symmetry(f, gl_generators(f.g, f.tag))
         if violations:
             for u, t in violations:
-                print("violation: u=%s t=%s" % (_unit_text(u), t.to_text()))
+                print("violation: u=%s t=%s" % (_witness_part_text(u.entries), t.to_text()))
             raise ConsistencyError("%d symmetry violations" % len(violations))
         print("symmetry ok: %d generators" % len(gl_generators(f.g, f.tag)))
         return EXIT_OK
@@ -190,7 +190,7 @@ def _cmd_symmetry_check(args) -> int:
         report = ffj.check_family(fam, gl_generators(fam.g, fam.tag))
         if not report.ok:
             for u, t in report.symmetry_violations + report.subaction_violations:
-                print("violation: u=%s t=%s" % (_unit_text(u), t.to_text()))
+                print("violation: u=%s t=%s" % (_witness_part_text(u.entries), t.to_text()))
             raise ConsistencyError(
                 "%d symmetry and %d sub-action violations"
                 % (len(report.symmetry_violations), len(report.subaction_violations))
@@ -198,10 +198,6 @@ def _cmd_symmetry_check(args) -> int:
         print("symmetry ok: family with %d indices" % len(fam.tables))
         return EXIT_OK
     raise ParseError("symmetry-check expects an FJS or FJFAM file")
-
-
-def _unit_text(u) -> str:
-    return ",".join(e.to_text() for row in u.entries for e in row)
 
 
 def _witness_part_text(part) -> str:
@@ -229,11 +225,13 @@ def _cmd_psi0(args) -> int:
 def _cmd_bounds(args) -> int:
     tag = make_field(args.field)
     report = bounds_mod.BoundReport(args.degree, args.weight, tag)
-    print(report.text_block())
     if args.d_start is not None:
+        # reject a bad budget request before anything reaches stdout
         count, indices = bounds_mod.truncation_budget(
             args.weight, args.degree, args.d_start, tag
         )
+    print(report.text_block())
+    if args.d_start is not None:
         print("budget_count = %d" % count)
         print("budget_indices = %s" % ",".join(str(i) for i in indices))
     print(report.record())

@@ -15,6 +15,7 @@ value is immutable, so the whole module is safe for concurrent use.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import ceil, floor
 from typing import Union
 
@@ -73,16 +74,10 @@ class FieldTag(Immutable):
         return (1 - self.d) // 4 if self.half_basis else -self.d
 
 
-_TAGS: dict[int, FieldTag] = {}
-
-
+@cache
 def make_field(d: int) -> FieldTag:
     """Return the field tag for Q(sqrt(d)), rejecting non-norm-Euclidean d."""
-    tag = _TAGS.get(d)
-    if tag is None:
-        tag = FieldTag(d)
-        _TAGS[d] = tag
-    return tag
+    return FieldTag(d)
 
 
 def _as_fraction(x: RationalLike) -> Fraction:
@@ -128,9 +123,6 @@ class FieldElement(Immutable):
 
     def is_zero(self) -> bool:
         return not self.a and not self.b
-
-    def is_rational(self) -> bool:
-        return not self.b
 
     def as_rational(self) -> Fraction:
         if self.b:
@@ -295,16 +287,10 @@ class FieldElement(Immutable):
     __str__ = __repr__
 
 
-_SQRT_DISC: dict[int, FieldElement] = {}
-
-
+@cache
 def sqrt_disc(tag: FieldTag) -> FieldElement:
     """The element sqrt(D) generating the different: 2w-1 if d=1 (mod 4), else 2w."""
-    el = _SQRT_DISC.get(tag.d)
-    if el is None:
-        el = FieldElement(-1, 2, tag) if tag.half_basis else FieldElement(0, 2, tag)
-        _SQRT_DISC[tag.d] = el
-    return el
+    return FieldElement(-1, 2, tag) if tag.half_basis else FieldElement(0, 2, tag)
 
 
 def unit_group(tag: FieldTag) -> tuple[FieldElement, ...]:
@@ -364,9 +350,6 @@ class EuclideanConstant(Immutable):
         return "EuclideanConstant(d=%d, mu=%s, c=%s)" % (self.tag.d, self.mu, self.c)
 
 
-_EUCLIDEAN: dict[int, EuclideanConstant] = {}
-
-
 def euclidean_constant(tag: FieldTag) -> EuclideanConstant:
     """Exact mu and c = 1 - mu from the circumcenter of the fundamental cell.
 
@@ -375,9 +358,6 @@ def euclidean_constant(tag: FieldTag) -> EuclideanConstant:
     same circumcircle), so the deepest hole is the circumcenter p solving
     2*B(p, e_i) = N(e_i) for the polarization B of the norm form.
     """
-    cached = _EUCLIDEAN.get(tag.d)
-    if cached is not None:
-        return cached
     s = Fraction(tag._norm_s)  # 2*B12
     t = Fraction(tag._norm_t)  # B22
     # Solve [[2, s], [s, 2t]] p = (1, t).
@@ -385,10 +365,7 @@ def euclidean_constant(tag: FieldTag) -> EuclideanConstant:
     p1 = (2 * t - s * t) / det
     p2 = (2 * t - s) / det
     hole = FieldElement(p1, p2, tag)
-    mu = hole.norm()
-    result = EuclideanConstant(tag, mu, hole)
-    _EUCLIDEAN[tag.d] = result
-    return result
+    return EuclideanConstant(tag, hole.norm(), hole)
 
 
 def _isqrt_upper(x: Fraction) -> int:

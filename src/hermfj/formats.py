@@ -39,10 +39,6 @@ from .jacobi import JacobiTable, ThetaComponentVector
 from .series import FourierSeries
 
 
-def _fmt_q(x: Fraction) -> str:
-    return str(x)
-
-
 def _parse_q(text: str, line: int) -> Fraction:
     try:
         return Fraction(text)
@@ -100,7 +96,7 @@ def _vec_text(vec) -> str:
 def write_series(f: FourierSeries) -> str:
     lines = [
         "FJS v1; d=%d; g=%d; k=%d; trunc=%s; dim=%d"
-        % (f.tag.d, f.g, f.k, _fmt_q(f.trunc), f.dim)
+        % (f.tag.d, f.g, f.k, f.trunc, f.dim)
     ]
     for t in f.support():
         lines.append("t = %s ; c = %s" % (t.to_text(), _vec_text(f.coeffs[t])))
@@ -146,7 +142,7 @@ def _make_tag(text: str) -> FieldTag:
 def write_jacobi(t: JacobiTable) -> str:
     lines = [
         "HJF v1; d=%d; g=%d; k=%d; m=%d; trunc=%s; dim=%d"
-        % (t.tag.d, t.g, t.k, t.m, _fmt_q(t.trunc), t.dim)
+        % (t.tag.d, t.g, t.k, t.m, t.trunc, t.dim)
     ]
     for key in t.support():
         n, r = key
@@ -199,7 +195,7 @@ def _split_record(raw: str, line: int) -> tuple[str, str]:
 def write_family(fam: FJFamily) -> str:
     lines = [
         "FJFAM v1; d=%d; g=%d; l=%d; k=%d; trunc=%s; dim=%d"
-        % (fam.tag.d, fam.g, fam.l, fam.k, _fmt_q(fam.trunc), fam.dim)
+        % (fam.tag.d, fam.g, fam.l, fam.k, fam.trunc, fam.dim)
     ]
     for m in fam.indices():
         lines.append("[index m = %s]" % m.to_text())
@@ -260,11 +256,11 @@ def write_components(v: ThetaComponentVector) -> str:
     sample = v.components[v.classes[0]]
     lines = [
         "HJC v1; d=%d; g=%d; k=%d; m=%d; trunc=%s; dim=%d"
-        % (sample.tag.d, sample.g, sample.k, v.m, _fmt_q(sample.trunc), sample.dim)
+        % (sample.tag.d, sample.g, sample.k, v.m, sample.trunc, sample.dim)
     ]
     for i, s in enumerate(v.classes):
         h = v.components[s]
-        lines.append("[class %d; rep = %s; htrunc = %s]" % (i, s.to_text(), _fmt_q(h.trunc)))
+        lines.append("[class %d; rep = %s; htrunc = %s]" % (i, s.to_text(), h.trunc))
         for n in h.support():
             lines.append("n = %s ; c = %s" % (n.to_text(), _vec_text(h.coeffs[n])))
     return "\n".join(lines) + "\n"
@@ -348,7 +344,7 @@ def read_components(text: str) -> ThetaComponentVector:
     # the writer puts the class-0 htrunc in the header
     if trunc != components[classes[0]].trunc:
         raise ParseError("header trunc=%s must equal the class 0 htrunc %s"
-                         % (_fmt_q(trunc), _fmt_q(components[classes[0]].trunc)), 1)
+                         % (trunc, components[classes[0]].trunc), 1)
     try:
         return ThetaComponentVector(m, classes, components)
     except ValueError as exc:

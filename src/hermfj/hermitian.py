@@ -9,6 +9,7 @@ small canonical representatives.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, lcm
 from typing import Iterator, Sequence
 
@@ -69,9 +70,6 @@ class HermMatrix(Immutable):
         for i, v in enumerate(values):
             rows[i][i] = v if isinstance(v, FieldElement) else FieldElement(Fraction(v), 0, tag)
         return cls(rows, tag)
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        return self.entries[i][j]
 
     def trace(self) -> Fraction:
         t = self._trace
@@ -542,16 +540,8 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
     return old_s, old_t
 
 
-_SUBLATTICE_CACHE: dict[tuple[int, int], _SublatticeData] = {}
-
-
-def _sublattice(tag: FieldTag, m: int) -> _SublatticeData:
-    key = (tag.d, m)
-    data = _SUBLATTICE_CACHE.get(key)
-    if data is None:
-        data = _SublatticeData(tag, m)
-        _SUBLATTICE_CACHE[key] = data
-    return data
+# keyed by (tag, m); a batch touches at most 15 keys
+_sublattice = lru_cache(maxsize=64)(_SublatticeData)
 
 
 class CosetClass(Immutable):
@@ -607,16 +597,18 @@ def reduce_class(r: Sequence[FieldElement], m: int) -> CosetClass:
     return CosetClass(m, rep, rep[0].tag)
 
 
-_CLASSES_CACHE: dict[tuple[int, int, int], tuple[CosetClass, ...]] = {}
+@lru_cache(maxsize=64)
+def delta_classes(g: int, m: int, tag: FieldTag) -> tuple[CosetClass, ...]:
+    """All classes of Delta_g(m), duplicate-free and in canonical order;
+    |result| = (m^2 |D|)^g.
 
-
-def delta_classes(g: int, m: int, tag: FieldTag) -> list[CosetClass]:
-    """Complete duplicate-free list of classes; |result| = (m^2 |D|)^g."""
+    The tuple is shared between calls: an LRU cache of 64 (g, m, tag) keys
+    holds it, well above the at most 15 keys a batch asks for.
+    """
+    if g < 1:
+        raise ValueError("g must be >= 1")
     if m < 1:
         raise ValueError("m must be >= 1")
-    cached = _CLASSES_CACHE.get((g, m, tag.d))
-    if cached is not None:
-        return list(cached)
     data = _sublattice(tag, m)
     inv_sd = sqrt_disc(tag).inv()
     component = [FieldElement(a, b, tag) * inv_sd for a, b in data.box()]
@@ -629,29 +621,20 @@ def delta_classes(g: int, m: int, tag: FieldTag) -> list[CosetClass]:
             for x in component:
                 yield prefix + (x,)
 
-    result = tuple(CosetClass(m, rep, tag) for rep in build(g))
-    _CLASSES_CACHE[(g, m, tag.d)] = result
-    return list(result)
+    return tuple(CosetClass(m, rep, tag) for rep in build(g))
 
 
-_SMALL_REP_CACHE: dict[CosetClass, Vector] = {}
-
-
+@lru_cache(maxsize=4096)
 def small_rep(s: CosetClass) -> Vector:
     """A representative r of s with |r_i|^2 <= (1 - c) m^2 componentwise,
     built by rounding each coordinate of rep/m back into the fundamental
-    cell.  Rounding minimizes each component norm over the class."""
-    cached = _SMALL_REP_CACHE.get(s)
-    if cached is not None:
-        return cached
+    cell.  Rounding minimizes each component norm over the class.
+
+    Memoised per class in an LRU cache of 4096 entries; a benchmark batch
+    needs at most 462.
+    """
     m = s.m
-    out = []
-    for x in s.rep:
-        alpha = euclidean_round(x / m)
-        out.append(x - alpha * m)
-    result = tuple(out)
-    _SMALL_REP_CACHE[s] = result
-    return result
+    return tuple(x - euclidean_round(x / m) * m for x in s.rep)
 
 
 def in_same_class(r1: Sequence[FieldElement], r2: Sequence[FieldElement], m: int) -> bool:

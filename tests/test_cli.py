@@ -145,6 +145,23 @@ def test_bounds_output():
     assert "BOUNDS;d=-1;g=2;k=12;" in out
 
 
+def test_bounds_rejected_budget_prints_nothing():
+    code, out, err = run_cli("bounds", "--field", "-1", "--degree", "1",
+                             "--weight", "4", "--d-start", "0")
+    assert code == 1 and "degree >= 2" in err
+    assert out == ""
+
+
+def test_theta_rejects_genus_below_one(tmp_path):
+    for genus in ("0", "-1"):
+        out = tmp_path / ("g%s.hjf" % genus)
+        code, stdout, err = run_cli("theta", "--field", "-1", "--m", "1", "--shift", "0",
+                                    "--trunc", "1", "--genus", genus, "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err == "error: usage: g must be >= 1\n"
+        assert not out.exists()
+
+
 def test_validate_accepts_toolchain_outputs(tmp_path):
     tag = make_field(-3)
     fjs = tmp_path / "f.fjs"

@@ -291,3 +291,20 @@ def test_series_times_theta_matches_recomposition():
         rebuilt = theta_recompose(ThetaComponentVector(m, classes, comps),
                                   Fraction(3) + shift0)
         assert direct.coeffs == rebuilt.coeffs
+
+
+def test_input_keyed_caches_are_bounded():
+    from hermfj import jacobi
+
+    tag = make_field(-1)
+    for cached in (jacobi._shift_matrix, small_rep, delta_classes):
+        assert cached.cache_info().maxsize is not None
+    maxsize = jacobi._shift_matrix.cache_info().maxsize
+    for a in range(maxsize + 1):
+        shift_matrix((fe(a, 1, tag),), 1)
+    assert jacobi._shift_matrix.cache_info().currsize <= maxsize
+
+    r = [fe(1, 2, tag), fe(0, 1, tag)]
+    assert shift_matrix(r, 3) is shift_matrix(tuple(r), 3)
+    classes = delta_classes(1, 2, tag)
+    assert isinstance(classes, tuple) and delta_classes(1, 2, tag) is classes
