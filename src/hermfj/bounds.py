@@ -83,15 +83,8 @@ class BoundReport(Immutable):
                  "jacobi_index_threshold", "fm_exponent", "graded_exponent")
 
     def __init__(self, g: int, k: int, tag: FieldTag):
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "slope_lb", slope_lower_bound(g, tag))
-        object.__setattr__(self, "ord_vanish_threshold", vanishing_threshold(k, g, tag))
-        object.__setattr__(self, "jacobi_index_threshold", jacobi_index_threshold(k, g, tag))
-        fm, graded = dimension_exponents(g)
-        object.__setattr__(self, "fm_exponent", fm)
-        object.__setattr__(self, "graded_exponent", graded)
+        self._fill(g, k, tag, slope_lower_bound(g, tag), vanishing_threshold(k, g, tag),
+                   jacobi_index_threshold(k, g, tag), *dimension_exponents(g))
 
     def text_block(self) -> str:
         lines = [

@@ -12,6 +12,7 @@ import os
 import shutil
 import stat
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import bounds as bounds_mod
@@ -36,7 +37,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@cache
 def _build_parser() -> _Parser:
+    """Built once per process; `parse_args` keeps no state in it."""
     p = _Parser(prog="hermfj", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

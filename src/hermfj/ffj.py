@@ -25,29 +25,32 @@ from .errors import ConsistencyError
 from .field import FieldElement, FieldTag, Immutable
 from .hermitian import CosetClass, HermMatrix, UnitMatrix, reduce_class, small_rep
 from .jacobi import JacobiTable, shift_matrix, theta_decompose
-from .series import FourierSeries, RhoMap, Vec, _zero_vec, check_symmetry
+from .series import FourierSeries, RhoMap, Vec, _nonzero, _zero_vec, check_symmetry
 
 RMat = tuple[tuple[FieldElement, ...], ...]
 
 
 def join_block(n: HermMatrix, r: RMat, m: HermMatrix) -> HermMatrix:
-    a = n.g
-    l = m.g
-    rows = []
-    for i in range(a):
-        rows.append(tuple(n.entries[i]) + tuple(r[i]))
-    r_ct = linalg.conj_transpose(r)
-    for i in range(l):
-        rows.append(tuple(r_ct[i]) + tuple(m.entries[i]))
-    return HermMatrix(rows, n.tag)
+    """The block matrix (n r; r* m), for an n.g x m.g matrix r; Hermitian
+    by construction."""
+    if len(r) != n.g or any(len(row) != m.g for row in r):
+        raise ValueError("r must be %d x %d" % (n.g, m.g))
+    rows = [n_row + tuple(r_row) for n_row, r_row in zip(n.entries, r)]
+    rows.extend(r_col + m_row for r_col, m_row in zip(linalg.conj_transpose(r), m.entries))
+    return HermMatrix._trusted(tuple(rows), n.tag)
 
 
 def split_block(t: HermMatrix, l: int) -> tuple[HermMatrix, RMat, HermMatrix]:
+    """(n, r, m) with t = (n r; r* m) and m the lower-right l x l block;
+    n and m are principal blocks of t, so Hermitian."""
     g = t.g
+    if not 1 <= l < g:
+        raise ValueError("split size must satisfy 1 <= l < %d" % g)
     a = g - l
-    n = HermMatrix(tuple(tuple(t.entries[i][j] for j in range(a)) for i in range(a)), t.tag)
-    r = tuple(tuple(t.entries[i][a + j] for j in range(l)) for i in range(a))
-    m = HermMatrix(tuple(tuple(t.entries[a + i][a + j] for j in range(l)) for i in range(l)), t.tag)
+    rows = t.entries
+    n = HermMatrix._trusted(tuple(row[:a] for row in rows[:a]), t.tag)
+    r = tuple(row[a:] for row in rows[:a])
+    m = HermMatrix._trusted(tuple(row[a:] for row in rows[a:]), t.tag)
     return n, r, m
 
 
@@ -56,7 +59,13 @@ def _freeze_r(r) -> RMat:
 
 
 class FJFamily(Immutable):
-    """A symmetric formal Fourier-Jacobi series held by its cogenus-l tables."""
+    """A symmetric formal Fourier-Jacobi series held by its cogenus-l tables.
+
+    Validation happens once, at the public boundary: the constructor, and
+    so `formats.read_family`, checks every assembled key.  `_trusted` skips
+    the checks for `disassemble` of a semi-integral series, and so for
+    `rearrange_cogenus`.
+    """
 
     __slots__ = ("g", "l", "k", "tag", "trunc", "dim", "tables")
 
@@ -85,6 +94,8 @@ class FJFamily(Immutable):
                     raise ValueError("coefficient dimension mismatch")
                 if all(v.is_zero() for v in vec):
                     continue
+                if n.g != g - l or n.tag != tag:
+                    raise ValueError("key size or field mismatch at %r" % (n,))
                 block = join_block(n, r, m)
                 if not block.is_semi_integral():
                     raise ValueError("assembled key %r is not semi-integral" % (block,))
@@ -95,13 +106,16 @@ class FJFamily(Immutable):
                 body[(n, r)] = vec
             if body:
                 clean[m] = body
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "tables", clean)
+        self._fill(g, l, k, tag, trunc, dim, clean)
+
+    @classmethod
+    def _trusted(cls, g: int, l: int, k: int, tag: FieldTag, trunc: Fraction,
+                 tables: Mapping, dim: int = 1) -> "FJFamily":
+        """A family on `tables`, whose (n, r) keys, r frozen, assemble to
+        valid keys by construction; skips the key checks of `__init__` but
+        still drops all-zero coefficient vectors and then empty indices."""
+        clean = {m: body for m, table in tables.items() if (body := _nonzero(table))}
+        return object.__new__(cls)._fill(g, l, k, tag, trunc, dim, clean)
 
     def indices(self) -> list[HermMatrix]:
         return sorted(self.tables, key=HermMatrix.sort_key)
@@ -135,23 +149,27 @@ class FJFamily(Immutable):
 
 
 def assemble(fam: FJFamily) -> FourierSeries:
-    """The degree-g series with c(f; (n r; r* m)) = c(phi_m; n, r)."""
+    """The degree-g series with c(f; (n r; r* m)) = c(phi_m; n, r).  The
+    family validated these keys, so the series skips re-validation."""
     coeffs: dict[HermMatrix, Vec] = {}
     for m, body in fam.tables.items():
         for (n, r), vec in body.items():
             coeffs[join_block(n, r, m)] = vec
-    return FourierSeries(fam.g, fam.k, fam.tag, fam.trunc, coeffs, fam.dim)
+    return FourierSeries._trusted(fam.g, fam.k, fam.tag, fam.trunc, coeffs, fam.dim)
 
 
 def disassemble(f: FourierSeries, l: int) -> FJFamily:
-    """Partition the support of f by the lower-right l x l block."""
+    """Partition the support of f by the lower-right l x l block.  The keys
+    of a semi-integral series are valid family keys, so that family skips
+    re-validation; any other series goes through the public constructor."""
     if not 1 <= l <= f.g - 1:
         raise ValueError("cogenus must satisfy 1 <= l <= g-1")
     tables: dict[HermMatrix, dict] = {}
     for t, vec in f.coeffs.items():
         n, r, m = split_block(t, l)
         tables.setdefault(m, {})[(n, r)] = vec
-    return FJFamily(f.g, l, f.k, f.tag, f.trunc, tables, f.dim)
+    build = FJFamily._trusted if f.semi_integral else FJFamily
+    return build(f.g, l, f.k, f.tag, f.trunc, tables, f.dim)
 
 
 def rearrange_cogenus(fam: FJFamily, l_prime: int) -> FJFamily:
@@ -251,7 +269,8 @@ def _cogenus_one_slice(fam: FJFamily, m: int) -> JacobiTable:
         for (n, r), vec in body.items():
             n1, r1, _m1 = split_block(join_block(n, r, idx), 1)
             coeffs[(n1, tuple(row[0] for row in r1))] = vec
-    return JacobiTable(fam.g - 1, fam.k, m, fam.tag, fam.trunc - m, coeffs, fam.dim)
+    # each key re-splits a valid family key, so the table skips re-validation
+    return JacobiTable._trusted(fam.g - 1, fam.k, m, fam.tag, fam.trunc - m, coeffs, fam.dim)
 
 
 def formal_theta_coeffs(
@@ -333,8 +352,7 @@ class FamilyReport(Immutable):
     __slots__ = ("symmetry_violations", "subaction_violations")
 
     def __init__(self, symmetry_violations, subaction_violations):
-        object.__setattr__(self, "symmetry_violations", list(symmetry_violations))
-        object.__setattr__(self, "subaction_violations", list(subaction_violations))
+        self._fill(list(symmetry_violations), list(subaction_violations))
 
     @property
     def ok(self) -> bool:

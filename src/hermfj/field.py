@@ -26,13 +26,21 @@ NORM_EUCLIDEAN_D = (-1, -2, -3, -7, -11)
 
 
 class Immutable:
-    """Slotted base of the value classes: constructors set each slot once
-    with `object.__setattr__`, and assignment afterwards raises."""
+    """Slotted base of the value classes: each slot is set once, and
+    assignment afterwards raises."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def _fill(self, *values):
+        """Sets the slots to `values`, in `__slots__` order; returns self.
+        Public constructors call it after validating, and trusted builders
+        on `object.__new__(cls)`, without running `__init__`."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+        return self
 
 
 class FieldTag(Immutable):
@@ -50,10 +58,8 @@ class FieldTag(Immutable):
                 "d must be one of %s (norm-Euclidean imaginary quadratic); got %r"
                 % (list(NORM_EUCLIDEAN_D), d)
             )
-        object.__setattr__(self, "d", d)
         half = d % 4 == 1
-        object.__setattr__(self, "half_basis", half)
-        object.__setattr__(self, "disc", d if half else 4 * d)
+        self._fill(d, d if half else 4 * d, half)
 
     def __eq__(self, other):
         return isinstance(other, FieldTag) and other.d == self.d
@@ -94,6 +100,7 @@ class FieldElement(Immutable):
     __slots__ = ("a", "b", "tag", "_hash")
 
     def __init__(self, a: RationalLike, b: RationalLike, tag: FieldTag):
+        # the hottest constructor: direct stores cost less than `_fill`
         object.__setattr__(self, "a", _as_fraction(a))
         object.__setattr__(self, "b", _as_fraction(b))
         object.__setattr__(self, "tag", tag)
@@ -154,8 +161,14 @@ class FieldElement(Immutable):
         return self.a.denominator == 1 and self.b.denominator == 1
 
     def is_dual_integral(self) -> bool:
-        """Membership in the inverse different O^# = (1/sqrt(D)) O."""
-        return (self * sqrt_disc(self.tag)).is_integral()
+        """Membership in the inverse different O^# = (1/sqrt(D)) O, read off
+        sqrt(D) (a + b*w), which is 2db + 2a*w if w = sqrt(d), else
+        -(a + 2tb) + (2a + b)*w with t = N(w)."""
+        a, b = self.a, self.b
+        tag = self.tag
+        if tag.half_basis:
+            return (a + 2 * tag._norm_t * b).denominator == 1 and (2 * a + b).denominator == 1
+        return (2 * a).denominator == 1 and (2 * tag.d * b).denominator == 1
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -340,11 +353,7 @@ class EuclideanConstant(Immutable):
     __slots__ = ("tag", "mu", "c", "c_squared", "deep_hole")
 
     def __init__(self, tag: FieldTag, mu: Fraction, deep_hole: FieldElement):
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "c", 1 - mu)
-        object.__setattr__(self, "c_squared", 1 - mu * mu)
-        object.__setattr__(self, "deep_hole", deep_hole)
+        self._fill(tag, mu, 1 - mu, 1 - mu * mu, deep_hole)
 
     def __repr__(self):
         return "EuclideanConstant(d=%d, mu=%s, c=%s)" % (self.tag.d, self.mu, self.c)

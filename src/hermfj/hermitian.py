@@ -29,10 +29,13 @@ Vector = tuple[FieldElement, ...]
 class HermMatrix(Immutable):
     """A g x g Hermitian matrix over E with exact entries.
 
-    The constructor checks hermicity (and hence rationality of the
-    diagonal).  Semi-integrality (integer diagonal, off-diagonal entries in
-    the inverse different) is a separate queryable property, since theta
-    supports carry rational diagonals.
+    Validation happens once, at the public boundary: the constructor, and
+    so `from_text` and every reader, checks hermicity (and hence a rational
+    diagonal).  `_trusted` skips the check for `add`, `sub`, `gl_action`,
+    `jacobi.shift_matrix`, `ffj.join_block` and `ffj.split_block`.
+    Semi-integrality (integer diagonal, off-diagonal entries in the inverse
+    different) is a separate queryable property, since theta supports carry
+    rational diagonals.
     """
 
     __slots__ = ("g", "entries", "tag", "_hash", "_trace")
@@ -44,11 +47,13 @@ class HermMatrix(Immutable):
             raise ValueError("expected a nonempty square matrix, got %dx%d" % (n, m))
         if not linalg.is_hermitian(rows):
             raise ValueError("matrix is not Hermitian")
-        object.__setattr__(self, "g", n)
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_trace", None)
+        self._fill(n, rows, tag, None, None)
+
+    @classmethod
+    def _trusted(cls, rows: linalg.Matrix, tag: FieldTag) -> "HermMatrix":
+        """The matrix on `rows`, a nonempty square tuple of tuples that is
+        Hermitian by construction; skips the checks of `__init__`."""
+        return object.__new__(cls)._fill(len(rows), rows, tag, None, None)
 
     @classmethod
     def from_rational(cls, x, tag: FieldTag) -> "HermMatrix":
@@ -155,12 +160,12 @@ class HermMatrix(Immutable):
     def add(self, other: "HermMatrix") -> "HermMatrix":
         if other.g != self.g or other.tag != self.tag:
             raise ValueError("matrix size or field mismatch")
-        return HermMatrix(linalg.mat_add(self.entries, other.entries), self.tag)
+        return HermMatrix._trusted(linalg.mat_add(self.entries, other.entries), self.tag)
 
     def sub(self, other: "HermMatrix") -> "HermMatrix":
         if other.g != self.g or other.tag != self.tag:
             raise ValueError("matrix size or field mismatch")
-        return HermMatrix(linalg.mat_sub(self.entries, other.entries), self.tag)
+        return HermMatrix._trusted(linalg.mat_sub(self.entries, other.entries), self.tag)
 
     def __eq__(self, other):
         return (
@@ -215,11 +220,7 @@ class UnitMatrix(Immutable):
         d = linalg.det(rows)
         if d.norm() != 1:
             raise ValueError("determinant is not a unit of O")
-        object.__setattr__(self, "g", n)
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "det_unit", d)
-        object.__setattr__(self, "_coords", tuple(
+        self._fill(n, rows, tag, d, tuple(
             tuple((e.a.numerator, e.b.numerator) for e in row) for row in rows))
 
     @classmethod
@@ -323,7 +324,7 @@ def gl_action(u: UnitMatrix, t: HermMatrix) -> HermMatrix:
             out[i][j] = FieldElement(Fraction(a, den), Fraction(b, den), tag)
             if j != i:
                 out[j][i] = FieldElement(Fraction(a + s * b, den), Fraction(-b, den), tag)
-    return HermMatrix(out, tag)
+    return HermMatrix._trusted(linalg.freeze(out), tag)
 
 
 # ----------------------------------------------------------------------
@@ -512,9 +513,7 @@ class _SublatticeData(Immutable):
         ell = abs(v2[0])
         q = v1[1]
         p = v1[0] % ell
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "ell", ell)
+        self._fill(p, q, ell)
 
     def reduce(self, a: int, b: int) -> tuple[int, int]:
         k = b // self.q
@@ -550,9 +549,7 @@ class CosetClass(Immutable):
     __slots__ = ("m", "rep", "tag")
 
     def __init__(self, m: int, rep: Vector, tag: FieldTag):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "rep", tuple(rep))
-        object.__setattr__(self, "tag", tag)
+        self._fill(m, tuple(rep), tag)
 
     @property
     def g(self) -> int:

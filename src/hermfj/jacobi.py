@@ -29,7 +29,7 @@ from .hermitian import (
     reduce_class,
     small_rep,
 )
-from .series import FourierSeries, Vec, _zero_vec
+from .series import FourierSeries, Vec, _nonzero, _zero_vec
 
 Vector = tuple[FieldElement, ...]
 
@@ -46,10 +46,9 @@ def shift_matrix(r: Sequence[FieldElement], m: int) -> HermMatrix:
 
 @lru_cache(maxsize=4096)
 def _shift_matrix(r: Vector, m: int) -> HermMatrix:
-    g = len(r)
     inv_m = Fraction(1, m)
-    rows = [[(r[i] * r[j].conj()) * inv_m for j in range(g)] for i in range(g)]
-    return HermMatrix(rows, r[0].tag)
+    return HermMatrix._trusted(tuple(tuple((x * y.conj()) * inv_m for y in r) for x in r),
+                               r[0].tag)
 
 
 def block_key(n: HermMatrix, r: Sequence[FieldElement], m: int) -> HermMatrix:
@@ -72,7 +71,13 @@ def _as_key_matrix(n, g: int, tag: FieldTag) -> HermMatrix:
 
 
 class JacobiTable(Immutable):
-    """Coefficient table of a cogenus-1 Hermitian Jacobi form."""
+    """Coefficient table of a cogenus-1 Hermitian Jacobi form.
+
+    Validation happens once, at the public boundary: the constructor, and
+    so `formats.read_jacobi`, checks every key.  `_trusted` skips the checks
+    for the outputs of `theta_coeffs`, `theta_recompose`,
+    `series_times_theta` and `ffj._cogenus_one_slice`.
+    """
 
     __slots__ = ("g", "k", "m", "tag", "trunc", "dim", "coeffs")
 
@@ -116,13 +121,15 @@ class JacobiTable(Immutable):
             if not ok:
                 raise ValueError("block key (n r; r* m) is not positive semidefinite")
             clean[(n, r)] = vec
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "coeffs", clean)
+        self._fill(g, k, m, tag, trunc, dim, clean)
+
+    @classmethod
+    def _trusted(cls, g: int, k: int, m: int, tag: FieldTag, trunc: Fraction,
+                 coeffs: Mapping, dim: int = 1) -> "JacobiTable":
+        """A table on `coeffs`, keyed by (HermMatrix, tuple) pairs that are
+        valid by construction; skips the key checks of `__init__` but still
+        drops all-zero coefficient vectors."""
+        return object.__new__(cls)._fill(g, k, m, tag, trunc, dim, _nonzero(coeffs))
 
     def coefficient(self, n, r: Sequence[FieldElement]) -> Vec:
         n = _as_key_matrix(n, self.g, self.tag)
@@ -197,13 +204,15 @@ def _key_sort(key: tuple[HermMatrix, Vector]):
 
 
 def _class_points(s: CosetClass, norm_bound: Fraction) -> list[Vector]:
-    """All vectors r in s + m O^g with sum |r_i|^2 <= norm_bound, ordered."""
+    """All vectors r in s + m O^g with |r|^2 = sum |r_i|^2 <= norm_bound,
+    ordered by |r|^2 first, so that the points within a smaller bound form
+    a prefix."""
     per_component = [coset_points(x, s.m, norm_bound) for x in s.rep]
-    out: list[Vector] = []
+    out: list[tuple[Fraction, Vector]] = []
 
     def build(i: int, prefix: Vector, used: Fraction):
         if i == len(per_component):
-            out.append(prefix)
+            out.append((used, prefix))
             return
         for x in per_component[i]:
             n = x.norm()
@@ -212,8 +221,8 @@ def _class_points(s: CosetClass, norm_bound: Fraction) -> list[Vector]:
             build(i + 1, prefix + (x,), used + n)
 
     build(0, (), Fraction(0))
-    out.sort(key=lambda vec: (sum(x.norm() for x in vec), tuple(x.sort_key() for x in vec)))
-    return out
+    out.sort(key=lambda point: (point[0], tuple(x.sort_key() for x in point[1])))
+    return [r for _norm, r in out]
 
 
 def theta_coeffs(m: int, s: CosetClass, trunc) -> JacobiTable:
@@ -223,18 +232,22 @@ def theta_coeffs(m: int, s: CosetClass, trunc) -> JacobiTable:
         raise ValueError("theta index must be >= 1")
     if s.m != m:
         raise ValueError("class has modulus %d, expected %d" % (s.m, m))
+    if not all(x.is_dual_integral() for x in s.rep):
+        raise ValueError("class representative must lie in the inverse different")
     tag = s.tag
     trunc = trunc if isinstance(trunc, Fraction) else Fraction(trunc)
     one = FieldElement.one(tag)
     coeffs = {}
+    # each key has trace |r|^2/m <= trunc and a rank-one PSD block
     for r in _class_points(s, trunc * m):
         coeffs[(shift_matrix(r, m), r)] = (one,)
-    return JacobiTable(s.g, 1, m, tag, trunc, coeffs)
+    return JacobiTable._trusted(s.g, 1, m, tag, trunc, coeffs)
 
 
 class ThetaComponentVector(Immutable):
     """The components (h_s)_s of a theta decomposition: one shifted series
-    per class of Delta_g(m), in the canonical class order."""
+    per class of Delta_g(m), in the canonical class order; each class has
+    modulus m and g components in O^#."""
 
     __slots__ = ("m", "classes", "components")
 
@@ -243,9 +256,11 @@ class ThetaComponentVector(Immutable):
         classes = tuple(classes)
         if set(classes) != set(components):
             raise ValueError("exactly one component per class is required")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "components", dict(components))
+        for s in classes:
+            if s.m != m or s.g != components[s].g \
+                    or not all(x.is_dual_integral() for x in s.rep):
+                raise ValueError("class %r does not fit modulus %d and its series" % (s, m))
+        self._fill(m, classes, dict(components))
 
     def __eq__(self, other):
         return (
@@ -268,9 +283,17 @@ def theta_decompose(phi: JacobiTable, strict: bool = False) -> ThetaComponentVec
     Reads through the canonical small representative of each class and
     probes well-definedness: every stored key is compared against the
     canonical read, and the spare representative r + m e_1 is cross-checked.
-    With `strict`, every representative inside the truncation is compared.
-    Raises ConsistencyError with a witness if the input is not a Jacobi-form
-    table.
+    Each distinct r of phi is reduced to its class once per call.
+
+    With `strict`, every representative inside the truncation is compared:
+    for each stored n' of class s, every r in s with tr(n' + r m^-1 r*) <=
+    phi.trunc.  The class is enumerated once, in norm order, at the budget
+    of its smallest tr n', and each n' walks the prefix of that list that
+    fits its own budget.
+
+    Raises ConsistencyError with a witness (n', r, r') if the input is not
+    a Jacobi-form table.  Each n' is the Schur complement of a PSD block,
+    within its class's truncation, so the components skip re-validation.
     """
     m = phi.m
     if m < 1:
@@ -280,9 +303,12 @@ def theta_decompose(phi: JacobiTable, strict: bool = False) -> ThetaComponentVec
     classes = delta_classes(g, m, tag)
     by_class: dict[CosetClass, dict[HermMatrix, Vec]] = {s: {} for s in classes}
     reps = {s: small_rep(s) for s in classes}
+    class_of: dict[Vector, CosetClass] = {}
 
     for (n, r), vec in phi.coeffs.items():
-        s = reduce_class(r, m)
+        s = class_of.get(r)
+        if s is None:
+            s = class_of[r] = reduce_class(r, m)
         nprime = n.sub(shift_matrix(r, m))
         r0 = reps[s]
         key0 = nprime.add(shift_matrix(r0, m))
@@ -301,10 +327,7 @@ def theta_decompose(phi: JacobiTable, strict: bool = False) -> ThetaComponentVec
         h_trunc = phi.trunc - shift0.trace()
         body = by_class[s]
         # spare-representative probe per stored index
-        e1 = tuple(
-            FieldElement(m if i == 0 else 0, 0, tag) for i in range(g)
-        )
-        r1 = tuple(x + y for x, y in zip(r0, e1))
+        r1 = (r0[0] + m,) + r0[1:]
         shift1 = shift_matrix(r1, m)
         for nprime, vec in body.items():
             key1 = nprime.add(shift1)
@@ -313,19 +336,21 @@ def theta_decompose(phi: JacobiTable, strict: bool = False) -> ThetaComponentVec
                     "well-definedness violation at spare representative",
                     witness=(nprime, r0, r1),
                 )
-        if strict:
+        if strict and body:
+            points = [(shift_matrix(r, m), r) for r in
+                      _class_points(s, (phi.trunc - min(n.trace() for n in body)) * m)]
             for nprime, vec in body.items():
-                budget = phi.trunc - nprime.trace()
-                for r_any in _class_points(CosetClass(m, r0, tag), budget * m):
-                    key_any = nprime.add(shift_matrix(r_any, m))
-                    if key_any.trace() <= phi.trunc and phi.coefficient(key_any, r_any) != vec:
+                room = phi.trunc - nprime.trace()
+                for shift, r_any in points:
+                    if shift.trace() > room:
+                        break
+                    if phi.coefficient(nprime.add(shift), r_any) != vec:
                         raise ConsistencyError(
                             "well-definedness violation at representative %r" % (r_any,),
                             witness=(nprime, r0, r_any),
                         )
-        components[s] = FourierSeries(
-            g, phi.k - 1, tag, h_trunc, body, phi.dim, semi_integral=False
-        )
+        components[s] = FourierSeries._trusted(g, phi.k - 1, tag, h_trunc, body, phi.dim,
+                                               semi_integral=False)
     return ThetaComponentVector(m, classes, components)
 
 
@@ -333,7 +358,8 @@ def theta_recompose(v: ThetaComponentVector, trunc) -> JacobiTable:
     """phi(n, r) = c(h_class(r); n - r m^-1 r*): the exact sum of h_s theta_s.
 
     Component truncations must reach trunc minus the minimal class shift;
-    raises ValueError otherwise.
+    raises ValueError otherwise.  Each key has the PSD n' as its Schur
+    complement and r in O^#, so the table skips re-validation.
     """
     m = v.m
     trunc = trunc if isinstance(trunc, Fraction) else Fraction(trunc)
@@ -359,14 +385,15 @@ def theta_recompose(v: ThetaComponentVector, trunc) -> JacobiTable:
                 if nprime.trace() > room:
                     continue
                 coeffs[(nprime.add(shift), r)] = vec
-    return JacobiTable(g, weight + 1, m, tag, trunc, coeffs, dim)
+    return JacobiTable._trusted(g, weight + 1, m, tag, trunc, coeffs, dim)
 
 
 def series_times_theta(h: FourierSeries, theta: JacobiTable) -> JacobiTable:
     """The product table h(tau) * theta(tau, w, z), exact.
 
     The output truncation is h.trunc plus the minimal class shift; the theta
-    table must be truncated at least there.
+    table must be truncated at least there.  A PSD n' plus a valid key of
+    theta is a valid key, so the table skips re-validation.
     """
     m = theta.m
     cls = None
@@ -386,4 +413,4 @@ def series_times_theta(h: FourierSeries, theta: JacobiTable) -> JacobiTable:
             if n.trace() > out_trunc:
                 continue
             coeffs[(n, r)] = vec
-    return JacobiTable(h.g, h.k + 1, m, h.tag, out_trunc, coeffs, h.dim)
+    return JacobiTable._trusted(h.g, h.k + 1, m, h.tag, out_trunc, coeffs, h.dim)

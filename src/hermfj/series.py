@@ -27,6 +27,11 @@ def _zero_vec(dim: int, tag: FieldTag) -> Vec:
     return (z,) * dim
 
 
+def _nonzero(coeffs: Mapping) -> dict:
+    """`coeffs` without its all-zero coefficient vectors."""
+    return {key: vec for key, vec in coeffs.items() if not all(v.is_zero() for v in vec)}
+
+
 class FourierSeries(Immutable):
     """A truncated formal expansion sum_t c(t) e(t tau) of degree g.
 
@@ -34,6 +39,11 @@ class FourierSeries(Immutable):
     valued); absent keys denote zero.  Keys are Hermitian PSD with trace at
     most `trunc`, semi-integral unless the series was built as a shifted
     theta component.
+
+    Validation happens once, at the public boundary: the constructor, and
+    so `formats.read_series` and `read_components`, checks every key.
+    `_trusted` skips the checks for the outputs of `__mul__`, `symmetrize`,
+    `jacobi.theta_decompose` and `ffj.assemble`.
     """
 
     __slots__ = ("g", "k", "tag", "trunc", "dim", "coeffs", "semi_integral")
@@ -69,13 +79,15 @@ class FourierSeries(Immutable):
             if not t.is_psd():
                 raise ValueError("key %r is not positive semidefinite" % (t,))
             clean[t] = vec
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "semi_integral", semi_integral)
+        self._fill(g, k, tag, trunc, dim, clean, semi_integral)
+
+    @classmethod
+    def _trusted(cls, g: int, k: int, tag: FieldTag, trunc: Fraction, coeffs: Mapping,
+                 dim: int = 1, semi_integral: bool = True) -> "FourierSeries":
+        """A series on `coeffs`, keyed by matrices that are valid by
+        construction; skips the key checks of `__init__` but still drops
+        all-zero coefficient vectors."""
+        return object.__new__(cls)._fill(g, k, tag, trunc, dim, _nonzero(coeffs), semi_integral)
 
     # ------------------------------------------------------------------
 
@@ -153,7 +165,8 @@ class FourierSeries(Immutable):
         return self + other.scale(-1)
 
     def __mul__(self, other: "FourierSeries") -> "FourierSeries":
-        """Cauchy product on the support; scalar-valued factors only."""
+        """Cauchy product on the support; scalar-valued factors only.  A sum
+        of two valid keys is valid, so the product skips re-validation."""
         if not isinstance(other, FourierSeries):
             return NotImplemented
         self._check_compatible(other, need_weight=False)
@@ -170,8 +183,8 @@ class FourierSeries(Immutable):
                 prod = v1[0] * v2[0]
                 prev = out.get(t)
                 out[t] = ((prev[0] + prod),) if prev is not None else (prod,)
-        return FourierSeries(self.g, self.k + other.k, self.tag, trunc, out, 1,
-                             self.semi_integral and other.semi_integral)
+        return FourierSeries._trusted(self.g, self.k + other.k, self.tag, trunc, out, 1,
+                                      self.semi_integral and other.semi_integral)
 
     # ------------------------------------------------------------------
 
@@ -277,6 +290,8 @@ def symmetrize(f: FourierSeries, units: Sequence[UnitMatrix]) -> FourierSeries:
     finitely many keys.  If two paths to the same key force different
     factors, only the zero coefficient is symmetric and the orbit is
     dropped.  The result passes `check_symmetry` for these generators.
+    GL_g(O) preserves semi-integrality and semidefiniteness, so the result
+    skips re-validation.
     """
     steps = [(u, u.det_unit.conj() ** f.k) for u in list(units) + [u.inverse() for u in units]]
     out: dict[HermMatrix, Vec] = {}
@@ -314,4 +329,4 @@ def symmetrize(f: FourierSeries, units: Sequence[UnitMatrix]) -> FourierSeries:
             out[t] = (
                 tuple(a + b for a, b in zip(prev, contrib)) if prev is not None else contrib
             )
-    return FourierSeries(f.g, f.k, f.tag, f.trunc, out, f.dim, f.semi_integral)
+    return FourierSeries._trusted(f.g, f.k, f.tag, f.trunc, out, f.dim, f.semi_integral)

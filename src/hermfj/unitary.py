@@ -43,9 +43,7 @@ class UnitaryElement(Immutable):
             for e in row:
                 if not e.is_integral():
                     raise ValueError("entries must lie in O")
-        object.__setattr__(self, "g", n // 2)
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "tag", tag)
+        self._fill(n // 2, rows, tag)
 
     @classmethod
     def from_blocks(cls, a, b, c, d, tag: FieldTag) -> "UnitaryElement":
@@ -158,12 +156,7 @@ class HeisenbergElement(Immutable):
         test = linalg.mat_add(kappa, linalg.mat_mul(mu, linalg.conj_transpose(lam)))
         if not linalg.is_hermitian(test):
             raise ValueError("kappa + mu lambda* must be Hermitian")
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "tag", tag)
+        self._fill(l, g, lam, mu, kappa, tag)
 
     @classmethod
     def identity(cls, l: int, g: int, tag: FieldTag) -> "HeisenbergElement":

@@ -7,9 +7,10 @@ from pathlib import Path
 
 from hermfj.ffj import disassemble
 from hermfj.field import FieldElement, make_field
-from hermfj.formats import read_family, read_jacobi, write_family, write_series
+from hermfj.formats import read_family, read_jacobi, write_family, write_jacobi, write_series
 from hermfj.hermitian import HermMatrix, enumerate_semi_integral
 from hermfj.series import FourierSeries
+from util import distant_break
 
 
 def run_cli(*argv):
@@ -391,5 +392,42 @@ def test_consistency_error_prints_witness(tmp_path):
     first, second = err.splitlines()
     assert first.startswith("error: consistency: ")
     # n' first, then the two disagreeing representatives
-    assert second == "witness: %s | %s | %s" % (
-        nprime.to_text(), ",".join(x.to_text() for x in r), ",".join(x.to_text() for x in r0))
+    assert second == _witness_line((nprime, r, r0))
+
+
+def _witness_line(witness) -> str:
+    nprime, r, r_other = witness
+    return "witness: %s | %s | %s" % (
+        nprime.to_text(), ",".join(x.to_text() for x in r), ",".join(x.to_text() for x in r_other))
+
+
+def test_strict_decompose_prints_distant_witness(tmp_path):
+    broken, witness = distant_break(make_field(-7), 2, largest_trace=True)
+    src = tmp_path / "broken.hjf"
+    src.write_text(write_jacobi(broken), encoding="ascii")
+    out_file = tmp_path / "b.hjc"
+    code, out, err = run_cli("decompose", "--in", str(src), "--out", str(out_file), "--strict")
+    assert code == 3 and out == ""
+    assert not out_file.exists()
+    first, second = err.splitlines()
+    assert first.startswith("error: consistency: ")
+    assert second == _witness_line(witness)
+
+
+def test_commands_in_one_process_share_no_state(tmp_path, capsys):
+    from hermfj import cli
+
+    broken, witness = distant_break(make_field(-3), 1, largest_trace=False)
+    src = tmp_path / "broken.hjf"
+    src.write_text(write_jacobi(broken), encoding="ascii")
+    out_file = tmp_path / "b.hjc"
+    decompose = ["decompose", "--in", str(src), "--out", str(out_file)]
+    assert cli.run(decompose + ["--strict"]) == 3
+    assert _witness_line(witness) in capsys.readouterr().err.splitlines()
+    # the same command without --strict must not inherit it
+    assert cli.run(decompose) == 0 and out_file.exists()
+    # a usage error leaves nothing behind for the next command
+    assert cli.run(["decompose", "--in", str(src)]) == 1
+    assert cli.run(["decompose", "--strict", "--bogus"]) == 1
+    assert cli.run(["validate", "--in", str(out_file)]) == 0
+    assert capsys.readouterr().out == "valid HJC v1\n"

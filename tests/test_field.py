@@ -12,7 +12,7 @@ from hermfj.field import (
     sqrt_disc,
     unit_group,
 )
-from util import all_tags, min_dist_to_lattice, random_field_element
+from util import all_tags, dual_integral_by_product, min_dist_to_lattice, random_field_element
 
 EXPECTED_MU = {-1: Fraction(1, 2), -2: Fraction(3, 4), -3: Fraction(1, 3),
                -7: Fraction(4, 7), -11: Fraction(9, 11)}
@@ -91,6 +91,23 @@ def test_dual_lattice_is_scaled_ring():
         for _ in range(30):
             x = random_field_element(rng, tag, den=abs(tag.disc))
             assert x.is_dual_integral() == (x * sd).is_integral()
+
+
+def test_dual_integrality_on_coordinates_matches_product_oracle():
+    # denominators dividing 2|D|k put both members and non-members of O^#
+    # in the sample
+    rng = random.Random(131)
+    for tag in all_tags():
+        outcomes = set()
+        for _ in range(3000):
+            base = 2 * abs(tag.disc) * rng.randint(1, 3)
+            dens = [q for q in range(1, base + 1) if base % q == 0]
+            x = FieldElement(Fraction(rng.randint(-50, 50), rng.choice(dens)),
+                             Fraction(rng.randint(-50, 50), rng.choice(dens)), tag)
+            got = x.is_dual_integral()
+            assert got == dual_integral_by_product(x), x
+            outcomes.add(got)
+        assert outcomes == {False, True}
 
 
 def test_euclidean_round_examples():

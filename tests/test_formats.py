@@ -21,7 +21,7 @@ from hermfj.formats import (
 from hermfj.hermitian import delta_classes, enumerate_semi_integral
 from hermfj.jacobi import theta_coeffs, theta_decompose
 from hermfj.series import FourierSeries
-from util import all_tags
+from util import all_tags, random_component_vector
 
 
 def fe(a, b, tag):
@@ -67,24 +67,31 @@ def test_jacobi_round_trip_bit_identical():
 
 def test_family_round_trip_bit_identical():
     rng = random.Random(114)
-    tag = make_field(-1)
-    f = sample_series(rng, tag, g=3, trunc=3)
-    for l in (1, 2):
-        fam = disassemble(f, l)
-        text = write_family(fam)
-        again = read_family(text)
-        assert again == fam
-        assert write_family(again) == text
+    # trace 2 keeps the degree-3 enumeration cheap in every field
+    cases = [(make_field(-1), 3)] + [(tag, 2) for tag in all_tags()]
+    for tag, trunc in cases:
+        f = sample_series(rng, tag, g=3, trunc=trunc)
+        for l in (1, 2):
+            fam = disassemble(f, l)
+            text = write_family(fam)
+            again = read_family(text)
+            assert again == fam
+            assert write_family(again) == text
 
 
 def test_components_round_trip_bit_identical():
     tag = make_field(-2)
     s = delta_classes(1, 1, tag)[2]
-    v = theta_decompose(theta_coeffs(1, s, 3))
-    text = write_components(v)
-    again = read_components(text)
-    assert again == v
-    assert write_components(again) == text
+    cases = [theta_decompose(theta_coeffs(1, s, 3))]
+    rng = random.Random(115)
+    for tag in all_tags():
+        for m in (1, 2):
+            cases.append(random_component_vector(rng, tag, m, 4))
+    for v in cases:
+        text = write_components(v)
+        again = read_components(text)
+        assert again == v
+        assert write_components(again) == text
 
 
 def test_detect_and_read_any():

@@ -18,7 +18,7 @@ from hermfj.jacobi import (
     theta_recompose,
 )
 from hermfj.series import FourierSeries
-from util import all_tags
+from util import all_tags, distant_break
 
 
 def fe(a, b, tag):
@@ -125,13 +125,17 @@ def test_round_trip_decompose_of_recompose():
 
 def test_round_trip_recompose_of_decompose_on_theta_built():
     rng = random.Random(73)
-    tag = make_field(-1)
-    m = 2
-    total = 4
-    v = random_component_vector(rng, tag, m, total)
-    table = theta_recompose(v, total)
-    again = theta_recompose(theta_decompose(table), total)
-    assert again == table
+    for tag in all_tags():
+        m = 2
+        total = 4
+        v = random_component_vector(rng, tag, m, total)
+        table = theta_recompose(v, total)
+        again = theta_recompose(theta_decompose(table), total)
+        assert again == table
+        for m in (1, 3):
+            s = rng.choice(delta_classes(1, m, tag))
+            theta = theta_coeffs(m, s, 3)
+            assert theta_recompose(theta_decompose(theta), 3) == theta
 
 
 def test_recompose_zero_components_gives_zero_table():
@@ -203,6 +207,16 @@ def test_strict_mode_catches_distant_breaks():
     broken = JacobiTable(1, 1, m, t1, 5, coeffs)
     with pytest.raises(ConsistencyError):
         theta_decompose(broken, strict=True)
+    # the farthest representative inside the truncation, for the n' with the
+    # smallest budget and for the one with the largest
+    for tag in all_tags():
+        for m in (1, 2):
+            for largest_trace in (True, False):
+                broken, witness = distant_break(tag, m, largest_trace)
+                theta_decompose(broken)  # the plain probes do not read it
+                with pytest.raises(ConsistencyError) as err:
+                    theta_decompose(broken, strict=True)
+                assert err.value.witness == witness
 
 
 def test_ord_r_of_theta_is_class_norm():

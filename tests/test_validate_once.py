@@ -1,0 +1,244 @@
+"""Validation happens once, at the public boundary.
+
+Public constructors and the `formats` readers check every key; the internal
+builders (`_trusted`) skip those checks where validity follows from
+construction.  These tests pin both sides: every boundary still rejects each
+invalid kind of input, the boundary modules never reach a trusted builder,
+and each trusted output equals its rebuild through the public constructors.
+"""
+
+import ast
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from hermfj.errors import ParseError
+from hermfj.ffj import FJFamily, assemble, disassemble, rearrange_cogenus
+from hermfj.field import FieldElement, make_field
+from hermfj.formats import (
+    read_components,
+    read_family,
+    read_jacobi,
+    read_series,
+    write_components,
+)
+from hermfj.hermitian import CosetClass, HermMatrix, delta_classes, enumerate_semi_integral
+from hermfj.jacobi import (
+    JacobiTable,
+    ThetaComponentVector,
+    theta_coeffs,
+    theta_decompose,
+    theta_recompose,
+)
+from hermfj.series import FourierSeries, gl_generators, symmetrize
+from util import all_tags, build_degree3_family, random_component_vector
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hermfj"
+TAG = make_field(-1)
+
+
+def fe(a, b=0):
+    return FieldElement(Fraction(a), Fraction(b), TAG)
+
+
+def q(x):
+    return HermMatrix.from_rational(x, TAG)
+
+
+ONE = (fe(1),)
+
+# ----------------------------------------------------------------------
+# the boundary rejects each invalid kind
+
+
+CONSTRUCTOR_CASES = {
+    "HermMatrix non-Hermitian": lambda: HermMatrix([[fe(1), fe(1)], [fe(0), fe(1)]], TAG),
+    "HermMatrix non-Hermitian diagonal": lambda: HermMatrix([[fe(1, 1)]], TAG),
+    "FourierSeries non-PSD": lambda: FourierSeries(1, 0, TAG, 2, {q(-1): ONE}),
+    "FourierSeries not semi-integral": lambda: FourierSeries(1, 0, TAG, 2, {q(Fraction(1, 2)): ONE}),
+    "FourierSeries over truncation": lambda: FourierSeries(1, 0, TAG, 2, {q(3): ONE}),
+    "JacobiTable non-PSD": lambda: JacobiTable(1, 1, 2, TAG, 3, {(q(0), (fe(1),)): ONE}),
+    "JacobiTable r outside O^#": lambda: JacobiTable(
+        1, 1, 2, TAG, 3, {(q(1), (fe(Fraction(1, 3)),)): ONE}),
+    "JacobiTable over truncation": lambda: JacobiTable(1, 1, 2, TAG, 3, {(q(4), (fe(0),)): ONE}),
+    "FJFamily non-PSD": lambda: FJFamily(2, 1, 4, TAG, 3, {q(0): {(q(1), ((fe(1),),)): ONE}}),
+    "FJFamily not semi-integral": lambda: FJFamily(
+        2, 1, 4, TAG, 3, {q(1): {(q(1), ((fe(Fraction(1, 3)),),)): ONE}}),
+    "FJFamily over truncation": lambda: FJFamily(2, 1, 4, TAG, 3, {q(2): {(q(2), ((fe(0),),)): ONE}}),
+    "FJFamily r of the wrong shape": lambda: FJFamily(
+        2, 1, 4, TAG, 3, {q(1): {(q(1), ((fe(0), fe(0)),)): ONE}}),
+    "ThetaComponentVector rep outside O^#": lambda: ThetaComponentVector(
+        1, [CosetClass(1, (fe(Fraction(1, 3)),), TAG)],
+        {CosetClass(1, (fe(Fraction(1, 3)),), TAG): FourierSeries(1, 0, TAG, 2, {})}),
+    "theta_coeffs rep outside O^#": lambda: theta_coeffs(1, CosetClass(1, (fe(Fraction(1, 3)),), TAG), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTRUCTOR_CASES))
+def test_public_constructors_reject_each_invalid_kind(case):
+    with pytest.raises(ValueError):
+        CONSTRUCTOR_CASES[case]()
+
+
+def _fjs(t):
+    return "FJS v1; d=-1; g=1; k=0; trunc=2; dim=1\nt = %s ; c = 1/1+0/1*w\n" % t
+
+
+def _hjf(n, r):
+    return "HJF v1; d=-1; g=1; k=1; m=2; trunc=3; dim=1\n(%s ; %s) = 1/1+0/1*w\n" % (n, r)
+
+
+def _fjfam(m, n, r):
+    return ("FJFAM v1; d=-1; g=2; l=1; k=4; trunc=3; dim=1\n[index m = %s]\n"
+            "(%s ; %s) = 1/1+0/1*w\n" % (m, n, r))
+
+
+def _hjc(n=None, rep=None):
+    """The d=-1, m=1 bundle of a theta table, with one record added to
+    class 0 or its rep replaced."""
+    text = write_components(theta_decompose(theta_coeffs(1, delta_classes(1, 1, TAG)[0], 3)))
+    lines = text.splitlines(keepends=True)
+    if n is not None:
+        lines.insert(2, "n = %s ; c = 1/1+0/1*w\n" % n)
+    if rep is not None:
+        lines[1] = lines[1].replace("rep = 0/1+0/1*w", "rep = %s" % rep)
+    return "".join(lines)
+
+
+ZERO, ONE_T, THIRD = "0/1+0/1*w", "1/1+0/1*w", "1/3+0/1*w"
+NON_HERM = "1/1+1/1*w"  # a 1x1 matrix with a w-part on its diagonal
+
+READER_CASES = {
+    "FJS non-Hermitian": (read_series, _fjs(NON_HERM)),
+    "FJS non-PSD": (read_series, _fjs("-1/1+0/1*w")),
+    "FJS not semi-integral": (read_series, _fjs("1/2+0/1*w")),
+    "FJS over truncation": (read_series, _fjs("3/1+0/1*w")),
+    "HJF non-Hermitian": (read_jacobi, _hjf(NON_HERM, ZERO)),
+    "HJF non-PSD": (read_jacobi, _hjf(ZERO, ONE_T)),
+    "HJF r outside O^#": (read_jacobi, _hjf(ONE_T, THIRD)),
+    "HJF over truncation": (read_jacobi, _hjf("4/1+0/1*w", ZERO)),
+    "FJFAM non-Hermitian index": (read_family, _fjfam(NON_HERM, ONE_T, ZERO)),
+    "FJFAM non-Hermitian key": (read_family, _fjfam(ONE_T, NON_HERM, ZERO)),
+    "FJFAM non-PSD": (read_family, _fjfam(ZERO, ONE_T, ONE_T)),
+    "FJFAM not semi-integral": (read_family, _fjfam(ONE_T, ONE_T, THIRD)),
+    "FJFAM over truncation": (read_family, _fjfam("2/1+0/1*w", "2/1+0/1*w", ZERO)),
+    "HJC non-Hermitian": (read_components, _hjc(n=NON_HERM)),
+    "HJC non-PSD": (read_components, _hjc(n="-1/1+0/1*w")),
+    "HJC rep outside O^#": (read_components, _hjc(rep=THIRD)),
+    "HJC over truncation": (read_components, _hjc(n="9/1+0/1*w")),
+}
+
+
+def test_reader_cases_are_valid_apart_from_the_defect():
+    read_series(_fjs(ONE_T))
+    read_jacobi(_hjf(ONE_T, ONE_T))
+    read_family(_fjfam(ONE_T, ONE_T, ZERO))
+    read_components(_hjc(n=ONE_T))
+
+
+@pytest.mark.parametrize("case", sorted(READER_CASES))
+def test_readers_reject_each_invalid_kind(case):
+    reader, text = READER_CASES[case]
+    with pytest.raises(ParseError):
+        reader(text)
+
+
+# ----------------------------------------------------------------------
+# the boundary never reaches a trusted builder
+
+TRUSTED_NAMES = {"_trusted", "_fill", "__new__"}
+
+
+@pytest.mark.parametrize("module", ["formats.py", "cli.py"])
+def test_boundary_modules_never_reach_trusted_builders(module):
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in TRUSTED_NAMES:
+            found.append((name, getattr(node, "lineno", None)))
+    assert not found
+
+
+# ----------------------------------------------------------------------
+# trusted outputs equal their rebuild through the public constructors
+
+
+def public_matrix(t):
+    return HermMatrix([list(row) for row in t.entries], t.tag)
+
+
+def public_series(f):
+    return FourierSeries(f.g, f.k, f.tag, f.trunc,
+                         {public_matrix(t): vec for t, vec in f.coeffs.items()},
+                         f.dim, f.semi_integral)
+
+
+def public_table(t):
+    return JacobiTable(t.g, t.k, t.m, t.tag, t.trunc,
+                       {(public_matrix(n), r): vec for (n, r), vec in t.coeffs.items()},
+                       t.dim)
+
+
+def public_family(fam):
+    return FJFamily(fam.g, fam.l, fam.k, fam.tag, fam.trunc,
+                    {public_matrix(m): {(public_matrix(n), r): vec for (n, r), vec in body.items()}
+                     for m, body in fam.tables.items()},
+                    fam.dim)
+
+
+def assert_same_as_public(obj, rebuild):
+    again = rebuild(obj)
+    assert again == obj
+    for name in obj.__slots__:
+        if name not in ("_hash", "_trace"):
+            assert getattr(again, name) == getattr(obj, name), name
+
+
+def test_trusted_outputs_equal_their_public_rebuild():
+    rng = random.Random(307)
+    for tag in all_tags():
+        for m in (1, 2):
+            v = random_component_vector(rng, tag, m, 4)
+            table = theta_recompose(v, 4)
+            assert table.coeffs
+            assert_same_as_public(table, public_table)
+            for strict in (False, True):
+                for h in theta_decompose(table, strict).components.values():
+                    assert_same_as_public(h, public_series)
+        s = rng.choice(delta_classes(1, 2, tag))
+        assert_same_as_public(theta_coeffs(2, s, 3), public_table)
+
+        keys = enumerate_semi_integral(2, 2, tag)
+        f1, f2 = (FourierSeries(2, 4, tag, 3, {t: (FieldElement(rng.randint(-3, 3), 0, tag),)
+                                               for t in rng.sample(keys, 6)})
+                  for _ in range(2))
+        assert_same_as_public(f1 * f2, public_series)
+        assert_same_as_public(symmetrize(f1, gl_generators(2, tag)), public_series)
+
+    for d in (-1, -3):
+        fam1 = build_degree3_family(random.Random(d), make_field(d), trunc=3)
+        assert_same_as_public(assemble(fam1), public_series)
+        fam2 = disassemble(assemble(fam1), 2)
+        assert_same_as_public(fam2, public_family)
+        back = rearrange_cogenus(fam2, 1)
+        assert_same_as_public(back, public_family)
+        assert back == fam1
+
+
+def test_products_drop_cancelled_coefficients():
+    # (1 + q) * (1 - q) = 1 - q^2: the q coefficient cancels and is dropped
+    f = FourierSeries(1, 2, TAG, 3, {q(0): ONE, q(1): ONE})
+    g = FourierSeries(1, 2, TAG, 3, {q(0): ONE, q(1): (fe(-1),)})
+    prod = f * g
+    assert set(prod.coeffs) == {q(0), q(2)}
+    assert prod == public_series(prod)

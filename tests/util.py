@@ -161,6 +161,14 @@ def pd_by_leading_minors(m) -> bool:
     return all(principal_minor(m, tuple(range(k))) > 0 for k in range(1, m.g + 1))
 
 
+def dual_integral_by_product(x) -> bool:
+    """x in O^# = O/sqrt(D), tested as sqrt(D) * x in O by a field-element
+    product (the predecessor of `FieldElement.is_dual_integral`)."""
+    from hermfj.field import sqrt_disc
+
+    return (x * sqrt_disc(x.tag)).is_integral()
+
+
 def hermitian_by_conj(x) -> bool:
     """x_ij == conj(x_ji) for every entry, comparing whole field elements."""
     n = len(x)
@@ -410,3 +418,44 @@ def random_component_vector(rng: random.Random, tag: FieldTag, m: int, total_tru
                     )
         comps[s] = FourierSeries(1, k - 1, tag, h_trunc, coeffs, semi_integral=False)
     return ThetaComponentVector(m, classes, comps)
+
+
+def distant_break(tag: FieldTag, m: int, largest_trace: bool, trunc: int = 4):
+    """A genus-1 table that is consistent except for one deleted key, and
+    the witness strict decomposition must report for it.
+
+    One class s of Delta_1(m) carries h_s = q^0 + 2 q^1.  The deleted key
+    is (n' + r m^-1 r*, r) with n' the largest (or smallest) trace of h_s,
+    and r the farthest representative of s inside the truncation for that
+    n' that neither plain probe reads (the small rep r0, the spare r0 + m).
+    """
+    from hermfj.hermitian import HermMatrix, delta_classes, small_rep
+    from hermfj.jacobi import (
+        JacobiTable,
+        ThetaComponentVector,
+        _class_points,
+        shift_matrix,
+        theta_recompose,
+    )
+    from hermfj.series import FourierSeries
+
+    classes = delta_classes(1, m, tag)
+    target = classes[len(classes) // 2]
+    comps = {}
+    for s in classes:
+        body = {}
+        if s == target:
+            body = {HermMatrix.from_rational(n, tag): (FieldElement(n + 1, 0, tag),)
+                    for n in (0, 1)}
+        h_trunc = trunc - shift_matrix(small_rep(s), m).trace()
+        comps[s] = FourierSeries(1, 9, tag, h_trunc, body, semi_integral=False)
+    table = theta_recompose(ThetaComponentVector(m, classes, comps), trunc)
+    nprime = HermMatrix.from_rational(1 if largest_trace else 0, tag)
+    r0 = small_rep(target)
+    spare = (r0[0] + m,)
+    inside = [r for r in _class_points(target, (trunc - nprime.trace()) * m)
+              if r not in (r0, spare)]
+    r_far = inside[-1]
+    coeffs = dict(table.coeffs)
+    del coeffs[(nprime.add(shift_matrix(r_far, m)), r_far)]
+    return JacobiTable(1, table.k, m, tag, trunc, coeffs), (nprime, r0, r_far)
