@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import ceil, floor
-from typing import Union
+from math import floor, isqrt, lcm
+from typing import Sequence, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -377,45 +377,83 @@ def euclidean_constant(tag: FieldTag) -> EuclideanConstant:
     return EuclideanConstant(tag, hole.norm(), hole)
 
 
-def _isqrt_upper(x: Fraction) -> int:
-    """An integer >= sqrt(x) for x >= 0."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    from math import isqrt
+def _lattice_points(gram: list[list[int]], shift: tuple[int, ...], step: int,
+                    bound: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Every (Q(v), v) with v = shift + step*z for z in Z^n and Q(v) =
+    v^T gram v <= bound, unordered, for a positive definite integer `gram`.
 
-    return isqrt(x.numerator * x.denominator) // x.denominator + 1
-
-
-def coset_points(shift: FieldElement, m: int, bound: Fraction) -> list[FieldElement]:
-    """All x in shift + m*O with N(x) <= bound, sorted by (norm, a, b).
-
-    Coordinate ranges are over-approximated from the positive definite norm
-    form and every candidate is filtered by the exact norm.
+    Fincke-Pohst in integers: the rational LDL^T of `gram` is cleared to
+    one denominator c_i per column of L and scaled pivots K_i, so that
+    scale * Q(v) = sum_i K_i x_i^2 with x_i = c_i v_i + sum_{j>i} c_i L_ji v_j.
+    Coordinates are fixed from the last down; given those above it, x_i =
+    c_i step z_i + off_i with off_i an integer, and K_i x_i^2 within the
+    remaining budget bounds z_i by `isqrt` and floor division.
     """
-    tag = shift.tag
-    bound = _as_fraction(bound)
-    out = []
     if bound < 0:
-        return out
-    t = Fraction(tag._norm_t)
-    # N(a + b*w) >= (t - s^2/4) b^2 with s, t as in the norm form
-    b_quad = t - Fraction(tag._norm_s, 2) ** 2
-    rb = _isqrt_upper(bound / b_quad)
-    q_lo = ceil((-Fraction(rb) - shift.b) / m)
-    q_hi = floor((Fraction(rb) - shift.b) / m)
-    for q in range(q_lo, q_hi + 1):
-        b = shift.b + m * q
-        rem = bound - b_quad * b * b
-        if rem < 0:
-            continue
-        # center of the perfect square in a: a = -s*b/2
-        center = -Fraction(tag._norm_s) * b / 2
-        ra = _isqrt_upper(rem) if rem > 0 else 0
-        p_lo = ceil((center - ra - shift.a) / m)
-        p_hi = floor((center + ra - shift.a) / m)
-        for p in range(p_lo, p_hi + 1):
-            x = FieldElement(shift.a + m * p, b, tag)
-            if x.norm() <= bound:
-                out.append(x)
-    out.sort(key=lambda x: (x.norm(), x.a, x.b))
+        return []
+    n = len(gram)
+    L = [[Fraction(0)] * n for _ in range(n)]
+    D = []
+    for j in range(n):
+        row = L[j]
+        scaled = [(k, row[k] * D[k]) for k in range(j) if row[k]]
+        D.append(Fraction(gram[j][j]) - sum(e * row[k] for k, e in scaled))
+        for i in range(j + 1, n):
+            L[i][j] = (gram[i][j] - sum(e * L[i][k] for k, e in scaled)) / D[j]
+    col_dens = [lcm(*(L[j][i].denominator for j in range(i + 1, n))) for i in range(n)]
+    scale = lcm(*((D[i] / (c * c)).denominator for i, c in enumerate(col_dens)))
+    levels = [
+        (c * step, c * shift[i], int(scale * D[i] / (c * c)),
+         [(j, int(L[j][i] * c)) for j in range(i + 1, n) if L[j][i]])
+        for i, c in enumerate(col_dens)
+    ]
+    top = scale * bound
+    v = list(shift)
+    out = []
+
+    def search(i: int, rem: int):
+        if i < 0:
+            out.append(((top - rem) // scale, tuple(v)))
+            return
+        c, off, k, terms = levels[i]
+        for j, l in terms:
+            off += l * v[j]
+        r = isqrt(rem // k)
+        base = shift[i]
+        for z in range(-((r + off) // c), (r - off) // c + 1):
+            x = c * z + off
+            v[i] = base + step * z
+            search(i - 1, rem - k * x * x)
+
+    search(n - 1, top)
     return out
+
+
+def _coset_vectors(shift: Sequence[FieldElement], m: int,
+                   bound: RationalLike) -> list[tuple[FieldElement, ...]]:
+    """All x in shift + m*O^g with sum_i N(x_i) <= bound, g = len(shift),
+    sorted by that sum and then by the coordinates (a_1, b_1, ..., b_g).
+
+    One call of `_lattice_points` on the coordinates of den*x, den the
+    common denominator of the shift, where twice the norm form has g
+    diagonal blocks [[2, s], [s, 2t]] for N(a + b*w) = a^2 + s*a*b + t*b^2.
+    """
+    tag = shift[0].tag
+    s, t = tag._norm_s, tag._norm_t
+    dim = 2 * len(shift)
+    den = lcm(*(c.denominator for x in shift for c in (x.a, x.b)))
+    gram = [[0] * dim for _ in range(dim)]
+    for i in range(0, dim, 2):
+        gram[i][i], gram[i][i + 1], gram[i + 1][i], gram[i + 1][i + 1] = 2, s, s, 2 * t
+    start = tuple(c.numerator * (den // c.denominator) for x in shift for c in (x.a, x.b))
+    points = _lattice_points(gram, start, m * den, floor(2 * den * den * _as_fraction(bound)))
+    points.sort()
+    return [tuple(FieldElement(Fraction(v[i], den), Fraction(v[i + 1], den), tag)
+                  for i in range(0, dim, 2))
+            for _q, v in points]
+
+
+def coset_points(shift: FieldElement, m: int, bound: RationalLike) -> list[FieldElement]:
+    """All x in shift + m*O with N(x) <= bound, sorted by (norm, a, b);
+    `_coset_vectors` at g = 1."""
+    return [x for (x,) in _coset_vectors((shift,), m, bound)]

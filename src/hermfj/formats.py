@@ -317,9 +317,10 @@ def read_components(text: str) -> ThetaComponentVector:
             if parts[0] != "class %d" % len(classes):
                 raise ParseError("expected section 'class %d'" % len(classes), i)
             rep = _parse_vector(parts[1][len("rep = "):], g, tag, i)
-            if any(not x.is_dual_integral() for x in rep):
-                raise ParseError("class representative must lie in the inverse different", i)
-            pending_class = CosetClass(m, rep, tag)
+            try:
+                pending_class = CosetClass(m, rep, tag)
+            except ValueError as exc:
+                raise ParseError(str(exc), i) from exc
             class_lines.append(i)
             pending_trunc = _parse_q(parts[2][len("htrunc = "):], i)
             continue

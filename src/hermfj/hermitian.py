@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import lcm
 from typing import Iterator, Sequence
 
 from . import linalg
@@ -18,6 +18,7 @@ from .field import (
     FieldElement,
     FieldTag,
     Immutable,
+    _lattice_points,
     coset_points,
     euclidean_round,
     sqrt_disc,
@@ -32,7 +33,8 @@ class HermMatrix(Immutable):
     Validation happens once, at the public boundary: the constructor, and
     so `from_text` and every reader, checks hermicity (and hence a rational
     diagonal).  `_trusted` skips the check for `add`, `sub`, `gl_action`,
-    `jacobi.shift_matrix`, `ffj.join_block` and `ffj.split_block`.
+    `jacobi.shift_matrix`, `jacobi.block_key`, `ffj.join_block` and
+    `ffj.split_block`.
     Semi-integrality (integer diagonal, off-diagonal entries in the inverse
     different) is a separate queryable property, since theta supports carry
     rational diagonals.
@@ -397,28 +399,6 @@ def enumerate_semi_integral(g: int, trace_bound: int, tag: FieldTag) -> list[Her
 # minimal represented values
 
 
-def _ldl(gram: list[list[int]]):
-    """LDL^T of a positive definite integer matrix, in Fractions; L unit
-    lower triangular."""
-    n = len(gram)
-    L = [[Fraction(0)] * n for _ in range(n)]
-    D = [Fraction(0)] * n
-    for j in range(n):
-        s = Fraction(gram[j][j])
-        for k in range(j):
-            s -= L[j][k] * L[j][k] * D[k]
-        if s <= 0:
-            raise ValueError("matrix is not positive definite")
-        D[j] = s
-        L[j][j] = Fraction(1)
-        for i in range(j + 1, n):
-            v = Fraction(gram[i][j])
-            for k in range(j):
-                v -= L[i][k] * L[j][k] * D[k]
-            L[i][j] = v / D[j]
-    return L, D
-
-
 def min_represented(t: HermMatrix) -> Fraction:
     """min over nonzero omega in O^g of omega* t omega, for PSD t.
 
@@ -428,12 +408,10 @@ def min_represented(t: HermMatrix) -> Fraction:
     For definite t the search is certified by the smallest diagonal entry,
     which e_i attains.
 
-    The search is Fincke-Pohst on the coordinate lattice Z^{2g} of O^g
-    (basis e_i and w*e_i interleaved), in integers: the Gram matrix is
-    taken times 2*den, with den from `t._int_coords()`, and its rational
-    LDL^T is cleared to one denominator c_i per column of L and scaled
-    pivots K_i, so that coordinate i contributes K_i * (c_i z_i + off_i)^2
-    with off_i an integer fixed by the coordinates above it.
+    The search is `field._lattice_points` on the coordinate lattice Z^{2g}
+    of O^g (basis e_i and w*e_i interleaved), with the Gram matrix taken
+    times 2*den, den from `t._int_coords()`, so that it is integral; the
+    result is its least nonzero value within that smallest diagonal entry.
     """
     rank = t._psd_rank()
     if rank is None:
@@ -452,35 +430,9 @@ def min_represented(t: HermMatrix) -> Fraction:
             gram[2 * i][2 * j + 1] = 2 * n * b + s * (a + s * b)
             gram[2 * i + 1][2 * j] = s * a - 2 * n * b
             gram[2 * i + 1][2 * j + 1] = -n * tr
-    L, D = _ldl(gram)
-    col_dens = [lcm(*(L[j][i].denominator for j in range(i + 1, dim))) for i in range(dim)]
-    scale = lcm(*((D[i] / (c * c)).denominator for i, c in enumerate(col_dens)))
-    levels = [
-        (c, int(scale * D[i] / (c * c)),
-         [(j, int(L[j][i] * c)) for j in range(i + 1, dim) if L[j][i]])
-        for i, c in enumerate(col_dens)
-    ]
-    z = [0] * dim
-    best = 0  # the most budget a nonzero vector leaves; 0 means the bound
-
-    def search(i: int, rem: int):
-        nonlocal best
-        if i < 0:
-            if rem > best and any(z):
-                best = rem
-            return
-        c, k, terms = levels[i]
-        off = sum(l * z[j] for j, l in terms)
-        r = isqrt(rem // k)
-        for v in range(-((r + off) // c), (r - off) // c + 1):
-            z[i] = v
-            x = c * v + off
-            search(i - 1, rem - k * x * x)
-        z[i] = 0
-
-    top = scale * min(gram[i][i] for i in range(0, dim, 2))
-    search(dim - 1, top)
-    return Fraction(top - best, 2 * den * scale)
+    points = _lattice_points(gram, (0,) * dim, 1, min(gram[i][i] for i in range(0, dim, 2)))
+    # a definite form vanishes only at the origin
+    return Fraction(min(q for q, _v in points if q), 2 * den)
 
 
 # ----------------------------------------------------------------------
@@ -544,12 +496,33 @@ _sublattice = lru_cache(maxsize=64)(_SublatticeData)
 
 
 class CosetClass(Immutable):
-    """A class in (O^#)^g / m O^g, held by its canonical representative."""
+    """A class in (O^#)^g / m O^g, held by a representative.
+
+    The constructor rejects m < 1 and a rep that is empty or has a
+    component outside O^# of `tag`; `_trusted` skips the checks for
+    `reduce_class` and `delta_classes`.
+    """
 
     __slots__ = ("m", "rep", "tag")
 
     def __init__(self, m: int, rep: Vector, tag: FieldTag):
-        self._fill(m, tuple(rep), tag)
+        rep = tuple(rep)
+        if m < 1:
+            raise ValueError("class modulus must be >= 1, got %r" % (m,))
+        if not rep:
+            raise ValueError("class representative must have at least one component")
+        for x in rep:
+            if x.tag != tag:
+                raise ValueError("class component %r is not in the field d=%d" % (x, tag.d))
+            if not x.is_dual_integral():
+                raise ValueError("class component %r is not in the inverse different" % (x,))
+        self._fill(m, rep, tag)
+
+    @classmethod
+    def _trusted(cls, m: int, rep: Vector, tag: FieldTag) -> "CosetClass":
+        """The class of `rep`, a nonempty tuple over O^# of `tag`, modulo
+        m O^g for m >= 1; skips the checks of `__init__`."""
+        return object.__new__(cls)._fill(m, rep, tag)
 
     @property
     def g(self) -> int:
@@ -591,7 +564,7 @@ def reduce_class(r: Sequence[FieldElement], m: int) -> CosetClass:
     if m < 1:
         raise ValueError("m must be >= 1")
     rep = tuple(_reduce_component(x, m) for x in r)
-    return CosetClass(m, rep, rep[0].tag)
+    return CosetClass._trusted(m, rep, rep[0].tag)
 
 
 @lru_cache(maxsize=64)
@@ -618,7 +591,7 @@ def delta_classes(g: int, m: int, tag: FieldTag) -> tuple[CosetClass, ...]:
             for x in component:
                 yield prefix + (x,)
 
-    return tuple(CosetClass(m, rep, tag) for rep in build(g))
+    return tuple(CosetClass._trusted(m, rep, tag) for rep in build(g))
 
 
 @lru_cache(maxsize=4096)

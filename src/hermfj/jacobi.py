@@ -20,7 +20,7 @@ from math import inf
 from typing import Mapping, Sequence
 
 from .errors import ConsistencyError
-from .field import FieldElement, FieldTag, Immutable, coset_points
+from .field import FieldElement, FieldTag, Immutable, _coset_vectors
 from .hermitian import (
     CosetClass,
     HermMatrix,
@@ -52,14 +52,15 @@ def _shift_matrix(r: Vector, m: int) -> HermMatrix:
 
 
 def block_key(n: HermMatrix, r: Sequence[FieldElement], m: int) -> HermMatrix:
-    """The (g+1) x (g+1) assembly (n r; r* m)."""
+    """The (g+1) x (g+1) assembly (n r; r* m), Hermitian by construction
+    for a Hermitian n and a rational m."""
     tag = n.tag
     g = n.g
     rows = []
     for i in range(g):
         rows.append(tuple(n.entries[i]) + (r[i],))
     rows.append(tuple(x.conj() for x in r) + (FieldElement(Fraction(m), 0, tag),))
-    return HermMatrix(rows, tag)
+    return HermMatrix._trusted(tuple(rows), tag)
 
 
 def _as_key_matrix(n, g: int, tag: FieldTag) -> HermMatrix:
@@ -75,7 +76,7 @@ class JacobiTable(Immutable):
 
     Validation happens once, at the public boundary: the constructor, and
     so `formats.read_jacobi`, checks every key.  `_trusted` skips the checks
-    for the outputs of `theta_coeffs`, `theta_recompose`,
+    for the outputs of `add`, `theta_coeffs`, `theta_recompose`,
     `series_times_theta` and `ffj._cogenus_one_slice`.
     """
 
@@ -172,7 +173,7 @@ class JacobiTable(Immutable):
             a = self.coeffs.get(key, _zero_vec(self.dim, self.tag))
             b = other.coeffs.get(key, _zero_vec(other.dim, other.tag))
             out[key] = tuple(x + y for x, y in zip(a, b))
-        return JacobiTable(self.g, self.k, self.m, self.tag, trunc, out, self.dim)
+        return JacobiTable._trusted(self.g, self.k, self.m, self.tag, trunc, out, self.dim)
 
     def vanishing_order(self):
         """min over supported keys of the minimal value represented by the
@@ -206,34 +207,16 @@ def _key_sort(key: tuple[HermMatrix, Vector]):
 def _class_points(s: CosetClass, norm_bound: Fraction) -> list[Vector]:
     """All vectors r in s + m O^g with |r|^2 = sum |r_i|^2 <= norm_bound,
     ordered by |r|^2 first, so that the points within a smaller bound form
-    a prefix."""
-    per_component = [coset_points(x, s.m, norm_bound) for x in s.rep]
-    out: list[tuple[Fraction, Vector]] = []
-
-    def build(i: int, prefix: Vector, used: Fraction):
-        if i == len(per_component):
-            out.append((used, prefix))
-            return
-        for x in per_component[i]:
-            n = x.norm()
-            if used + n > norm_bound:
-                break  # points are sorted by norm
-            build(i + 1, prefix + (x,), used + n)
-
-    build(0, (), Fraction(0))
-    out.sort(key=lambda point: (point[0], tuple(x.sort_key() for x in point[1])))
-    return [r for _norm, r in out]
+    a prefix, then by the `sort_key`s of the components.  One search of
+    `field._coset_vectors`, over the 2g coordinates of r at once."""
+    return _coset_vectors(s.rep, s.m, norm_bound)
 
 
 def theta_coeffs(m: int, s: CosetClass, trunc) -> JacobiTable:
     """The theta table of index m and shift s: coefficient 1 exactly at the
     keys (r m^-1 r*, r) for r in the class; weight recorded as the cogenus."""
-    if m < 1:
-        raise ValueError("theta index must be >= 1")
     if s.m != m:
         raise ValueError("class has modulus %d, expected %d" % (s.m, m))
-    if not all(x.is_dual_integral() for x in s.rep):
-        raise ValueError("class representative must lie in the inverse different")
     tag = s.tag
     trunc = trunc if isinstance(trunc, Fraction) else Fraction(trunc)
     one = FieldElement.one(tag)
@@ -247,7 +230,7 @@ def theta_coeffs(m: int, s: CosetClass, trunc) -> JacobiTable:
 class ThetaComponentVector(Immutable):
     """The components (h_s)_s of a theta decomposition: one shifted series
     per class of Delta_g(m), in the canonical class order; each class has
-    modulus m and g components in O^#."""
+    modulus m and g components, which lie in O^# by `CosetClass`."""
 
     __slots__ = ("m", "classes", "components")
 
@@ -257,8 +240,7 @@ class ThetaComponentVector(Immutable):
         if set(classes) != set(components):
             raise ValueError("exactly one component per class is required")
         for s in classes:
-            if s.m != m or s.g != components[s].g \
-                    or not all(x.is_dual_integral() for x in s.rep):
+            if s.m != m or s.g != components[s].g:
                 raise ValueError("class %r does not fit modulus %d and its series" % (s, m))
         self._fill(m, classes, dict(components))
 

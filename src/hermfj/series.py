@@ -42,8 +42,8 @@ class FourierSeries(Immutable):
 
     Validation happens once, at the public boundary: the constructor, and
     so `formats.read_series` and `read_components`, checks every key.
-    `_trusted` skips the checks for the outputs of `__mul__`, `symmetrize`,
-    `jacobi.theta_decompose` and `ffj.assemble`.
+    `_trusted` skips the checks for the outputs of `__add__`, `scale`,
+    `__mul__`, `symmetrize`, `jacobi.theta_decompose` and `ffj.assemble`.
     """
 
     __slots__ = ("g", "k", "tag", "trunc", "dim", "coeffs", "semi_integral")
@@ -151,15 +151,15 @@ class FourierSeries(Immutable):
             a = self.coefficient(t)
             b = other.coefficient(t)
             out[t] = tuple(x + y for x, y in zip(a, b))
-        return FourierSeries(self.g, self.k, self.tag, trunc, out, self.dim,
-                             self.semi_integral and other.semi_integral)
+        return FourierSeries._trusted(self.g, self.k, self.tag, trunc, out, self.dim,
+                                      self.semi_integral and other.semi_integral)
 
     def scale(self, x) -> "FourierSeries":
         if not isinstance(x, FieldElement):
             x = FieldElement(Fraction(x), 0, self.tag)
         out = {t: tuple(x * v for v in vec) for t, vec in self.coeffs.items()}
-        return FourierSeries(self.g, self.k, self.tag, self.trunc, out, self.dim,
-                             self.semi_integral)
+        return FourierSeries._trusted(self.g, self.k, self.tag, self.trunc, out, self.dim,
+                                      self.semi_integral)
 
     def __sub__(self, other: "FourierSeries") -> "FourierSeries":
         return self + other.scale(-1)

@@ -1,12 +1,17 @@
-"""Cross-checks of the integer-coordinate lattice kernels `gl_action` and
-`min_represented` against their predecessors in `util`: two generic
-field-element matrix products, and a Fincke-Pohst search in Fractions."""
+"""Cross-checks of the integer-coordinate lattice kernels `gl_action`,
+`min_represented`, `coset_points` and `jacobi._class_points` against their
+predecessors in `util`: two generic field-element matrix products,
+Fincke-Pohst searches in Fractions and in integers, and coordinate ranges
+over-approximated in Fractions."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from hermfj.field import FieldElement, coset_points, sqrt_disc
 from hermfj.hermitian import (
+    CosetClass,
     HermMatrix,
     delta_classes,
     enumerate_semi_integral,
@@ -14,11 +19,14 @@ from hermfj.hermitian import (
     min_represented,
     small_rep,
 )
-from hermfj.jacobi import shift_matrix, theta_coeffs
+from hermfj.jacobi import _class_points, shift_matrix, theta_coeffs
 from hermfj.series import gl_generators
 from util import (
     all_tags,
+    class_points_by_recursion,
+    coset_points_by_fractions,
     gl_action_by_mat_mul,
+    min_represented_by_best_budget,
     min_represented_by_fractions,
     random_field_element,
 )
@@ -114,3 +122,45 @@ def test_theta_table_vanishing_order_matches_oracle():
             table = theta_coeffs(m, rng.choice(delta_classes(g, m, tag)), trunc)
             want = min(min_represented_by_fractions(n) for (n, _r) in table.coeffs)
             assert table.vanishing_order() == want
+
+
+def random_dual_vector(rng, g, tag):
+    """g components y/sqrt(D) of O^# with y integral, or all zero."""
+    if rng.random() < 0.2:
+        return (FieldElement.zero(tag),) * g
+    inv_sd = sqrt_disc(tag).inv()
+    return tuple(FieldElement(rng.randint(-4, 4), rng.randint(-4, 4), tag) * inv_sd
+                 for _ in range(g))
+
+
+@pytest.mark.parametrize("tag", all_tags(), ids=lambda t: "d%d" % t.d)
+def test_point_enumeration_matches_predecessors(tag):
+    rng = random.Random(7200 - tag.d)
+    for m in (1, 2, 3):
+        bounds = [0, Fraction(rng.randint(1, 6 * m), rng.randint(2, 5)), rng.randint(1, 2 * m), -1]
+        for _ in range(6):
+            # denominators up to 6: most of these shifts lie outside O^#
+            shift = random_field_element(rng, tag, den=6, span=5)
+            for bound in bounds:
+                got = coset_points(shift, m, bound)
+                assert got == coset_points_by_fractions(shift, m, bound), (shift, m, bound)
+            assert coset_points(shift, m, -1) == []
+        for g in (1, 2, 3):
+            for _ in range(3):
+                s = CosetClass(m, random_dual_vector(rng, g, tag), tag)
+                for bound in bounds:
+                    got = _class_points(s, bound)
+                    assert got == class_points_by_recursion(s, bound), (s, bound)
+                assert _class_points(s, -1) == []
+        assert _class_points(CosetClass(m, (FieldElement.zero(tag),) * 2, tag), 0) == \
+            [(FieldElement.zero(tag),) * 2]
+
+
+@pytest.mark.parametrize("tag", all_tags(), ids=lambda t: "d%d" % t.d)
+def test_min_represented_matches_integer_predecessor(tag):
+    rng = random.Random(7300 - tag.d)
+    for g in (1, 2, 3):
+        keys = enumerate_semi_integral(g, 3 if g < 3 else 2, tag)
+        cases = keys + shifted_keys(rng, g, tag, keys) + degenerate_keys(rng, g, tag)
+        for t in cases:
+            assert outcome(min_represented, t) == outcome(min_represented_by_best_budget, t), t

@@ -24,10 +24,18 @@ from hermfj.formats import (
     read_series,
     write_components,
 )
-from hermfj.hermitian import CosetClass, HermMatrix, delta_classes, enumerate_semi_integral
+from hermfj.hermitian import (
+    CosetClass,
+    HermMatrix,
+    delta_classes,
+    enumerate_semi_integral,
+    reduce_class,
+    small_rep,
+)
 from hermfj.jacobi import (
     JacobiTable,
     ThetaComponentVector,
+    block_key,
     theta_coeffs,
     theta_decompose,
     theta_recompose,
@@ -73,6 +81,12 @@ CONSTRUCTOR_CASES = {
         1, [CosetClass(1, (fe(Fraction(1, 3)),), TAG)],
         {CosetClass(1, (fe(Fraction(1, 3)),), TAG): FourierSeries(1, 0, TAG, 2, {})}),
     "theta_coeffs rep outside O^#": lambda: theta_coeffs(1, CosetClass(1, (fe(Fraction(1, 3)),), TAG), 2),
+    "CosetClass m = 0": lambda: CosetClass(0, (fe(0),), TAG),
+    "CosetClass empty rep": lambda: CosetClass(1, (), TAG),
+    "CosetClass component of another field": lambda: CosetClass(
+        1, (FieldElement(0, 0, make_field(-3)),), TAG),
+    "small_rep of a rep outside O^#": lambda: small_rep(
+        CosetClass(1, (fe(Fraction(1, 3)),), TAG)),
 }
 
 
@@ -189,6 +203,10 @@ def public_table(t):
                        t.dim)
 
 
+def public_class(c):
+    return CosetClass(c.m, c.rep, c.tag)
+
+
 def public_family(fam):
     return FJFamily(fam.g, fam.l, fam.k, fam.tag, fam.trunc,
                     {public_matrix(m): {(public_matrix(n), r): vec for (n, r), vec in body.items()}
@@ -215,14 +233,29 @@ def test_trusted_outputs_equal_their_public_rebuild():
             for strict in (False, True):
                 for h in theta_decompose(table, strict).components.values():
                     assert_same_as_public(h, public_series)
+            other = theta_recompose(random_component_vector(rng, tag, m, 3), 3)
+            assert_same_as_public(table.add(other), public_table)
+            for n, r in rng.sample(sorted(table.coeffs, key=repr), 5):
+                assert_same_as_public(block_key(n, r, m), public_matrix)
         s = rng.choice(delta_classes(1, 2, tag))
         assert_same_as_public(theta_coeffs(2, s, 3), public_table)
+        for n, r in theta_coeffs(1, rng.choice(delta_classes(2, 1, tag)), 2).coeffs:
+            assert_same_as_public(block_key(n, r, 1), public_matrix)
+        classes = delta_classes(2, 2, tag)
+        for c in rng.sample(classes, 5) + [reduce_class(tuple(3 * x for x in classes[-1].rep), 1)]:
+            assert_same_as_public(c, public_class)
 
         keys = enumerate_semi_integral(2, 2, tag)
         f1, f2 = (FourierSeries(2, 4, tag, 3, {t: (FieldElement(rng.randint(-3, 3), 0, tag),)
                                                for t in rng.sample(keys, 6)})
                   for _ in range(2))
         assert_same_as_public(f1 * f2, public_series)
+        assert_same_as_public(f1 + f2, public_series)
+        assert_same_as_public(f1.scale(FieldElement(1, 1, tag)), public_series)
+        assert_same_as_public(f1 - f1, public_series)
+        h = next(c for c in theta_decompose(theta_coeffs(2, s, 3)).components.values()
+                 if not c.is_zero())
+        assert_same_as_public(h + h.scale(2), public_series)
         assert_same_as_public(symmetrize(f1, gl_generators(2, tag)), public_series)
 
     for d in (-1, -3):

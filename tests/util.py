@@ -272,6 +272,116 @@ def min_represented_by_fractions(t) -> Fraction:
     return min([bound] + [q for q, _u in short_vectors_by_fractions(L, D, bound)])
 
 
+def coset_points_by_fractions(shift, m: int, bound) -> list:
+    """All x in shift + m*O with N(x) <= bound, sorted by (norm, a, b): the
+    predecessor of `field.coset_points`, over-approximating coordinate
+    ranges in Fractions and filtering each candidate by its exact norm."""
+    from math import ceil, floor, isqrt
+
+    def isqrt_upper(x: Fraction) -> int:
+        return isqrt(x.numerator * x.denominator) // x.denominator + 1
+
+    tag = shift.tag
+    bound = Fraction(bound)
+    out = []
+    if bound < 0:
+        return out
+    s, t = norm_form(tag)
+    # N(a + b*w) >= (t - s^2/4) b^2
+    b_quad = t - Fraction(s, 2) ** 2
+    rb = isqrt_upper(bound / b_quad)
+    for q in range(ceil((-rb - shift.b) / m), floor((rb - shift.b) / m) + 1):
+        b = shift.b + m * q
+        rem = bound - b_quad * b * b
+        if rem < 0:
+            continue
+        center = -Fraction(s) * b / 2
+        ra = isqrt_upper(rem) if rem > 0 else 0
+        for p in range(ceil((center - ra - shift.a) / m), floor((center + ra - shift.a) / m) + 1):
+            x = FieldElement(shift.a + m * p, b, tag)
+            if x.norm() <= bound:
+                out.append(x)
+    out.sort(key=lambda x: (x.norm(), x.a, x.b))
+    return out
+
+
+def class_points_by_recursion(s, norm_bound) -> list:
+    """All r in the class s with |r|^2 <= norm_bound, ordered by (|r|^2,
+    sort keys): the predecessor of `jacobi._class_points`, a recursion over
+    the per-component `coset_points_by_fractions`."""
+    norm_bound = Fraction(norm_bound)
+    per_component = [coset_points_by_fractions(x, s.m, norm_bound) for x in s.rep]
+    out = []
+
+    def build(i, prefix, used):
+        if i == len(per_component):
+            out.append((used, prefix))
+            return
+        for x in per_component[i]:
+            n = x.norm()
+            if used + n > norm_bound:
+                break  # points are sorted by norm
+            build(i + 1, prefix + (x,), used + n)
+
+    build(0, (), Fraction(0))
+    out.sort(key=lambda point: (point[0], tuple(x.sort_key() for x in point[1])))
+    return [r for _norm, r in out]
+
+
+def min_represented_by_best_budget(t) -> Fraction:
+    """min over nonzero omega in O^g of omega* t omega for PSD t: the
+    predecessor of `hermitian.min_represented`, an integer Fincke-Pohst
+    search that keeps the most budget a nonzero vector leaves below the
+    smallest diagonal entry."""
+    from math import isqrt, lcm
+
+    rank = t._psd_rank()
+    if rank is None:
+        raise ValueError("matrix is not positive semidefinite")
+    if rank < t.g:
+        return Fraction(0)
+    s, n = t.tag._norm_s, -t.tag._norm_t
+    rows, den = t._int_coords()
+    dim = 2 * t.g
+    gram = [[0] * dim for _ in range(dim)]
+    for i, row in enumerate(rows):
+        for j, (a, b) in enumerate(row):
+            tr = 2 * a + s * b
+            gram[2 * i][2 * j] = tr
+            gram[2 * i][2 * j + 1] = 2 * n * b + s * (a + s * b)
+            gram[2 * i + 1][2 * j] = s * a - 2 * n * b
+            gram[2 * i + 1][2 * j + 1] = -n * tr
+    L, D = ldl_by_fractions([[Fraction(x) for x in row] for row in gram])
+    col_dens = [lcm(*(L[j][i].denominator for j in range(i + 1, dim))) for i in range(dim)]
+    scale = lcm(*((D[i] / (c * c)).denominator for i, c in enumerate(col_dens)))
+    levels = [
+        (c, int(scale * D[i] / (c * c)),
+         [(j, int(L[j][i] * c)) for j in range(i + 1, dim) if L[j][i]])
+        for i, c in enumerate(col_dens)
+    ]
+    z = [0] * dim
+    best = 0
+
+    def search(i, rem):
+        nonlocal best
+        if i < 0:
+            if rem > best and any(z):
+                best = rem
+            return
+        c, k, terms = levels[i]
+        off = sum(l * z[j] for j, l in terms)
+        r = isqrt(rem // k)
+        for v in range(-((r + off) // c), (r - off) // c + 1):
+            z[i] = v
+            x = c * v + off
+            search(i - 1, rem - k * x * x)
+        z[i] = 0
+
+    top = scale * min(gram[i][i] for i in range(0, dim, 2))
+    search(dim - 1, top)
+    return Fraction(top - best, 2 * den * scale)
+
+
 # ----------------------------------------------------------------------
 # group element builders (guaranteed members by construction)
 
