@@ -157,6 +157,8 @@ def _cmd_theta(args) -> int:
 
 def _cmd_decompose(args) -> int:
     table = formats.read_jacobi(_read_file(args.infile))
+    if table.m < 1:
+        raise ParseError("index m must be >= 1 to decompose", 1)
     v = jacobi.theta_decompose(table, strict=args.strict)
     _write_file(args.out, formats.write_components(v))
     return EXIT_OK
@@ -164,7 +166,10 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_recompose(args) -> int:
     v = formats.read_components(_read_file(args.infile))
-    table = jacobi.theta_recompose(v, args.trunc)
+    try:
+        table = jacobi.theta_recompose(v, args.trunc)
+    except ValueError as exc:  # a component stops short of --trunc
+        raise ParseError(str(exc)) from exc
     _write_file(args.out, formats.write_jacobi(table))
     return EXIT_OK
 

@@ -8,15 +8,19 @@ to the integral basis {1, w}, where
     w = sqrt(d)        if d = 2, 3 (mod 4)   (discriminant D = 4d)
     w = (1+sqrt(d))/2  if d = 1 (mod 4)      (discriminant D = d)
 
-All coordinates are `fractions.Fraction`; every operation is exact and every
-value is immutable, so the whole module is safe for concurrent use.
+An element is held as three ints, (p + q*w)/den in lowest terms, so that
+arithmetic, equality and hashing are integer operations; `Fraction` appears
+only where a rational leaves the module (norms, traces, the coordinates
+`a` and `b`).  Every operation is exact and every value is immutable, so
+the whole module is safe for concurrent use.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import cache
-from math import floor, isqrt, lcm
+from math import floor, gcd, isqrt, lcm
 from typing import Sequence, Union
 
 RationalLike = Union[int, Fraction]
@@ -47,10 +51,12 @@ class FieldTag(Immutable):
     """Identifies one of the five fields and fixes its integral basis.
 
     `half_basis` is True exactly when d = 1 (mod 4), i.e. when the second
-    basis element is (1+sqrt(d))/2 rather than sqrt(d).
+    basis element is (1+sqrt(d))/2 rather than sqrt(d).  `_norm_s` and
+    `_norm_t` are the coefficients of the rational quadratic form
+    N(a + b*w) = a^2 + s*a*b + t*b^2, so that w^2 = s*w - t.
     """
 
-    __slots__ = ("d", "disc", "half_basis")
+    __slots__ = ("d", "disc", "half_basis", "_norm_s", "_norm_t")
 
     def __init__(self, d: int):
         if d not in NORM_EUCLIDEAN_D:
@@ -59,7 +65,7 @@ class FieldTag(Immutable):
                 % (list(NORM_EUCLIDEAN_D), d)
             )
         half = d % 4 == 1
-        self._fill(d, d if half else 4 * d, half)
+        self._fill(d, d if half else 4 * d, half, 1 if half else 0, (1 - d) // 4 if half else -d)
 
     def __eq__(self, other):
         return isinstance(other, FieldTag) and other.d == self.d
@@ -69,15 +75,6 @@ class FieldTag(Immutable):
 
     def __repr__(self):
         return "FieldTag(d=%d, D=%d)" % (self.d, self.disc)
-
-    # Coefficients of the rational quadratic form N(a + b*w) = a^2 + s*a*b + t*b^2.
-    @property
-    def _norm_s(self) -> int:
-        return 1 if self.half_basis else 0
-
-    @property
-    def _norm_t(self) -> int:
-        return (1 - self.d) // 4 if self.half_basis else -self.d
 
 
 @cache
@@ -94,17 +91,49 @@ def _as_fraction(x: RationalLike) -> Fraction:
     raise TypeError("expected int or Fraction, got %r" % type(x).__name__)
 
 
-class FieldElement(Immutable):
-    """An element a + b*w of E = Q(sqrt(d)), in exact basis coordinates."""
+#: a `to_text` token, up to lowest terms
+_TOKEN = re.compile(r"(-?\d+)/(\d+)\+(-?\d+)/(\d+)\*w", re.ASCII)
 
-    __slots__ = ("a", "b", "tag", "_hash")
+
+class FieldElement(Immutable):
+    """An element (p + q*w)/den of E = Q(sqrt(d)), in exact basis coordinates.
+
+    p, q and den are ints with den > 0 and gcd(p, q, den) = 1.  This form is
+    canonical, so equality and hashing compare ints.  `a` = p/den and
+    `b` = q/den are the basis coordinates as `Fraction`s.
+    """
+
+    __slots__ = ("p", "q", "den", "tag")
 
     def __init__(self, a: RationalLike, b: RationalLike, tag: FieldTag):
-        # the hottest constructor: direct stores cost less than `_fill`
-        object.__setattr__(self, "a", _as_fraction(a))
-        object.__setattr__(self, "b", _as_fraction(b))
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "_hash", None)
+        if type(a) is int and type(b) is int:
+            _init(self, a, b, 1, tag)
+            return
+        a, b = _as_fraction(a), _as_fraction(b)
+        da, db = a.denominator, b.denominator
+        den = da * db // gcd(da, db)
+        # lowest terms for a and b make (p, q, den) canonical
+        _init(self, a.numerator * (den // da), b.numerator * (den // db), den, tag)
+
+    @staticmethod
+    def _from_ints(p: int, q: int, den: int, tag: FieldTag) -> "FieldElement":
+        """(p + q*w)/den for ints with den > 0, brought to canonical form by
+        one gcd; skips the checks of `__init__`."""
+        if den != 1:
+            g = gcd(p, q, den)
+            if g != 1:
+                p, q, den = p // g, q // g, den // g
+        x = object.__new__(FieldElement)
+        _init(x, p, q, den, tag)
+        return x
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.den)
 
     # ------------------------------------------------------------------
     # constructors
@@ -129,53 +158,48 @@ class FieldElement(Immutable):
     # structure
 
     def is_zero(self) -> bool:
-        return not self.a and not self.b
+        return not self.p and not self.q
 
     def as_rational(self) -> Fraction:
-        if self.b:
+        if self.q:
             raise ValueError("%r is not rational" % (self,))
-        return self.a
+        return Fraction(self.p, self.den)
 
     def conj(self) -> "FieldElement":
-        """The image under the nontrivial field automorphism."""
-        if self.tag.half_basis:
-            # conj(w) = 1 - w
-            return FieldElement(self.a + self.b, -self.b, self.tag)
-        return FieldElement(self.a, -self.b, self.tag)
+        """The image under the nontrivial field automorphism; conj(w) = s - w."""
+        return FieldElement._from_ints(self.p + self.tag._norm_s * self.q, -self.q, self.den,
+                                       self.tag)
+
+    def _norm_num(self) -> int:
+        """den^2 N(x) = p^2 + s*p*q + t*q^2, an int."""
+        p, q, tag = self.p, self.q, self.tag
+        return p * p + tag._norm_s * p * q + tag._norm_t * q * q
 
     def norm(self) -> Fraction:
         """N(x) = x * conj(x), a nonnegative rational."""
-        a, b, tag = self.a, self.b, self.tag
-        if tag.half_basis:
-            return a * a + a * b + b * b * tag._norm_t
-        return a * a + b * b * tag._norm_t
+        return Fraction(self._norm_num(), self.den * self.den)
 
     def trace(self) -> Fraction:
         """Tr(x) = x + conj(x), a rational."""
-        if self.tag.half_basis:
-            return 2 * self.a + self.b
-        return 2 * self.a
+        return Fraction(2 * self.p + self.tag._norm_s * self.q, self.den)
 
     def is_integral(self) -> bool:
         """Membership in the ring of integers O."""
-        return self.a.denominator == 1 and self.b.denominator == 1
+        return self.den == 1
 
     def is_dual_integral(self) -> bool:
         """Membership in the inverse different O^# = (1/sqrt(D)) O, read off
-        sqrt(D) (a + b*w), which is 2db + 2a*w if w = sqrt(d), else
-        -(a + 2tb) + (2a + b)*w with t = N(w)."""
-        a, b = self.a, self.b
-        tag = self.tag
-        if tag.half_basis:
-            return (a + 2 * tag._norm_t * b).denominator == 1 and (2 * a + b).denominator == 1
-        return (2 * a).denominator == 1 and (2 * tag.d * b).denominator == 1
+        den * sqrt(D) x = -(s*p + 2t*q) + (2p + s*q)*w, as sqrt(D) = 2w - s."""
+        p, q, tag = self.p, self.q, self.tag
+        s = tag._norm_s
+        return not (s * p + 2 * tag._norm_t * q) % self.den and not (2 * p + s * q) % self.den
 
     # ------------------------------------------------------------------
     # arithmetic
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
-            if other.tag != self.tag:
+            if other.tag is not self.tag and other.tag != self.tag:
                 raise ValueError("field mismatch: d=%d vs d=%d" % (self.tag.d, other.tag.d))
             return other
         if isinstance(other, (int, Fraction)):
@@ -186,7 +210,11 @@ class FieldElement(Immutable):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElement(self.a + other.a, self.b + other.b, self.tag)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return FieldElement._from_ints(self.p + other.p, self.q + other.q, d1, self.tag)
+        return FieldElement._from_ints(self.p * d2 + other.p * d1, self.q * d2 + other.q * d1,
+                                       d1 * d2, self.tag)
 
     __radd__ = __add__
 
@@ -194,34 +222,39 @@ class FieldElement(Immutable):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElement(self.a - other.a, self.b - other.b, self.tag)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return FieldElement._from_ints(self.p - other.p, self.q - other.q, d1, self.tag)
+        return FieldElement._from_ints(self.p * d2 - other.p * d1, self.q * d2 - other.q * d1,
+                                       d1 * d2, self.tag)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return FieldElement(-self.a, -self.b, self.tag)
+        return FieldElement._from_ints(-self.p, -self.q, self.den, self.tag)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b, c, e = self.a, self.b, other.a, other.b
+        p, q, r, e = self.p, self.q, other.p, other.q
         tag = self.tag
-        if tag.half_basis:
-            # w^2 = w - (1-d)/4
-            t = tag._norm_t
-            return FieldElement(a * c - b * e * t, a * e + b * c + b * e, tag)
-        return FieldElement(a * c + b * e * tag.d, a * e + b * c, tag)
+        qe = q * e
+        # w^2 = s*w - t
+        return FieldElement._from_ints(p * r - tag._norm_t * qe, p * e + q * r + tag._norm_s * qe,
+                                       self.den * other.den, tag)
 
     __rmul__ = __mul__
 
     def inv(self) -> "FieldElement":
-        n = self.norm()
+        """conj(x) / N(x), with N(x) = n/den^2."""
+        n = self._norm_num()
         if not n:
             raise ZeroDivisionError("inverse of zero field element")
-        co = self.conj()
-        return FieldElement(co.a / n, co.b / n, self.tag)
+        den, tag = self.den, self.tag
+        return FieldElement._from_ints(den * (self.p + tag._norm_s * self.q), -den * self.q, n,
+                                       tag)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -250,37 +283,41 @@ class FieldElement(Immutable):
     # comparison, hashing, text form
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return not self.b and self.a == other
-        return (
-            isinstance(other, FieldElement)
-            and other.tag == self.tag
-            and other.a == self.a
-            and other.b == self.b
-        )
+        if isinstance(other, FieldElement):
+            return (other.p == self.p and other.q == self.q and other.den == self.den
+                    and other.tag.d == self.tag.d)
+        if isinstance(other, int):
+            return not self.q and self.den == 1 and self.p == other
+        if isinstance(other, Fraction):
+            return not self.q and self.den == other.denominator and self.p == other.numerator
+        return False
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.a, self.b, self.tag.d))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.p, self.q, self.den))
 
     def sort_key(self) -> tuple:
         return (self.a, self.b)
 
     def to_text(self) -> str:
         """Serialize as "a/b+c/d*w"; always lowest terms, positive denominators."""
-        return "%d/%d+%d/%d*w" % (
-            self.a.numerator,
-            self.a.denominator,
-            self.b.numerator,
-            self.b.denominator,
-        )
+        p, q, den = self.p, self.q, self.den
+        if den == 1:
+            return "%d/1+%d/1*w" % (p, q)
+        ga, gb = gcd(p, den), gcd(q, den)
+        return "%d/%d+%d/%d*w" % (p // ga, den // ga, q // gb, den // gb)
 
     @classmethod
     def from_text(cls, text: str, tag: FieldTag) -> "FieldElement":
-        """Parse the exact output of `to_text`; round-trips bit-identically."""
+        """Parse the exact output of `to_text`; round-trips bit-identically.
+
+        A token of that shape, in lowest terms or not, is read straight into
+        ints.  Any other goes through `Fraction`, which fixes the accepted
+        language and the errors."""
+        match = _TOKEN.fullmatch(text)
+        if match:
+            n1, d1, n2, d2 = map(int, match.groups())
+            if d1 and d2:
+                return cls._from_ints(n1 * d2, n2 * d1, d1 * d2, tag)
         body, sep, w_part = text.partition("*w")
         if sep != "*w" or w_part != "":
             raise ValueError("malformed field element %r" % text)
@@ -298,6 +335,18 @@ class FieldElement(Immutable):
         return "FieldElement(%s, d=%d)" % (self.to_text(), self.tag.d)
 
     __str__ = __repr__
+
+
+_slot_setters = tuple(FieldElement.__dict__[name].__set__ for name in FieldElement.__slots__)
+
+
+def _init(x: FieldElement, p: int, q: int, den: int, tag: FieldTag):
+    """Stores the slots of x; the slot descriptors bypass `Immutable`."""
+    set_p, set_q, set_den, set_tag = _slot_setters
+    set_p(x, p)
+    set_q(x, q)
+    set_den(x, den)
+    set_tag(x, tag)
 
 
 @cache
@@ -327,16 +376,17 @@ def euclidean_round(beta: FieldElement) -> FieldElement:
     candidates always suffice.
     """
     tag = beta.tag
+    p, q, den = beta.p, beta.q, beta.den
     best = None
-    b_floor = floor(beta.b)
-    for q in (b_floor, b_floor + 1):
-        # given q, the first coordinate minimizes a perfect square in p
-        c = beta.a + Fraction(beta.b - q, 2) if tag.half_basis else beta.a
-        c_floor = floor(c)
-        for p in (c_floor, c_floor + 1):
-            alpha = FieldElement(p, q, tag)
+    b_floor = q // den
+    for qq in (b_floor, b_floor + 1):
+        # given qq, the first coordinate minimizes a perfect square in it:
+        # floor(a + (b - qq)/2) for w = (1+sqrt(d))/2, else floor(a)
+        c_floor = (2 * p + q - qq * den) // (2 * den) if tag.half_basis else p // den
+        for pp in (c_floor, c_floor + 1):
+            alpha = FieldElement(pp, qq, tag)
             n = (beta - alpha).norm()
-            key = (n, p, q)
+            key = (n, pp, qq)
             if best is None or key < best[0]:
                 best = (key, alpha)
     return best[1]
@@ -377,36 +427,53 @@ def euclidean_constant(tag: FieldTag) -> EuclideanConstant:
     return EuclideanConstant(tag, hole.norm(), hole)
 
 
+def _search_levels(gram: list[list[int]]) -> tuple[int, list[tuple[int, int, list]]]:
+    """The LDL^T of a positive definite integer `gram`, cleared to ints.
+
+    Returns (scale, levels) with levels[i] = (c_i, K_i, [(j, l_ji) for j > i,
+    l_ji != 0]), such that scale * v^T gram v = sum_i K_i x_i^2 with
+    x_i = c_i v_i + sum_j l_ji v_j.  Fraction-free (Bareiss): at step k the
+    pivot p_k is the k-th leading principal minor and the row entries U_kj
+    are integers, L_jk = U_kj/p_k and D_k = p_k/p_(k-1).  Dividing row k by
+    its gcd g_k gives c_k = p_k/g_k, l_jk = U_kj/g_k and D_k/c_k^2 =
+    g_k^2/(p_(k-1) p_k), each in lowest terms.
+    """
+    n = len(gram)
+    rows = [list(row) for row in gram]
+    prev = 1
+    cleared = []
+    for k in range(n):
+        row = rows[k]
+        piv = row[k]
+        g = gcd(piv, *row[k + 1:])
+        num, den = g * g, prev * piv
+        h = gcd(num, den)
+        cleared.append((piv // g, num // h, den // h,
+                        [(j, row[j] // g) for j in range(k + 1, n) if row[j]]))
+        for i in range(k + 1, n):
+            target, f = rows[i], row[i]
+            for j in range(i, n):
+                target[j] = (piv * target[j] - f * row[j]) // prev
+        prev = piv
+    scale = lcm(*(den for _c, _num, den, _terms in cleared))
+    return scale, [(c, scale // den * num, terms) for c, num, den, terms in cleared]
+
+
 def _lattice_points(gram: list[list[int]], shift: tuple[int, ...], step: int,
                     bound: int) -> list[tuple[int, tuple[int, ...]]]:
     """Every (Q(v), v) with v = shift + step*z for z in Z^n and Q(v) =
     v^T gram v <= bound, unordered, for a positive definite integer `gram`.
 
-    Fincke-Pohst in integers: the rational LDL^T of `gram` is cleared to
-    one denominator c_i per column of L and scaled pivots K_i, so that
-    scale * Q(v) = sum_i K_i x_i^2 with x_i = c_i v_i + sum_{j>i} c_i L_ji v_j.
-    Coordinates are fixed from the last down; given those above it, x_i =
-    c_i step z_i + off_i with off_i an integer, and K_i x_i^2 within the
-    remaining budget bounds z_i by `isqrt` and floor division.
+    Fincke-Pohst in integers on the cleared LDL^T of `_search_levels`, with
+    scale * Q(v) = sum_i K_i x_i^2.  Coordinates are fixed from the last
+    down; given those above it, x_i = c_i step z_i + off_i with off_i an
+    integer, and K_i x_i^2 within the remaining budget bounds z_i by `isqrt`
+    and floor division.
     """
     if bound < 0:
         return []
-    n = len(gram)
-    L = [[Fraction(0)] * n for _ in range(n)]
-    D = []
-    for j in range(n):
-        row = L[j]
-        scaled = [(k, row[k] * D[k]) for k in range(j) if row[k]]
-        D.append(Fraction(gram[j][j]) - sum(e * row[k] for k, e in scaled))
-        for i in range(j + 1, n):
-            L[i][j] = (gram[i][j] - sum(e * L[i][k] for k, e in scaled)) / D[j]
-    col_dens = [lcm(*(L[j][i].denominator for j in range(i + 1, n))) for i in range(n)]
-    scale = lcm(*((D[i] / (c * c)).denominator for i, c in enumerate(col_dens)))
-    levels = [
-        (c * step, c * shift[i], int(scale * D[i] / (c * c)),
-         [(j, int(L[j][i] * c)) for j in range(i + 1, n) if L[j][i]])
-        for i, c in enumerate(col_dens)
-    ]
+    scale, cleared = _search_levels(gram)
+    levels = [(c * step, c * shift[i], k, terms) for i, (c, k, terms) in enumerate(cleared)]
     top = scale * bound
     v = list(shift)
     out = []
@@ -425,7 +492,7 @@ def _lattice_points(gram: list[list[int]], shift: tuple[int, ...], step: int,
             v[i] = base + step * z
             search(i - 1, rem - k * x * x)
 
-    search(n - 1, top)
+    search(len(levels) - 1, top)
     return out
 
 
@@ -441,16 +508,15 @@ def _coset_vectors(shift: Sequence[FieldElement], m: int,
     tag = shift[0].tag
     s, t = tag._norm_s, tag._norm_t
     dim = 2 * len(shift)
-    den = lcm(*(c.denominator for x in shift for c in (x.a, x.b)))
+    den = lcm(*(x.den for x in shift))
     gram = [[0] * dim for _ in range(dim)]
     for i in range(0, dim, 2):
         gram[i][i], gram[i][i + 1], gram[i + 1][i], gram[i + 1][i + 1] = 2, s, s, 2 * t
-    start = tuple(c.numerator * (den // c.denominator) for x in shift for c in (x.a, x.b))
+    start = tuple(c * (den // x.den) for x in shift for c in (x.p, x.q))
     points = _lattice_points(gram, start, m * den, floor(2 * den * den * _as_fraction(bound)))
     points.sort()
-    return [tuple(FieldElement(Fraction(v[i], den), Fraction(v[i + 1], den), tag)
-                  for i in range(0, dim, 2))
-            for _q, v in points]
+    build = FieldElement._from_ints
+    return [tuple(build(v[i], v[i + 1], den, tag) for i in range(0, dim, 2)) for _q, v in points]
 
 
 def coset_points(shift: FieldElement, m: int, bound: RationalLike) -> list[FieldElement]:

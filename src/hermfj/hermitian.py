@@ -88,7 +88,7 @@ class HermMatrix(Immutable):
     def is_semi_integral(self) -> bool:
         for i in range(self.g):
             e = self.entries[i][i]
-            if e.b or e.a.denominator != 1:
+            if e.q or e.den != 1:
                 return False
             for j in range(i + 1, self.g):
                 if not self.entries[i][j].is_dual_integral():
@@ -126,8 +126,9 @@ class HermMatrix(Immutable):
                 if x.is_zero():
                     continue
                 diag[i] -= x.norm() / p
-                xc = x.conj()  # a_ik
-                ratio = FieldElement(xc.a / p, xc.b / p, tag)
+                xc = x.conj()  # a_ik, divided by p below
+                ratio = FieldElement._from_ints(xc.p * p.denominator, xc.q * p.denominator,
+                                                xc.den * p.numerator, tag)
                 target = upper[i]
                 for j in range(i + 1, g):
                     y = row[j]
@@ -138,16 +139,13 @@ class HermMatrix(Immutable):
     def _int_coords(self) -> tuple[list[list[tuple[int, int]]], int]:
         """The entries as integer coordinate pairs over one denominator.
 
-        Returns (rows, den) with den the lcm of all coordinate denominators
-        and entry (i, j) equal to (A + B*w) / den for rows[i][j] = (A, B).
+        Returns (rows, den) with den the lcm of the entry denominators and
+        entry (i, j) equal to (A + B*w) / den for rows[i][j] = (A, B).
         Exact, so integer kernels on these pairs give exact results.
         """
-        den = lcm(*(x.denominator for row in self.entries for e in row for x in (e.a, e.b)))
-        return [
-            [(e.a.numerator * (den // e.a.denominator), e.b.numerator * (den // e.b.denominator))
-             for e in row]
-            for row in self.entries
-        ], den
+        den = lcm(*(e.den for row in self.entries for e in row))
+        return [[(e.p * (den // e.den), e.q * (den // e.den)) for e in row]
+                for row in self.entries], den
 
     def is_psd(self) -> bool:
         """Positive semidefinite, tested by exact LDL* with O(g^3) field
@@ -222,8 +220,7 @@ class UnitMatrix(Immutable):
         d = linalg.det(rows)
         if d.norm() != 1:
             raise ValueError("determinant is not a unit of O")
-        self._fill(n, rows, tag, d, tuple(
-            tuple((e.a.numerator, e.b.numerator) for e in row) for row in rows))
+        self._fill(n, rows, tag, d, tuple(tuple((e.p, e.q) for e in row) for row in rows))
 
     @classmethod
     def identity(cls, g: int, tag: FieldTag) -> "UnitMatrix":
@@ -319,13 +316,14 @@ def gl_action(u: UnitMatrix, t: HermMatrix) -> HermMatrix:
     ucols = list(zip(*u._coords))
     vcols = [[_int_dot(row, col, s, n) for row in rows] for col in ucols]
     out = [[None] * g for _ in range(g)]
+    build = FieldElement._from_ints
     for i in range(g):
         ustar_row = [(a + s * b, -b) for a, b in ucols[i]]
         for j in range(i, g):
             a, b = _int_dot(ustar_row, vcols[j], s, n)
-            out[i][j] = FieldElement(Fraction(a, den), Fraction(b, den), tag)
+            out[i][j] = build(a, b, den, tag)
             if j != i:
-                out[j][i] = FieldElement(Fraction(a + s * b, den), Fraction(-b, den), tag)
+                out[j][i] = build(a + s * b, -b, den, tag)
     return HermMatrix._trusted(linalg.freeze(out), tag)
 
 
@@ -451,11 +449,9 @@ class _SublatticeData(Immutable):
     def __init__(self, tag: FieldTag, m: int):
         sd = sqrt_disc(tag)
         w = FieldElement.omega(tag)
-        c1 = (sd * m).a, (sd * m).b
-        gen2 = sd * w * m
-        c2 = gen2.a, gen2.b
-        a1, b1 = int(c1[0]), int(c1[1])
-        a2, b2 = int(c2[0]), int(c2[1])
+        gen1, gen2 = sd * m, sd * w * m
+        a1, b1 = gen1.p, gen1.q
+        a2, b2 = gen2.p, gen2.q
         # zero the b-component of the second generator via Bezout
         x, y = _bezout(b1, b2)
         gcd = x * b1 + y * b2
@@ -550,13 +546,17 @@ class CosetClass(Immutable):
 
 
 def _reduce_component(x: FieldElement, m: int) -> FieldElement:
+    """The canonical representative of x + m O, on ints: y = sqrt(D) x is
+    reduced in O, and y/sqrt(D) = -y sqrt(D)/|D| since N(sqrt(D)) = |D|.
+    With sqrt(D) = 2w - s, (a + b*w) sqrt(D) = -(s*a + 2t*b) + (2a + s*b)*w."""
     tag = x.tag
-    y = x * sqrt_disc(tag)
-    if not y.is_integral():
+    s, t = tag._norm_s, tag._norm_t
+    p, q, den = x.p, x.q, x.den
+    ya, yb = -(s * p + 2 * t * q), 2 * p + s * q
+    if ya % den or yb % den:
         raise ValueError("%r does not lie in the inverse different" % (x,))
-    data = _sublattice(tag, m)
-    a, b = data.reduce(int(y.a), int(y.b))
-    return FieldElement(a, b, tag) * sqrt_disc(tag).inv()
+    a, b = _sublattice(tag, m).reduce(ya // den, yb // den)
+    return FieldElement._from_ints(s * a + 2 * t * b, -(2 * a + s * b), -tag.disc, tag)
 
 
 def reduce_class(r: Sequence[FieldElement], m: int) -> CosetClass:
@@ -564,6 +564,8 @@ def reduce_class(r: Sequence[FieldElement], m: int) -> CosetClass:
     if m < 1:
         raise ValueError("m must be >= 1")
     rep = tuple(_reduce_component(x, m) for x in r)
+    if not rep:
+        raise ValueError("r must have at least one component")
     return CosetClass._trusted(m, rep, rep[0].tag)
 
 

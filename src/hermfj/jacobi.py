@@ -111,6 +111,8 @@ class JacobiTable(Immutable):
             if n.trace() > trunc:
                 raise ValueError("key exceeds truncation %s" % trunc)
             for x in r:
+                if x.tag != tag:
+                    raise ValueError("r component %r is not in the field d=%d" % (x, tag.d))
                 if not x.is_dual_integral():
                     raise ValueError("r component %r is not in the inverse different" % (x,))
             if g == 1:

@@ -6,11 +6,14 @@ Cofactor determinants serve only `UnitMatrix` (its unit determinant) and
 `adjugate`.  Hermitian definiteness and rank are found by LDL* in
 `hermitian`, and the lattice kernels there (`gl_action`,
 `min_represented`) run on integer coordinates instead of these products.
+`is_hermitian` and `trace_rational` read the integer coordinates
+(p + q*w)/den of the entries directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .field import FieldElement, FieldTag
@@ -78,23 +81,24 @@ def conj_transpose(x: Matrix) -> Matrix:
 def is_hermitian(x: Matrix) -> bool:
     """Whether x equals its conjugate transpose.
 
-    Compared on basis coordinates, without building conjugates: the
-    diagonal has no w-part, and for each pair p = x_ij, q = x_ji of one
-    field, p.b = -q.b and p.a = q.a + q.b when w = (1+sqrt(d))/2 (since
-    conj(w) = 1 - w), else p.a = q.a.
+    Compared on the canonical integer coordinates (p + q*w)/den, without
+    building conjugates: the diagonal has no w-part, and for each pair
+    u = x_ij, v = x_ji of one field, conj(v) = ((v.p + s*v.q) - v.q*w)/v.den
+    (conj(w) = s - w) is again canonical, so it equals u exactly when the
+    ints agree.
     """
     n, m = shape(x)
     if n != m:
         return False
     for i in range(n):
         row = x[i]
-        if row[i].b:
+        if row[i].q:
             return False
         for j in range(i + 1, n):
-            p, q = row[j], x[j][i]
-            if p.tag != q.tag or p.b != -q.b:
+            u, v = row[j], x[j][i]
+            if u.tag.d != v.tag.d or u.q != -v.q or u.den != v.den:
                 return False
-            if p.a != (q.a + q.b if p.tag.half_basis else q.a):
+            if u.p != v.p + u.tag._norm_s * v.q:
                 return False
     return True
 
@@ -139,7 +143,13 @@ def adjugate(x: Matrix) -> Matrix:
 
 
 def trace_rational(x: Matrix) -> Fraction:
-    total = Fraction(0)
-    for i in range(len(x)):
-        total += x[i][i].as_rational()
-    return total
+    """The trace of a matrix with a rational diagonal, summed over the
+    common denominator of the diagonal entries."""
+    diagonal = [row[i] for i, row in enumerate(x)]
+    den = lcm(*(e.den for e in diagonal))
+    total = 0
+    for e in diagonal:
+        if e.q:
+            raise ValueError("%r is not rational" % (e,))
+        total += e.p * (den // e.den)
+    return Fraction(total, den)

@@ -222,6 +222,40 @@ def test_recompose_rejects_zero_index(tmp_path):
     assert not out_file.exists()
 
 
+def test_decompose_rejects_zero_index(tmp_path):
+    # an index-0 table is a valid HJF file, but has no theta decomposition
+    table_file = tmp_path / "t.hjf"
+    out_file = tmp_path / "t.hjc"
+    table_file.write_text("HJF v1; d=-2; g=1; k=1; m=0; trunc=3; dim=1\n"
+                          "(0/1+0/1*w ; 0/1+0/1*w) = 1/1+0/1*w\n", encoding="ascii")
+    assert run_cli("validate", "--in", str(table_file))[0] == 0
+    code, _, err = run_cli("decompose", "--in", str(table_file), "--out", str(out_file))
+    assert code == 2 and "parse" in err and "index m must be >= 1" in err
+    assert not out_file.exists()
+
+
+def test_recompose_beyond_a_component_truncation(tmp_path):
+    # one class section stops below the requested --trunc
+    theta_file = tmp_path / "t.hjf"
+    comp_file = tmp_path / "t.hjc"
+    out_file = tmp_path / "back.hjf"
+    assert run_cli("theta", "--field", "-1", "--m", "1", "--shift", "1",
+                   "--trunc", "3", "--out", str(theta_file))[0] == 0
+    assert run_cli("decompose", "--in", str(theta_file), "--out", str(comp_file))[0] == 0
+    text = comp_file.read_text(encoding="ascii")
+    assert "; htrunc = 11/4]" in text
+    comp_file.write_text(text.replace("; htrunc = 11/4]", "; htrunc = 1/4]"), encoding="ascii")
+    assert run_cli("validate", "--in", str(comp_file))[0] == 0
+    code, _, err = run_cli("recompose", "--in", str(comp_file), "--trunc", "3",
+                           "--out", str(out_file))
+    assert code == 2 and "parse" in err and "insufficient" in err
+    assert not out_file.exists()
+    code, _, err = run_cli("recompose", "--in", str(comp_file), "--trunc", "9",
+                           "--out", str(out_file))
+    assert code == 2 and "parse" in err and "insufficient" in err
+    assert not out_file.exists()
+
+
 def test_unwritable_out_exit_code(tmp_path):
     out_file = tmp_path / "missing" / "x.hjf"
     code, _, err = run_cli("theta", "--field", "-1", "--m", "1", "--shift", "0",

@@ -1,15 +1,16 @@
 """Cross-checks of the integer-coordinate lattice kernels `gl_action`,
-`min_represented`, `coset_points` and `jacobi._class_points` against their
-predecessors in `util`: two generic field-element matrix products,
-Fincke-Pohst searches in Fractions and in integers, and coordinate ranges
-over-approximated in Fractions."""
+`min_represented`, `coset_points`, `jacobi._class_points` and the
+fraction-free LDL^T of `field._search_levels` against their predecessors in
+`util`: two generic field-element matrix products, Fincke-Pohst searches in
+Fractions and in integers, coordinate ranges over-approximated in Fractions,
+and the rational LDL^T."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from hermfj.field import FieldElement, coset_points, sqrt_disc
+from hermfj.field import FieldElement, _search_levels, coset_points, sqrt_disc
 from hermfj.hermitian import (
     CosetClass,
     HermMatrix,
@@ -29,6 +30,8 @@ from util import (
     min_represented_by_best_budget,
     min_represented_by_fractions,
     random_field_element,
+    real_gram_by_fractions,
+    search_levels_by_fractions,
 )
 
 
@@ -164,3 +167,25 @@ def test_min_represented_matches_integer_predecessor(tag):
         cases = keys + shifted_keys(rng, g, tag, keys) + degenerate_keys(rng, g, tag)
         for t in cases:
             assert outcome(min_represented, t) == outcome(min_represented_by_best_budget, t), t
+
+
+@pytest.mark.parametrize("tag", all_tags(), ids=lambda t: "d%d" % t.d)
+def test_fraction_free_ldl_matches_rational_ldl(tag):
+    # the Gram matrices min_represented searches, taken integral, and
+    # random positive definite ones B^T B + I of sizes 1 to 6
+    rng = random.Random(7400 - tag.d)
+    grams = []
+    for g in (1, 2, 3):
+        for t in enumerate_semi_integral(g, 3 if g < 3 else 2, tag):
+            if t.is_pd():
+                gram = real_gram_by_fractions(t)
+                den = 2 * t._int_coords()[1]
+                grams.append([[int(x * den) for x in row] for row in gram])
+    for n in range(1, 7):
+        for _ in range(20):
+            b = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            grams.append([[sum(b[k][i] * b[k][j] for k in range(n)) + (i == j)
+                           for j in range(n)] for i in range(n)])
+    assert len(grams) > 120
+    for gram in grams:
+        assert _search_levels(gram) == search_levels_by_fractions(gram), gram

@@ -71,6 +71,11 @@ CONSTRUCTOR_CASES = {
     "JacobiTable r outside O^#": lambda: JacobiTable(
         1, 1, 2, TAG, 3, {(q(1), (fe(Fraction(1, 3)),)): ONE}),
     "JacobiTable over truncation": lambda: JacobiTable(1, 1, 2, TAG, 3, {(q(4), (fe(0),)): ONE}),
+    "JacobiTable r of another field": lambda: JacobiTable(
+        1, 1, 2, TAG, 3, {(q(1), (FieldElement(1, 0, make_field(-3)),)): ONE}),
+    "JacobiTable genus-2 r of another field": lambda: JacobiTable(
+        2, 1, 1, TAG, 3, {(HermMatrix.identity(2, TAG),
+                           (fe(0), FieldElement(0, 0, make_field(-2)))): ONE}),
     "FJFamily non-PSD": lambda: FJFamily(2, 1, 4, TAG, 3, {q(0): {(q(1), ((fe(1),),)): ONE}}),
     "FJFamily not semi-integral": lambda: FJFamily(
         2, 1, 4, TAG, 3, {q(1): {(q(1), ((fe(Fraction(1, 3)),),)): ONE}}),
@@ -85,6 +90,7 @@ CONSTRUCTOR_CASES = {
     "CosetClass empty rep": lambda: CosetClass(1, (), TAG),
     "CosetClass component of another field": lambda: CosetClass(
         1, (FieldElement(0, 0, make_field(-3)),), TAG),
+    "reduce_class of an empty r": lambda: reduce_class((), 1),
     "small_rep of a rep outside O^#": lambda: small_rep(
         CosetClass(1, (fe(Fraction(1, 3)),), TAG)),
 }

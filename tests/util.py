@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from hermfj.field import FieldElement, FieldTag, make_field
+from hermfj.field import FieldElement, FieldTag, Immutable, make_field
 
 ALL_D = (-1, -2, -3, -7, -11)
 
@@ -134,6 +134,205 @@ def all_tags():
 
 
 # ----------------------------------------------------------------------
+# field element oracle (the library's predecessor, on Fractions)
+
+
+class FractionFieldElement(Immutable):
+    """An element a + b*w of E = Q(sqrt(d)) with `Fraction` coordinates a, b:
+    the predecessor of `field.FieldElement`, which stores (p + q*w)/den in
+    ints.  Same methods, same text form; results stay in this class."""
+
+    __slots__ = ("a", "b", "tag", "_hash")
+
+    def __init__(self, a, b, tag: FieldTag):
+        object.__setattr__(self, "a", Fraction(a))
+        object.__setattr__(self, "b", Fraction(b))
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "_hash", None)
+
+    # ------------------------------------------------------------------
+    # constructors
+
+    @classmethod
+    def one(cls, tag: FieldTag) -> "FractionFieldElement":
+        return cls(1, 0, tag)
+
+    # ------------------------------------------------------------------
+    # structure
+
+    def is_zero(self) -> bool:
+        return not self.a and not self.b
+
+    def as_rational(self) -> Fraction:
+        if self.b:
+            raise ValueError("%r is not rational" % (self,))
+        return self.a
+
+    def conj(self) -> "FractionFieldElement":
+        """The image under the nontrivial field automorphism."""
+        if self.tag.half_basis:
+            # conj(w) = 1 - w
+            return FractionFieldElement(self.a + self.b, -self.b, self.tag)
+        return FractionFieldElement(self.a, -self.b, self.tag)
+
+    def norm(self) -> Fraction:
+        """N(x) = x * conj(x), a nonnegative rational."""
+        a, b, tag = self.a, self.b, self.tag
+        if tag.half_basis:
+            return a * a + a * b + b * b * tag._norm_t
+        return a * a + b * b * tag._norm_t
+
+    def trace(self) -> Fraction:
+        """Tr(x) = x + conj(x), a rational."""
+        if self.tag.half_basis:
+            return 2 * self.a + self.b
+        return 2 * self.a
+
+    def is_integral(self) -> bool:
+        """Membership in the ring of integers O."""
+        return self.a.denominator == 1 and self.b.denominator == 1
+
+    def is_dual_integral(self) -> bool:
+        """Membership in the inverse different O^# = (1/sqrt(D)) O, read off
+        sqrt(D) (a + b*w), which is 2db + 2a*w if w = sqrt(d), else
+        -(a + 2tb) + (2a + b)*w with t = N(w)."""
+        a, b = self.a, self.b
+        tag = self.tag
+        if tag.half_basis:
+            return (a + 2 * tag._norm_t * b).denominator == 1 and (2 * a + b).denominator == 1
+        return (2 * a).denominator == 1 and (2 * tag.d * b).denominator == 1
+
+    # ------------------------------------------------------------------
+    # arithmetic
+
+    def _coerce(self, other) -> "FractionFieldElement":
+        if isinstance(other, FractionFieldElement):
+            if other.tag != self.tag:
+                raise ValueError("field mismatch: d=%d vs d=%d" % (self.tag.d, other.tag.d))
+            return other
+        if isinstance(other, (int, Fraction)):
+            return FractionFieldElement(other, 0, self.tag)
+        return NotImplemented
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return FractionFieldElement(self.a + other.a, self.b + other.b, self.tag)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return FractionFieldElement(self.a - other.a, self.b - other.b, self.tag)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return FractionFieldElement(-self.a, -self.b, self.tag)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        a, b, c, e = self.a, self.b, other.a, other.b
+        tag = self.tag
+        if tag.half_basis:
+            # w^2 = w - (1-d)/4
+            t = tag._norm_t
+            return FractionFieldElement(a * c - b * e * t, a * e + b * c + b * e, tag)
+        return FractionFieldElement(a * c + b * e * tag.d, a * e + b * c, tag)
+
+    __rmul__ = __mul__
+
+    def inv(self) -> "FractionFieldElement":
+        n = self.norm()
+        if not n:
+            raise ZeroDivisionError("inverse of zero field element")
+        co = self.conj()
+        return FractionFieldElement(co.a / n, co.b / n, self.tag)
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self * other.inv()
+
+    def __rtruediv__(self, other):
+        return self.inv() * other
+
+    def __pow__(self, k: int) -> "FractionFieldElement":
+        if not isinstance(k, int):
+            return NotImplemented
+        if k < 0:
+            return self.inv() ** (-k)
+        result = FractionFieldElement.one(self.tag)
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base
+            k >>= 1
+        return result
+
+    # ------------------------------------------------------------------
+    # comparison, hashing, text form
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return not self.b and self.a == other
+        return (
+            isinstance(other, FractionFieldElement)
+            and other.tag == self.tag
+            and other.a == self.a
+            and other.b == self.b
+        )
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.a, self.b, self.tag.d))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def sort_key(self) -> tuple:
+        return (self.a, self.b)
+
+    def to_text(self) -> str:
+        """Serialize as "a/b+c/d*w"; always lowest terms, positive denominators."""
+        return "%d/%d+%d/%d*w" % (
+            self.a.numerator,
+            self.a.denominator,
+            self.b.numerator,
+            self.b.denominator,
+        )
+
+    @classmethod
+    def from_text(cls, text: str, tag: FieldTag) -> "FractionFieldElement":
+        """Parse the exact output of `to_text`; round-trips bit-identically."""
+        body, sep, w_part = text.partition("*w")
+        if sep != "*w" or w_part != "":
+            raise ValueError("malformed field element %r" % text)
+        plus = body.find("+", 1)
+        if plus < 0:
+            raise ValueError("malformed field element %r" % text)
+        try:
+            a = Fraction(body[:plus])
+            b = Fraction(body[plus + 1 :])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError("malformed field element %r" % text) from exc
+        return cls(a, b, tag)
+
+    def __repr__(self):
+        return "FractionFieldElement(%s, d=%d)" % (self.to_text(), self.tag.d)
+
+    __str__ = __repr__
+
+
+# ----------------------------------------------------------------------
 # definiteness and hermicity oracles (the library's predecessors)
 
 
@@ -230,6 +429,23 @@ def ldl_by_fractions(gram):
                 v -= L[i][k] * L[j][k] * D[k]
             L[i][j] = v / D[j]
     return L, D
+
+
+def search_levels_by_fractions(gram):
+    """(scale, levels) as `field._search_levels` returns them, from the
+    rational LDL^T of `ldl_by_fractions` with each column of L cleared to
+    the lcm of its denominators: the predecessor of the fraction-free
+    elimination."""
+    from math import lcm
+
+    n = len(gram)
+    L, D = ldl_by_fractions([[Fraction(x) for x in row] for row in gram])
+    col_dens = [lcm(*(L[j][i].denominator for j in range(i + 1, n))) for i in range(n)]
+    scale = lcm(*((D[i] / (c * c)).denominator for i, c in enumerate(col_dens)))
+    return scale, [
+        (c, int(scale * D[i] / (c * c)), [(j, int(L[j][i] * c)) for j in range(i + 1, n) if L[j][i]])
+        for i, c in enumerate(col_dens)
+    ]
 
 
 def short_vectors_by_fractions(L, D, bound):
@@ -333,7 +549,7 @@ def min_represented_by_best_budget(t) -> Fraction:
     predecessor of `hermitian.min_represented`, an integer Fincke-Pohst
     search that keeps the most budget a nonzero vector leaves below the
     smallest diagonal entry."""
-    from math import isqrt, lcm
+    from math import isqrt
 
     rank = t._psd_rank()
     if rank is None:
@@ -351,14 +567,7 @@ def min_represented_by_best_budget(t) -> Fraction:
             gram[2 * i][2 * j + 1] = 2 * n * b + s * (a + s * b)
             gram[2 * i + 1][2 * j] = s * a - 2 * n * b
             gram[2 * i + 1][2 * j + 1] = -n * tr
-    L, D = ldl_by_fractions([[Fraction(x) for x in row] for row in gram])
-    col_dens = [lcm(*(L[j][i].denominator for j in range(i + 1, dim))) for i in range(dim)]
-    scale = lcm(*((D[i] / (c * c)).denominator for i, c in enumerate(col_dens)))
-    levels = [
-        (c, int(scale * D[i] / (c * c)),
-         [(j, int(L[j][i] * c)) for j in range(i + 1, dim) if L[j][i]])
-        for i, c in enumerate(col_dens)
-    ]
+    scale, levels = search_levels_by_fractions(gram)
     z = [0] * dim
     best = 0
 
