@@ -427,44 +427,70 @@ def euclidean_constant(tag: FieldTag) -> EuclideanConstant:
     return EuclideanConstant(tag, hole.norm(), hole)
 
 
-def _search_levels(gram: list[list[int]]) -> tuple[int, list[tuple[int, int, list]]]:
-    """The LDL^T of a positive definite integer `gram`, cleared to ints.
+def _ldl_pivots(gram: list[list[int]]) -> list[tuple[int, int, list[int]]] | None:
+    """The fraction-free (Bareiss) LDL^T of a symmetric integer `gram`, read
+    from its upper triangle: the pivot rows (k, p_k, U_k), or None when
+    `gram` is not positive semidefinite.
 
-    Returns (scale, levels) with levels[i] = (c_i, K_i, [(j, l_ji) for j > i,
-    l_ji != 0]), such that scale * v^T gram v = sum_i K_i x_i^2 with
-    x_i = c_i v_i + sum_j l_ji v_j.  Fraction-free (Bareiss): at step k the
-    pivot p_k is the k-th leading principal minor and the row entries U_kj
-    are integers, L_jk = U_kj/p_k and D_k = p_k/p_(k-1).  Dividing row k by
-    its gcd g_k gives c_k = p_k/g_k, l_jk = U_kj/g_k and D_k/c_k^2 =
-    g_k^2/(p_(k-1) p_k), each in lowest terms.
+    The pivot p_k = U_kk is the leading principal minor on the kept indices
+    up to k; the rows below become p_k/p_prev times their Schur complement,
+    in integers by Sylvester's identity.  A negative pivot rules out
+    semidefiniteness, and so does a zero pivot with a nonzero U_kj (the 2x2
+    minor on k, j of the Schur complement is negative).  A zero pivot over a
+    zero row is dropped, so the pivot count is the rank.
     """
     n = len(gram)
     rows = [list(row) for row in gram]
     prev = 1
-    cleared = []
+    pivots = []
     for k in range(n):
         row = rows[k]
         piv = row[k]
-        g = gcd(piv, *row[k + 1:])
-        num, den = g * g, prev * piv
-        h = gcd(num, den)
-        cleared.append((piv // g, num // h, den // h,
-                        [(j, row[j] // g) for j in range(k + 1, n) if row[j]]))
+        if piv <= 0:
+            if piv or any(row[k + 1:]):
+                return None
+            continue
+        pivots.append((k, piv, row))
         for i in range(k + 1, n):
             target, f = rows[i], row[i]
             for j in range(i, n):
                 target[j] = (piv * target[j] - f * row[j]) // prev
         prev = piv
+    return pivots
+
+
+def _search_levels(gram: list[list[int]],
+                   pivots: list | None = None) -> tuple[int, list[tuple[int, int, list]]]:
+    """The LDL^T of a positive definite integer `gram`, cleared to ints, from
+    its `_ldl_pivots` (passed as `pivots` by a caller that has them).
+
+    Returns (scale, levels) with levels[i] = (c_i, K_i, [(j, l_ji) for j > i,
+    l_ji != 0]), such that scale * v^T gram v = sum_i K_i x_i^2 with
+    x_i = c_i v_i + sum_j l_ji v_j.  L_jk = U_kj/p_k and D_k = p_k/p_(k-1);
+    dividing row k by its gcd g_k gives c_k = p_k/g_k, l_jk = U_kj/g_k and
+    D_k/c_k^2 = g_k^2/(p_(k-1) p_k), each in lowest terms.
+    """
+    n = len(gram)
+    prev = 1
+    cleared = []
+    for k, piv, row in _ldl_pivots(gram) if pivots is None else pivots:
+        g = gcd(piv, *row[k + 1:])
+        num, den = g * g, prev * piv
+        h = gcd(num, den)
+        cleared.append((piv // g, num // h, den // h,
+                        [(j, row[j] // g) for j in range(k + 1, n) if row[j]]))
+        prev = piv
     scale = lcm(*(den for _c, _num, den, _terms in cleared))
     return scale, [(c, scale // den * num, terms) for c, num, den, terms in cleared]
 
 
-def _lattice_points(gram: list[list[int]], shift: tuple[int, ...], step: int,
-                    bound: int) -> list[tuple[int, tuple[int, ...]]]:
+def _lattice_points(ldl: tuple[int, list[tuple[int, int, list]]], shift: tuple[int, ...],
+                    step: int, bound: int) -> list[tuple[int, tuple[int, ...]]]:
     """Every (Q(v), v) with v = shift + step*z for z in Z^n and Q(v) =
-    v^T gram v <= bound, unordered, for a positive definite integer `gram`.
+    v^T gram v <= bound, unordered, for a positive definite integer gram
+    with `_search_levels` (scale, levels) = `ldl`.
 
-    Fincke-Pohst in integers on the cleared LDL^T of `_search_levels`, with
+    Fincke-Pohst in integers on that cleared LDL^T, with
     scale * Q(v) = sum_i K_i x_i^2.  Coordinates are fixed from the last
     down; given those above it, x_i = c_i step z_i + off_i with off_i an
     integer, and K_i x_i^2 within the remaining budget bounds z_i by `isqrt`
@@ -472,7 +498,7 @@ def _lattice_points(gram: list[list[int]], shift: tuple[int, ...], step: int,
     """
     if bound < 0:
         return []
-    scale, cleared = _search_levels(gram)
+    scale, cleared = ldl
     levels = [(c * step, c * shift[i], k, terms) for i, (c, k, terms) in enumerate(cleared)]
     top = scale * bound
     v = list(shift)
@@ -513,7 +539,8 @@ def _coset_vectors(shift: Sequence[FieldElement], m: int,
     for i in range(0, dim, 2):
         gram[i][i], gram[i][i + 1], gram[i + 1][i], gram[i + 1][i + 1] = 2, s, s, 2 * t
     start = tuple(c * (den // x.den) for x in shift for c in (x.p, x.q))
-    points = _lattice_points(gram, start, m * den, floor(2 * den * den * _as_fraction(bound)))
+    points = _lattice_points(_search_levels(gram), start, m * den,
+                             floor(2 * den * den * _as_fraction(bound)))
     points.sort()
     build = FieldElement._from_ints
     return [tuple(build(v[i], v[i + 1], den, tag) for i in range(0, dim, 2)) for _q, v in points]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import lcm
 from typing import Iterator, Sequence
 
@@ -19,6 +20,8 @@ from .field import (
     FieldTag,
     Immutable,
     _lattice_points,
+    _ldl_pivots,
+    _search_levels,
     coset_points,
     euclidean_round,
     sqrt_disc,
@@ -33,8 +36,8 @@ class HermMatrix(Immutable):
     Validation happens once, at the public boundary: the constructor, and
     so `from_text` and every reader, checks hermicity (and hence a rational
     diagonal).  `_trusted` skips the check for `add`, `sub`, `gl_action`,
-    `jacobi.shift_matrix`, `jacobi.block_key`, `ffj.join_block` and
-    `ffj.split_block`.
+    `enumerate_semi_integral`, `jacobi.shift_matrix`, `jacobi.block_key`,
+    `ffj.join_block` and `ffj.split_block`.
     Semi-integrality (integer diagonal, off-diagonal entries in the inverse
     different) is a separate queryable property, since theta supports carry
     rational diagonals.
@@ -95,47 +98,6 @@ class HermMatrix(Immutable):
                     return False
         return True
 
-    def _psd_rank(self) -> int | None:
-        """The rank if the matrix is positive semidefinite, else None.
-
-        Exact Hermitian LDL*: row k is eliminated with its current diagonal
-        entry p as the pivot, and the rows below it are replaced by the Schur
-        complement, whose diagonal stays rational (a_ii - N(a_ki)/p).  A
-        negative p rules out semidefiniteness, and so does p = 0 with a
-        nonzero entry a_kj left in its row (the 2x2 principal minor on k, j
-        is -N(a_kj) < 0); p = 0 over a zero row drops the row.  Only the
-        upper triangle is kept.
-        """
-        g, tag = self.g, self.tag
-        upper = [list(row) for row in self.entries]
-        diag = [row[i].a for i, row in enumerate(self.entries)]
-        rank = 0
-        for k in range(g):
-            p = diag[k]
-            row = upper[k]
-            if p < 0:
-                return None
-            if not p:
-                for j in range(k + 1, g):
-                    if not row[j].is_zero():
-                        return None
-                continue
-            rank += 1
-            for i in range(k + 1, g):
-                x = row[i]
-                if x.is_zero():
-                    continue
-                diag[i] -= x.norm() / p
-                xc = x.conj()  # a_ik, divided by p below
-                ratio = FieldElement._from_ints(xc.p * p.denominator, xc.q * p.denominator,
-                                                xc.den * p.numerator, tag)
-                target = upper[i]
-                for j in range(i + 1, g):
-                    y = row[j]
-                    if not y.is_zero():
-                        target[j] = target[j] - ratio * y
-        return rank
-
     def _int_coords(self) -> tuple[list[list[tuple[int, int]]], int]:
         """The entries as integer coordinate pairs over one denominator.
 
@@ -147,14 +109,44 @@ class HermMatrix(Immutable):
         return [[(e.p * (den // e.den), e.q * (den // e.den)) for e in row]
                 for row in self.entries], den
 
+    def _gram(self) -> tuple[list[list[int]], int]:
+        """The trace form of the matrix on the coordinate lattice Z^{2g} of
+        O^g (basis e_i and w*e_i interleaved), taken integral: (gram, den)
+        with den from `_int_coords` and v^T gram v = 2*den * omega* t omega
+        for omega with coordinates v.
+
+        Entries are Tr(x), Tr(x w), Tr(conj(w) x) and N(w) Tr(x) for
+        x = den * t_ij = a + b*w.
+        """
+        s, n = self.tag._norm_s, -self.tag._norm_t
+        rows, den = self._int_coords()
+        gram = []
+        for row in rows:
+            even, odd = [], []
+            for a, b in row:
+                tr = 2 * a + s * b
+                even += (tr, 2 * n * b + s * (a + s * b))
+                odd += (s * a - 2 * n * b, -n * tr)
+            gram += (even, odd)
+        return gram, den
+
+    def _psd_rank(self) -> int | None:
+        """The rank if the matrix is positive semidefinite, else None.
+
+        The matrix is semidefinite exactly when its trace form `_gram` is,
+        and the form has twice its rank, so this is half the pivot count of
+        `field._ldl_pivots` on the form: O(g^3) integer operations.
+        """
+        pivots = _ldl_pivots(self._gram()[0])
+        return None if pivots is None else len(pivots) // 2
+
     def is_psd(self) -> bool:
-        """Positive semidefinite, tested by exact LDL* with O(g^3) field
-        operations (see `_psd_rank`)."""
+        """Positive semidefinite, tested by the exact elimination of
+        `_psd_rank`."""
         return self._psd_rank() is not None
 
     def is_pd(self) -> bool:
-        """Positive definite: semidefinite with all g pivots positive, i.e.
-        no row dropped by the elimination."""
+        """Positive definite: semidefinite of full rank g."""
         return self._psd_rank() == self.g
 
     def add(self, other: "HermMatrix") -> "HermMatrix":
@@ -352,43 +344,27 @@ def _diagonal_tuples(g: int, total: int) -> Iterator[tuple[int, ...]]:
 def enumerate_semi_integral(g: int, trace_bound: int, tag: FieldTag) -> list[HermMatrix]:
     """All semi-integral PSD matrices with trace <= trace_bound, each once,
     ordered by (trace, lexicographic serialization)."""
+    if g < 1:
+        raise ValueError("g must be >= 1")
     if trace_bound < 0:
         raise ValueError("trace_bound must be >= 0")
     zero = FieldElement.zero(tag)
     results: list[HermMatrix] = []
     pairs = [(i, j) for i in range(g) for j in range(i + 1, g)]
     for diag in _diagonal_tuples(g, trace_bound):
-        # candidates per off-diagonal slot, limited by the 2x2 minor bound
-        slot_candidates = []
-        feasible = True
-        for (i, j) in pairs:
-            cap = Fraction(diag[i] * diag[j])
-            cands = _dual_points_bounded(tag, cap) if cap > 0 else [zero]
-            if not cands:
-                feasible = False
-                break
-            slot_candidates.append(cands)
-        if not feasible:
-            continue
-
-        def fill(k: int, rows):
-            if k == len(pairs):
-                mat = HermMatrix(rows, tag)
-                if mat.is_psd():
-                    results.append(mat)
-                return
-            i, j = pairs[k]
-            for x in slot_candidates[k]:
-                rows[i][j] = x
-                rows[j][i] = x.conj()
-                fill(k + 1, rows)
-            rows[i][j] = zero
-            rows[j][i] = zero
-
-        base = [[zero] * g for _ in range(g)]
+        # (x, conj(x)) per off-diagonal slot, x in O^# within the 2x2 minor
+        # bound N(x_ij) <= t_ii t_jj
+        slots = [[(x, x.conj()) for x in _dual_points_bounded(tag, Fraction(diag[i] * diag[j]))]
+                 if diag[i] * diag[j] else [(zero, zero)] for i, j in pairs]
+        rows = [[zero] * g for _ in range(g)]
         for i in range(g):
-            base[i][i] = FieldElement(diag[i], 0, tag)
-        fill(0, base)
+            rows[i][i] = FieldElement(diag[i], 0, tag)
+        for choice in product(*slots):
+            for (i, j), (x, xc) in zip(pairs, choice):
+                rows[i][j], rows[j][i] = x, xc
+            mat = HermMatrix._trusted(linalg.freeze(rows), tag)
+            if mat.is_psd():
+                results.append(mat)
     results.sort(key=HermMatrix.sort_key)
     return results
 
@@ -400,35 +376,24 @@ def enumerate_semi_integral(g: int, trace_bound: int, tag: FieldTag) -> list[Her
 def min_represented(t: HermMatrix) -> Fraction:
     """min over nonzero omega in O^g of omega* t omega, for PSD t.
 
-    Exact.  Degenerate t (rank < g by `HermMatrix._psd_rank`) represents 0:
-    a kernel vector over E scales to an integral one by clearing
-    denominators.  A t that is not positive semidefinite raises ValueError.
-    For definite t the search is certified by the smallest diagonal entry,
-    which e_i attains.
-
-    The search is `field._lattice_points` on the coordinate lattice Z^{2g}
-    of O^g (basis e_i and w*e_i interleaved), with the Gram matrix taken
-    times 2*den, den from `t._int_coords()`, so that it is integral; the
-    result is its least nonzero value within that smallest diagonal entry.
+    Exact, from one elimination, `field._ldl_pivots` of the integral trace
+    form `t._gram()`.  A t that is not positive semidefinite raises
+    ValueError.  Degenerate t (fewer pivots than 2g) represents 0: a kernel
+    vector over E scales to an integral one by clearing denominators.  For
+    definite t the same pivots give the levels of the `field._lattice_points`
+    search on the coordinate lattice Z^{2g} of O^g, certified by the
+    smallest diagonal entry, which e_i attains; the result is the least
+    nonzero value it finds.
     """
-    rank = t._psd_rank()
-    if rank is None:
+    gram, den = t._gram()
+    pivots = _ldl_pivots(gram)
+    if pivots is None:
         raise ValueError("matrix is not positive semidefinite")
-    if rank < t.g:
+    dim = len(gram)
+    if len(pivots) < dim:
         return Fraction(0)
-    s, n = t.tag._norm_s, -t.tag._norm_t
-    rows, den = t._int_coords()
-    dim = 2 * t.g
-    # Tr(x), Tr(x w), Tr(conj(w) x) and N(w) Tr(x) for x = den * t_ij
-    gram = [[0] * dim for _ in range(dim)]
-    for i, row in enumerate(rows):
-        for j, (a, b) in enumerate(row):
-            tr = 2 * a + s * b
-            gram[2 * i][2 * j] = tr
-            gram[2 * i][2 * j + 1] = 2 * n * b + s * (a + s * b)
-            gram[2 * i + 1][2 * j] = s * a - 2 * n * b
-            gram[2 * i + 1][2 * j + 1] = -n * tr
-    points = _lattice_points(gram, (0,) * dim, 1, min(gram[i][i] for i in range(0, dim, 2)))
+    points = _lattice_points(_search_levels(gram, pivots), (0,) * dim, 1,
+                             min(gram[i][i] for i in range(0, dim, 2)))
     # a definite form vanishes only at the origin
     return Fraction(min(q for q, _v in points if q), 2 * den)
 
@@ -584,16 +549,7 @@ def delta_classes(g: int, m: int, tag: FieldTag) -> tuple[CosetClass, ...]:
     data = _sublattice(tag, m)
     inv_sd = sqrt_disc(tag).inv()
     component = [FieldElement(a, b, tag) * inv_sd for a, b in data.box()]
-
-    def build(k: int):
-        if k == 0:
-            yield ()
-            return
-        for prefix in build(k - 1):
-            for x in component:
-                yield prefix + (x,)
-
-    return tuple(CosetClass._trusted(m, rep, tag) for rep in build(g))
+    return tuple(CosetClass._trusted(m, rep, tag) for rep in product(component, repeat=g))
 
 
 @lru_cache(maxsize=4096)
@@ -610,7 +566,10 @@ def small_rep(s: CosetClass) -> Vector:
 
 
 def in_same_class(r1: Sequence[FieldElement], r2: Sequence[FieldElement], m: int) -> bool:
-    """Whether r1 - r2 lies in m O^g."""
+    """Whether r1 - r2 lies in m O^g; vectors of different lengths raise
+    ValueError."""
+    if len(r1) != len(r2):
+        raise ValueError("vectors of lengths %d and %d" % (len(r1), len(r2)))
     for x, y in zip(r1, r2):
         diff = (x - y) / m
         if not diff.is_integral():

@@ -231,14 +231,17 @@ def theta_coeffs(m: int, s: CosetClass, trunc) -> JacobiTable:
 
 class ThetaComponentVector(Immutable):
     """The components (h_s)_s of a theta decomposition: one shifted series
-    per class of Delta_g(m), in the canonical class order; each class has
-    modulus m and g components, which lie in O^# by `CosetClass`."""
+    per class of Delta_g(m), in the canonical class order, with at least one
+    class; each class has modulus m and g components, which lie in O^# by
+    `CosetClass`."""
 
     __slots__ = ("m", "classes", "components")
 
     def __init__(self, m: int, classes: Sequence[CosetClass],
                  components: Mapping[CosetClass, FourierSeries]):
         classes = tuple(classes)
+        if not classes:
+            raise ValueError("at least one class is required")
         if set(classes) != set(components):
             raise ValueError("exactly one component per class is required")
         for s in classes:

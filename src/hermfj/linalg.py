@@ -3,9 +3,10 @@
 Matrices are immutable tuples of tuples of FieldElement.  Sizes here are
 tiny (degree <= 4 in practice), so determinants use cofactor expansion.
 Cofactor determinants serve only `UnitMatrix` (its unit determinant) and
-`adjugate`.  Hermitian definiteness and rank are found by LDL* in
-`hermitian`, and the lattice kernels there (`gl_action`,
-`min_represented`) run on integer coordinates instead of these products.
+`adjugate`.  Hermitian definiteness and rank come from `field._ldl_pivots`
+on the integral trace form (`HermMatrix._psd_rank`), and the lattice
+kernels in `hermitian` (`gl_action`, `min_represented`) run on integer
+coordinates instead of these products.
 `is_hermitian` and `trace_rational` read the integer coordinates
 (p + q*w)/den of the entries directly.
 """

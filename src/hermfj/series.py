@@ -263,6 +263,8 @@ def gl_generators(g: int, tag: FieldTag) -> list[UnitMatrix]:
     generate)."""
     from .field import unit_group
 
+    if g < 1:
+        raise ValueError("g must be >= 1")
     gens: list[UnitMatrix] = []
     units = [u for u in unit_group(tag) if u != FieldElement.one(tag)]
     for u in units:

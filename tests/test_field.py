@@ -5,6 +5,7 @@ import pytest
 
 from hermfj.field import (
     FieldElement,
+    _ldl_pivots,
     coset_points,
     euclidean_constant,
     euclidean_round,
@@ -12,7 +13,13 @@ from hermfj.field import (
     sqrt_disc,
     unit_group,
 )
-from util import all_tags, dual_integral_by_product, min_dist_to_lattice, random_field_element
+from util import (
+    all_tags,
+    dual_integral_by_product,
+    min_dist_to_lattice,
+    psd_rank_by_minors,
+    random_field_element,
+)
 
 EXPECTED_MU = {-1: Fraction(1, 2), -2: Fraction(3, 4), -3: Fraction(1, 3),
                -7: Fraction(4, 7), -11: Fraction(9, 11)}
@@ -211,3 +218,51 @@ def test_pow_and_division():
     assert w ** 6 == FieldElement.one(t3)  # primitive sixth root of unity
     assert w ** -1 == w.conj()  # unit inverse is its conjugate
     assert (w ** 3) == FieldElement(-1, 0, t3)
+
+
+def _random_symmetric(rng, n):
+    """A random symmetric integer matrix of size n: PSD of full or lower
+    rank (B^T B with B of r <= n rows), PSD with zero rows and columns,
+    indefinite, or PSD with a zero pivot left over a nonzero entry."""
+    kind = rng.choice(("psd", "psd", "zero rows", "indefinite", "zero pivot"))
+    r = rng.randint(0, n) if kind != "indefinite" else n
+    b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+    gram = [[sum(b[k][i] * b[k][j] for k in range(r)) for j in range(n)] for i in range(n)]
+    if kind == "zero rows":
+        for z in rng.sample(range(n), rng.randint(1, n)):
+            for i in range(n):
+                gram[z][i] = gram[i][z] = 0
+    elif kind == "indefinite":
+        for i in range(n):
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = rng.randint(-6, 6)
+    elif kind == "zero pivot":
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        for k in range(n):
+            gram[i][k] = gram[k][i] = 0
+        gram[i][j] = gram[j][i] = rng.choice((-1, 1)) if i != j else -1
+    return gram
+
+
+def test_ldl_pivots_match_minor_oracle():
+    # None exactly when the matrix is not PSD; otherwise one positive pivot
+    # per unit of rank, and the input is left as it was
+    rng = random.Random(9100)
+    seen = set()
+    for n in range(1, 7):
+        cases = [[[0] * n for _ in range(n)]] + [_random_symmetric(rng, n) for _ in range(150)]
+        for gram in cases:
+            copy = [row[:] for row in gram]
+            pivots = _ldl_pivots(gram)
+            assert gram == copy
+            rank = psd_rank_by_minors(gram)
+            if rank is None:
+                assert pivots is None, gram
+                seen.add((n, "indefinite"))
+                continue
+            assert pivots is not None, gram
+            assert len(pivots) == rank, gram
+            assert all(p > 0 for _k, p, _row in pivots)
+            seen.add((n, "full rank" if rank == n else "singular"))
+    kinds = ("indefinite", "full rank", "singular")
+    assert {(n, kind) for n in range(2, 7) for kind in kinds} <= seen

@@ -15,7 +15,7 @@ from hermfj.hermitian import (
     reduce_class,
     small_rep,
 )
-from util import all_tags, principal_minor
+from util import all_tags, principal_minor, psd_by_minors, random_field_element
 
 
 def fe(a, b, tag):
@@ -45,6 +45,33 @@ def test_psd_needs_all_principal_minors():
     t1 = make_field(-1)
     m = HermMatrix.diagonal([0, -1], t1)
     assert not m.is_psd()
+
+
+def test_psd_rank_matches_minor_oracle():
+    # B* B over E with B of r <= g rows has rank <= r; a diagonal entry made
+    # negative, or an off-diagonal one changed, usually makes it indefinite
+    rng = random.Random(9200)
+    for tag in all_tags():
+        for g in (1, 2, 3):
+            for _ in range(12):
+                r = rng.randint(0, g)
+                b = [[random_field_element(rng, tag, den=2, span=2) for _ in range(g)]
+                     for _ in range(r)]
+                rows = [[sum((b[k][i].conj() * b[k][j] for k in range(r)), FieldElement.zero(tag))
+                         for j in range(g)] for i in range(g)]
+                if rng.random() < 0.3:
+                    i, j = rng.randrange(g), rng.randrange(g)
+                    x = random_field_element(rng, tag, den=2, span=2)
+                    if i == j:
+                        x = FieldElement(-x.norm(), 0, tag)
+                    rows[i][j], rows[j][i] = x, x.conj()
+                t = HermMatrix(rows, tag)
+                rank = t._psd_rank()
+                if not psd_by_minors(t):
+                    assert rank is None, t
+                    continue
+                idx = [tuple(i for i in range(g) if mask >> i & 1) for mask in range(1, 1 << g)]
+                assert rank == max([len(k) for k in idx if principal_minor(t, k)] + [0]), t
 
 
 def test_non_hermitian_rejected():

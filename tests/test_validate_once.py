@@ -29,6 +29,7 @@ from hermfj.hermitian import (
     HermMatrix,
     delta_classes,
     enumerate_semi_integral,
+    in_same_class,
     reduce_class,
     small_rep,
 )
@@ -82,6 +83,7 @@ CONSTRUCTOR_CASES = {
     "FJFamily over truncation": lambda: FJFamily(2, 1, 4, TAG, 3, {q(2): {(q(2), ((fe(0),),)): ONE}}),
     "FJFamily r of the wrong shape": lambda: FJFamily(
         2, 1, 4, TAG, 3, {q(1): {(q(1), ((fe(0), fe(0)),)): ONE}}),
+    "ThetaComponentVector with no classes": lambda: ThetaComponentVector(1, (), {}),
     "ThetaComponentVector rep outside O^#": lambda: ThetaComponentVector(
         1, [CosetClass(1, (fe(Fraction(1, 3)),), TAG)],
         {CosetClass(1, (fe(Fraction(1, 3)),), TAG): FourierSeries(1, 0, TAG, 2, {})}),
@@ -91,6 +93,9 @@ CONSTRUCTOR_CASES = {
     "CosetClass component of another field": lambda: CosetClass(
         1, (FieldElement(0, 0, make_field(-3)),), TAG),
     "reduce_class of an empty r": lambda: reduce_class((), 1),
+    "in_same_class of unequal lengths": lambda: in_same_class((fe(0),), (fe(0), fe(1)), 1),
+    "enumerate_semi_integral g = 0": lambda: enumerate_semi_integral(0, 2, TAG),
+    "gl_generators g = 0": lambda: gl_generators(0, TAG),
     "small_rep of a rep outside O^#": lambda: small_rep(
         CosetClass(1, (fe(Fraction(1, 3)),), TAG)),
 }
@@ -252,6 +257,8 @@ def test_trusted_outputs_equal_their_public_rebuild():
             assert_same_as_public(c, public_class)
 
         keys = enumerate_semi_integral(2, 2, tag)
+        for t in keys + enumerate_semi_integral(3, 1, tag):
+            assert_same_as_public(t, public_matrix)
         f1, f2 = (FourierSeries(2, 4, tag, 3, {t: (FieldElement(rng.randint(-3, 3), 0, tag),)
                                                for t in rng.sample(keys, 6)})
                   for _ in range(2))

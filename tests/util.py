@@ -360,6 +360,44 @@ def pd_by_leading_minors(m) -> bool:
     return all(principal_minor(m, tuple(range(k))) > 0 for k in range(1, m.g + 1))
 
 
+def det_by_fractions(rows) -> Fraction:
+    """det of a square rational matrix by Gaussian elimination in Fractions
+    (1 for the empty matrix)."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+    return det
+
+
+def psd_rank_by_minors(gram):
+    """The rank of a symmetric rational matrix if it is positive
+    semidefinite, else None: PSD when all 2^n - 1 principal minors are >= 0,
+    and the rank of a symmetric matrix is the largest order of a nonzero
+    principal minor (the oracle of `field._ldl_pivots`)."""
+    n = len(gram)
+    rank = 0
+    for mask in range(1, 1 << n):
+        idx = [i for i in range(n) if mask >> i & 1]
+        minor = det_by_fractions([[gram[i][j] for j in idx] for i in idx])
+        if minor < 0:
+            return None
+        if minor:
+            rank = max(rank, len(idx))
+    return rank
+
+
 def dual_integral_by_product(x) -> bool:
     """x in O^# = O/sqrt(D), tested as sqrt(D) * x in O by a field-element
     product (the predecessor of `FieldElement.is_dual_integral`)."""
@@ -548,13 +586,14 @@ def min_represented_by_best_budget(t) -> Fraction:
     """min over nonzero omega in O^g of omega* t omega for PSD t: the
     predecessor of `hermitian.min_represented`, an integer Fincke-Pohst
     search that keeps the most budget a nonzero vector leaves below the
-    smallest diagonal entry."""
+    smallest diagonal entry.  Semidefiniteness and rank come from the
+    minors: ValueError unless t is PSD by its minors, 0 unless it is
+    definite by its leading minors."""
     from math import isqrt
 
-    rank = t._psd_rank()
-    if rank is None:
+    if not psd_by_minors(t):
         raise ValueError("matrix is not positive semidefinite")
-    if rank < t.g:
+    if not pd_by_leading_minors(t):
         return Fraction(0)
     s, n = t.tag._norm_s, -t.tag._norm_t
     rows, den = t._int_coords()
