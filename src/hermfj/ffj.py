@@ -24,6 +24,7 @@ from . import linalg
 from .errors import ConsistencyError
 from .field import FieldElement, FieldTag, Immutable
 from .hermitian import CosetClass, HermMatrix, UnitMatrix, reduce_class, small_rep
+from .hermitian import _canonical_order, _trace_within
 from .jacobi import JacobiTable, shift_matrix, theta_decompose
 from .series import FourierSeries, RhoMap, Vec, _nonzero, _zero_vec, check_symmetry
 
@@ -81,7 +82,10 @@ class FJFamily(Immutable):
     ):
         if not 1 <= l <= g - 1:
             raise ValueError("cogenus must satisfy 1 <= l <= g-1")
+        if dim < 1:
+            raise ValueError("coefficient dimension must be >= 1")
         trunc = trunc if isinstance(trunc, Fraction) else Fraction(trunc)
+        bound = trunc.as_integer_ratio()
         clean: dict[HermMatrix, dict[tuple[HermMatrix, RMat], Vec]] = {}
         for m, table in tables.items():
             if m.g != l or m.tag != tag:
@@ -101,7 +105,7 @@ class FJFamily(Immutable):
                     raise ValueError("assembled key %r is not semi-integral" % (block,))
                 if not block.is_psd():
                     raise ValueError("assembled key %r is not positive semidefinite" % (block,))
-                if block.trace() > trunc:
+                if not _trace_within(block, bound):
                     raise ValueError("assembled key exceeds truncation %s" % trunc)
                 body[(n, r)] = vec
             if body:
@@ -118,7 +122,7 @@ class FJFamily(Immutable):
         return object.__new__(cls)._fill(g, l, k, tag, trunc, dim, clean)
 
     def indices(self) -> list[HermMatrix]:
-        return sorted(self.tables, key=HermMatrix.sort_key)
+        return _canonical_order(self.tables)
 
     def table(self, m: HermMatrix) -> dict:
         return dict(self.tables.get(m, {}))
@@ -195,7 +199,7 @@ def extract_psi0(fam: FJFamily) -> FJFamily:
     zero = FieldElement.zero(fam.tag)
     tables: dict[HermMatrix, dict] = {}
     for m, body in fam.tables.items():
-        if m.entries[l - 1][l - 1].as_rational() != 0:
+        if m.entries[l - 1][l - 1] != 0:
             continue
         for i in range(l):
             if m.entries[i][l - 1] != zero or m.entries[l - 1][i] != zero:
@@ -264,7 +268,7 @@ def _cogenus_one_slice(fam: FJFamily, m: int) -> JacobiTable:
     """
     coeffs = {}
     for idx, body in fam.tables.items():
-        if idx.entries[-1][-1].as_rational() != m:
+        if idx.entries[-1][-1] != m:
             continue
         for (n, r), vec in body.items():
             n1, r1, _m1 = split_block(join_block(n, r, idx), 1)
@@ -305,9 +309,10 @@ def partial_decomposition_check(fam: FJFamily, m_prime, s2: CosetClass, r_prime:
     if not ((r_prime - s2.rep[0]) / m_val).is_integral():
         raise ValueError("r' is not a representative of the shift class")
     phi = _cogenus_one_slice(fam, m_val)
+    bound = phi.trunc.as_integer_ratio()
 
     def value(n: HermMatrix, rv) -> Optional[Vec]:
-        return phi.coefficient(n, rv) if n.trace() <= phi.trunc else None
+        return phi.coefficient(n, rv) if _trace_within(n, bound) else None
 
     for (n, rv), vec in phi.coeffs.items():
         s = reduce_class(rv, m_val)

@@ -31,9 +31,13 @@ NORM_EUCLIDEAN_D = (-1, -2, -3, -7, -11)
 
 class Immutable:
     """Slotted base of the value classes: each slot is set once, and
-    assignment afterwards raises."""
+    assignment afterwards raises.  `_setters` holds the setters of a
+    subclass's slot descriptors, which bypass `__setattr__`."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
@@ -42,8 +46,11 @@ class Immutable:
         """Sets the slots to `values`, in `__slots__` order; returns self.
         Public constructors call it after validating, and trusted builders
         on `object.__new__(cls)`, without running `__init__`."""
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+        setters = self._setters
+        if len(values) != len(setters):
+            raise TypeError("%d values for %d slots" % (len(values), len(setters)))
+        for set_slot, value in zip(setters, values):
+            set_slot(self, value)
         return self
 
 
@@ -137,10 +144,6 @@ class FieldElement(Immutable):
 
     # ------------------------------------------------------------------
     # constructors
-
-    @classmethod
-    def from_rational(cls, x: RationalLike, tag: FieldTag) -> "FieldElement":
-        return cls(x, 0, tag)
 
     @classmethod
     def zero(cls, tag: FieldTag) -> "FieldElement":
@@ -337,12 +340,9 @@ class FieldElement(Immutable):
     __str__ = __repr__
 
 
-_slot_setters = tuple(FieldElement.__dict__[name].__set__ for name in FieldElement.__slots__)
-
-
 def _init(x: FieldElement, p: int, q: int, den: int, tag: FieldTag):
-    """Stores the slots of x; the slot descriptors bypass `Immutable`."""
-    set_p, set_q, set_den, set_tag = _slot_setters
+    """Stores the slots of x: `Immutable._fill` unrolled, on the same setters."""
+    set_p, set_q, set_den, set_tag = FieldElement._setters
     set_p(x, p)
     set_q(x, q)
     set_den(x, den)

@@ -34,7 +34,7 @@ from typing import Sequence
 from .errors import ParseError
 from .ffj import FJFamily
 from .field import FieldElement, FieldTag, make_field
-from .hermitian import CosetClass, HermMatrix, delta_classes
+from .hermitian import CosetClass, HermMatrix, _canonical_order, delta_classes
 from .jacobi import JacobiTable, ThetaComponentVector
 from .series import FourierSeries
 
@@ -200,8 +200,7 @@ def write_family(fam: FJFamily) -> str:
     for m in fam.indices():
         lines.append("[index m = %s]" % m.to_text())
         body = fam.tables[m]
-        for (n, r) in sorted(body, key=lambda key: (key[0].trace(), key[0].to_text(),
-                                                    _rmat_text(key[1]))):
+        for (n, r) in _canonical_order(body, _rmat_text):
             lines.append("(%s ; %s) = %s" % (n.to_text(), _rmat_text(r), _vec_text(body[(n, r)])))
     return "\n".join(lines) + "\n"
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
-from typing import Iterator, Sequence
+from math import gcd, lcm
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import linalg
 from .field import (
@@ -40,7 +40,9 @@ class HermMatrix(Immutable):
     `ffj.join_block` and `ffj.split_block`.
     Semi-integrality (integer diagonal, off-diagonal entries in the inverse
     different) is a separate queryable property, since theta supports carry
-    rational diagonals.
+    rational diagonals.  `_trace` is the trace as ints (num, den), den > 0,
+    in lowest terms, read from the diagonal or, in `add` and `sub`, summed;
+    `trace()` is its `Fraction` view.
     """
 
     __slots__ = ("g", "entries", "tag", "_hash", "_trace")
@@ -52,13 +54,15 @@ class HermMatrix(Immutable):
             raise ValueError("expected a nonempty square matrix, got %dx%d" % (n, m))
         if not linalg.is_hermitian(rows):
             raise ValueError("matrix is not Hermitian")
-        self._fill(n, rows, tag, None, None)
+        self._fill(n, rows, tag, None, _diagonal_trace(rows))
 
     @classmethod
-    def _trusted(cls, rows: linalg.Matrix, tag: FieldTag) -> "HermMatrix":
+    def _trusted(cls, rows: linalg.Matrix, tag: FieldTag,
+                 trace: tuple[int, int] | None = None) -> "HermMatrix":
         """The matrix on `rows`, a nonempty square tuple of tuples that is
-        Hermitian by construction; skips the checks of `__init__`."""
-        return object.__new__(cls)._fill(len(rows), rows, tag, None, None)
+        Hermitian by construction, with trace pair `trace` if known; skips
+        the checks of `__init__`."""
+        return object.__new__(cls)._fill(len(rows), rows, tag, None, trace or _diagonal_trace(rows))
 
     @classmethod
     def from_rational(cls, x, tag: FieldTag) -> "HermMatrix":
@@ -82,11 +86,7 @@ class HermMatrix(Immutable):
         return cls(rows, tag)
 
     def trace(self) -> Fraction:
-        t = self._trace
-        if t is None:
-            t = linalg.trace_rational(self.entries)
-            object.__setattr__(self, "_trace", t)
-        return t
+        return Fraction(*self._trace)
 
     def is_semi_integral(self) -> bool:
         for i in range(self.g):
@@ -152,12 +152,14 @@ class HermMatrix(Immutable):
     def add(self, other: "HermMatrix") -> "HermMatrix":
         if other.g != self.g or other.tag != self.tag:
             raise ValueError("matrix size or field mismatch")
-        return HermMatrix._trusted(linalg.mat_add(self.entries, other.entries), self.tag)
+        return HermMatrix._trusted(linalg.mat_add(self.entries, other.entries), self.tag,
+                                   _trace_sum(self._trace, other._trace, 1))
 
     def sub(self, other: "HermMatrix") -> "HermMatrix":
         if other.g != self.g or other.tag != self.tag:
             raise ValueError("matrix size or field mismatch")
-        return HermMatrix._trusted(linalg.mat_sub(self.entries, other.entries), self.tag)
+        return HermMatrix._trusted(linalg.mat_sub(self.entries, other.entries), self.tag,
+                                   _trace_sum(self._trace, other._trace, -1))
 
     def __eq__(self, other):
         return (
@@ -187,10 +189,53 @@ class HermMatrix(Immutable):
         return cls(rows, tag)
 
     def sort_key(self) -> tuple:
+        """The canonical order; `_canonical_order` computes it on ints."""
         return (self.trace(), self.to_text())
 
     def __repr__(self):
         return "HermMatrix(%s, g=%d, d=%d)" % (self.to_text(), self.g, self.tag.d)
+
+
+def _diagonal_trace(rows: linalg.Matrix) -> tuple[int, int]:
+    """The trace of a matrix with a rational diagonal, as a `_trace` pair."""
+    den = lcm(*(row[i].den for i, row in enumerate(rows)))
+    num = sum(row[i].p * (den // row[i].den) for i, row in enumerate(rows))
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _trace_sum(x: tuple[int, int], y: tuple[int, int], sign: int) -> tuple[int, int]:
+    """x + sign*y for rationals held as `_trace` pairs, in lowest terms."""
+    (n1, d1), (n2, d2) = x, y
+    num, den = (n1 + sign * n2, d1) if d1 == d2 else (n1 * d2 + sign * n2 * d1, d1 * d2)
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _trace_within(t: HermMatrix, bound: tuple[int, int]) -> bool:
+    """tr t <= num/den for bound = (num, den), den > 0, by cross-multiplication."""
+    num, den = t._trace
+    return num * bound[1] <= bound[0] * den
+
+
+def _canonical_order(keys: Iterable, r_key: Callable | None = None) -> list:
+    """`keys`, matrices or (n, r) pairs, in the canonical order of the text
+    formats: `HermMatrix.sort_key` of n, then r by coordinates (as by their
+    `FieldElement.sort_key`s) or by r_key(r).  On ints: traces scale by L,
+    the lcm of their denominators, and r coordinates by R, the lcm of theirs."""
+    keys = list(keys)
+    if not keys or isinstance(keys[0], HermMatrix):
+        big = lcm(*(t._trace[1] for t in keys))
+        return sorted(keys, key=lambda t: (t._trace[0] * (big // t._trace[1]), t.to_text()))
+    big = lcm(*(n._trace[1] for n, _r in keys))
+    if r_key is None:
+        rbig = lcm(*(x.den for _n, r in keys for x in r))
+
+        def r_key(r):
+            return tuple(c * (rbig // x.den) for x in r for c in (x.p, x.q))
+
+    return sorted(keys, key=lambda key: (key[0]._trace[0] * (big // key[0]._trace[1]),
+                                         key[0].to_text(), r_key(key[1])))
 
 
 class UnitMatrix(Immutable):
@@ -359,14 +404,14 @@ def enumerate_semi_integral(g: int, trace_bound: int, tag: FieldTag) -> list[Her
         rows = [[zero] * g for _ in range(g)]
         for i in range(g):
             rows[i][i] = FieldElement(diag[i], 0, tag)
+        trace = (sum(diag), 1)
         for choice in product(*slots):
             for (i, j), (x, xc) in zip(pairs, choice):
                 rows[i][j], rows[j][i] = x, xc
-            mat = HermMatrix._trusted(linalg.freeze(rows), tag)
+            mat = HermMatrix._trusted(linalg.freeze(rows), tag, trace)
             if mat.is_psd():
                 results.append(mat)
-    results.sort(key=HermMatrix.sort_key)
-    return results
+    return _canonical_order(results)
 
 
 # ----------------------------------------------------------------------
@@ -499,9 +544,6 @@ class CosetClass(Immutable):
 
     def __hash__(self):
         return hash((self.m, self.rep, self.tag.d))
-
-    def sort_key(self) -> tuple:
-        return tuple(e.sort_key() for e in self.rep)
 
     def to_text(self) -> str:
         return ",".join(e.to_text() for e in self.rep)

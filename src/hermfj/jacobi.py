@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import inf
+from math import inf, lcm
 from typing import Mapping, Sequence
 
 from .errors import ConsistencyError
@@ -24,6 +24,7 @@ from .field import FieldElement, FieldTag, Immutable, _coset_vectors
 from .hermitian import (
     CosetClass,
     HermMatrix,
+    _canonical_order, _trace_sum, _trace_within,
     delta_classes,
     min_represented,
     reduce_class,
@@ -54,13 +55,9 @@ def _shift_matrix(r: Vector, m: int) -> HermMatrix:
 def block_key(n: HermMatrix, r: Sequence[FieldElement], m: int) -> HermMatrix:
     """The (g+1) x (g+1) assembly (n r; r* m), Hermitian by construction
     for a Hermitian n and a rational m."""
-    tag = n.tag
-    g = n.g
-    rows = []
-    for i in range(g):
-        rows.append(tuple(n.entries[i]) + (r[i],))
-    rows.append(tuple(x.conj() for x in r) + (FieldElement(Fraction(m), 0, tag),))
-    return HermMatrix._trusted(tuple(rows), tag)
+    rows = [row + (x,) for row, x in zip(n.entries, r)]
+    rows.append(tuple(x.conj() for x in r) + (FieldElement(m, 0, n.tag),))
+    return HermMatrix._trusted(tuple(rows), n.tag)
 
 
 def _as_key_matrix(n, g: int, tag: FieldTag) -> HermMatrix:
@@ -96,7 +93,10 @@ class JacobiTable(Immutable):
             raise ValueError("genus must be >= 1")
         if m < 0:
             raise ValueError("index must be >= 0")
+        if dim < 1:
+            raise ValueError("coefficient dimension must be >= 1")
         trunc = trunc if isinstance(trunc, Fraction) else Fraction(trunc)
+        bound = trunc.as_integer_ratio()
         clean: dict[tuple[HermMatrix, Vector], Vec] = {}
         for (n, r), vec in coeffs.items():
             n = _as_key_matrix(n, g, tag)
@@ -108,7 +108,7 @@ class JacobiTable(Immutable):
                 continue
             if n.g != g or len(r) != g or n.tag != tag:
                 raise ValueError("key size or field mismatch")
-            if n.trace() > trunc:
+            if not _trace_within(n, bound):
                 raise ValueError("key exceeds truncation %s" % trunc)
             for x in r:
                 if x.tag != tag:
@@ -116,9 +116,9 @@ class JacobiTable(Immutable):
                 if not x.is_dual_integral():
                     raise ValueError("r component %r is not in the inverse different" % (x,))
             if g == 1:
-                # 2x2 block: psd iff n >= 0, and n*m >= |r|^2 with r = 0 when m = 0
-                n_val = n.entries[0][0].as_rational()
-                ok = n_val >= 0 and n_val * m >= r[0].norm()
+                # 2x2 block: psd iff n = p/den >= 0 and n*m >= |r|^2 = N_num/den_r^2
+                e, x = n.entries[0][0], r[0]
+                ok = e.p >= 0 and e.p * m * x.den * x.den >= x._norm_num() * e.den
             else:
                 ok = block_key(n, r, m).is_psd()
             if not ok:
@@ -140,7 +140,7 @@ class JacobiTable(Immutable):
         return vec if vec is not None else _zero_vec(self.dim, self.tag)
 
     def support(self) -> list[tuple[HermMatrix, Vector]]:
-        return sorted(self.coeffs, key=_key_sort)
+        return _canonical_order(self.coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -168,9 +168,10 @@ class JacobiTable(Immutable):
                 or other.tag != self.tag:
             raise ValueError("table shape mismatch")
         trunc = min(self.trunc, other.trunc)
+        bound = trunc.as_integer_ratio()
         out: dict[tuple[HermMatrix, Vector], Vec] = {}
         for key in set(self.coeffs) | set(other.coeffs):
-            if key[0].trace() > trunc:
+            if not _trace_within(key[0], bound):
                 continue
             a = self.coeffs.get(key, _zero_vec(self.dim, self.tag))
             b = other.coeffs.get(key, _zero_vec(other.dim, other.tag))
@@ -188,18 +189,8 @@ class JacobiTable(Immutable):
         """Smallest corner entry n[g-1][g-1] over supported keys with second
         component r; +inf when r never occurs."""
         r = tuple(r)
-        best = inf
-        for (n, rr) in self.coeffs:
-            if rr == r:
-                corner = n.entries[n.g - 1][n.g - 1].as_rational()
-                if corner < best:
-                    best = corner
-        return best
-
-
-def _key_sort(key: tuple[HermMatrix, Vector]):
-    n, r = key
-    return (n.trace(), n.to_text(), tuple(x.sort_key() for x in r))
+        return min((n.entries[-1][-1].as_rational() for n, rr in self.coeffs if rr == r),
+                   default=inf)
 
 
 # ----------------------------------------------------------------------
@@ -291,6 +282,7 @@ def theta_decompose(phi: JacobiTable, strict: bool = False) -> ThetaComponentVec
     by_class: dict[CosetClass, dict[HermMatrix, Vec]] = {s: {} for s in classes}
     reps = {s: small_rep(s) for s in classes}
     class_of: dict[Vector, CosetClass] = {}
+    bound = phi.trunc.as_integer_ratio()
 
     for (n, r), vec in phi.coeffs.items():
         s = class_of.get(r)
@@ -299,7 +291,7 @@ def theta_decompose(phi: JacobiTable, strict: bool = False) -> ThetaComponentVec
         nprime = n.sub(shift_matrix(r, m))
         r0 = reps[s]
         key0 = nprime.add(shift_matrix(r0, m))
-        canonical = phi.coefficient(key0, r0) if key0.trace() <= phi.trunc else None
+        canonical = phi.coefficient(key0, r0) if _trace_within(key0, bound) else None
         if canonical is not None and canonical != vec:
             raise ConsistencyError(
                 "well-definedness violation: representatives disagree",
@@ -318,18 +310,19 @@ def theta_decompose(phi: JacobiTable, strict: bool = False) -> ThetaComponentVec
         shift1 = shift_matrix(r1, m)
         for nprime, vec in body.items():
             key1 = nprime.add(shift1)
-            if key1.trace() <= phi.trunc and phi.coefficient(key1, r1) != vec:
+            if _trace_within(key1, bound) and phi.coefficient(key1, r1) != vec:
                 raise ConsistencyError(
                     "well-definedness violation at spare representative",
                     witness=(nprime, r0, r1),
                 )
         if strict and body:
-            points = [(shift_matrix(r, m), r) for r in
-                      _class_points(s, (phi.trunc - min(n.trace() for n in body)) * m)]
+            big = lcm(*(n._trace[1] for n in body))
+            least = Fraction(min(n._trace[0] * (big // n._trace[1]) for n in body), big)
+            points = [(shift_matrix(r, m), r) for r in _class_points(s, (phi.trunc - least) * m)]
             for nprime, vec in body.items():
-                room = phi.trunc - nprime.trace()
+                room = _trace_sum(bound, nprime._trace, -1)
                 for shift, r_any in points:
-                    if shift.trace() > room:
+                    if not _trace_within(shift, room):
                         break
                     if phi.coefficient(nprime.add(shift), r_any) != vec:
                         raise ConsistencyError(
@@ -350,9 +343,9 @@ def theta_recompose(v: ThetaComponentVector, trunc) -> JacobiTable:
     """
     m = v.m
     trunc = trunc if isinstance(trunc, Fraction) else Fraction(trunc)
+    bound = trunc.as_integer_ratio()
     sample = next(iter(v.components.values()))
-    tag, g, dim = sample.tag, sample.g, sample.dim
-    weight = sample.k
+    tag, g, dim, weight = sample.tag, sample.g, sample.dim, sample.k
     coeffs: dict[tuple[HermMatrix, Vector], Vec] = {}
     for s in v.classes:
         h = v.components[s]
@@ -367,9 +360,9 @@ def theta_recompose(v: ThetaComponentVector, trunc) -> JacobiTable:
             continue
         for r in _class_points(s, trunc * m):
             shift = shift_matrix(r, m)
-            room = trunc - shift.trace()
+            room = _trace_sum(bound, shift._trace, -1)
             for nprime, vec in h.coeffs.items():
-                if nprime.trace() > room:
+                if not _trace_within(nprime, room):
                     continue
                 coeffs[(nprime.add(shift), r)] = vec
     return JacobiTable._trusted(g, weight + 1, m, tag, trunc, coeffs, dim)
@@ -393,11 +386,12 @@ def series_times_theta(h: FourierSeries, theta: JacobiTable) -> JacobiTable:
     out_trunc = h.trunc + shift0
     if theta.trunc < out_trunc:
         raise ValueError("theta truncation %s below product target %s" % (theta.trunc, out_trunc))
+    bound = out_trunc.as_integer_ratio()
     coeffs: dict[tuple[HermMatrix, Vector], Vec] = {}
     for (n_theta, r), _one in theta.coeffs.items():
         for nprime, vec in h.coeffs.items():
             n = nprime.add(n_theta)
-            if n.trace() > out_trunc:
+            if not _trace_within(n, bound):
                 continue
             coeffs[(n, r)] = vec
     return JacobiTable._trusted(h.g, h.k + 1, m, h.tag, out_trunc, coeffs, h.dim)

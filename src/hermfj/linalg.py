@@ -7,14 +7,12 @@ Cofactor determinants serve only `UnitMatrix` (its unit determinant) and
 on the integral trace form (`HermMatrix._psd_rank`), and the lattice
 kernels in `hermitian` (`gl_action`, `min_represented`) run on integer
 coordinates instead of these products.
-`is_hermitian` and `trace_rational` read the integer coordinates
-(p + q*w)/den of the entries directly.
+`is_hermitian` reads the integer coordinates (p + q*w)/den of the entries
+directly.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .field import FieldElement, FieldTag
@@ -141,16 +139,3 @@ def adjugate(x: Matrix) -> Matrix:
             row.append(m if (i + j) % 2 == 0 else -m)
         cof.append(row)
     return tuple(tuple(cof[j][i] for j in range(n)) for i in range(n))
-
-
-def trace_rational(x: Matrix) -> Fraction:
-    """The trace of a matrix with a rational diagonal, summed over the
-    common denominator of the diagonal entries."""
-    diagonal = [row[i] for i, row in enumerate(x)]
-    den = lcm(*(e.den for e in diagonal))
-    total = 0
-    for e in diagonal:
-        if e.q:
-            raise ValueError("%r is not rational" % (e,))
-        total += e.p * (den // e.den)
-    return Fraction(total, den)

@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from . import linalg
 from .field import FieldElement, FieldTag, Immutable
 from .hermitian import HermMatrix, UnitMatrix, gl_action, min_represented
+from .hermitian import _canonical_order, _trace_sum, _trace_within
 
 Vec = tuple[FieldElement, ...]
 
@@ -63,6 +64,7 @@ class FourierSeries(Immutable):
         if dim < 1:
             raise ValueError("coefficient dimension must be >= 1")
         trunc = trunc if isinstance(trunc, Fraction) else Fraction(trunc)
+        bound = trunc.as_integer_ratio()
         clean: dict[HermMatrix, Vec] = {}
         for t, vec in coeffs.items():
             vec = tuple(vec)
@@ -72,7 +74,7 @@ class FourierSeries(Immutable):
                 continue
             if t.g != g or t.tag != tag:
                 raise ValueError("key size or field mismatch at %r" % (t,))
-            if t.trace() > trunc:
+            if not _trace_within(t, bound):
                 raise ValueError("key %r exceeds truncation %s" % (t, trunc))
             if semi_integral and not t.is_semi_integral():
                 raise ValueError("key %r is not semi-integral" % (t,))
@@ -105,7 +107,7 @@ class FourierSeries(Immutable):
         return vec if vec is not None else _zero_vec(self.dim, self.tag)
 
     def support(self) -> list[HermMatrix]:
-        return sorted(self.coeffs, key=HermMatrix.sort_key)
+        return _canonical_order(self.coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -113,11 +115,8 @@ class FourierSeries(Immutable):
     def __eq__(self, other):
         return (
             isinstance(other, FourierSeries)
-            and other.g == self.g
-            and other.k == self.k
+            and (other.g, other.k, other.trunc, other.dim) == (self.g, self.k, self.trunc, self.dim)
             and other.tag == self.tag
-            and other.trunc == self.trunc
-            and other.dim == self.dim
             and other.coeffs == self.coeffs
         )
 
@@ -144,9 +143,10 @@ class FourierSeries(Immutable):
     def __add__(self, other: "FourierSeries") -> "FourierSeries":
         self._check_compatible(other, need_weight=True)
         trunc = min(self.trunc, other.trunc)
+        bound = trunc.as_integer_ratio()
         out: dict[HermMatrix, Vec] = {}
         for t in set(self.coeffs) | set(other.coeffs):
-            if t.trace() > trunc:
+            if not _trace_within(t, bound):
                 continue
             a = self.coefficient(t)
             b = other.coefficient(t)
@@ -173,11 +173,12 @@ class FourierSeries(Immutable):
         if self.dim != 1 or other.dim != 1:
             raise ValueError("product requires scalar-valued series")
         trunc = min(self.trunc, other.trunc)
+        bound = trunc.as_integer_ratio()
         out: dict[HermMatrix, Vec] = {}
         for t1, v1 in self.coeffs.items():
-            tr1 = t1.trace()
+            room = _trace_sum(bound, t1._trace, -1)
             for t2, v2 in other.coeffs.items():
-                if tr1 + t2.trace() > trunc:
+                if not _trace_within(t2, room):
                     continue
                 t = t1.add(t2)
                 prod = v1[0] * v2[0]
@@ -204,16 +205,8 @@ RhoMap = Callable[[UnitMatrix], Sequence[Sequence[FieldElement]]]
 
 
 def _apply_rho(rho_mat, vec: Vec) -> Vec:
-    return tuple(
-        _dot(row, vec) for row in rho_mat
-    )
-
-
-def _dot(row, vec: Vec) -> FieldElement:
-    acc = row[0] * vec[0]
-    for a, b in zip(row[1:], vec[1:]):
-        acc = acc + a * b
-    return acc
+    zero = FieldElement.zero(vec[0].tag)
+    return tuple(sum((a * b for a, b in zip(row, vec)), zero) for row in rho_mat)
 
 
 def check_symmetry(
@@ -229,6 +222,7 @@ def check_symmetry(
     valued series require `rho` giving the explicit matrix per generator.
     """
     violations = []
+    bound = f.trunc.as_integer_ratio()
     for u in units:
         if u.g != f.g or u.tag != f.tag:
             raise ValueError("generator size or field mismatch")
@@ -239,14 +233,12 @@ def check_symmetry(
             if rho is None:
                 raise ValueError("vector-valued series need an explicit rho")
             rho_mat = linalg.freeze(rho(u))
-        candidates = set(f.coeffs)
-        for t in f.coeffs:
-            candidates.add(gl_action(u_inv, t))
-        for t in sorted(candidates, key=HermMatrix.sort_key):
-            if t.trace() > f.trunc:
+        candidates = set(f.coeffs) | {gl_action(u_inv, t) for t in f.coeffs}
+        for t in _canonical_order(candidates):
+            if not _trace_within(t, bound):
                 continue
             image = gl_action(u, t)
-            if image.trace() > f.trunc:
+            if not _trace_within(image, bound):
                 continue
             lhs = f.coefficient(image)
             if rho_mat is not None:
@@ -296,9 +288,10 @@ def symmetrize(f: FourierSeries, units: Sequence[UnitMatrix]) -> FourierSeries:
     skips re-validation.
     """
     steps = [(u, u.det_unit.conj() ** f.k) for u in list(units) + [u.inverse() for u in units]]
+    bound = f.trunc.as_integer_ratio()
     out: dict[HermMatrix, Vec] = {}
     done: set[HermMatrix] = set()
-    for seed in sorted(f.coeffs, key=HermMatrix.sort_key):
+    for seed in _canonical_order(f.coeffs):
         if seed in done:
             continue
         vec = f.coeffs[seed]
@@ -312,7 +305,7 @@ def symmetrize(f: FourierSeries, units: Sequence[UnitMatrix]) -> FourierSeries:
                 base = factors[t]
                 for u, det_pow in steps:
                     image = gl_action(u, t)
-                    if image.trace() > f.trunc:
+                    if not _trace_within(image, bound):
                         continue
                     fac = base * det_pow
                     prev = factors.get(image)

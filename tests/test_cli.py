@@ -234,6 +234,28 @@ def test_decompose_rejects_zero_index(tmp_path):
     assert not out_file.exists()
 
 
+def test_coefficient_dimension_below_one_is_a_parse_error(tmp_path):
+    # readers used to accept dim < 1 in HJF and FJFAM headers, so decompose
+    # wrote a bundle that validate and recompose then rejected
+    out_file = tmp_path / "out"
+    cases = [
+        ("HJF v1; d=-1; g=1; k=1; m=1; trunc=2; dim=%d\n",
+         [("validate",), ("decompose", "--out", str(out_file))]),
+        ("FJFAM v1; d=-1; g=3; l=2; k=4; trunc=2; dim=%d\n",
+         [("validate",), ("rearrange", "--cogenus", "1", "--out", str(out_file)),
+          ("psi0", "--out", str(out_file))]),
+    ]
+    path = tmp_path / "in.txt"
+    for header, commands in cases:
+        for dim in (0, -1):
+            path.write_text(header % dim, encoding="ascii")
+            for cmd, *rest in commands:
+                code, out, err = run_cli(cmd, "--in", str(path), *rest)
+                assert code == 2 and "coefficient dimension must be >= 1" in err, (header, cmd)
+                assert out == "" and "Traceback" not in err
+                assert not out_file.exists()
+
+
 def test_recompose_beyond_a_component_truncation(tmp_path):
     # one class section stops below the requested --trunc
     theta_file = tmp_path / "t.hjf"

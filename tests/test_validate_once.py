@@ -77,12 +77,16 @@ CONSTRUCTOR_CASES = {
     "JacobiTable genus-2 r of another field": lambda: JacobiTable(
         2, 1, 1, TAG, 3, {(HermMatrix.identity(2, TAG),
                            (fe(0), FieldElement(0, 0, make_field(-2)))): ONE}),
+    "JacobiTable dim = 0": lambda: JacobiTable(1, 1, 2, TAG, 3, {}, 0),
+    "JacobiTable dim = -1": lambda: JacobiTable(1, 1, 2, TAG, 3, {}, -1),
     "FJFamily non-PSD": lambda: FJFamily(2, 1, 4, TAG, 3, {q(0): {(q(1), ((fe(1),),)): ONE}}),
     "FJFamily not semi-integral": lambda: FJFamily(
         2, 1, 4, TAG, 3, {q(1): {(q(1), ((fe(Fraction(1, 3)),),)): ONE}}),
     "FJFamily over truncation": lambda: FJFamily(2, 1, 4, TAG, 3, {q(2): {(q(2), ((fe(0),),)): ONE}}),
     "FJFamily r of the wrong shape": lambda: FJFamily(
         2, 1, 4, TAG, 3, {q(1): {(q(1), ((fe(0), fe(0)),)): ONE}}),
+    "FJFamily dim = 0": lambda: FJFamily(2, 1, 4, TAG, 3, {}, 0),
+    "FJFamily dim = -1": lambda: FJFamily(3, 2, 4, TAG, 3, {}, -1),
     "ThetaComponentVector with no classes": lambda: ThetaComponentVector(1, (), {}),
     "ThetaComponentVector rep outside O^#": lambda: ThetaComponentVector(
         1, [CosetClass(1, (fe(Fraction(1, 3)),), TAG)],
@@ -153,6 +157,9 @@ READER_CASES = {
     "HJC non-PSD": (read_components, _hjc(n="-1/1+0/1*w")),
     "HJC rep outside O^#": (read_components, _hjc(rep=THIRD)),
     "HJC over truncation": (read_components, _hjc(n="9/1+0/1*w")),
+    "HJF dim = 0": (read_jacobi, "HJF v1; d=-1; g=1; k=1; m=2; trunc=3; dim=0\n"),
+    "FJFAM dim = -1": (read_family, "FJFAM v1; d=-1; g=3; l=2; k=4; trunc=3; dim=-1\n"),
+    "FJS dim = 0": (read_series, "FJS v1; d=-1; g=1; k=0; trunc=2; dim=0\n"),
 }
 
 
@@ -225,12 +232,30 @@ def public_family(fam):
                     fam.dim)
 
 
+def key_matrices(obj):
+    """The HermMatrix keys of a matrix, series, table or family."""
+    if isinstance(obj, HermMatrix):
+        return [obj]
+    if isinstance(obj, FourierSeries):
+        return list(obj.coeffs)
+    if isinstance(obj, JacobiTable):
+        return [n for n, _r in obj.coeffs]
+    if isinstance(obj, FJFamily):
+        return list(obj.tables) + [n for body in obj.tables.values() for n, _r in body]
+    return []
+
+
 def assert_same_as_public(obj, rebuild):
     again = rebuild(obj)
     assert again == obj
     for name in obj.__slots__:
-        if name not in ("_hash", "_trace"):
+        if name != "_hash":
             assert getattr(again, name) == getattr(obj, name), name
+    # equal keys compare their entries only, so compare their traces too: a
+    # wrong trace pair passed on by `add` or `sub` shows here
+    traces = {t: t.trace() for t in key_matrices(again)}
+    for t in key_matrices(obj):
+        assert t.trace() == traces[t] and t._trace == t.trace().as_integer_ratio(), t
 
 
 def test_trusted_outputs_equal_their_public_rebuild():

@@ -631,6 +631,34 @@ def min_represented_by_best_budget(t) -> Fraction:
 
 
 # ----------------------------------------------------------------------
+# canonical order oracles (the library's predecessors, on Fractions)
+
+
+def trace_by_fractions(t) -> Fraction:
+    """The trace of a Hermitian matrix, summed as `Fraction`s of its diagonal."""
+    return sum((t.entries[i][i].as_rational() for i in range(t.g)), Fraction(0))
+
+
+def matrix_order_by_fractions(t) -> tuple:
+    """`HermMatrix.sort_key` on a `Fraction` trace: the order of
+    `FourierSeries.support`, `FJFamily.indices` and enumeration."""
+    return (trace_by_fractions(t), t.to_text())
+
+
+def key_order_by_fractions(key) -> tuple:
+    """The order of `JacobiTable.support`: the former `jacobi._key_sort`."""
+    n, r = key
+    return matrix_order_by_fractions(n) + (tuple((x.a, x.b) for x in r),)
+
+
+def family_key_order_by_fractions(key) -> tuple:
+    """The record order of `formats.write_family` within an index: r by its
+    text, not its coordinates."""
+    n, r = key
+    return matrix_order_by_fractions(n) + (",".join(x.to_text() for row in r for x in row),)
+
+
+# ----------------------------------------------------------------------
 # group element builders (guaranteed members by construction)
 
 
