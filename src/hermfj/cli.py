@@ -19,7 +19,7 @@ from . import bounds as bounds_mod
 from . import ffj, formats, jacobi
 from .errors import ConsistencyError, ParseError
 from .field import euclidean_constant, make_field
-from .hermitian import delta_classes
+from .hermitian import delta_class
 from .series import check_symmetry, gl_generators
 
 EXIT_OK = 0
@@ -144,13 +144,13 @@ def _cmd_c_constant(args) -> int:
 
 def _cmd_theta(args) -> int:
     tag = make_field(args.field)
-    classes = delta_classes(args.genus, args.m, tag)
-    if not 0 <= args.shift < len(classes):
-        raise _UsageError(
-            "--shift must be in [0, %d) for m=%d over d=%d"
-            % (len(classes), args.m, tag.d)
-        )
-    table = jacobi.theta_coeffs(args.m, classes[args.shift], args.trunc)
+    try:
+        shift = delta_class(args.genus, args.m, tag, args.shift)
+    except IndexError:
+        count = (args.m * args.m * abs(tag.disc)) ** args.genus
+        raise _UsageError("--shift must be in [0, %d) for m=%d over d=%d"
+                          % (count, args.m, tag.d)) from None
+    table = jacobi.theta_coeffs(args.m, shift, args.trunc)
     _write_file(args.out, formats.write_jacobi(table))
     return EXIT_OK
 
@@ -187,25 +187,23 @@ def _cmd_symmetry_check(args) -> int:
     if magic == "FJS v1":
         f = formats.read_series(text)
         violations = check_symmetry(f, gl_generators(f.g, f.tag))
-        if violations:
-            for u, t in violations:
-                print("violation: u=%s t=%s" % (_witness_part_text(u.entries), t.to_text()))
-            raise ConsistencyError("%d symmetry violations" % len(violations))
-        print("symmetry ok: %d generators" % len(gl_generators(f.g, f.tag)))
-        return EXIT_OK
-    if magic == "FJFAM v1":
+        summary = "%d symmetry violations" % len(violations)
+        ok = "symmetry ok: %d generators" % len(gl_generators(f.g, f.tag))
+    elif magic == "FJFAM v1":
         fam = formats.read_family(text)
         report = ffj.check_family(fam, gl_generators(fam.g, fam.tag))
-        if not report.ok:
-            for u, t in report.symmetry_violations + report.subaction_violations:
-                print("violation: u=%s t=%s" % (_witness_part_text(u.entries), t.to_text()))
-            raise ConsistencyError(
-                "%d symmetry and %d sub-action violations"
-                % (len(report.symmetry_violations), len(report.subaction_violations))
-            )
-        print("symmetry ok: family with %d indices" % len(fam.tables))
-        return EXIT_OK
-    raise ParseError("symmetry-check expects an FJS or FJFAM file")
+        violations = report.symmetry_violations + report.subaction_violations
+        summary = "%d symmetry and %d sub-action violations" % (
+            len(report.symmetry_violations), len(report.subaction_violations))
+        ok = "symmetry ok: family with %d indices" % len(fam.tables)
+    else:
+        raise ParseError("symmetry-check expects an FJS or FJFAM file")
+    for u, t in violations:
+        print("violation: u=%s t=%s" % (_witness_part_text(u.entries), t.to_text()))
+    if violations:
+        raise ConsistencyError(summary)
+    print(ok)
+    return EXIT_OK
 
 
 def _witness_part_text(part) -> str:

@@ -23,40 +23,12 @@ from typing import Mapping, Optional, Sequence
 from . import linalg
 from .errors import ConsistencyError
 from .field import FieldElement, FieldTag, Immutable
-from .hermitian import CosetClass, HermMatrix, UnitMatrix, reduce_class, small_rep
-from .hermitian import _canonical_order, _trace_within
+from .hermitian import CosetClass, HermMatrix, UnitMatrix, join_block, reduce_class, small_rep
+from .hermitian import _canonical_order, _trace_within, split_block
 from .jacobi import JacobiTable, shift_matrix, theta_decompose
 from .series import FourierSeries, RhoMap, Vec, _nonzero, _zero_vec, check_symmetry
 
 RMat = tuple[tuple[FieldElement, ...], ...]
-
-
-def join_block(n: HermMatrix, r: RMat, m: HermMatrix) -> HermMatrix:
-    """The block matrix (n r; r* m), for an n.g x m.g matrix r; Hermitian
-    by construction."""
-    if len(r) != n.g or any(len(row) != m.g for row in r):
-        raise ValueError("r must be %d x %d" % (n.g, m.g))
-    rows = [n_row + tuple(r_row) for n_row, r_row in zip(n.entries, r)]
-    rows.extend(r_col + m_row for r_col, m_row in zip(linalg.conj_transpose(r), m.entries))
-    return HermMatrix._trusted(tuple(rows), n.tag)
-
-
-def split_block(t: HermMatrix, l: int) -> tuple[HermMatrix, RMat, HermMatrix]:
-    """(n, r, m) with t = (n r; r* m) and m the lower-right l x l block;
-    n and m are principal blocks of t, so Hermitian."""
-    g = t.g
-    if not 1 <= l < g:
-        raise ValueError("split size must satisfy 1 <= l < %d" % g)
-    a = g - l
-    rows = t.entries
-    n = HermMatrix._trusted(tuple(row[:a] for row in rows[:a]), t.tag)
-    r = tuple(row[a:] for row in rows[:a])
-    m = HermMatrix._trusted(tuple(row[a:] for row in rows[a:]), t.tag)
-    return n, r, m
-
-
-def _freeze_r(r) -> RMat:
-    return tuple(tuple(row) for row in r)
 
 
 class FJFamily(Immutable):
@@ -92,7 +64,7 @@ class FJFamily(Immutable):
                 raise ValueError("index size or field mismatch at %r" % (m,))
             body: dict[tuple[HermMatrix, RMat], Vec] = {}
             for (n, r), vec in table.items():
-                r = _freeze_r(r)
+                r = linalg.freeze(r)
                 vec = tuple(vec)
                 if len(vec) != dim:
                     raise ValueError("coefficient dimension mismatch")
@@ -131,7 +103,7 @@ class FJFamily(Immutable):
         body = self.tables.get(m)
         if body is None:
             return _zero_vec(self.dim, self.tag)
-        vec = body.get((n, _freeze_r(r)))
+        vec = body.get((n, linalg.freeze(r)))
         return vec if vec is not None else _zero_vec(self.dim, self.tag)
 
     def is_zero(self) -> bool:
@@ -199,17 +171,15 @@ def extract_psi0(fam: FJFamily) -> FJFamily:
     zero = FieldElement.zero(fam.tag)
     tables: dict[HermMatrix, dict] = {}
     for m, body in fam.tables.items():
-        if m.entries[l - 1][l - 1] != 0:
+        rows = m.entries
+        if rows[l - 1][l - 1] != 0:
             continue
         for i in range(l):
-            if m.entries[i][l - 1] != zero or m.entries[l - 1][i] != zero:
+            if rows[i][l - 1] != zero or rows[l - 1][i] != zero:
                 raise ConsistencyError(
                     "degenerate index with nonzero corner row", witness=m
                 )
-        m_new = HermMatrix(
-            tuple(tuple(m.entries[i][j] for j in range(l - 1)) for i in range(l - 1)),
-            fam.tag,
-        )
+        m_new = HermMatrix(tuple(row[:l - 1] for row in rows[:l - 1]), fam.tag)
         new_body = tables.setdefault(m_new, {})
         for (n, r), vec in body.items():
             for row in r:
@@ -229,11 +199,8 @@ def zero_pad(fam: FJFamily) -> FJFamily:
     zero = FieldElement.zero(fam.tag)
     tables: dict[HermMatrix, dict] = {}
     for m, body in fam.tables.items():
-        m_new = HermMatrix(
-            tuple(tuple(m.entries[i]) + (zero,) for i in range(m.g))
-            + ((zero,) * (m.g + 1),),
-            fam.tag,
-        )
+        m_new = HermMatrix(tuple(row + (zero,) for row in m.entries) + ((zero,) * (m.g + 1),),
+                           fam.tag)
         new_body = tables.setdefault(m_new, {})
         for (n, r), vec in body.items():
             r_new = tuple(row + (zero,) for row in r)
@@ -250,7 +217,7 @@ def _index_value(m_prime, tag: FieldTag) -> int:
         if m_prime.g != 1:
             raise ValueError("only 1x1 decomposition indices are supported "
                              "(coset classes are built for cogenus 1)")
-        value = m_prime.entries[0][0].as_rational()
+        value = Fraction(m_prime._key[1], m_prime._key[0])
     else:
         value = Fraction(m_prime)
     if value.denominator != 1 or value <= 0:
@@ -268,7 +235,7 @@ def _cogenus_one_slice(fam: FJFamily, m: int) -> JacobiTable:
     """
     coeffs = {}
     for idx, body in fam.tables.items():
-        if idx.entries[-1][-1] != m:
+        if idx._key[-2] != m * idx._key[0]:
             continue
         for (n, r), vec in body.items():
             n1, r1, _m1 = split_block(join_block(n, r, idx), 1)

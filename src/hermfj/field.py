@@ -311,28 +311,8 @@ class FieldElement(Immutable):
 
     @classmethod
     def from_text(cls, text: str, tag: FieldTag) -> "FieldElement":
-        """Parse the exact output of `to_text`; round-trips bit-identically.
-
-        A token of that shape, in lowest terms or not, is read straight into
-        ints.  Any other goes through `Fraction`, which fixes the accepted
-        language and the errors."""
-        match = _TOKEN.fullmatch(text)
-        if match:
-            n1, d1, n2, d2 = map(int, match.groups())
-            if d1 and d2:
-                return cls._from_ints(n1 * d2, n2 * d1, d1 * d2, tag)
-        body, sep, w_part = text.partition("*w")
-        if sep != "*w" or w_part != "":
-            raise ValueError("malformed field element %r" % text)
-        plus = body.find("+", 1)
-        if plus < 0:
-            raise ValueError("malformed field element %r" % text)
-        try:
-            a = Fraction(body[:plus])
-            b = Fraction(body[plus + 1 :])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError("malformed field element %r" % text) from exc
-        return cls(a, b, tag)
+        """Parse the exact output of `to_text`; round-trips bit-identically."""
+        return cls._from_ints(*_parse_token(text), tag)
 
     def __repr__(self):
         return "FieldElement(%s, d=%d)" % (self.to_text(), self.tag.d)
@@ -347,6 +327,30 @@ def _init(x: FieldElement, p: int, q: int, den: int, tag: FieldTag):
     set_q(x, q)
     set_den(x, den)
     set_tag(x, tag)
+
+
+def _parse_token(text: str) -> tuple[int, int, int]:
+    """(p, q, den), den > 0, with (p + q*w)/den the element `text` names, up
+    to lowest terms.  A token of the `to_text` shape, in lowest terms or not,
+    is read straight into ints; any other goes through `Fraction`, which
+    fixes the accepted language and the errors."""
+    match = _TOKEN.fullmatch(text)
+    if match:
+        n1, d1, n2, d2 = map(int, match.groups())
+        if d1 and d2:
+            return n1 * d2, n2 * d1, d1 * d2
+    body, sep, w_part = text.partition("*w")
+    if sep != "*w" or w_part != "":
+        raise ValueError("malformed field element %r" % text)
+    plus = body.find("+", 1)
+    if plus < 0:
+        raise ValueError("malformed field element %r" % text)
+    try:
+        a = Fraction(body[:plus])
+        b = Fraction(body[plus + 1 :])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError("malformed field element %r" % text) from exc
+    return a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator
 
 
 @cache

@@ -53,19 +53,25 @@ def _parse_int(text: str, line: int) -> int:
         raise ParseError("bad integer %r" % text, line) from exc
 
 
-def _parse_header(line: str, magic: str, fields: Sequence[str]) -> dict:
-    parts = [p.strip() for p in line.split(";")]
+def _parse_header(text: str, magic: str, fields: Sequence[str]) -> tuple[list[str], list]:
+    """The lines of `text` and the values of its header fields, in order:
+    d as a field tag, trunc as a rational and the others as ints."""
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError("empty input", 1)
+    parts = [p.strip() for p in lines[0].split(";")]
     if not parts or parts[0] != magic:
         raise ParseError("expected %r header" % magic, 1)
     if len(parts) != len(fields) + 1:
         raise ParseError("header needs fields %s" % "; ".join(fields), 1)
-    out = {}
+    values = []
     for want, got in zip(fields, parts[1:]):
         key, eq, value = got.partition("=")
         if eq != "=" or key != want:
             raise ParseError("expected header field %r, got %r" % (want, got), 1)
-        out[want] = value
-    return out
+        values.append(value)
+    return lines, [_make_tag(v) if f == "d" else _parse_q(v, 1) if f == "trunc"
+                   else _parse_int(v, 1) for f, v in zip(fields, values)]
 
 
 def _parse_matrix(text: str, g: int, tag: FieldTag, line: int) -> HermMatrix:
@@ -104,15 +110,7 @@ def write_series(f: FourierSeries) -> str:
 
 
 def read_series(text: str) -> FourierSeries:
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty input", 1)
-    h = _parse_header(lines[0], "FJS v1", ("d", "g", "k", "trunc", "dim"))
-    tag = _make_tag(h["d"])
-    g = _parse_int(h["g"], 1)
-    k = _parse_int(h["k"], 1)
-    trunc = _parse_q(h["trunc"], 1)
-    dim = _parse_int(h["dim"], 1)
+    lines, (tag, g, k, trunc, dim) = _parse_header(text, "FJS v1", ("d", "g", "k", "trunc", "dim"))
     coeffs = {}
     for i, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -151,16 +149,8 @@ def write_jacobi(t: JacobiTable) -> str:
 
 
 def read_jacobi(text: str) -> JacobiTable:
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty input", 1)
-    h = _parse_header(lines[0], "HJF v1", ("d", "g", "k", "m", "trunc", "dim"))
-    tag = _make_tag(h["d"])
-    g = _parse_int(h["g"], 1)
-    k = _parse_int(h["k"], 1)
-    m = _parse_int(h["m"], 1)
-    trunc = _parse_q(h["trunc"], 1)
-    dim = _parse_int(h["dim"], 1)
+    lines, (tag, g, k, m, trunc, dim) = _parse_header(
+        text, "HJF v1", ("d", "g", "k", "m", "trunc", "dim"))
     coeffs = {}
     for i, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -210,16 +200,8 @@ def _rmat_text(r) -> str:
 
 
 def read_family(text: str) -> FJFamily:
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty input", 1)
-    h = _parse_header(lines[0], "FJFAM v1", ("d", "g", "l", "k", "trunc", "dim"))
-    tag = _make_tag(h["d"])
-    g = _parse_int(h["g"], 1)
-    l = _parse_int(h["l"], 1)
-    k = _parse_int(h["k"], 1)
-    trunc = _parse_q(h["trunc"], 1)
-    dim = _parse_int(h["dim"], 1)
+    lines, (tag, g, l, k, trunc, dim) = _parse_header(
+        text, "FJFAM v1", ("d", "g", "l", "k", "trunc", "dim"))
     a = g - l
     tables: dict[HermMatrix, dict] = {}
     current = None
@@ -266,18 +248,10 @@ def write_components(v: ThetaComponentVector) -> str:
 
 
 def read_components(text: str) -> ThetaComponentVector:
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty input", 1)
-    h = _parse_header(lines[0], "HJC v1", ("d", "g", "k", "m", "trunc", "dim"))
-    tag = _make_tag(h["d"])
-    g = _parse_int(h["g"], 1)
-    k = _parse_int(h["k"], 1)
-    m = _parse_int(h["m"], 1)
+    lines, (tag, g, k, m, trunc, dim) = _parse_header(
+        text, "HJC v1", ("d", "g", "k", "m", "trunc", "dim"))
     if m < 1:
         raise ParseError("index m must be >= 1", 1)
-    trunc = _parse_q(h["trunc"], 1)
-    dim = _parse_int(h["dim"], 1)
     classes: list[CosetClass] = []
     class_lines: list[int] = []
     components: dict[CosetClass, FourierSeries] = {}
@@ -368,23 +342,13 @@ def detect(text: str) -> str:
 
 
 def read_any(text: str):
-    magic = detect(text)
-    if magic == "FJS v1":
-        return read_series(text)
-    if magic == "HJF v1":
-        return read_jacobi(text)
-    if magic == "FJFAM v1":
-        return read_family(text)
-    return read_components(text)
+    return {"FJS v1": read_series, "HJF v1": read_jacobi, "FJFAM v1": read_family,
+            "HJC v1": read_components}[detect(text)](text)
 
 
 def write_any(obj) -> str:
-    if isinstance(obj, FourierSeries):
-        return write_series(obj)
-    if isinstance(obj, JacobiTable):
-        return write_jacobi(obj)
-    if isinstance(obj, FJFamily):
-        return write_family(obj)
-    if isinstance(obj, ThetaComponentVector):
-        return write_components(obj)
+    for cls, writer in ((FourierSeries, write_series), (JacobiTable, write_jacobi),
+                        (FJFamily, write_family), (ThetaComponentVector, write_components)):
+        if isinstance(obj, cls):
+            return writer(obj)
     raise TypeError("no writer for %r" % type(obj).__name__)

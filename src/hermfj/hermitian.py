@@ -8,6 +8,7 @@ small canonical representatives.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -21,6 +22,7 @@ from .field import (
     Immutable,
     _lattice_points,
     _ldl_pivots,
+    _parse_token,
     _search_levels,
     coset_points,
     euclidean_round,
@@ -31,21 +33,24 @@ Vector = tuple[FieldElement, ...]
 
 
 class HermMatrix(Immutable):
-    """A g x g Hermitian matrix over E with exact entries.
+    """A g x g Hermitian matrix over E with exact entries, held as ints.
 
-    Validation happens once, at the public boundary: the constructor, and
-    so `from_text` and every reader, checks hermicity (and hence a rational
-    diagonal).  `_trusted` skips the check for `add`, `sub`, `gl_action`,
-    `enumerate_semi_integral`, `jacobi.shift_matrix`, `jacobi.block_key`,
-    `ffj.join_block` and `ffj.split_block`.
-    Semi-integrality (integer diagonal, off-diagonal entries in the inverse
-    different) is a separate queryable property, since theta supports carry
-    rational diagonals.  `_trace` is the trace as ints (num, den), den > 0,
-    in lowest terms, read from the diagonal or, in `add` and `sub`, summed;
-    `trace()` is its `Fraction` view.
+    `_key` = (D, p_11, q_11, p_12, q_12, ..., p_gg, q_gg) is the upper
+    triangle row by row, t_ij = (p_ij + q_ij*w)/D for i <= j, D > 0; the
+    lower triangle is its conjugate, so hermicity holds by construction.  In
+    lowest terms (gcd 1) the key is canonical: equality and hashing compare
+    it.  `entries` is a view built on demand; `_trace` is the trace as ints
+    (num, den), den > 0, in lowest terms.
+
+    Validation happens once, at the public boundary: the constructor and
+    `from_text`, so every reader, check hermicity.  `_trusted` takes a key
+    and skips the check for `add`, `sub`, `gl_action`, `join_block`,
+    `split_block`, `enumerate_semi_integral` and `jacobi.shift_matrix`.
+    Semi-integrality is a separate query, as theta supports carry rational
+    diagonals.
     """
 
-    __slots__ = ("g", "entries", "tag", "_hash", "_trace")
+    __slots__ = ("g", "tag", "_key", "_trace")
 
     def __init__(self, entries: Sequence[Sequence[FieldElement]], tag: FieldTag):
         rows = linalg.freeze(entries)
@@ -54,15 +59,15 @@ class HermMatrix(Immutable):
             raise ValueError("expected a nonempty square matrix, got %dx%d" % (n, m))
         if not linalg.is_hermitian(rows):
             raise ValueError("matrix is not Hermitian")
-        self._fill(n, rows, tag, None, _diagonal_trace(rows))
+        upper = [e for i, row in enumerate(rows) for e in row[i:]]
+        den = lcm(*(e.den for e in upper))
+        _store(self, n, [den] + _coords(upper, den), tag)
 
     @classmethod
-    def _trusted(cls, rows: linalg.Matrix, tag: FieldTag,
-                 trace: tuple[int, int] | None = None) -> "HermMatrix":
-        """The matrix on `rows`, a nonempty square tuple of tuples that is
-        Hermitian by construction, with trace pair `trace` if known; skips
-        the checks of `__init__`."""
-        return object.__new__(cls)._fill(len(rows), rows, tag, None, trace or _diagonal_trace(rows))
+    def _trusted(cls, g: int, raw: Sequence[int], tag: FieldTag) -> "HermMatrix":
+        """The g x g matrix on `raw`, a `_key` up to lowest terms, of a
+        matrix Hermitian by construction; skips the checks of `__init__`."""
+        return _store(object.__new__(cls), g, raw, tag)
 
     @classmethod
     def from_rational(cls, x, tag: FieldTag) -> "HermMatrix":
@@ -85,29 +90,42 @@ class HermMatrix(Immutable):
             rows[i][i] = v if isinstance(v, FieldElement) else FieldElement(Fraction(v), 0, tag)
         return cls(rows, tag)
 
+    @property
+    def entries(self) -> linalg.Matrix:
+        rows, den = self._int_coords()
+        tag, build = self.tag, FieldElement._from_ints
+        return tuple(tuple(build(a, b, den, tag) for a, b in row) for row in rows)
+
     def trace(self) -> Fraction:
         return Fraction(*self._trace)
 
-    def is_semi_integral(self) -> bool:
-        for i in range(self.g):
-            e = self.entries[i][i]
-            if e.q or e.den != 1:
-                return False
-            for j in range(i + 1, self.g):
-                if not self.entries[i][j].is_dual_integral():
-                    return False
-        return True
-
     def _int_coords(self) -> tuple[list[list[tuple[int, int]]], int]:
-        """The entries as integer coordinate pairs over one denominator.
+        """(rows, D) with entry (i, j) equal to (a + b*w)/D for rows[i][j] =
+        (a, b), read off the key; conj(a + b*w) = (a + s*b) - b*w below the
+        diagonal, s = tag._norm_s."""
+        g, key, s = self.g, self._key, self.tag._norm_s
+        rows = [[None] * g for _ in range(g)]
+        k = 1
+        for i in range(g):
+            for j in range(i, g):
+                a, b = key[k], key[k + 1]
+                rows[i][j], rows[j][i] = (a, b), (a + s * b, -b)
+                k += 2
+        return rows, key[0]
 
-        Returns (rows, den) with den the lcm of the entry denominators and
-        entry (i, j) equal to (A + B*w) / den for rows[i][j] = (A, B).
-        Exact, so integer kernels on these pairs give exact results.
-        """
-        den = lcm(*(e.den for row in self.entries for e in row))
-        return [[(e.p * (den // e.den), e.q * (den // e.den)) for e in row]
-                for row in self.entries], den
+    def is_semi_integral(self) -> bool:
+        """An integer diagonal, and off-diagonal entries in O^# (as in
+        `FieldElement.is_dual_integral`), read off the key row by row."""
+        key, g, s, t = self._key, self.g, self.tag._norm_s, self.tag._norm_t
+        den, k = key[0], 1
+        for i in range(g):
+            if key[k] % den:
+                return False
+            for j in range(k + 2, k + 2 * (g - i), 2):
+                if (s * key[j] + 2 * t * key[j + 1]) % den or (2 * key[j] + s * key[j + 1]) % den:
+                    return False
+            k += 2 * (g - i)
+        return True
 
     def _gram(self) -> tuple[list[list[int]], int]:
         """The trace form of the matrix on the coordinate lattice Z^{2g} of
@@ -150,43 +168,69 @@ class HermMatrix(Immutable):
         return self._psd_rank() == self.g
 
     def add(self, other: "HermMatrix") -> "HermMatrix":
-        if other.g != self.g or other.tag != self.tag:
-            raise ValueError("matrix size or field mismatch")
-        return HermMatrix._trusted(linalg.mat_add(self.entries, other.entries), self.tag,
-                                   _trace_sum(self._trace, other._trace, 1))
+        return self._combine(other, operator.add)
 
     def sub(self, other: "HermMatrix") -> "HermMatrix":
-        if other.g != self.g or other.tag != self.tag:
+        return self._combine(other, operator.sub)
+
+    def _combine(self, other: "HermMatrix", op) -> "HermMatrix":
+        """op (add or sub) of the keys, over one denominator."""
+        if other.g != self.g or other.tag.d != self.tag.d:
             raise ValueError("matrix size or field mismatch")
-        return HermMatrix._trusted(linalg.mat_sub(self.entries, other.entries), self.tag,
-                                   _trace_sum(self._trace, other._trace, -1))
+        x, y = self._key, other._key
+        if x[0] != y[0]:
+            x, y = [c * y[0] for c in x], [c * x[0] for c in y]
+        raw = list(map(op, x, y))
+        raw[0] = x[0]
+        return _store(object.__new__(HermMatrix), self.g, raw, self.tag)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, HermMatrix)
-            and other.tag == self.tag
-            and other.entries == self.entries
-        )
+        return (isinstance(other, HermMatrix) and other._key == self._key
+                and other.tag.d == self.tag.d)
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.entries, self.tag.d))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(self._key)
 
     def to_text(self) -> str:
         """Row-major entries in the field-element text format."""
-        return ",".join(e.to_text() for row in self.entries for e in row)
+        if self.g == 1:  # gcd(p, D) = 1 in a 1x1 key (D, p, 0)
+            return "%d/%d+0/1*w" % (self._key[1], self._key[0])
+        rows, den = self._int_coords()
+        out = []
+        for row in rows:
+            for a, b in row:
+                if a % den or b % den:
+                    ga, gb = gcd(a, den), gcd(b, den)
+                    out.append("%d/%d+%d/%d*w" % (a // ga, den // ga, b // gb, den // gb))
+                else:
+                    out.append("%d/1+%d/1*w" % (a // den, b // den))
+        return ",".join(out)
 
     @classmethod
     def from_text(cls, text: str, g: int, tag: FieldTag) -> "HermMatrix":
+        """Parse `to_text` output straight into the key, with the errors of
+        `FieldElement.from_text` on each entry, then of the constructor."""
         parts = text.split(",")
         if len(parts) != g * g:
             raise ValueError("expected %d entries, got %d" % (g * g, len(parts)))
-        vals = [FieldElement.from_text(p, tag) for p in parts]
-        rows = [vals[i * g : (i + 1) * g] for i in range(g)]
-        return cls(rows, tag)
+        cells = [_parse_token(p) for p in parts]
+        if g == 1:
+            p, q, den = cells[0]
+            if q:
+                raise ValueError("matrix is not Hermitian")
+            return cls._trusted(1, (den, p, 0), tag)
+        if g < 1:
+            return cls((), tag)
+        s, upper = tag._norm_s, []
+        for i in range(g):
+            for j in range(i, g):
+                (p, q, den), (pc, qc, dc) = cells[i * g + j], cells[j * g + i]
+                # t_ij = conj(t_ji) = ((pc + s*qc) - qc*w)/dc
+                if p * dc != (pc + s * qc) * den or q * dc != -qc * den:
+                    raise ValueError("matrix is not Hermitian")
+                upper.append((p, q, den))
+        den = lcm(*(d for _p, _q, d in upper))
+        return cls._trusted(g, [den] + [c * (den // d) for p, q, d in upper for c in (p, q)], tag)
 
     def sort_key(self) -> tuple:
         """The canonical order; `_canonical_order` computes it on ints."""
@@ -196,12 +240,60 @@ class HermMatrix(Immutable):
         return "HermMatrix(%s, g=%d, d=%d)" % (self.to_text(), self.g, self.tag.d)
 
 
-def _diagonal_trace(rows: linalg.Matrix) -> tuple[int, int]:
-    """The trace of a matrix with a rational diagonal, as a `_trace` pair."""
-    den = lcm(*(row[i].den for i, row in enumerate(rows)))
-    num = sum(row[i].p * (den // row[i].den) for i, row in enumerate(rows))
-    g = gcd(num, den)
-    return num // g, den // g
+def _coords(xs: Iterable[FieldElement], den: int) -> list[int]:
+    """The coordinates p, q of den*x for each x of `xs`, flattened; den is a
+    multiple of every x.den."""
+    return [c * (den // x.den) for x in xs for c in (x.p, x.q)]
+
+
+def _store(x: HermMatrix, g: int, raw: Sequence[int], tag: FieldTag) -> HermMatrix:
+    """Sets the slots of x, by their setters as `field._init` does, to the
+    g x g matrix on `raw`, a key that one gcd brings to lowest terms."""
+    c = gcd(*raw)
+    key = tuple(raw) if c == 1 else tuple([v // c for v in raw])
+    num, den = key[1], key[0]
+    if g > 1:  # a 1x1 key (D, p, 0) has gcd(p, D) = 1 already
+        num = sum(key[1 + 2 * (i * g - i * (i - 1) // 2)] for i in range(g))
+        c = gcd(num, den)
+        num, den = num // c, den // c
+    set_g, set_tag, set_key, set_trace = HermMatrix._setters
+    set_g(x, g)
+    set_tag(x, tag)
+    set_key(x, key)
+    set_trace(x, (num, den))
+    return x
+
+
+def join_block(n: HermMatrix, r: linalg.Matrix, m: HermMatrix) -> HermMatrix:
+    """The block matrix (n r; r* m), for an n.g x m.g matrix r; Hermitian
+    by construction.  Its key holds each row of the key of n followed by
+    that row of r, then the key of m."""
+    if len(r) != n.g or any(len(row) != m.g for row in r):
+        raise ValueError("r must be %d x %d" % (n.g, m.g))
+    a, nkey, mkey = n.g, n._key, m._key
+    den = lcm(nkey[0], mkey[0], *(x.den for row in r for x in row))
+    fn, fm = den // nkey[0], den // mkey[0]
+    raw, k = [den], 1
+    for i, row in enumerate(r):
+        raw += [c * fn for c in nkey[k:k + 2 * (a - i)]] + _coords(row, den)
+        k += 2 * (a - i)
+    return HermMatrix._trusted(a + m.g, raw + [c * fm for c in mkey[1:]], n.tag)
+
+
+def split_block(t: HermMatrix, l: int) -> tuple[HermMatrix, linalg.Matrix, HermMatrix]:
+    """(n, r, m) with t = (n r; r* m) and m the lower-right l x l block,
+    read off the key as `join_block` writes it."""
+    if not 1 <= l < t.g:
+        raise ValueError("split size must satisfy 1 <= l < %d" % t.g)
+    a, key, tag, build = t.g - l, t._key, t.tag, FieldElement._from_ints
+    n_raw, r, k = [key[0]], [], 1
+    for i in range(a):
+        k += 2 * (a - i)
+        n_raw += key[k - 2 * (a - i):k]
+        r.append(tuple(build(key[j], key[j + 1], key[0], tag) for j in range(k, k + 2 * l, 2)))
+        k += 2 * l
+    return (HermMatrix._trusted(a, n_raw, tag), tuple(r),
+            HermMatrix._trusted(l, key[:1] + key[k:], tag))
 
 
 def _trace_sum(x: tuple[int, int], y: tuple[int, int], sign: int) -> tuple[int, int]:
@@ -340,10 +432,9 @@ def _int_dot(xs, ys, s: int, n: int) -> tuple[int, int]:
 def gl_action(u: UnitMatrix, t: HermMatrix) -> HermMatrix:
     """u* t u; preserves semi-integrality and positive semidefiniteness.
 
-    Exact, on integer coordinates: V = t u is formed from
-    `t._int_coords()` and the integral coordinates of u, then only the
-    upper triangle of u* V; the lower triangle is its conjugate.  Each
-    entry is divided by the common denominator of t once, as it is built.
+    Exact, on the key: V = t u is formed from `t._int_coords()` and the
+    integral coordinates of u, then only the upper triangle of u* V, over
+    the denominator of t.
     """
     if u.g != t.g or u.tag != t.tag:
         raise ValueError("matrix size or field mismatch")
@@ -352,16 +443,12 @@ def gl_action(u: UnitMatrix, t: HermMatrix) -> HermMatrix:
     rows, den = t._int_coords()
     ucols = list(zip(*u._coords))
     vcols = [[_int_dot(row, col, s, n) for row in rows] for col in ucols]
-    out = [[None] * g for _ in range(g)]
-    build = FieldElement._from_ints
+    raw = [den]
     for i in range(g):
         ustar_row = [(a + s * b, -b) for a, b in ucols[i]]
         for j in range(i, g):
-            a, b = _int_dot(ustar_row, vcols[j], s, n)
-            out[i][j] = build(a, b, den, tag)
-            if j != i:
-                out[j][i] = build(a + s * b, -b, den, tag)
-    return HermMatrix._trusted(linalg.freeze(out), tag)
+            raw += _int_dot(ustar_row, vcols[j], s, n)
+    return HermMatrix._trusted(g, raw, tag)
 
 
 # ----------------------------------------------------------------------
@@ -370,20 +457,13 @@ def gl_action(u: UnitMatrix, t: HermMatrix) -> HermMatrix:
 
 def _dual_points_bounded(tag: FieldTag, bound: Fraction) -> list[FieldElement]:
     """All x in O^# with N(x) <= bound."""
-    sd = sqrt_disc(tag)
-    inv_sd = sd.inv()
-    scaled = coset_points(FieldElement.zero(tag), 1, bound * abs(tag.disc))
-    return [y * inv_sd for y in scaled]
+    inv_sd = sqrt_disc(tag).inv()
+    return [y * inv_sd for y in coset_points(FieldElement.zero(tag), 1, bound * abs(tag.disc))]
 
 
 def _diagonal_tuples(g: int, total: int) -> Iterator[tuple[int, ...]]:
-    if g == 1:
-        for v in range(total + 1):
-            yield (v,)
-        return
-    for v in range(total + 1):
-        for rest in _diagonal_tuples(g - 1, total - v):
-            yield (v,) + rest
+    """The g-tuples of nonnegative ints with sum <= total, in lexicographic order."""
+    return (diag for diag in product(range(total + 1), repeat=g) if sum(diag) <= total)
 
 
 def enumerate_semi_integral(g: int, trace_bound: int, tag: FieldTag) -> list[HermMatrix]:
@@ -397,18 +477,18 @@ def enumerate_semi_integral(g: int, trace_bound: int, tag: FieldTag) -> list[Her
     results: list[HermMatrix] = []
     pairs = [(i, j) for i in range(g) for j in range(i + 1, g)]
     for diag in _diagonal_tuples(g, trace_bound):
-        # (x, conj(x)) per off-diagonal slot, x in O^# within the 2x2 minor
-        # bound N(x_ij) <= t_ii t_jj
-        slots = [[(x, x.conj()) for x in _dual_points_bounded(tag, Fraction(diag[i] * diag[j]))]
-                 if diag[i] * diag[j] else [(zero, zero)] for i, j in pairs]
-        rows = [[zero] * g for _ in range(g)]
-        for i in range(g):
-            rows[i][i] = FieldElement(diag[i], 0, tag)
-        trace = (sum(diag), 1)
+        # x_ij in O^# within the 2x2 minor bound N(x_ij) <= t_ii t_jj, for
+        # the off-diagonal slots of the key in its order
+        slots = [_dual_points_bounded(tag, Fraction(diag[i] * diag[j]))
+                 if diag[i] * diag[j] else [zero] for i, j in pairs]
         for choice in product(*slots):
-            for (i, j), (x, xc) in zip(pairs, choice):
-                rows[i][j], rows[j][i] = x, xc
-            mat = HermMatrix._trusted(linalg.freeze(rows), tag, trace)
+            den = lcm(*(x.den for x in choice))
+            coords = _coords(choice, den)
+            raw, k = [den], 0
+            for i in range(g):
+                raw += (diag[i] * den, 0, *coords[k:k + 2 * (g - 1 - i)])
+                k += 2 * (g - 1 - i)
+            mat = HermMatrix._trusted(g, raw, tag)
             if mat.is_psd():
                 results.append(mat)
     return _canonical_order(results)
@@ -451,27 +531,19 @@ class _SublatticeData(Immutable):
     """Reduction data for m*sqrt(D)*O inside O, in basis coordinates.
 
     Basis of the sublattice brought to the shape v1 = (p, q), v2 = (ell, 0)
-    with q, ell > 0; the canonical box is 0 <= a < ell, 0 <= b < q.
+    with q, ell > 0; the canonical box is 0 <= a < ell, 0 <= b < q.  As
+    sqrt(D) = 2w - s, the sublattice is spanned by m*sqrt(D) = (-s*m, 2m)
+    and m*sqrt(D)*w = (-2t*m, s*m): q = gcd(2m, s*m) is the b-coordinate of
+    one of them, which gives p, and ell = m^2 |D| / q, the index over q.
     """
 
     __slots__ = ("p", "q", "ell")
 
     def __init__(self, tag: FieldTag, m: int):
-        sd = sqrt_disc(tag)
-        w = FieldElement.omega(tag)
-        gen1, gen2 = sd * m, sd * w * m
-        a1, b1 = gen1.p, gen1.q
-        a2, b2 = gen2.p, gen2.q
-        # zero the b-component of the second generator via Bezout
-        x, y = _bezout(b1, b2)
-        gcd = x * b1 + y * b2
-        v1 = (x * a1 + y * a2, gcd)
-        k1, k2 = b2 // gcd, -b1 // gcd
-        v2 = (k1 * a1 + k2 * a2, 0)
-        ell = abs(v2[0])
-        q = v1[1]
-        p = v1[0] % ell
-        self._fill(p, q, ell)
+        s, t = tag._norm_s, tag._norm_t
+        q = m if s else 2 * m
+        ell = m * m * abs(tag.disc) // q
+        self._fill(-2 * t * m % ell if s else 0, q, ell)
 
     def reduce(self, a: int, b: int) -> tuple[int, int]:
         k = b // self.q
@@ -483,18 +555,6 @@ class _SublatticeData(Immutable):
         for a in range(self.ell):
             for b in range(self.q):
                 yield a, b
-
-
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    return old_s, old_t
 
 
 # keyed by (tag, m); a batch touches at most 15 keys
@@ -535,12 +595,8 @@ class CosetClass(Immutable):
         return len(self.rep)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, CosetClass)
-            and other.m == self.m
-            and other.tag == self.tag
-            and other.rep == self.rep
-        )
+        return (isinstance(other, CosetClass)
+                and (other.m, other.tag, other.rep) == (self.m, self.tag, self.rep))
 
     def __hash__(self):
         return hash((self.m, self.rep, self.tag.d))
@@ -576,6 +632,17 @@ def reduce_class(r: Sequence[FieldElement], m: int) -> CosetClass:
     return CosetClass._trusted(m, rep, rep[0].tag)
 
 
+def _delta_components(g: int, m: int, tag: FieldTag) -> list[FieldElement]:
+    """The m^2 |D| canonical components of the classes of Delta_g(m): the
+    `_sublattice` box over sqrt(D), in its order."""
+    if g < 1:
+        raise ValueError("g must be >= 1")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    inv_sd = sqrt_disc(tag).inv()
+    return [FieldElement(a, b, tag) * inv_sd for a, b in _sublattice(tag, m).box()]
+
+
 @lru_cache(maxsize=64)
 def delta_classes(g: int, m: int, tag: FieldTag) -> tuple[CosetClass, ...]:
     """All classes of Delta_g(m), duplicate-free and in canonical order;
@@ -584,14 +651,21 @@ def delta_classes(g: int, m: int, tag: FieldTag) -> tuple[CosetClass, ...]:
     The tuple is shared between calls: an LRU cache of 64 (g, m, tag) keys
     holds it, well above the at most 15 keys a batch asks for.
     """
-    if g < 1:
-        raise ValueError("g must be >= 1")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    data = _sublattice(tag, m)
-    inv_sd = sqrt_disc(tag).inv()
-    component = [FieldElement(a, b, tag) * inv_sd for a, b in data.box()]
+    component = _delta_components(g, m, tag)
     return tuple(CosetClass._trusted(m, rep, tag) for rep in product(component, repeat=g))
+
+
+def delta_class(g: int, m: int, tag: FieldTag, index: int) -> CosetClass:
+    """`delta_classes(g, m, tag)[index]` without listing the classes: the
+    digits of index in base m^2 |D|, the last varying fastest as in
+    `itertools.product`, pick the components.  An index outside
+    [0, (m^2 |D|)^g) raises IndexError."""
+    component = _delta_components(g, m, tag)
+    base = len(component)
+    if not 0 <= index < base ** g:
+        raise IndexError("class index %d out of range" % index)
+    rep = tuple(component[index // base ** (g - 1 - i) % base] for i in range(g))
+    return CosetClass._trusted(m, rep, tag)
 
 
 @lru_cache(maxsize=4096)
@@ -608,12 +682,10 @@ def small_rep(s: CosetClass) -> Vector:
 
 
 def in_same_class(r1: Sequence[FieldElement], r2: Sequence[FieldElement], m: int) -> bool:
-    """Whether r1 - r2 lies in m O^g; vectors of different lengths raise
-    ValueError."""
+    """Whether r1 - r2 lies in m O^g, for m >= 1; vectors of different
+    lengths raise ValueError."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     if len(r1) != len(r2):
         raise ValueError("vectors of lengths %d and %d" % (len(r1), len(r2)))
-    for x, y in zip(r1, r2):
-        diff = (x - y) / m
-        if not diff.is_integral():
-            return False
-    return True
+    return all(((x - y) / m).is_integral() for x, y in zip(r1, r2))

@@ -26,6 +26,7 @@ from .hermitian import (
     HermMatrix,
     _canonical_order, _trace_sum, _trace_within,
     delta_classes,
+    join_block,
     min_represented,
     reduce_class,
     small_rep,
@@ -37,7 +38,7 @@ Vector = tuple[FieldElement, ...]
 
 def shift_matrix(r: Sequence[FieldElement], m: int) -> HermMatrix:
     """r m^-1 r* as a g x g Hermitian matrix, for a column vector r given
-    as any sequence.
+    as any sequence and an index m >= 1.
 
     Memoised on (tuple(r), m) in an LRU cache of 4096 entries; a benchmark
     batch needs at most 1,882.  Equal inputs share one matrix.
@@ -47,17 +48,25 @@ def shift_matrix(r: Sequence[FieldElement], m: int) -> HermMatrix:
 
 @lru_cache(maxsize=4096)
 def _shift_matrix(r: Vector, m: int) -> HermMatrix:
-    inv_m = Fraction(1, m)
-    return HermMatrix._trusted(tuple(tuple((x * y.conj()) * inv_m for y in r) for x in r),
-                               r[0].tag)
+    """On ints: for x = D*r_i = a + b*w and y = D*r_j = c + e*w, D the lcm
+    of the denominators of r, x conj(y) = (a*c + s*a*e + t*b*e) + (b*c - a*e)*w."""
+    if m < 1:
+        raise ValueError("index m must be >= 1, got %r" % (m,))
+    tag = r[0].tag
+    s, t = tag._norm_s, tag._norm_t
+    den = lcm(*(x.den for x in r))
+    xs = [(x.p * (den // x.den), x.q * (den // x.den)) for x in r]
+    raw = [den * den * m]
+    for i, (a, b) in enumerate(xs):
+        for c, e in xs[i:]:
+            raw += (a * c + s * a * e + t * b * e, b * c - a * e)
+    return HermMatrix._trusted(len(r), raw, tag)
 
 
 def block_key(n: HermMatrix, r: Sequence[FieldElement], m: int) -> HermMatrix:
     """The (g+1) x (g+1) assembly (n r; r* m), Hermitian by construction
     for a Hermitian n and a rational m."""
-    rows = [row + (x,) for row, x in zip(n.entries, r)]
-    rows.append(tuple(x.conj() for x in r) + (FieldElement(m, 0, n.tag),))
-    return HermMatrix._trusted(tuple(rows), n.tag)
+    return join_block(n, tuple((x,) for x in r), HermMatrix.from_rational(m, n.tag))
 
 
 def _as_key_matrix(n, g: int, tag: FieldTag) -> HermMatrix:
@@ -116,9 +125,9 @@ class JacobiTable(Immutable):
                 if not x.is_dual_integral():
                     raise ValueError("r component %r is not in the inverse different" % (x,))
             if g == 1:
-                # 2x2 block: psd iff n = p/den >= 0 and n*m >= |r|^2 = N_num/den_r^2
-                e, x = n.entries[0][0], r[0]
-                ok = e.p >= 0 and e.p * m * x.den * x.den >= x._norm_num() * e.den
+                # 2x2 block: psd iff n = p/D >= 0 and n*m >= |r|^2 = N_num/den_r^2
+                (den, p, _q), x = n._key, r[0]
+                ok = p >= 0 and p * m * x.den * x.den >= x._norm_num() * den
             else:
                 ok = block_key(n, r, m).is_psd()
             if not ok:
@@ -181,15 +190,13 @@ class JacobiTable(Immutable):
     def vanishing_order(self):
         """min over supported keys of the minimal value represented by the
         n-block; +inf on empty support."""
-        if not self.coeffs:
-            return inf
-        return min(min_represented(n) for (n, _r) in self.coeffs)
+        return min((min_represented(n) for (n, _r) in self.coeffs), default=inf)
 
     def vanishing_order_at(self, r: Sequence[FieldElement]):
         """Smallest corner entry n[g-1][g-1] over supported keys with second
         component r; +inf when r never occurs."""
         r = tuple(r)
-        return min((n.entries[-1][-1].as_rational() for n, rr in self.coeffs if rr == r),
+        return min((Fraction(n._key[-2], n._key[0]) for n, rr in self.coeffs if rr == r),
                    default=inf)
 
 
@@ -241,12 +248,9 @@ class ThetaComponentVector(Immutable):
         self._fill(m, classes, dict(components))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ThetaComponentVector)
-            and other.m == self.m
-            and other.classes == self.classes
-            and other.components == self.components
-        )
+        return (isinstance(other, ThetaComponentVector)
+                and (other.m, other.classes, other.components)
+                == (self.m, self.classes, self.components))
 
     def __repr__(self):
         nonzero = sum(1 for h in self.components.values() if not h.is_zero())
@@ -279,32 +283,32 @@ def theta_decompose(phi: JacobiTable, strict: bool = False) -> ThetaComponentVec
     tag = phi.tag
     g = phi.g
     classes = delta_classes(g, m, tag)
-    by_class: dict[CosetClass, dict[HermMatrix, Vec]] = {s: {} for s in classes}
-    reps = {s: small_rep(s) for s in classes}
-    class_of: dict[Vector, CosetClass] = {}
+    # per class: its body of h-coefficients and its small representative
+    slots: dict[CosetClass, tuple[dict, Vector]] = {s: ({}, small_rep(s)) for s in classes}
+    # per distinct r: the slot of its class and the shifts of r and r0
+    seen: dict[Vector, tuple] = {}
     bound = phi.trunc.as_integer_ratio()
+    zero = _zero_vec(phi.dim, tag)
 
     for (n, r), vec in phi.coeffs.items():
-        s = class_of.get(r)
-        if s is None:
-            s = class_of[r] = reduce_class(r, m)
-        nprime = n.sub(shift_matrix(r, m))
-        r0 = reps[s]
-        key0 = nprime.add(shift_matrix(r0, m))
-        canonical = phi.coefficient(key0, r0) if _trace_within(key0, bound) else None
-        if canonical is not None and canonical != vec:
+        info = seen.get(r)
+        if info is None:
+            body, r0 = slots[reduce_class(r, m)]
+            info = seen[r] = (body, r0, shift_matrix(r, m), shift_matrix(r0, m))
+        body, r0, shift, shift0 = info
+        nprime = n.sub(shift)
+        key0 = nprime.add(shift0)
+        if _trace_within(key0, bound) and phi.coeffs.get((key0, r0), zero) != vec:
             raise ConsistencyError(
                 "well-definedness violation: representatives disagree",
                 witness=(nprime, r, r0),
             )
-        by_class[s][nprime] = vec
+        body[nprime] = vec
 
     components = {}
-    for s in classes:
-        r0 = reps[s]
+    for s, (body, r0) in slots.items():
         shift0 = shift_matrix(r0, m)
         h_trunc = phi.trunc - shift0.trace()
-        body = by_class[s]
         # spare-representative probe per stored index
         r1 = (r0[0] + m,) + r0[1:]
         shift1 = shift_matrix(r1, m)
@@ -376,12 +380,9 @@ def series_times_theta(h: FourierSeries, theta: JacobiTable) -> JacobiTable:
     theta is a valid key, so the table skips re-validation.
     """
     m = theta.m
-    cls = None
-    for (_n, r) in theta.coeffs:
-        cls = reduce_class(r, m)
-        break
-    if cls is None:
+    if not theta.coeffs:
         raise ValueError("empty theta table")
+    cls = reduce_class(next(iter(theta.coeffs))[1], m)
     shift0 = shift_matrix(small_rep(cls), m).trace()
     out_trunc = h.trunc + shift0
     if theta.trunc < out_trunc:

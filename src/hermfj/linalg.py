@@ -1,14 +1,10 @@
 """Small exact linear algebra over field elements.
 
-Matrices are immutable tuples of tuples of FieldElement.  Sizes here are
-tiny (degree <= 4 in practice), so determinants use cofactor expansion.
-Cofactor determinants serve only `UnitMatrix` (its unit determinant) and
-`adjugate`.  Hermitian definiteness and rank come from `field._ldl_pivots`
-on the integral trace form (`HermMatrix._psd_rank`), and the lattice
-kernels in `hermitian` (`gl_action`, `min_represented`) run on integer
-coordinates instead of these products.
-`is_hermitian` reads the integer coordinates (p + q*w)/den of the entries
-directly.
+Matrices are immutable tuples of tuples of FieldElement: the entries of
+`UnitMatrix` and of the unitary groups, and the rows that the `HermMatrix`
+constructor checks with `is_hermitian`.  Sizes here are tiny (degree <= 4
+in practice), so determinants use cofactor expansion.  Hermitian matrices
+are held as ints, and their kernels in `hermitian` work on those.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from math import inf
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import linalg
-from .field import FieldElement, FieldTag, Immutable
+from .field import FieldElement, FieldTag, Immutable, unit_group
 from .hermitian import HermMatrix, UnitMatrix, gl_action, min_represented
 from .hermitian import _canonical_order, _trace_sum, _trace_within
 
@@ -192,9 +192,7 @@ class FourierSeries(Immutable):
     def vanishing_order(self):
         """min over supported t of the minimal represented value; +inf for
         the zero series.  Truncation-relative: only stored keys enter."""
-        if not self.coeffs:
-            return inf
-        return min(min_represented(t) for t in self.coeffs)
+        return min((min_represented(t) for t in self.coeffs), default=inf)
 
 
 # ----------------------------------------------------------------------
@@ -253,8 +251,6 @@ def gl_generators(g: int, tag: FieldTag) -> list[UnitMatrix]:
     """A generating set for GL_g(O): diagonal units, adjacent transpositions,
     and elementary matrices over an integral basis (O is Euclidean, so these
     generate)."""
-    from .field import unit_group
-
     if g < 1:
         raise ValueError("g must be >= 1")
     gens: list[UnitMatrix] = []

@@ -2,13 +2,15 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 from hermfj.ffj import disassemble
 from hermfj.field import FieldElement, make_field
 from hermfj.formats import read_family, read_jacobi, write_family, write_jacobi, write_series
-from hermfj.hermitian import HermMatrix, enumerate_semi_integral
+from hermfj.hermitian import CosetClass, HermMatrix, delta_classes, enumerate_semi_integral
+from hermfj.jacobi import theta_coeffs
 from hermfj.series import FourierSeries
 from util import distant_break
 
@@ -70,6 +72,44 @@ def test_theta_shift_out_of_range(tmp_path):
     code, _, err = run_cli("theta", "--field", "-1", "--m", "1", "--shift", "99",
                            "--trunc", "2", "--out", str(tmp_path / "x.hjf"))
     assert code == 1 and "shift" in err
+
+
+def test_theta_shift_out_of_range_names_the_class_count(tmp_path):
+    out = tmp_path / "x.hjf"
+    for argv, count in ((("--m", "2", "--shift", "16"), 16), (("--m", "2", "--shift", "-1"), 16),
+                        (("--m", "5", "--shift", str(10 ** 12), "--genus", "6"), 10 ** 12)):
+        code, stdout, err = run_cli("theta", "--field", "-1", *argv, "--trunc", "2",
+                                    "--out", str(out))
+        assert code == 1 and stdout == "" and not out.exists()
+        assert err == "error: usage: --shift must be in [0, %d) for m=%s over d=-1\n" % (
+            count, argv[1])
+
+
+def test_theta_shift_builds_its_class_without_listing_the_others(tmp_path):
+    # Delta_6(5) over Q(i) has (25 * 4)^6 = 10^12 classes
+    from hermfj import cli
+
+    tag = make_field(-1)
+    out = tmp_path / "g6.hjf"
+    start = time.perf_counter()
+    code = cli.run(["theta", "--field", "-1", "--m", "5", "--shift", "0", "--trunc", "2",
+                    "--genus", "6", "--out", str(out)])
+    assert code == 0 and time.perf_counter() - start < 1.0
+    zero = CosetClass(5, (FieldElement.zero(tag),) * 6, tag)
+    assert out.read_text(encoding="ascii") == write_jacobi(theta_coeffs(5, zero, 2))
+
+
+def test_theta_shift_gives_the_bytes_of_the_listed_class(tmp_path):
+    from hermfj import cli
+
+    out = tmp_path / "t.hjf"
+    for d in (-1, -2, -3, -7, -11):
+        tag = make_field(d)
+        for g, m in ((1, 1), (1, 2), (2, 1)):
+            for i, s in enumerate(delta_classes(g, m, tag)):
+                assert cli.run(["theta", "--field", str(d), "--m", str(m), "--shift", str(i),
+                                "--trunc", "1", "--genus", str(g), "--out", str(out)]) == 0
+                assert out.read_text(encoding="ascii") == write_jacobi(theta_coeffs(m, s, 1))
 
 
 def test_decompose_recompose_round_trip(tmp_path):

@@ -7,6 +7,7 @@ from hermfj.field import FieldElement, euclidean_constant, make_field, unit_grou
 from hermfj.hermitian import (
     HermMatrix,
     UnitMatrix,
+    delta_class,
     delta_classes,
     enumerate_semi_integral,
     gl_action,
@@ -193,13 +194,14 @@ def brute_min_represented(t: HermMatrix, height: int = 3) -> Fraction:
                 for b in coords:
                     yield rest + (FieldElement(a, b, tag),)
 
+    rows = t.entries
     for vec in vectors(g):
         if all(x.is_zero() for x in vec):
             continue
         acc = None
         for i in range(g):
             for j in range(g):
-                term = vec[i].conj() * t.entries[i][j] * vec[j]
+                term = vec[i].conj() * rows[i][j] * vec[j]
                 acc = term if acc is None else acc + term
         val = acc.as_rational()
         if best is None or val < best:
@@ -251,6 +253,19 @@ def test_delta_class_counts():
     t3 = make_field(-3)
     assert len(delta_classes(1, 1, t3)) == 3
     assert len(delta_classes(2, 2, t1)) == 256
+
+
+def test_delta_class_is_the_listed_class():
+    for tag in all_tags():
+        for g, m in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)):
+            classes = delta_classes(g, m, tag)
+            assert [delta_class(g, m, tag, i) for i in range(len(classes))] == list(classes)
+            for index in (-1, len(classes)):
+                with pytest.raises(IndexError):
+                    delta_class(g, m, tag, index)
+        for g, m in ((0, 1), (1, 0)):
+            with pytest.raises(ValueError):
+                delta_class(g, m, tag, 0)
 
 
 def test_delta_classes_distinct_and_reduce_idempotent():

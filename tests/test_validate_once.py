@@ -10,6 +10,7 @@ and each trusted output equals its rebuild through the public constructors.
 import ast
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,7 @@ from hermfj.jacobi import (
     JacobiTable,
     ThetaComponentVector,
     block_key,
+    shift_matrix,
     theta_coeffs,
     theta_decompose,
     theta_recompose,
@@ -98,6 +100,10 @@ CONSTRUCTOR_CASES = {
         1, (FieldElement(0, 0, make_field(-3)),), TAG),
     "reduce_class of an empty r": lambda: reduce_class((), 1),
     "in_same_class of unequal lengths": lambda: in_same_class((fe(0),), (fe(0), fe(1)), 1),
+    "in_same_class m = 0": lambda: in_same_class((fe(0),), (fe(1),), 0),
+    "in_same_class m = -2": lambda: in_same_class((fe(0),), (fe(2),), -2),
+    "shift_matrix m = 0": lambda: shift_matrix((fe(1),), 0),
+    "shift_matrix m = -1": lambda: shift_matrix((fe(1),), -1),
     "enumerate_semi_integral g = 0": lambda: enumerate_semi_integral(0, 2, TAG),
     "gl_generators g = 0": lambda: gl_generators(0, TAG),
     "small_rep of a rep outside O^#": lambda: small_rep(
@@ -249,13 +255,16 @@ def assert_same_as_public(obj, rebuild):
     again = rebuild(obj)
     assert again == obj
     for name in obj.__slots__:
-        if name != "_hash":
-            assert getattr(again, name) == getattr(obj, name), name
-    # equal keys compare their entries only, so compare their traces too: a
-    # wrong trace pair passed on by `add` or `sub` shows here
-    traces = {t: t.trace() for t in key_matrices(again)}
+        assert getattr(again, name) == getattr(obj, name), name
+    # equal keys compare their int tuples only, so compare the tuples and
+    # the traces of the rebuilt keys too: a trace pair or a key out of
+    # lowest terms, passed on by a trusted builder, shows here
+    rebuilt = {t: t for t in key_matrices(again)}
     for t in key_matrices(obj):
-        assert t.trace() == traces[t] and t._trace == t.trace().as_integer_ratio(), t
+        public = rebuilt[t]
+        assert t._key == public._key and t.g == public.g, t
+        assert t._key[0] > 0 and gcd(*t._key) == 1, t
+        assert t.trace() == public.trace() and t._trace == t.trace().as_integer_ratio(), t
 
 
 def test_trusted_outputs_equal_their_public_rebuild():

@@ -339,25 +339,30 @@ class FractionFieldElement(Immutable):
 def principal_minor(m, idx) -> Fraction:
     """det of the principal submatrix of the HermMatrix m on the index tuple
     idx, by cofactor expansion; rational since the submatrix is Hermitian."""
+    return _minor_of_rows(m.entries, idx)
+
+
+def _minor_of_rows(rows, idx) -> Fraction:
     from hermfj import linalg
 
-    sub = tuple(tuple(m.entries[i][j] for j in idx) for i in idx)
+    sub = tuple(tuple(rows[i][j] for j in idx) for i in idx)
     return linalg.det(sub).as_rational()
 
 
 def psd_by_minors(m) -> bool:
     """Positive semidefinite: all 2^g - 1 principal minors are >= 0."""
-    g = m.g
+    g, rows = m.g, m.entries
     for mask in range(1, 1 << g):
         idx = tuple(i for i in range(g) if mask >> i & 1)
-        if principal_minor(m, idx) < 0:
+        if _minor_of_rows(rows, idx) < 0:
             return False
     return True
 
 
 def pd_by_leading_minors(m) -> bool:
     """Positive definite: the g leading principal minors are > 0."""
-    return all(principal_minor(m, tuple(range(k))) > 0 for k in range(1, m.g + 1))
+    rows = m.entries
+    return all(_minor_of_rows(rows, tuple(range(k))) > 0 for k in range(1, m.g + 1))
 
 
 def det_by_fractions(rows) -> Fraction:
@@ -419,13 +424,19 @@ def hermitian_by_conj(x) -> bool:
 # Fractions)
 
 
+def gl_action_rows_by_mat_mul(u, rows):
+    """The rows of u* t u for t with field-element `rows`, as two generic
+    matrix products."""
+    from hermfj import linalg
+
+    return linalg.mat_mul(linalg.mat_mul(u.conj_transpose_entries(), rows), u.entries)
+
+
 def gl_action_by_mat_mul(u, t):
     """u* t u as two generic field-element matrix products."""
-    from hermfj import linalg
     from hermfj.hermitian import HermMatrix
 
-    product = linalg.mat_mul(linalg.mat_mul(u.conj_transpose_entries(), t.entries), u.entries)
-    return HermMatrix(product, t.tag)
+    return HermMatrix(gl_action_rows_by_mat_mul(u, t.entries), t.tag)
 
 
 def real_gram_by_fractions(t):
@@ -438,13 +449,14 @@ def real_gram_by_fractions(t):
         basis.append((i, FieldElement.one(tag)))
         basis.append((i, w))
     n = 2 * t.g
+    rows = t.entries
     gram = [[Fraction(0)] * n for _ in range(n)]
     for r in range(n):
         i, x = basis[r]
         for c in range(r, n):
             j, y = basis[c]
             # Re(conj(x) t_ij y) = Tr(.)/2
-            val = (x.conj() * t.entries[i][j] * y).trace() / 2
+            val = (x.conj() * rows[i][j] * y).trace() / 2
             gram[r][c] = val
             gram[c][r] = val
     return gram
@@ -521,7 +533,8 @@ def min_represented_by_fractions(t) -> Fraction:
         raise ValueError("matrix is not positive semidefinite")
     if principal_minor(t, tuple(range(t.g))) == 0:
         return Fraction(0)
-    bound = min(t.entries[i][i].as_rational() for i in range(t.g))
+    rows = t.entries
+    bound = min(rows[i][i].as_rational() for i in range(t.g))
     L, D = ldl_by_fractions(real_gram_by_fractions(t))
     return min([bound] + [q for q, _u in short_vectors_by_fractions(L, D, bound)])
 
@@ -596,7 +609,7 @@ def min_represented_by_best_budget(t) -> Fraction:
     if not pd_by_leading_minors(t):
         return Fraction(0)
     s, n = t.tag._norm_s, -t.tag._norm_t
-    rows, den = t._int_coords()
+    rows, den = int_coords_by_elements(t.entries)
     dim = 2 * t.g
     gram = [[0] * dim for _ in range(dim)]
     for i, row in enumerate(rows):
@@ -631,12 +644,87 @@ def min_represented_by_best_budget(t) -> Fraction:
 
 
 # ----------------------------------------------------------------------
+# integer key oracles (the library's predecessors, on field-element rows)
+
+
+def random_hermitian_rows(rng: random.Random, g: int, tag: FieldTag, den: int = 6):
+    """The rows of a random g x g Hermitian matrix, entry denominators drawn
+    from 1 to `den`: a rational diagonal and conjugate pairs."""
+    rows = [[None] * g for _ in range(g)]
+    for i in range(g):
+        rows[i][i] = FieldElement(Fraction(rng.randint(-6, 6), rng.randint(1, den)), 0, tag)
+        for j in range(i + 1, g):
+            x = random_field_element(rng, tag, den=den, span=6)
+            rows[i][j], rows[j][i] = x, x.conj()
+    return tuple(tuple(row) for row in rows)
+
+
+def int_coords_by_elements(rows):
+    """The former `HermMatrix._int_coords` on field-element rows: (coords,
+    den) with den the lcm of the entry denominators and entry (i, j) equal to
+    (A + B*w)/den for coords[i][j] = (A, B)."""
+    from math import lcm
+
+    den = lcm(*(e.den for row in rows for e in row))
+    return [[(e.p * (den // e.den), e.q * (den // e.den)) for e in row] for row in rows], den
+
+
+def gram_by_elements(rows, tag: FieldTag):
+    """The former `HermMatrix._gram` on field-element rows: the trace form
+    on the coordinate lattice, taken integral, as (gram, den)."""
+    s, n = tag._norm_s, -tag._norm_t
+    coords, den = int_coords_by_elements(rows)
+    gram = []
+    for row in coords:
+        even, odd = [], []
+        for a, b in row:
+            tr = 2 * a + s * b
+            even += (tr, 2 * n * b + s * (a + s * b))
+            odd += (s * a - 2 * n * b, -n * tr)
+        gram += (even, odd)
+    return gram, den
+
+
+def shift_rows_by_elements(r, m: int):
+    """The rows of r m^-1 r* by field-element products (the former
+    `jacobi._shift_matrix`)."""
+    inv_m = Fraction(1, m)
+    return tuple(tuple((x * y.conj()) * inv_m for y in r) for x in r)
+
+
+def join_rows_by_elements(n_rows, r, m_rows):
+    """The rows of (n r; r* m) (the former `ffj.join_block`, and
+    `jacobi.block_key` for a 1 x 1 m)."""
+    from hermfj import linalg
+
+    rows = [tuple(n_row) + tuple(r_row) for n_row, r_row in zip(n_rows, r)]
+    rows.extend(r_col + tuple(m_row) for r_col, m_row in zip(linalg.conj_transpose(r), m_rows))
+    return tuple(rows)
+
+
+def split_rows_by_elements(rows, l: int):
+    """The rows of n, the matrix r and the rows of m with (n r; r* m) =
+    `rows` and m of size l (the former `ffj.split_block`)."""
+    a = len(rows) - l
+    return (tuple(row[:a] for row in rows[:a]), tuple(row[a:] for row in rows[:a]),
+            tuple(row[a:] for row in rows[a:]))
+
+
+def semi_integral_by_elements(rows) -> bool:
+    """An integer diagonal and off-diagonal entries in O^#, read entry by
+    entry (the former `HermMatrix.is_semi_integral`)."""
+    return all(e.is_integral() and not e.q if i == j else e.is_dual_integral()
+               for i, row in enumerate(rows) for j, e in enumerate(row))
+
+
+# ----------------------------------------------------------------------
 # canonical order oracles (the library's predecessors, on Fractions)
 
 
 def trace_by_fractions(t) -> Fraction:
     """The trace of a Hermitian matrix, summed as `Fraction`s of its diagonal."""
-    return sum((t.entries[i][i].as_rational() for i in range(t.g)), Fraction(0))
+    rows = t.entries
+    return sum((rows[i][i].as_rational() for i in range(t.g)), Fraction(0))
 
 
 def matrix_order_by_fractions(t) -> tuple:
