@@ -186,9 +186,10 @@ def _cmd_symmetry_check(args) -> int:
     magic = formats.detect(text)
     if magic == "FJS v1":
         f = formats.read_series(text)
-        violations = check_symmetry(f, gl_generators(f.g, f.tag))
+        gens = gl_generators(f.g, f.tag)
+        violations = check_symmetry(f, gens)
         summary = "%d symmetry violations" % len(violations)
-        ok = "symmetry ok: %d generators" % len(gl_generators(f.g, f.tag))
+        ok = "symmetry ok: %d generators" % len(gens)
     elif magic == "FJFAM v1":
         fam = formats.read_family(text)
         report = ffj.check_family(fam, gl_generators(fam.g, fam.tag))

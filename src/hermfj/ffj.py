@@ -1,18 +1,19 @@
 """Symmetric formal Fourier-Jacobi families.
 
-A family of degree g and cogenus l stores, per semi-integral PSD l x l
-index matrix m, a coefficient table keyed by pairs (n, r) with n a
-(g-l) x (g-l) semi-integral PSD matrix and r a (g-l) x l matrix over E; the
-assembled block
+A family of degree g and cogenus l is indexed, as in Bruinier-Raum, by the
+full degree-g Fourier indices: it stores one coefficient per semi-integral
+PSD g x g matrix
 
-    (n  r)
-    (r* m)
+    T = (n  r)
+        (r* m)
 
-is the corresponding full degree-g Fourier index.  The family is the single
-source of truth; the full series, other cogenus arrangements, the psi_0
-slice and formal theta components are all derived views.  The formal theta
-components of a cogenus-2 family are `jacobi.theta_decompose` of its
-cogenus-1 slice at the chosen index.
+with m the lower-right l x l block, n a (g-l) x (g-l) block and r a
+(g-l) x l matrix over E.  The cogenus-l tables {m: {(n, r): vec}} are a
+view split from these keys on demand.  So the full series and the other
+cogenus arrangements wrap the same keys, and the psi_0 slice and formal
+theta components select and split them.  The formal theta components of a
+cogenus-2 family are `jacobi.theta_decompose` of its cogenus-1 slice at the
+chosen index.
 """
 
 from __future__ import annotations
@@ -21,26 +22,29 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from . import linalg
-from .errors import ConsistencyError
 from .field import FieldElement, FieldTag, Immutable
 from .hermitian import CosetClass, HermMatrix, UnitMatrix, join_block, reduce_class, small_rep
 from .hermitian import _canonical_order, _trace_within, split_block
 from .jacobi import JacobiTable, shift_matrix, theta_decompose
-from .series import FourierSeries, RhoMap, Vec, _nonzero, _zero_vec, check_symmetry
+from .series import FourierSeries, RhoMap, Vec, _all_zero, _nonzero, _zero_vec, check_symmetry
 
 RMat = tuple[tuple[FieldElement, ...], ...]
 
 
 class FJFamily(Immutable):
-    """A symmetric formal Fourier-Jacobi series held by its cogenus-l tables.
+    """A symmetric formal Fourier-Jacobi series of cogenus l.
+
+    `coeffs` maps each assembled degree-g key (n r; r* m) to its
+    coefficient vector, as `FourierSeries.coeffs` does; `tables` and
+    `indices` are the cogenus-l views.  The constructor takes the tables.
 
     Validation happens once, at the public boundary: the constructor, and
-    so `formats.read_family`, checks every assembled key.  `_trusted` skips
-    the checks for `disassemble` of a semi-integral series, and so for
-    `rearrange_cogenus`.
+    so `formats.read_family`, checks every assembled key.  `_trusted` takes
+    assembled keys and skips the checks for `disassemble` of a
+    semi-integral series and for `rearrange_cogenus`.
     """
 
-    __slots__ = ("g", "l", "k", "tag", "trunc", "dim", "tables")
+    __slots__ = ("g", "l", "k", "tag", "trunc", "dim", "coeffs")
 
     def __init__(
         self,
@@ -58,20 +62,24 @@ class FJFamily(Immutable):
             raise ValueError("coefficient dimension must be >= 1")
         trunc = trunc if isinstance(trunc, Fraction) else Fraction(trunc)
         bound = trunc.as_integer_ratio()
-        clean: dict[HermMatrix, dict[tuple[HermMatrix, RMat], Vec]] = {}
+        coeffs: dict[HermMatrix, Vec] = {}
         for m, table in tables.items():
             if m.g != l or m.tag != tag:
                 raise ValueError("index size or field mismatch at %r" % (m,))
-            body: dict[tuple[HermMatrix, RMat], Vec] = {}
             for (n, r), vec in table.items():
                 r = linalg.freeze(r)
                 vec = tuple(vec)
                 if len(vec) != dim:
                     raise ValueError("coefficient dimension mismatch")
-                if all(v.is_zero() for v in vec):
+                if _all_zero(vec, tag):
                     continue
                 if n.g != g - l or n.tag != tag:
                     raise ValueError("key size or field mismatch at %r" % (n,))
+                for row in r:
+                    for x in row:
+                        if x.tag != tag:
+                            raise ValueError("r component %r is not in the field d=%d"
+                                             % (x, tag.d))
                 block = join_block(n, r, m)
                 if not block.is_semi_integral():
                     raise ValueError("assembled key %r is not semi-integral" % (block,))
@@ -79,35 +87,32 @@ class FJFamily(Immutable):
                     raise ValueError("assembled key %r is not positive semidefinite" % (block,))
                 if not _trace_within(block, bound):
                     raise ValueError("assembled key exceeds truncation %s" % trunc)
-                body[(n, r)] = vec
-            if body:
-                clean[m] = body
-        self._fill(g, l, k, tag, trunc, dim, clean)
+                coeffs[block] = vec
+        self._fill(g, l, k, tag, trunc, dim, coeffs)
 
     @classmethod
     def _trusted(cls, g: int, l: int, k: int, tag: FieldTag, trunc: Fraction,
-                 tables: Mapping, dim: int = 1) -> "FJFamily":
-        """A family on `tables`, whose (n, r) keys, r frozen, assemble to
-        valid keys by construction; skips the key checks of `__init__` but
-        still drops all-zero coefficient vectors and then empty indices."""
-        clean = {m: body for m, table in tables.items() if (body := _nonzero(table))}
-        return object.__new__(cls)._fill(g, l, k, tag, trunc, dim, clean)
+                 coeffs: Mapping, dim: int = 1) -> "FJFamily":
+        """A family on `coeffs`, keyed by assembled degree-g matrices that
+        are valid family keys by construction; skips the key checks of
+        `__init__` but still drops all-zero coefficient vectors."""
+        return object.__new__(cls)._fill(g, l, k, tag, trunc, dim, _nonzero(coeffs))
+
+    @property
+    def tables(self) -> dict[HermMatrix, dict[tuple[HermMatrix, RMat], Vec]]:
+        """The cogenus-l tables {m: {(n, r): vec}}, split from the keys on
+        each access."""
+        return _split_tables(self.coeffs, self.l)
 
     def indices(self) -> list[HermMatrix]:
         return _canonical_order(self.tables)
 
-    def table(self, m: HermMatrix) -> dict:
-        return dict(self.tables.get(m, {}))
-
     def coefficient(self, m: HermMatrix, n: HermMatrix, r) -> Vec:
-        body = self.tables.get(m)
-        if body is None:
-            return _zero_vec(self.dim, self.tag)
-        vec = body.get((n, linalg.freeze(r)))
+        vec = self.coeffs.get(join_block(n, linalg.freeze(r), m))
         return vec if vec is not None else _zero_vec(self.dim, self.tag)
 
     def is_zero(self) -> bool:
-        return not self.tables
+        return not self.coeffs
 
     def __eq__(self, other):
         return (
@@ -115,7 +120,7 @@ class FJFamily(Immutable):
             and (other.g, other.l, other.k, other.trunc, other.dim) ==
                 (self.g, self.l, self.k, self.trunc, self.dim)
             and other.tag == self.tag
-            and other.tables == self.tables
+            and other.coeffs == self.coeffs
         )
 
     def __repr__(self):
@@ -124,88 +129,66 @@ class FJFamily(Immutable):
         )
 
 
+def _split_tables(coeffs: Mapping[HermMatrix, Vec], l: int) -> dict:
+    """{m: {(n, r): vec}} for the keys t = (n r; r* m) of `coeffs`, m of size l."""
+    tables: dict[HermMatrix, dict] = {}
+    for t, vec in coeffs.items():
+        n, r, m = split_block(t, l)
+        tables.setdefault(m, {})[(n, r)] = vec
+    return tables
+
+
 def assemble(fam: FJFamily) -> FourierSeries:
-    """The degree-g series with c(f; (n r; r* m)) = c(phi_m; n, r).  The
-    family validated these keys, so the series skips re-validation."""
-    coeffs: dict[HermMatrix, Vec] = {}
-    for m, body in fam.tables.items():
-        for (n, r), vec in body.items():
-            coeffs[join_block(n, r, m)] = vec
-    return FourierSeries._trusted(fam.g, fam.k, fam.tag, fam.trunc, coeffs, fam.dim)
+    """The degree-g series with c(f; (n r; r* m)) = c(phi_m; n, r): the
+    family's own keys, which it validated, so the series skips
+    re-validation."""
+    return FourierSeries._trusted(fam.g, fam.k, fam.tag, fam.trunc, fam.coeffs, fam.dim)
 
 
 def disassemble(f: FourierSeries, l: int) -> FJFamily:
-    """Partition the support of f by the lower-right l x l block.  The keys
-    of a semi-integral series are valid family keys, so that family skips
-    re-validation; any other series goes through the public constructor."""
+    """The cogenus-l family of f.  The keys of a semi-integral series are
+    valid family keys, so that family takes them as they are; any other
+    series is split and goes through the public constructor."""
     if not 1 <= l <= f.g - 1:
         raise ValueError("cogenus must satisfy 1 <= l <= g-1")
-    tables: dict[HermMatrix, dict] = {}
-    for t, vec in f.coeffs.items():
-        n, r, m = split_block(t, l)
-        tables.setdefault(m, {})[(n, r)] = vec
-    build = FJFamily._trusted if f.semi_integral else FJFamily
-    return build(f.g, l, f.k, f.tag, f.trunc, tables, f.dim)
+    if f.semi_integral:
+        return FJFamily._trusted(f.g, l, f.k, f.tag, f.trunc, f.coeffs, f.dim)
+    return FJFamily(f.g, l, f.k, f.tag, f.trunc, _split_tables(f.coeffs, l), f.dim)
 
 
 def rearrange_cogenus(fam: FJFamily, l_prime: int) -> FJFamily:
-    """The cogenus-l' arrangement of the same coefficients: an exact
-    re-indexing through the assembled series."""
+    """The cogenus-l' arrangement of the same coefficients: the same keys
+    split at another corner."""
     if not 1 <= l_prime < fam.l:
         raise ValueError("target cogenus must satisfy 1 <= l' < l")
-    return disassemble(assemble(fam), l_prime)
+    return FJFamily._trusted(fam.g, l_prime, fam.k, fam.tag, fam.trunc, fam.coeffs, fam.dim)
 
 
 def extract_psi0(fam: FJFamily) -> FJFamily:
     """The index-0 coefficient of the cogenus-1 rearrangement, re-identified
     as a family of degree g-1 and cogenus l-1.
 
-    Keeps the indices m whose lower-right corner vanishes; positive
-    semidefiniteness forces the rest of the corner row and column of both m
-    and every key to vanish, which is re-verified and reported as a
-    consistency error on violation.
+    Keeps the keys whose last diagonal entry vanishes and drops their last
+    row and column.  Nothing nonzero is dropped: every key t is positive
+    semidefinite, so each 2x2 principal minor t_ii t_gg - |t_ig|^2 >= 0,
+    and t_gg = 0 forces the whole last row and column to vanish.  The
+    shorter keys go through the public constructor of the smaller family.
     """
     if fam.l < 2:
         raise ValueError("psi_0 extraction needs cogenus >= 2")
-    l = fam.l
-    zero = FieldElement.zero(fam.tag)
-    tables: dict[HermMatrix, dict] = {}
-    for m, body in fam.tables.items():
-        rows = m.entries
-        if rows[l - 1][l - 1] != 0:
-            continue
-        for i in range(l):
-            if rows[i][l - 1] != zero or rows[l - 1][i] != zero:
-                raise ConsistencyError(
-                    "degenerate index with nonzero corner row", witness=m
-                )
-        m_new = HermMatrix(tuple(row[:l - 1] for row in rows[:l - 1]), fam.tag)
-        new_body = tables.setdefault(m_new, {})
-        for (n, r), vec in body.items():
-            for row in r:
-                if row[l - 1] != zero:
-                    raise ConsistencyError(
-                        "nonzero coefficient in the removed column",
-                        witness=(m, n, r),
-                    )
-            r_new = tuple(row[: l - 1] for row in r)
-            new_body[(n, r_new)] = vec
-    return FJFamily(fam.g - 1, fam.l - 1, fam.k, fam.tag, fam.trunc, tables, fam.dim)
+    kept = {split_block(t, 1)[0]: vec for t, vec in fam.coeffs.items() if not t._key[-2]}
+    return FJFamily(fam.g - 1, fam.l - 1, fam.k, fam.tag, fam.trunc,
+                    _split_tables(kept, fam.l - 1), fam.dim)
 
 
 def zero_pad(fam: FJFamily) -> FJFamily:
     """Inverse of extract_psi0 on its image: raises degree and cogenus by one
     by adjoining a zero corner row and column."""
     zero = FieldElement.zero(fam.tag)
-    tables: dict[HermMatrix, dict] = {}
-    for m, body in fam.tables.items():
-        m_new = HermMatrix(tuple(row + (zero,) for row in m.entries) + ((zero,) * (m.g + 1),),
-                           fam.tag)
-        new_body = tables.setdefault(m_new, {})
-        for (n, r), vec in body.items():
-            r_new = tuple(row + (zero,) for row in r)
-            new_body[(n, r_new)] = vec
-    return FJFamily(fam.g + 1, fam.l + 1, fam.k, fam.tag, fam.trunc, tables, fam.dim)
+    column, corner = ((zero,),) * fam.g, HermMatrix.zero(1, fam.tag)
+    padded = {join_block(t, column, corner): vec for t, vec in fam.coeffs.items()}
+    return FJFamily(fam.g + 1, fam.l + 1, fam.k, fam.tag, fam.trunc,
+                    _split_tables(padded, fam.l + 1), fam.dim)
 
 
 # ----------------------------------------------------------------------
@@ -227,19 +210,14 @@ def _index_value(m_prime, tag: FieldTag) -> int:
 
 def _cogenus_one_slice(fam: FJFamily, m: int) -> JacobiTable:
     """The index-m coefficient of the cogenus-1 rearrangement, as a genus
-    g-1 Jacobi table truncated at trunc - m.
-
-    A key's lower-right corner is the corner of its cogenus-l index, so only
-    the indices with corner m contribute; their keys are re-split by the last
-    row and column.
+    g-1 Jacobi table truncated at trunc - m: the keys whose last diagonal
+    entry is m, each split by its last row and column.
     """
     coeffs = {}
-    for idx, body in fam.tables.items():
-        if idx._key[-2] != m * idx._key[0]:
-            continue
-        for (n, r), vec in body.items():
-            n1, r1, _m1 = split_block(join_block(n, r, idx), 1)
-            coeffs[(n1, tuple(row[0] for row in r1))] = vec
+    for t, vec in fam.coeffs.items():
+        if t._key[-2] == m * t._key[0]:
+            n, r, _m = split_block(t, 1)
+            coeffs[(n, tuple(row[0] for row in r))] = vec
     # each key re-splits a valid family key, so the table skips re-validation
     return JacobiTable._trusted(fam.g - 1, fam.k, m, fam.tag, fam.trunc - m, coeffs, fam.dim)
 

@@ -187,9 +187,10 @@ def write_family(fam: FJFamily) -> str:
         "FJFAM v1; d=%d; g=%d; l=%d; k=%d; trunc=%s; dim=%d"
         % (fam.tag.d, fam.g, fam.l, fam.k, fam.trunc, fam.dim)
     ]
-    for m in fam.indices():
+    tables = fam.tables
+    for m in _canonical_order(tables):
         lines.append("[index m = %s]" % m.to_text())
-        body = fam.tables[m]
+        body = tables[m]
         for (n, r) in _canonical_order(body, _rmat_text):
             lines.append("(%s ; %s) = %s" % (n.to_text(), _rmat_text(r), _vec_text(body[(n, r)])))
     return "\n".join(lines) + "\n"

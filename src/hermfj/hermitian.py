@@ -43,8 +43,9 @@ class HermMatrix(Immutable):
     (num, den), den > 0, in lowest terms.
 
     Validation happens once, at the public boundary: the constructor and
-    `from_text`, so every reader, check hermicity.  `_trusted` takes a key
-    and skips the check for `add`, `sub`, `gl_action`, `join_block`,
+    `from_text`, so every reader, check hermicity, and the constructor
+    checks that every entry lies in the field of `tag`.  `_trusted` takes a key
+    and skips the checks for `add`, `sub`, `gl_action`, `join_block`,
     `split_block`, `enumerate_semi_integral` and `jacobi.shift_matrix`.
     Semi-integrality is a separate query, as theta supports carry rational
     diagonals.
@@ -60,6 +61,9 @@ class HermMatrix(Immutable):
         if not linalg.is_hermitian(rows):
             raise ValueError("matrix is not Hermitian")
         upper = [e for i, row in enumerate(rows) for e in row[i:]]
+        for e in upper:  # `linalg.is_hermitian` ties each lower entry to its upper one
+            if e.tag.d != tag.d:
+                raise ValueError("entry %r is not in the field d=%d" % (e, tag.d))
         den = lcm(*(e.den for e in upper))
         _store(self, n, [den] + _coords(upper, den), tag)
 

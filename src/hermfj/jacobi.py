@@ -31,7 +31,7 @@ from .hermitian import (
     reduce_class,
     small_rep,
 )
-from .series import FourierSeries, Vec, _nonzero, _zero_vec
+from .series import FourierSeries, Vec, _all_zero, _nonzero, _zero_vec
 
 Vector = tuple[FieldElement, ...]
 
@@ -113,7 +113,7 @@ class JacobiTable(Immutable):
             vec = tuple(vec)
             if len(vec) != dim:
                 raise ValueError("coefficient dimension mismatch")
-            if all(v.is_zero() for v in vec):
+            if _all_zero(vec, tag):
                 continue
             if n.g != g or len(r) != g or n.tag != tag:
                 raise ValueError("key size or field mismatch")

@@ -33,6 +33,15 @@ def _nonzero(coeffs: Mapping) -> dict:
     return {key: vec for key, vec in coeffs.items() if not all(v.is_zero() for v in vec)}
 
 
+def _all_zero(vec: Vec, tag: FieldTag) -> bool:
+    """Whether every entry of `vec` is zero.  Rejects an entry of another
+    field, which the writers would print as coordinates under tag's d."""
+    for v in vec:
+        if v.tag.d != tag.d:
+            raise ValueError("coefficient %r is not in the field d=%d" % (v, tag.d))
+    return all(v.is_zero() for v in vec)
+
+
 class FourierSeries(Immutable):
     """A truncated formal expansion sum_t c(t) e(t tau) of degree g.
 
@@ -70,7 +79,7 @@ class FourierSeries(Immutable):
             vec = tuple(vec)
             if len(vec) != dim:
                 raise ValueError("coefficient dimension mismatch at %r" % (t,))
-            if all(v.is_zero() for v in vec):
+            if _all_zero(vec, tag):
                 continue
             if t.g != g or t.tag != tag:
                 raise ValueError("key size or field mismatch at %r" % (t,))

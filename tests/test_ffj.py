@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+import hermfj.ffj as ffj
 from hermfj.errors import ConsistencyError
 from hermfj.ffj import (
     FJFamily,
+    _cogenus_one_slice,
     assemble,
     check_family,
     disassemble,
@@ -22,7 +24,20 @@ from hermfj.field import FieldElement, make_field
 from hermfj.hermitian import HermMatrix, delta_classes, enumerate_semi_integral, reduce_class, small_rep
 from hermfj.jacobi import JacobiTable, _class_points, shift_matrix, theta_decompose
 from hermfj.series import FourierSeries, gl_generators, symmetrize
-from util import build_degree3_family, psi0_body, theta_built_psi_body
+from util import (
+    SplitTableFamily,
+    all_tags,
+    assemble_by_tables,
+    build_degree3_family,
+    cogenus_one_slice_by_tables,
+    degree3_tables,
+    disassemble_by_tables,
+    extract_psi0_by_tables,
+    psi0_body,
+    rearrange_by_tables,
+    theta_built_psi_body,
+    zero_pad_by_tables,
+)
 
 
 def fe(a, b, tag):
@@ -94,6 +109,63 @@ def test_rearrange_cogenus_coherence():
         assert assemble(rearrange_cogenus(fam2, 1)) == assemble(fam2)
     with pytest.raises(ValueError):
         rearrange_cogenus(fam1, 2)
+
+
+def test_reindexing_reuses_the_assembled_keys(monkeypatch):
+    fam1 = build_degree3_family(random.Random(127), make_field(-2), trunc=3)
+
+    def rebuild(*args):
+        raise AssertionError("a key was joined or split again")
+
+    monkeypatch.setattr(ffj, "join_block", rebuild)
+    monkeypatch.setattr(ffj, "split_block", rebuild)
+    f = assemble(fam1)
+    fam2 = disassemble(f, 2)
+    assert f.coeffs == fam2.coeffs == fam1.coeffs
+    assert rearrange_cogenus(fam2, 1) == fam1
+
+
+def _oracle_pairs(rng, tag):
+    """(family, split-table oracle) pairs over tag: the theta-built
+    cogenus-1 fixture, its cogenus-2 arrangement, and a random degree-3
+    series split at cogenus 1 and 2, plainly and as a series that is not
+    marked semi-integral."""
+    tables = degree3_tables(rng, tag, trunc=3)
+    fam1, oracle1 = FJFamily(3, 1, 8, tag, 3, tables), SplitTableFamily(3, 1, 8, tag, 3, tables)
+    yield fam1, oracle1
+    yield disassemble(assemble(fam1), 2), rearrange_by_tables(oracle1, 2)
+    keys = enumerate_semi_integral(3, 2, tag)
+    values = {t: (fe(rng.randint(1, 5), rng.randint(-1, 1), tag),) for t in rng.sample(keys, 40)}
+    for semi_integral in (True, False):
+        f = FourierSeries(3, 8, tag, 2, values, semi_integral=semi_integral)
+        for l in (1, 2):
+            yield disassemble(f, l), disassemble_by_tables(f, l)
+
+
+def test_family_views_match_split_table_oracle():
+    rng = random.Random(113)
+    for tag in all_tags():
+        for fam, oracle in _oracle_pairs(rng, tag):
+            assert oracle.matches(fam)
+            assert fam.indices() == sorted(oracle.tables, key=HermMatrix.sort_key)
+            for m, body in oracle.tables.items():
+                for (n, r), vec in body.items():
+                    assert fam.coefficient(m, n, r) == vec
+            f = assemble(fam)
+            assert f == assemble_by_tables(oracle)
+            for l in (1, 2):
+                assert disassemble_by_tables(f, l).matches(disassemble(f, l))
+            for l_prime in range(1, fam.l):
+                assert rearrange_by_tables(oracle, l_prime).matches(rearrange_cogenus(fam, l_prime))
+            if fam.l >= 2:
+                try:
+                    psi0 = extract_psi0_by_tables(oracle)
+                except ConsistencyError as exc:  # a PSD key has no such corner
+                    pytest.fail("a psi_0 corner check fired: %s" % exc)
+                assert psi0.tables and psi0.matches(extract_psi0(fam))
+            assert zero_pad_by_tables(oracle).matches(zero_pad(fam))
+            for m in (1, 2, 3):
+                assert _cogenus_one_slice(fam, m) == cogenus_one_slice_by_tables(oracle, m)
 
 
 def test_rearrange_single_coefficient_lands_at_expected_index():

@@ -48,6 +48,7 @@ from util import all_tags, build_degree3_family, random_component_vector
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hermfj"
 TAG = make_field(-1)
+F3 = make_field(-3)
 
 
 def fe(a, b=0):
@@ -67,6 +68,12 @@ ONE = (fe(1),)
 CONSTRUCTOR_CASES = {
     "HermMatrix non-Hermitian": lambda: HermMatrix([[fe(1), fe(1)], [fe(0), fe(1)]], TAG),
     "HermMatrix non-Hermitian diagonal": lambda: HermMatrix([[fe(1, 1)]], TAG),
+    # Hermitian over Q(sqrt(-3)), whose w read under Q(i) would be i
+    "HermMatrix entries of another field": lambda: HermMatrix(
+        [[FieldElement(1, 0, F3), FieldElement(0, 1, F3)],
+         [FieldElement(0, 1, F3).conj(), FieldElement(1, 0, F3)]], TAG),
+    "FourierSeries coefficient of another field": lambda: FourierSeries(
+        1, 0, TAG, 2, {q(1): (FieldElement(1, 0, F3),)}),
     "FourierSeries non-PSD": lambda: FourierSeries(1, 0, TAG, 2, {q(-1): ONE}),
     "FourierSeries not semi-integral": lambda: FourierSeries(1, 0, TAG, 2, {q(Fraction(1, 2)): ONE}),
     "FourierSeries over truncation": lambda: FourierSeries(1, 0, TAG, 2, {q(3): ONE}),
@@ -79,6 +86,8 @@ CONSTRUCTOR_CASES = {
     "JacobiTable genus-2 r of another field": lambda: JacobiTable(
         2, 1, 1, TAG, 3, {(HermMatrix.identity(2, TAG),
                            (fe(0), FieldElement(0, 0, make_field(-2)))): ONE}),
+    "JacobiTable coefficient of another field": lambda: JacobiTable(
+        1, 1, 2, TAG, 3, {(q(1), (fe(0),)): (FieldElement(1, 0, F3),)}),
     "JacobiTable dim = 0": lambda: JacobiTable(1, 1, 2, TAG, 3, {}, 0),
     "JacobiTable dim = -1": lambda: JacobiTable(1, 1, 2, TAG, 3, {}, -1),
     "FJFamily non-PSD": lambda: FJFamily(2, 1, 4, TAG, 3, {q(0): {(q(1), ((fe(1),),)): ONE}}),
@@ -87,6 +96,10 @@ CONSTRUCTOR_CASES = {
     "FJFamily over truncation": lambda: FJFamily(2, 1, 4, TAG, 3, {q(2): {(q(2), ((fe(0),),)): ONE}}),
     "FJFamily r of the wrong shape": lambda: FJFamily(
         2, 1, 4, TAG, 3, {q(1): {(q(1), ((fe(0), fe(0)),)): ONE}}),
+    "FJFamily r of another field": lambda: FJFamily(
+        2, 1, 4, TAG, 3, {q(1): {(q(1), ((FieldElement(0, 1, F3),),)): ONE}}),
+    "FJFamily coefficient of another field": lambda: FJFamily(
+        2, 1, 4, TAG, 3, {q(1): {(q(1), ((fe(0),),)): (FieldElement(1, 0, F3),)}}),
     "FJFamily dim = 0": lambda: FJFamily(2, 1, 4, TAG, 3, {}, 0),
     "FJFamily dim = -1": lambda: FJFamily(3, 2, 4, TAG, 3, {}, -1),
     "ThetaComponentVector with no classes": lambda: ThetaComponentVector(1, (), {}),
@@ -247,7 +260,8 @@ def key_matrices(obj):
     if isinstance(obj, JacobiTable):
         return [n for n, _r in obj.coeffs]
     if isinstance(obj, FJFamily):
-        return list(obj.tables) + [n for body in obj.tables.values() for n, _r in body]
+        tables = obj.tables
+        return list(obj.coeffs) + list(tables) + [n for body in tables.values() for n, _r in body]
     return []
 
 

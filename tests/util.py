@@ -856,18 +856,143 @@ def psi0_body(rng: random.Random, tag: FieldTag, trunc: int, g1: int = 2):
     return body
 
 
+def degree3_tables(rng: random.Random, tag: FieldTag, trunc: int = 4) -> dict:
+    """The cogenus-1 tables of `build_degree3_family`."""
+    from hermfj.hermitian import HermMatrix
+
+    return {
+        HermMatrix.from_rational(0, tag): psi0_body(rng, tag, trunc),
+        HermMatrix.from_rational(1, tag): theta_built_psi_body(rng, tag, 1, trunc),
+    }
+
+
 def build_degree3_family(rng: random.Random, tag: FieldTag, trunc: int = 4, k: int = 8):
     """A theta-built symmetric-style fixture: degree 3, cogenus 1, indices 0, 1."""
     from hermfj.ffj import FJFamily
+
+    return FJFamily(3, 1, k, tag, trunc, degree3_tables(rng, tag, trunc))
+
+
+# ----------------------------------------------------------------------
+# split-table family oracle (the former `ffj` store and its views)
+
+
+class SplitTableFamily:
+    """The store `ffj.FJFamily` kept before it held assembled keys: per
+    cogenus-l index m, a table {(n, r): vec}, every assembled key checked
+    as the family constructor checks it."""
+
+    def __init__(self, g: int, l: int, k: int, tag: FieldTag, trunc, tables, dim: int = 1):
+        from hermfj import linalg
+        from hermfj.hermitian import join_block
+
+        self.g, self.l, self.k, self.tag, self.trunc, self.dim = g, l, k, tag, Fraction(trunc), dim
+        self.tables = {}
+        for m, table in tables.items():
+            if m.g != l or m.tag != tag:
+                raise ValueError("index size or field mismatch at %r" % (m,))
+            body = {}
+            for (n, r), vec in table.items():
+                r, vec = linalg.freeze(r), tuple(vec)
+                if all(v.is_zero() for v in vec):
+                    continue
+                block = join_block(n, r, m)
+                if not (n.g == g - l and block.is_semi_integral() and block.is_psd()
+                        and block.trace() <= self.trunc):
+                    raise ValueError("invalid assembled key %r" % (block,))
+                body[(n, r)] = vec
+            if body:
+                self.tables[m] = body
+
+    def matches(self, fam) -> bool:
+        """Same header and the same tables as the `FJFamily` fam."""
+        return ((fam.g, fam.l, fam.k, fam.tag, fam.trunc, fam.dim) ==
+                (self.g, self.l, self.k, self.tag, self.trunc, self.dim)
+                and fam.tables == self.tables)
+
+
+def assemble_by_tables(fam: SplitTableFamily):
+    """The former `ffj.assemble`: join every (n, r) with its index."""
+    from hermfj.hermitian import join_block
+    from hermfj.series import FourierSeries
+
+    coeffs = {join_block(n, r, m): vec for m, body in fam.tables.items()
+              for (n, r), vec in body.items()}
+    return FourierSeries(fam.g, fam.k, fam.tag, fam.trunc, coeffs, fam.dim)
+
+
+def disassemble_by_tables(f, l: int) -> SplitTableFamily:
+    """The former `ffj.disassemble`: split every key of f."""
+    from hermfj.hermitian import split_block
+
+    tables = {}
+    for t, vec in f.coeffs.items():
+        n, r, m = split_block(t, l)
+        tables.setdefault(m, {})[(n, r)] = vec
+    return SplitTableFamily(f.g, l, f.k, f.tag, f.trunc, tables, f.dim)
+
+
+def rearrange_by_tables(fam: SplitTableFamily, l_prime: int) -> SplitTableFamily:
+    """The former `ffj.rearrange_cogenus`: through the assembled series."""
+    return disassemble_by_tables(assemble_by_tables(fam), l_prime)
+
+
+def extract_psi0_by_tables(fam: SplitTableFamily) -> SplitTableFamily:
+    """The former `ffj.extract_psi0`, with its two checks that the dropped
+    corner row and column vanish."""
+    from hermfj.errors import ConsistencyError
     from hermfj.hermitian import HermMatrix
 
-    idx0 = HermMatrix.from_rational(0, tag)
-    idx1 = HermMatrix.from_rational(1, tag)
-    tables = {
-        idx0: psi0_body(rng, tag, trunc),
-        idx1: theta_built_psi_body(rng, tag, 1, trunc),
-    }
-    return FJFamily(3, 1, k, tag, trunc, tables)
+    l, zero = fam.l, FieldElement.zero(fam.tag)
+    tables = {}
+    for m, body in fam.tables.items():
+        rows = m.entries
+        if rows[l - 1][l - 1] != 0:
+            continue
+        for i in range(l):
+            if rows[i][l - 1] != zero or rows[l - 1][i] != zero:
+                raise ConsistencyError("degenerate index with nonzero corner row", witness=m)
+        new_body = tables.setdefault(
+            HermMatrix(tuple(row[:l - 1] for row in rows[:l - 1]), fam.tag), {})
+        for (n, r), vec in body.items():
+            if any(row[l - 1] != zero for row in r):
+                raise ConsistencyError("nonzero coefficient in the removed column",
+                                       witness=(m, n, r))
+            new_body[(n, tuple(row[:l - 1] for row in r))] = vec
+    return SplitTableFamily(fam.g - 1, l - 1, fam.k, fam.tag, fam.trunc, tables, fam.dim)
+
+
+def zero_pad_by_tables(fam: SplitTableFamily) -> SplitTableFamily:
+    """The former `ffj.zero_pad`: a zero corner row and column on every
+    index and a zero column on every r."""
+    from hermfj.hermitian import HermMatrix
+
+    zero = FieldElement.zero(fam.tag)
+    tables = {}
+    for m, body in fam.tables.items():
+        m_new = HermMatrix(tuple(row + (zero,) for row in m.entries) + ((zero,) * (m.g + 1),),
+                           fam.tag)
+        new_body = tables.setdefault(m_new, {})
+        for (n, r), vec in body.items():
+            new_body[(n, tuple(row + (zero,) for row in r))] = vec
+    return SplitTableFamily(fam.g + 1, fam.l + 1, fam.k, fam.tag, fam.trunc, tables, fam.dim)
+
+
+def cogenus_one_slice_by_tables(fam: SplitTableFamily, m: int):
+    """The former `ffj._cogenus_one_slice`, through the public table
+    constructor: the keys of the indices with corner m, joined and split
+    by their last row and column."""
+    from hermfj.hermitian import join_block, split_block
+    from hermfj.jacobi import JacobiTable
+
+    coeffs = {}
+    for idx, body in fam.tables.items():
+        if idx.entries[-1][-1] != m:
+            continue
+        for (n, r), vec in body.items():
+            n1, r1, _m1 = split_block(join_block(n, r, idx), 1)
+            coeffs[(n1, tuple(row[0] for row in r1))] = vec
+    return JacobiTable(fam.g - 1, fam.k, m, fam.tag, fam.trunc - m, coeffs, fam.dim)
 
 
 def random_component_vector(rng: random.Random, tag: FieldTag, m: int, total_trunc, k: int = 10):
