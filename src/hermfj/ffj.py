@@ -176,9 +176,20 @@ def extract_psi0(fam: FJFamily) -> FJFamily:
     """
     if fam.l < 2:
         raise ValueError("psi_0 extraction needs cogenus >= 2")
-    kept = {split_block(t, 1)[0]: vec for t, vec in fam.coeffs.items() if not t._key[-2]}
+    kept = {_leading_block(t): vec for t, vec in fam.coeffs.items() if not t._key[-2]}
     return FJFamily(fam.g - 1, fam.l - 1, fam.k, fam.tag, fam.trunc,
                     _split_tables(kept, fam.l - 1), fam.dim)
+
+
+def _leading_block(t: HermMatrix) -> HermMatrix:
+    """t without its last row and column: each row of the key's upper
+    triangle without its last entry."""
+    g, key = t.g, t._key
+    raw, k = [key[0]], 1
+    for i in range(g - 1):
+        raw += key[k:k + 2 * (g - 1 - i)]
+        k += 2 * (g - i)
+    return HermMatrix._trusted(g - 1, raw, t.tag)
 
 
 def zero_pad(fam: FJFamily) -> FJFamily:

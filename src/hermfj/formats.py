@@ -4,6 +4,8 @@ component bundles.
 All writers emit records in the canonical enumeration order and all numbers
 in lowest terms, so identical values always serialize to identical bytes;
 readers parse exactly and reject anything malformed with the line number.
+A reader parses, and so validates, each distinct text once per call (any
+error is raised at its first occurrence), and rejects a repeated key.
 
     FJS v1; d=<d>; g=<g>; k=<k>; trunc=<N>; dim=<v>
     t = <matrix> ; c = <elem>,<elem>,...
@@ -91,6 +93,24 @@ def _parse_vector(text: str, count: int, tag: FieldTag, line: int):
         raise ParseError(str(exc), line) from exc
 
 
+def _interned(parse, tag: FieldTag):
+    """`parse(text, size, tag, line)` on the stripped text, once per distinct
+    (text, size) within one read: a repeat gets the object its first
+    occurrence parsed to, and an invalid text raises at its first
+    occurrence.  Each reader makes one per role, so the map dies with the
+    call."""
+    seen: dict[tuple[str, int], object] = {}
+
+    def get(text: str, size: int, line: int):
+        key = (text.strip(), size)
+        value = seen.get(key)
+        if value is None:
+            value = seen[key] = parse(key[0], size, tag, line)
+        return value
+
+    return get
+
+
 def _vec_text(vec) -> str:
     return ",".join(x.to_text() for x in vec)
 
@@ -111,6 +131,7 @@ def write_series(f: FourierSeries) -> str:
 
 def read_series(text: str) -> FourierSeries:
     lines, (tag, g, k, trunc, dim) = _parse_header(text, "FJS v1", ("d", "g", "k", "trunc", "dim"))
+    matrix, vector = _interned(_parse_matrix, tag), _interned(_parse_vector, tag)
     coeffs = {}
     for i, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -118,8 +139,10 @@ def read_series(text: str) -> FourierSeries:
         left, sep, right = raw.partition(" ; c = ")
         if sep == "" or not left.startswith("t = "):
             raise ParseError("expected 't = <matrix> ; c = <values>'", i)
-        t = _parse_matrix(left[4:], g, tag, i)
-        coeffs[t] = _parse_vector(right, dim, tag, i)
+        t = matrix(left[4:], g, i)
+        if t in coeffs:
+            raise ParseError("repeated key t = %s" % t.to_text(), i)
+        coeffs[t] = vector(right, dim, i)
     try:
         return FourierSeries(g, k, tag, trunc, coeffs, dim)
     except ValueError as exc:
@@ -151,6 +174,8 @@ def write_jacobi(t: JacobiTable) -> str:
 def read_jacobi(text: str) -> JacobiTable:
     lines, (tag, g, k, m, trunc, dim) = _parse_header(
         text, "HJF v1", ("d", "g", "k", "m", "trunc", "dim"))
+    matrix, vector = _interned(_parse_matrix, tag), _interned(_parse_vector, tag)
+    r_vector = _interned(_parse_vector, tag)
     coeffs = {}
     for i, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -159,9 +184,10 @@ def read_jacobi(text: str) -> JacobiTable:
         n_text, sep, r_text = key_part.partition(" ; ")
         if sep == "":
             raise ParseError("expected '(<n> ; <r>) = <values>'", i)
-        n = _parse_matrix(n_text, g, tag, i)
-        r = _parse_vector(r_text, g, tag, i)
-        coeffs[(n, r)] = _parse_vector(value, dim, tag, i)
+        key = (matrix(n_text, g, i), r_vector(r_text, g, i))
+        if key in coeffs:
+            raise ParseError("repeated key (%s ; %s)" % (key[0].to_text(), _vec_text(key[1])), i)
+        coeffs[key] = vector(value, dim, i)
     try:
         return JacobiTable(g, k, m, tag, trunc, coeffs, dim)
     except ValueError as exc:
@@ -204,6 +230,13 @@ def read_family(text: str) -> FJFamily:
     lines, (tag, g, l, k, trunc, dim) = _parse_header(
         text, "FJFAM v1", ("d", "g", "l", "k", "trunc", "dim"))
     a = g - l
+
+    def parse_r(r_text, count, r_tag, line):  # the a x l matrix r, row-major
+        flat = _parse_vector(r_text, count, r_tag, line)
+        return tuple(flat[row * l:(row + 1) * l] for row in range(a))
+
+    index, matrix = _interned(_parse_matrix, tag), _interned(_parse_matrix, tag)
+    r_matrix, vector = _interned(parse_r, tag), _interned(_parse_vector, tag)
     tables: dict[HermMatrix, dict] = {}
     current = None
     for i, raw in enumerate(lines[1:], start=2):
@@ -211,8 +244,10 @@ def read_family(text: str) -> FJFamily:
         if not raw:
             continue
         if raw.startswith("[index m = ") and raw.endswith("]"):
-            m = _parse_matrix(raw[len("[index m = ") : -1], l, tag, i)
-            current = tables.setdefault(m, {})
+            m = index(raw[len("[index m = ") : -1], l, i)
+            if m in tables:
+                raise ParseError("repeated section [index m = %s]" % m.to_text(), i)
+            current = tables[m] = {}
             continue
         if current is None:
             raise ParseError("record before any [index m = ...] section", i)
@@ -220,10 +255,11 @@ def read_family(text: str) -> FJFamily:
         n_text, sep, r_text = key_part.partition(" ; ")
         if sep == "":
             raise ParseError("expected '(<n> ; <r>) = <values>'", i)
-        n = _parse_matrix(n_text, a, tag, i)
-        flat = _parse_vector(r_text, a * l, tag, i)
-        r = tuple(tuple(flat[row * l + col] for col in range(l)) for row in range(a))
-        current[(n, r)] = _parse_vector(value, dim, tag, i)
+        key = (matrix(n_text, a, i), r_matrix(r_text, a * l, i))
+        if key in current:
+            raise ParseError("repeated key (%s ; %s) in [index m = %s]"
+                             % (key[0].to_text(), _rmat_text(key[1]), m.to_text()), i)
+        current[key] = vector(value, dim, i)
     try:
         return FJFamily(g, l, k, tag, trunc, tables, dim)
     except ValueError as exc:
@@ -259,6 +295,7 @@ def read_components(text: str) -> ThetaComponentVector:
     pending: dict[HermMatrix, tuple] = {}
     pending_class = None
     pending_trunc = None
+    matrix, vector = _interned(_parse_matrix, tag), _interned(_parse_vector, tag)
 
     def flush(line_no):
         nonlocal pending, pending_class, pending_trunc
@@ -303,8 +340,10 @@ def read_components(text: str) -> ThetaComponentVector:
         left, sep, right = raw.partition(" ; c = ")
         if sep == "" or not left.startswith("n = "):
             raise ParseError("expected 'n = <matrix> ; c = <values>'", i)
-        n = _parse_matrix(left[4:], g, tag, i)
-        pending[n] = _parse_vector(right, dim, tag, i)
+        n = matrix(left[4:], g, i)
+        if n in pending:
+            raise ParseError("repeated key n = %s in class %d" % (n.to_text(), len(classes)), i)
+        pending[n] = vector(right, dim, i)
     flush(len(lines) + 1)
     if not classes:
         raise ParseError("bundle holds no classes", 1)

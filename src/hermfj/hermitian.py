@@ -46,7 +46,8 @@ class HermMatrix(Immutable):
     `from_text`, so every reader, check hermicity, and the constructor
     checks that every entry lies in the field of `tag`.  `_trusted` takes a key
     and skips the checks for `add`, `sub`, `gl_action`, `join_block`,
-    `split_block`, `enumerate_semi_integral` and `jacobi.shift_matrix`.
+    `split_block`, `enumerate_semi_integral`, `jacobi.shift_matrix` and the
+    leading block of `ffj.extract_psi0`.
     Semi-integrality is a separate query, as theta supports carry rational
     diagonals.
     """
@@ -157,8 +158,12 @@ class HermMatrix(Immutable):
 
         The matrix is semidefinite exactly when its trace form `_gram` is,
         and the form has twice its rank, so this is half the pivot count of
-        `field._ldl_pivots` on the form: O(g^3) integer operations.
+        `field._ldl_pivots` on the form: O(g^3) integer operations.  A 1x1
+        key (D, p, 0), D > 0, is the sign of p.
         """
+        if self.g == 1:
+            p = self._key[1]
+            return None if p < 0 else int(p > 0)
         pivots = _ldl_pivots(self._gram()[0])
         return None if pivots is None else len(pivots) // 2
 

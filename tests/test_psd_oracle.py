@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 from hermfj import linalg
-from hermfj.field import FieldElement
+from hermfj.field import FieldElement, _ldl_pivots
 from hermfj.hermitian import (
     HermMatrix,
     _diagonal_tuples,
@@ -125,6 +125,31 @@ def test_random_hermitian_agrees_with_minor_oracle():
                     assert_matches_oracle(m)
                     outcomes[m.is_psd()] += 1
     assert min(outcomes.values()) > 300, outcomes
+
+
+def test_scalar_psd_rank_agrees_with_trace_form_elimination():
+    """The 1x1 sign test of `_psd_rank` against `_ldl_pivots` on `_gram()`,
+    for negative, zero and positive keys however they were built."""
+    rng = random.Random(20213)
+    outcomes = {None: 0, 0: 0, 1: 0}
+    for tag in all_tags():
+        keys = [HermMatrix.from_rational(Fraction(p, q), tag)
+                for p in range(-12, 13) for q in (1, 2, 3, 7)]
+        keys += [HermMatrix.from_text("%d/%d+0/%d*w" % (p * c, q * c, rng.randint(1, 9)), 1, tag)
+                 for p in range(-4, 5) for q in (1, 5) for c in (1, 3)]
+        keys += enumerate_semi_integral(1, 4, tag)
+        for _ in range(20):
+            x = random_field_element(rng, tag, 3, 3)
+            shift = shift_matrix((x,), rng.randint(1, 3))
+            keys += [shift, shift.sub(HermMatrix.from_rational(Fraction(1, 5), tag)),
+                     HermMatrix.zero(1, tag).sub(shift)]
+        for t in keys:
+            pivots = _ldl_pivots(t._gram()[0])
+            want = None if pivots is None else len(pivots) // 2
+            assert t._psd_rank() == want, t
+            assert_matches_oracle(t)
+            outcomes[want] += 1
+    assert min(outcomes.values()) > 30, outcomes
 
 
 def test_is_hermitian_agrees_with_conj_oracle():

@@ -1058,3 +1058,72 @@ def distant_break(tag: FieldTag, m: int, largest_trace: bool, trunc: int = 4):
     coeffs = dict(table.coeffs)
     del coeffs[(nprime.add(shift_matrix(r_far, m)), r_far)]
     return JacobiTable(1, table.k, m, tag, trunc, coeffs), (nprime, r0, r_far)
+
+
+# ----------------------------------------------------------------------
+# per-line reader oracle (the readers before per-read interning)
+
+
+def read_by_lines(text: str):
+    """The series, table, family or bundle a canonical file of any of the
+    four formats holds: every record line parsed on its own through
+    `HermMatrix.from_text` and `FieldElement.from_text`, with no text
+    shared between lines, and handed to the public constructors."""
+    from hermfj.ffj import FJFamily
+    from hermfj.hermitian import CosetClass, HermMatrix
+    from hermfj.jacobi import JacobiTable, ThetaComponentVector
+    from hermfj.series import FourierSeries
+
+    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    magic, *fields = [p.strip() for p in lines[0].split(";")]
+    head = dict(f.split("=") for f in fields)
+    tag = make_field(int(head["d"]))
+    g, k, dim, trunc = int(head["g"]), int(head["k"]), int(head["dim"]), Fraction(head["trunc"])
+
+    def mat(text, size):
+        return HermMatrix.from_text(text.strip(), size, tag)
+
+    def vec(text):
+        return tuple(FieldElement.from_text(x, tag) for x in text.strip().split(","))
+
+    def record(line):  # "(<n> ; <r>) = <values>"
+        key, value = line[1:].split(") = ")
+        n, r = key.split(" ; ")
+        return n, vec(r), vec(value)
+
+    if magic == "FJS v1":
+        coeffs = {}
+        for line in lines[1:]:
+            t, c = line[len("t = "):].split(" ; c = ")
+            coeffs[mat(t, g)] = vec(c)
+        return FourierSeries(g, k, tag, trunc, coeffs, dim)
+    if magic == "HJF v1":
+        coeffs = {}
+        for line in lines[1:]:
+            n, r, value = record(line)
+            coeffs[(mat(n, g), r)] = value
+        return JacobiTable(g, k, int(head["m"]), tag, trunc, coeffs, dim)
+    if magic == "FJFAM v1":
+        l = int(head["l"])
+        tables = {}
+        for line in lines[1:]:
+            if line.startswith("[index m = "):
+                body = tables[mat(line[len("[index m = "):-1], l)] = {}
+                continue
+            n, flat, value = record(line)
+            body[(mat(n, g - l), tuple(flat[i * l:(i + 1) * l] for i in range(g - l)))] = value
+        return FJFamily(g, l, k, tag, trunc, tables, dim)
+    assert magic == "HJC v1", magic
+    m, sections = int(head["m"]), []
+    for line in lines[1:]:
+        if line.startswith("[class "):
+            _index, rep, htrunc = line[1:-1].split("; ")
+            body = {}
+            sections.append((CosetClass(m, vec(rep[len("rep = "):]), tag),
+                             Fraction(htrunc[len("htrunc = "):]), body))
+            continue
+        n, c = line[len("n = "):].split(" ; c = ")
+        body[mat(n, g)] = vec(c)
+    return ThetaComponentVector(m, [s for s, _t, _b in sections], {
+        s: FourierSeries(g, k, tag, h_trunc, body, dim, semi_integral=False)
+        for s, h_trunc, body in sections})
