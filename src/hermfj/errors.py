@@ -13,6 +13,16 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
+class RecordError(ValueError):
+    """A public constructor's rejection of one record of its input;
+    `record` is that record's key in the input mapping, so that a reader
+    can name its line."""
+
+    def __init__(self, message: str, record):
+        self.record = record
+        super().__init__(message)
+
+
 class ConsistencyError(ValueError):
     """A mathematical consistency violation, e.g. a failed well-definedness
     probe during theta decomposition; carries the witness."""

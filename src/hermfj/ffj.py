@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from . import linalg
+from .errors import RecordError
 from .field import FieldElement, FieldTag, Immutable
 from .hermitian import CosetClass, HermMatrix, UnitMatrix, join_block, reduce_class, small_rep
 from .hermitian import _canonical_order, _trace_within, split_block
@@ -39,9 +40,10 @@ class FJFamily(Immutable):
     `indices` are the cogenus-l views.  The constructor takes the tables.
 
     Validation happens once, at the public boundary: the constructor, and
-    so `formats.read_family`, checks every assembled key.  `_trusted` takes
-    assembled keys and skips the checks for `disassemble` of a
-    semi-integral series and for `rearrange_cogenus`.
+    so `formats.read_family`, checks every assembled key, and raises
+    `errors.RecordError` naming the (m, (n, r)) of one it rejects.
+    `_trusted` takes assembled keys and skips the checks for `disassemble`
+    of a semi-integral series and for `rearrange_cogenus`.
     """
 
     __slots__ = ("g", "l", "k", "tag", "trunc", "dim", "coeffs")
@@ -66,27 +68,30 @@ class FJFamily(Immutable):
         for m, table in tables.items():
             if m.g != l or m.tag != tag:
                 raise ValueError("index size or field mismatch at %r" % (m,))
-            for (n, r), vec in table.items():
+            for key, vec in table.items():
+                n, r = key
                 r = linalg.freeze(r)
                 vec = tuple(vec)
                 if len(vec) != dim:
-                    raise ValueError("coefficient dimension mismatch")
+                    raise RecordError("coefficient dimension mismatch", (m, key))
                 if _all_zero(vec, tag):
                     continue
                 if n.g != g - l or n.tag != tag:
-                    raise ValueError("key size or field mismatch at %r" % (n,))
+                    raise RecordError("key size or field mismatch at %r" % (n,), (m, key))
                 for row in r:
                     for x in row:
                         if x.tag != tag:
-                            raise ValueError("r component %r is not in the field d=%d"
-                                             % (x, tag.d))
+                            raise RecordError("r component %r is not in the field d=%d"
+                                              % (x, tag.d), (m, key))
                 block = join_block(n, r, m)
                 if not block.is_semi_integral():
-                    raise ValueError("assembled key %r is not semi-integral" % (block,))
+                    raise RecordError("assembled key %r is not semi-integral" % (block,),
+                                      (m, key))
                 if not block.is_psd():
-                    raise ValueError("assembled key %r is not positive semidefinite" % (block,))
+                    raise RecordError("assembled key %r is not positive semidefinite"
+                                      % (block,), (m, key))
                 if not _trace_within(block, bound):
-                    raise ValueError("assembled key exceeds truncation %s" % trunc)
+                    raise RecordError("assembled key exceeds truncation %s" % trunc, (m, key))
                 coeffs[block] = vec
         self._fill(g, l, k, tag, trunc, dim, coeffs)
 

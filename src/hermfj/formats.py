@@ -3,7 +3,9 @@ component bundles.
 
 All writers emit records in the canonical enumeration order and all numbers
 in lowest terms, so identical values always serialize to identical bytes;
-readers parse exactly and reject anything malformed with the line number.
+readers parse exactly and reject anything malformed with the line number,
+also a record whose key the public constructor rejects (its
+`errors.RecordError` names the record).
 A reader parses, and so validates, each distinct text once per call (any
 error is raised at its first occurrence), and rejects a repeated key.
 
@@ -31,9 +33,8 @@ class 0.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
-from .errors import ParseError
+from .errors import ParseError, RecordError
 from .ffj import FJFamily
 from .field import FieldElement, FieldTag, make_field
 from .hermitian import CosetClass, HermMatrix, _canonical_order, delta_classes
@@ -55,10 +56,30 @@ def _parse_int(text: str, line: int) -> int:
         raise ParseError("bad integer %r" % text, line) from exc
 
 
-def _parse_header(text: str, magic: str, fields: Sequence[str]) -> tuple[list[str], list]:
-    """The lines of `text` and the values of its header fields, in order:
-    d as a field tag, trunc as a rational and the others as ints."""
-    lines = text.splitlines()
+#: the header fields of each format, in order
+HEADER_FIELDS = {
+    "FJS v1": ("d", "g", "k", "trunc", "dim"),
+    "HJF v1": ("d", "g", "k", "m", "trunc", "dim"),
+    "FJFAM v1": ("d", "g", "l", "k", "trunc", "dim"),
+    "HJC v1": ("d", "g", "k", "m", "trunc", "dim"),
+}
+
+
+def read_header(text: str, magic: str) -> dict:
+    """The header fields of `text`, a file in the format `magic`, by name,
+    with the header errors of that format's reader: d as a field tag, trunc
+    as a rational and the others as ints.  Splits off only the first line:
+    `splitlines` of the text before the first newline starts as that of the
+    whole text, unless that part is empty."""
+    end = text.find("\n")
+    first = (text if end < 0 else text[:end]).splitlines()[:1] or ([""] if text else [])
+    return dict(zip(HEADER_FIELDS[magic], _parse_header(first, magic)))
+
+
+def _parse_header(lines: list[str], magic: str) -> list:
+    """The values of the header fields on the first of `lines`, the lines of
+    a file, in the order of `HEADER_FIELDS[magic]`."""
+    fields = HEADER_FIELDS[magic]
     if not lines:
         raise ParseError("empty input", 1)
     parts = [p.strip() for p in lines[0].split(";")]
@@ -72,8 +93,8 @@ def _parse_header(text: str, magic: str, fields: Sequence[str]) -> tuple[list[st
         if eq != "=" or key != want:
             raise ParseError("expected header field %r, got %r" % (want, got), 1)
         values.append(value)
-    return lines, [_make_tag(v) if f == "d" else _parse_q(v, 1) if f == "trunc"
-                   else _parse_int(v, 1) for f, v in zip(fields, values)]
+    return [_make_tag(v) if f == "d" else _parse_q(v, 1) if f == "trunc" else _parse_int(v, 1)
+            for f, v in zip(fields, values)]
 
 
 def _parse_matrix(text: str, g: int, tag: FieldTag, line: int) -> HermMatrix:
@@ -111,6 +132,16 @@ def _interned(parse, tag: FieldTag):
     return get
 
 
+def _rejected(exc: ValueError, records, record_lines: list[int], line: int | None = None):
+    """`exc`, raised by a public constructor on the records read, as a
+    ParseError: at the line of the record it names, when it is a
+    `RecordError`, where `record_lines[i]` is the line of the i-th of
+    `records` in constructor order; else at `line`."""
+    if isinstance(exc, RecordError):
+        line = record_lines[list(records).index(exc.record)]
+    return ParseError(str(exc), line)
+
+
 def _vec_text(vec) -> str:
     return ",".join(x.to_text() for x in vec)
 
@@ -130,9 +161,10 @@ def write_series(f: FourierSeries) -> str:
 
 
 def read_series(text: str) -> FourierSeries:
-    lines, (tag, g, k, trunc, dim) = _parse_header(text, "FJS v1", ("d", "g", "k", "trunc", "dim"))
+    lines = text.splitlines()
+    tag, g, k, trunc, dim = _parse_header(lines, "FJS v1")
     matrix, vector = _interned(_parse_matrix, tag), _interned(_parse_vector, tag)
-    coeffs = {}
+    coeffs, record_lines = {}, []
     for i, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -143,10 +175,11 @@ def read_series(text: str) -> FourierSeries:
         if t in coeffs:
             raise ParseError("repeated key t = %s" % t.to_text(), i)
         coeffs[t] = vector(right, dim, i)
+        record_lines.append(i)
     try:
         return FourierSeries(g, k, tag, trunc, coeffs, dim)
     except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+        raise _rejected(exc, coeffs, record_lines) from exc
 
 
 def _make_tag(text: str) -> FieldTag:
@@ -172,11 +205,11 @@ def write_jacobi(t: JacobiTable) -> str:
 
 
 def read_jacobi(text: str) -> JacobiTable:
-    lines, (tag, g, k, m, trunc, dim) = _parse_header(
-        text, "HJF v1", ("d", "g", "k", "m", "trunc", "dim"))
+    lines = text.splitlines()
+    tag, g, k, m, trunc, dim = _parse_header(lines, "HJF v1")
     matrix, vector = _interned(_parse_matrix, tag), _interned(_parse_vector, tag)
     r_vector = _interned(_parse_vector, tag)
-    coeffs = {}
+    coeffs, record_lines = {}, []
     for i, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -188,10 +221,11 @@ def read_jacobi(text: str) -> JacobiTable:
         if key in coeffs:
             raise ParseError("repeated key (%s ; %s)" % (key[0].to_text(), _vec_text(key[1])), i)
         coeffs[key] = vector(value, dim, i)
+        record_lines.append(i)
     try:
         return JacobiTable(g, k, m, tag, trunc, coeffs, dim)
     except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+        raise _rejected(exc, coeffs, record_lines) from exc
 
 
 def _split_record(raw: str, line: int) -> tuple[str, str]:
@@ -227,8 +261,8 @@ def _rmat_text(r) -> str:
 
 
 def read_family(text: str) -> FJFamily:
-    lines, (tag, g, l, k, trunc, dim) = _parse_header(
-        text, "FJFAM v1", ("d", "g", "l", "k", "trunc", "dim"))
+    lines = text.splitlines()
+    tag, g, l, k, trunc, dim = _parse_header(lines, "FJFAM v1")
     a = g - l
 
     def parse_r(r_text, count, r_tag, line):  # the a x l matrix r, row-major
@@ -238,6 +272,7 @@ def read_family(text: str) -> FJFamily:
     index, matrix = _interned(_parse_matrix, tag), _interned(_parse_matrix, tag)
     r_matrix, vector = _interned(parse_r, tag), _interned(_parse_vector, tag)
     tables: dict[HermMatrix, dict] = {}
+    record_lines: list[int] = []
     current = None
     for i, raw in enumerate(lines[1:], start=2):
         raw = raw.strip()
@@ -260,10 +295,12 @@ def read_family(text: str) -> FJFamily:
             raise ParseError("repeated key (%s ; %s) in [index m = %s]"
                              % (key[0].to_text(), _rmat_text(key[1]), m.to_text()), i)
         current[key] = vector(value, dim, i)
+        record_lines.append(i)
     try:
         return FJFamily(g, l, k, tag, trunc, tables, dim)
     except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+        records = ((m, key) for m, body in tables.items() for key in body)
+        raise _rejected(exc, records, record_lines) from exc
 
 
 # ----------------------------------------------------------------------
@@ -285,30 +322,31 @@ def write_components(v: ThetaComponentVector) -> str:
 
 
 def read_components(text: str) -> ThetaComponentVector:
-    lines, (tag, g, k, m, trunc, dim) = _parse_header(
-        text, "HJC v1", ("d", "g", "k", "m", "trunc", "dim"))
+    lines = text.splitlines()
+    tag, g, k, m, trunc, dim = _parse_header(lines, "HJC v1")
     if m < 1:
         raise ParseError("index m must be >= 1", 1)
     classes: list[CosetClass] = []
     class_lines: list[int] = []
     components: dict[CosetClass, FourierSeries] = {}
     pending: dict[HermMatrix, tuple] = {}
+    pending_lines: list[int] = []
     pending_class = None
     pending_trunc = None
     matrix, vector = _interned(_parse_matrix, tag), _interned(_parse_vector, tag)
 
     def flush(line_no):
-        nonlocal pending, pending_class, pending_trunc
+        nonlocal pending, pending_lines, pending_class, pending_trunc
         if pending_class is None:
             return
         try:
             series = FourierSeries(g, k, tag, pending_trunc, pending, dim,
                                    semi_integral=False)
         except ValueError as exc:
-            raise ParseError(str(exc), line_no) from exc
+            raise _rejected(exc, pending, pending_lines, line_no) from exc
         classes.append(pending_class)
         components[pending_class] = series
-        pending = {}
+        pending, pending_lines = {}, []
         pending_class = None
         pending_trunc = None
 
@@ -344,6 +382,7 @@ def read_components(text: str) -> ThetaComponentVector:
         if n in pending:
             raise ParseError("repeated key n = %s in class %d" % (n.to_text(), len(classes)), i)
         pending[n] = vector(right, dim, i)
+        pending_lines.append(i)
     flush(len(lines) + 1)
     if not classes:
         raise ParseError("bundle holds no classes", 1)
@@ -369,14 +408,11 @@ def read_components(text: str) -> ThetaComponentVector:
 # dispatch
 
 
-MAGICS = ("FJS v1", "HJF v1", "FJFAM v1", "HJC v1")
-
-
 def detect(text: str) -> str:
     lines = text.splitlines()
     first = lines[0] if lines else ""
     magic = first.split(";")[0].strip()
-    if magic not in MAGICS:
+    if magic not in HEADER_FIELDS:
         raise ParseError("unknown format %r" % magic, 1)
     return magic
 

@@ -24,7 +24,6 @@ from .field import (
     _ldl_pivots,
     _parse_token,
     _search_levels,
-    coset_points,
     euclidean_round,
     sqrt_disc,
 )
@@ -464,42 +463,73 @@ def gl_action(u: UnitMatrix, t: HermMatrix) -> HermMatrix:
 # enumeration of semi-integral PSD matrices
 
 
-def _dual_points_bounded(tag: FieldTag, bound: Fraction) -> list[FieldElement]:
-    """All x in O^# with N(x) <= bound."""
-    inv_sd = sqrt_disc(tag).inv()
-    return [y * inv_sd for y in coset_points(FieldElement.zero(tag), 1, bound * abs(tag.disc))]
-
-
-def _diagonal_tuples(g: int, total: int) -> Iterator[tuple[int, ...]]:
-    """The g-tuples of nonnegative ints with sum <= total, in lexicographic order."""
-    return (diag for diag in product(range(total + 1), repeat=g) if sum(diag) <= total)
-
-
 def enumerate_semi_integral(g: int, trace_bound: int, tag: FieldTag) -> list[HermMatrix]:
     """All semi-integral PSD matrices with trace <= trace_bound, each once,
-    ordered by (trace, lexicographic serialization)."""
+    ordered by (trace, lexicographic serialization).
+
+    An exact Schur-complement search (Fincke-Pohst on the matrix entries) on
+    M = |D| t, an integral matrix whose off-diagonal entries range over
+    sqrt(D) O = |D| O^#.  The integer diagonal is fixed first; then row k of
+    the current Schur complement S is filled, for k = 0, ..., g-2.  S is PSD
+    only if N(S_kj) <= S_kk S_jj, so entry (k, j) ranges over a disc.  In
+    the fraction-free (Bareiss) form of `field._ldl_pivots`,
+    M^(k)_kj = prev M_kj + C_kj, with prev the last nonzero pivot (1 before
+    the first) and C_kj fixed by the rows above, and `field._lattice_points`
+    finds the points of that translate of sqrt(D) O with
+    N(M^(k)_kj) <= M^(k)_kk M^(k)_jj.  A zero pivot gives a disc of radius
+    0: its row is forced to the centre, and the branch is empty when the
+    centre is not in the lattice.
+
+    Every leaf is PSD, as each Schur complement keeps a nonnegative
+    diagonal, so no candidate is built to be rejected: keys returned over
+    `HermMatrix` builds (the accept ratio) is 1.  Every PSD matrix meets each
+    disc bound, so none is missed, and the result is that of testing every
+    matrix within the 2x2 minor bounds N(t_ij) <= t_ii t_jj.  The cost is
+    one point search in the plane per disc and O(g^2) integer operations
+    per prefix, then a key build and the canonical sort per result.
+    """
     if g < 1:
         raise ValueError("g must be >= 1")
     if trace_bound < 0:
         raise ValueError("trace_bound must be >= 0")
-    zero = FieldElement.zero(tag)
+    if g == 1:
+        return [HermMatrix._trusted(1, (1, d, 0), tag) for d in range(trace_bound + 1)]
+    s, n, disc = tag._norm_s, -tag._norm_t, abs(tag.disc)
+    form = _search_levels([[2, s], [s, -2 * n]])  # v^T gram v = 2 N(v)
     results: list[HermMatrix] = []
-    pairs = [(i, j) for i in range(g) for j in range(i + 1, g)]
-    for diag in _diagonal_tuples(g, trace_bound):
-        # x_ij in O^# within the 2x2 minor bound N(x_ij) <= t_ii t_jj, for
-        # the off-diagonal slots of the key in its order
-        slots = [_dual_points_bounded(tag, Fraction(diag[i] * diag[j]))
-                 if diag[i] * diag[j] else [zero] for i, j in pairs]
-        for choice in product(*slots):
-            den = lcm(*(x.den for x in choice))
-            coords = _coords(choice, den)
-            raw, k = [den], 0
-            for i in range(g):
-                raw += (diag[i] * den, 0, *coords[k:k + 2 * (g - 1 - i)])
-                k += 2 * (g - 1 - i)
-            mat = HermMatrix._trusted(g, raw, tag)
-            if mat.is_psd():
-                results.append(mat)
+
+    def disc_points(prev, c, bound):
+        """Each x in c + prev sqrt(D) O with N(x) <= bound, as (a, b): the
+        v = -x sqrt(D) in -c sqrt(D) + prev |D| O with 2 N(v) <= 2 |D| bound,
+        mapped back by x = v sqrt(D)/|D|, where (a + b*w) sqrt(D) =
+        -(s*a + 2t*b) + (2a + s*b)*w for sqrt(D) = 2w - s and t = -n."""
+        a, b = c
+        points = _lattice_points(form, (s * a - 2 * n * b, -2 * a - s * b), prev * disc,
+                                 2 * disc * bound)
+        return [((2 * n * b - s * a) // disc, (2 * a + s * b) // disc) for _q, (a, b) in points]
+
+    def fill(k, prev, rows, raw):
+        """Rows k.. of the key `raw` of the matrix with diagonal `top`, from
+        the current Schur complement: rows[i] = [M^(k)_ii, C_ij for j > i],
+        as (a, b) in O, on the indices k + i; k <= g - 2."""
+        raw = raw + [disc * top[k], 0]
+        piv, lead = rows[0][0][0], rows[0][1:]
+        q = piv or prev  # a zero pivot has a zero row, and eliminating it changes nothing
+        for xs in product(*(disc_points(prev, c, piv * r[0][0]) for c, r in zip(lead, rows[1:]))):
+            key = raw + [(e - f) // prev for x, c in zip(xs, lead) for e, f in zip(x, c)]
+            if k == g - 2:  # the last row: only t_gg is left
+                results.append(HermMatrix._trusted(g, key + [disc * top[-1], 0], tag))
+                continue
+            conj = [(a + s * b, -b) for a, b in xs]  # conj(a + b*w) = (a + s*b) - b*w
+            # M^(k+1)_ij = (q M^(k)_ij - conj(x_i) x_j) / prev, x_j = M^(k)_kj
+            fill(k + 1, q, [[[(q * e - f) // prev for e, f in zip(c, _int_dot([x], [y], s, n))]
+                             for c, y in zip(r, xs[i:])]
+                            for i, (r, x) in enumerate(zip(rows[1:], conj))], key)
+
+    for top in product(range(trace_bound + 1), repeat=g):
+        if sum(top) <= trace_bound:
+            fill(0, 1, [[(disc * d, 0)] + [(0, 0)] * (g - 1 - i) for i, d in enumerate(top)],
+                 [disc])
     return _canonical_order(results)
 
 

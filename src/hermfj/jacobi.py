@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import inf, lcm
 from typing import Mapping, Sequence
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, RecordError
 from .field import FieldElement, FieldTag, Immutable, _coset_vectors
 from .hermitian import (
     CosetClass,
@@ -81,8 +81,9 @@ class JacobiTable(Immutable):
     """Coefficient table of a cogenus-1 Hermitian Jacobi form.
 
     Validation happens once, at the public boundary: the constructor, and
-    so `formats.read_jacobi`, checks every key.  `_trusted` skips the checks
-    for the outputs of `add`, `theta_coeffs`, `theta_recompose`,
+    so `formats.read_jacobi`, checks every key, and raises
+    `errors.RecordError` naming an (n, r) it rejects.  `_trusted` skips the
+    checks for the outputs of `add`, `theta_coeffs`, `theta_recompose`,
     `series_times_theta` and `ffj._cogenus_one_slice`.
     """
 
@@ -107,23 +108,25 @@ class JacobiTable(Immutable):
         trunc = trunc if isinstance(trunc, Fraction) else Fraction(trunc)
         bound = trunc.as_integer_ratio()
         clean: dict[tuple[HermMatrix, Vector], Vec] = {}
-        for (n, r), vec in coeffs.items():
+        for key, vec in coeffs.items():
+            n, r = key
             n = _as_key_matrix(n, g, tag)
             r = tuple(r)
             vec = tuple(vec)
             if len(vec) != dim:
-                raise ValueError("coefficient dimension mismatch")
+                raise RecordError("coefficient dimension mismatch", key)
             if _all_zero(vec, tag):
                 continue
             if n.g != g or len(r) != g or n.tag != tag:
-                raise ValueError("key size or field mismatch")
+                raise RecordError("key size or field mismatch", key)
             if not _trace_within(n, bound):
-                raise ValueError("key exceeds truncation %s" % trunc)
+                raise RecordError("key exceeds truncation %s" % trunc, key)
             for x in r:
                 if x.tag != tag:
-                    raise ValueError("r component %r is not in the field d=%d" % (x, tag.d))
+                    raise RecordError("r component %r is not in the field d=%d" % (x, tag.d),
+                                      key)
                 if not x.is_dual_integral():
-                    raise ValueError("r component %r is not in the inverse different" % (x,))
+                    raise RecordError("r component %r is not in the inverse different" % (x,), key)
             if g == 1:
                 # 2x2 block: psd iff n = p/D >= 0 and n*m >= |r|^2 = N_num/den_r^2
                 (den, p, _q), x = n._key, r[0]
@@ -131,7 +134,7 @@ class JacobiTable(Immutable):
             else:
                 ok = block_key(n, r, m).is_psd()
             if not ok:
-                raise ValueError("block key (n r; r* m) is not positive semidefinite")
+                raise RecordError("block key (n r; r* m) is not positive semidefinite", key)
             clean[(n, r)] = vec
         self._fill(g, k, m, tag, trunc, dim, clean)
 

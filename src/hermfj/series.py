@@ -16,6 +16,7 @@ from math import inf
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import linalg
+from .errors import RecordError
 from .field import FieldElement, FieldTag, Immutable, unit_group
 from .hermitian import HermMatrix, UnitMatrix, gl_action, min_represented
 from .hermitian import _canonical_order, _trace_sum, _trace_within
@@ -51,7 +52,8 @@ class FourierSeries(Immutable):
     theta component.
 
     Validation happens once, at the public boundary: the constructor, and
-    so `formats.read_series` and `read_components`, checks every key.
+    so `formats.read_series` and `read_components`, checks every key, and
+    raises `errors.RecordError` naming a key it rejects.
     `_trusted` skips the checks for the outputs of `__add__`, `scale`,
     `__mul__`, `symmetrize`, `jacobi.theta_decompose` and `ffj.assemble`.
     """
@@ -78,17 +80,17 @@ class FourierSeries(Immutable):
         for t, vec in coeffs.items():
             vec = tuple(vec)
             if len(vec) != dim:
-                raise ValueError("coefficient dimension mismatch at %r" % (t,))
+                raise RecordError("coefficient dimension mismatch at %r" % (t,), t)
             if _all_zero(vec, tag):
                 continue
             if t.g != g or t.tag != tag:
-                raise ValueError("key size or field mismatch at %r" % (t,))
+                raise RecordError("key size or field mismatch at %r" % (t,), t)
             if not _trace_within(t, bound):
-                raise ValueError("key %r exceeds truncation %s" % (t, trunc))
+                raise RecordError("key %r exceeds truncation %s" % (t, trunc), t)
             if semi_integral and not t.is_semi_integral():
-                raise ValueError("key %r is not semi-integral" % (t,))
+                raise RecordError("key %r is not semi-integral" % (t,), t)
             if not t.is_psd():
-                raise ValueError("key %r is not positive semidefinite" % (t,))
+                raise RecordError("key %r is not positive semidefinite" % (t,), t)
             clean[t] = vec
         self._fill(g, k, tag, trunc, dim, clean, semi_integral)
 

@@ -274,6 +274,31 @@ def test_decompose_rejects_zero_index(tmp_path):
     assert not out_file.exists()
 
 
+def test_decompose_refuses_a_table_over_the_section_limit(tmp_path, capsys):
+    # 697 bytes whose bundle needs (3^2 * 3)^4 = 531441 class sections
+    from hermfj import cli
+
+    src, out_file = tmp_path / "g4.hjf", tmp_path / "g4.hjc"
+    assert cli.run(["theta", "--field", "-3", "--m", "3", "--shift", "5", "--trunc", "2",
+                    "--genus", "4", "--out", str(src)]) == 0
+    assert len(src.read_bytes()) == 697
+    start = time.perf_counter()
+    code = cli.run(["decompose", "--in", str(src), "--out", str(out_file)])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "27^4 = 531441" in captured.err and "100000" in captured.err
+    assert not out_file.exists()
+    # a header genus far over the limit is refused without forming the count
+    src.write_text(src.read_text(encoding="ascii").replace("g=4;", "g=123456789;"),
+                   encoding="ascii")
+    start = time.perf_counter()
+    assert cli.run(["decompose", "--in", str(src), "--out", str(out_file)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "27^123456789 theta" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
 def test_coefficient_dimension_below_one_is_a_parse_error(tmp_path):
     # readers used to accept dim < 1 in HJF and FJFAM headers, so decompose
     # wrote a bundle that validate and recompose then rejected

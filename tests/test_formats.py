@@ -7,10 +7,12 @@ from hermfj.errors import ParseError
 from hermfj.ffj import disassemble
 from hermfj.field import FieldElement, make_field
 from hermfj.formats import (
+    HEADER_FIELDS,
     detect,
     read_any,
     read_components,
     read_family,
+    read_header,
     read_jacobi,
     read_series,
     write_components,
@@ -117,6 +119,34 @@ def test_parse_errors_carry_line_numbers():
         read_series("FJS v1; d=-1; g=1; k=0")  # missing header fields
     with pytest.raises(ParseError):
         read_series("FJS v1; d=-5; g=1; k=0; trunc=2; dim=1")  # bad field
+
+
+def header_outcome(read):
+    try:
+        return read()
+    except ParseError as exc:
+        return str(exc)
+
+
+def test_read_header_agrees_with_the_readers():
+    """`read_header` splits off only the first line; its values and errors
+    must be those of the reader's header parse over all the lines."""
+    from hermfj.formats import _parse_header
+
+    rng = random.Random(77)
+    pieces = ["HJF v1", "FJS v1", "; d=-1", "; g=2", "; k=4", "; m=3", "; trunc=5/2",
+              "; dim=1", "; l=1", "=", ";", " ", "x", "\n", "\r", "\r\n", "\x0b", "\x0c",
+              "\x1c", "\x1e", "(0/1+0/1*w ; 0/1+0/1*w) = 1/1+0/1*w"]
+    texts = ["", "\n", "\r\n", "\x0c\n", "HJF v1; d=-1; g=2; k=4; m=3; trunc=5/2; dim=1"]
+    texts += ["".join(rng.choice(pieces) for _ in range(rng.randint(1, 12)))
+              for _ in range(400)]
+    texts += ["HJF v1; d=-1; g=2; k=4; m=3; trunc=5/2; dim=1" + sep + "rest"
+              for sep in ("\n", "\r", "\r\n", "\x0b", "\x1d", "")]
+    for text in texts:
+        for magic in HEADER_FIELDS:
+            want = header_outcome(lambda: dict(zip(HEADER_FIELDS[magic],
+                                                   _parse_header(text.splitlines(), magic))))
+            assert header_outcome(lambda: read_header(text, magic)) == want, (text, magic)
 
 
 def test_reader_rejects_keys_outside_contract():

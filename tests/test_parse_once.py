@@ -193,6 +193,43 @@ def test_text_in_a_slot_of_another_size_is_rejected(text, line, message):
 
 
 # ----------------------------------------------------------------------
+# a record that the public constructor rejects is reported at its line
+
+
+def rejected_keys(fmt: str, size: int) -> dict[str, tuple[str, str]]:
+    """Per kind, a key text of the given size that parses but that the
+    constructor of `fmt` rejects, and a part of its message."""
+    def diag(*xs):
+        return ",".join(xs[i] if i == j else "0/1+0/1*w" for i in range(size) for j in range(size))
+
+    kinds = {"truncation": (diag(*["100/1+0/1*w"] * size), "exceeds truncation")}
+    if size == 1:
+        kinds["psd"] = ("-1/1+0/1*w", "positive semidefinite")
+    else:
+        kinds["psd"] = ("0/1+0/1*w,1/1+0/1*w,1/1+0/1*w,0/1+0/1*w", "positive semidefinite")
+    if fmt in ("fjs", "fjfam"):  # HJF checks its block, HJC takes rational diagonals
+        kinds["semi-integral"] = (diag("1/2+0/1*w", *["0/1+0/1*w"] * (size - 1)),
+                                  "not semi-integral")
+    return kinds
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_constructor_rejection_names_the_record_line(fmt):
+    text, size, _dim = valid_files()[fmt]
+    lines = text.splitlines()
+    records = record_lines(lines)
+    for j in (records[len(records) // 2], records[-1]):
+        cases = {kind: (n_slot(lines[j]), bad) for kind, bad in rejected_keys(fmt, size).items()}
+        if fmt == "hjf":  # an r outside the inverse different
+            start = lines[j].index(" ; ") + 3
+            cases["r"] = ((start, lines[j].index(") = ")), ("1/3+0/1*w", "inverse different"))
+        for kind, ((start, end), (bad, message)) in cases.items():
+            mutated = lines[:j] + [lines[j][:start] + bad + lines[j][end:]] + lines[j + 1:]
+            err = read_error("\n".join(mutated) + "\n")
+            assert err.line == j + 1 and message in str(err), (fmt, kind, j, str(err))
+
+
+# ----------------------------------------------------------------------
 # one object per distinct text within a read, none across reads
 
 

@@ -7,16 +7,12 @@ from fractions import Fraction
 
 from hermfj import linalg
 from hermfj.field import FieldElement, _ldl_pivots
-from hermfj.hermitian import (
-    HermMatrix,
-    _diagonal_tuples,
-    _dual_points_bounded,
-    enumerate_semi_integral,
-    gl_action,
-)
+from hermfj.hermitian import HermMatrix, enumerate_semi_integral, gl_action
 from hermfj.jacobi import shift_matrix
 from util import (
     all_tags,
+    diagonal_tuples,
+    dual_points_bounded,
     hermitian_by_conj,
     pd_by_leading_minors,
     psd_by_minors,
@@ -48,8 +44,8 @@ def semi_integral_candidates(g, trace_bound, tag):
     N(x_ij) <= t_ii t_jj (the 2x2 minor bound), definite or not."""
     zero = FieldElement.zero(tag)
     pairs = [(i, j) for i in range(g) for j in range(i + 1, g)]
-    for diag in _diagonal_tuples(g, trace_bound):
-        slots = [_dual_points_bounded(tag, Fraction(diag[i] * diag[j])) or [zero]
+    for diag in diagonal_tuples(g, trace_bound):
+        slots = [dual_points_bounded(tag, Fraction(diag[i] * diag[j])) or [zero]
                  for i, j in pairs]
 
         def fill(k, rows):

@@ -747,6 +747,58 @@ def family_key_order_by_fractions(key) -> tuple:
 
 
 # ----------------------------------------------------------------------
+# enumeration oracle (the predecessor of `hermitian.enumerate_semi_integral`)
+
+
+def diagonal_tuples(g: int, total: int):
+    """The g-tuples of nonnegative ints with sum <= total, in lexicographic order."""
+    from itertools import product
+
+    return (diag for diag in product(range(total + 1), repeat=g) if sum(diag) <= total)
+
+
+def dual_points_bounded(tag: FieldTag, bound) -> list:
+    """All x in O^# with N(x) <= bound: y/sqrt(D) for the y in O with
+    N(y) <= bound |D|, found by `coset_points_by_fractions`."""
+    from hermfj.field import sqrt_disc
+
+    inv_sd = sqrt_disc(tag).inv()
+    return [y * inv_sd for y in coset_points_by_fractions(FieldElement.zero(tag), 1,
+                                                          Fraction(bound) * abs(tag.disc))]
+
+
+def enumerate_by_psd_tests(g: int, trace_bound: int, tag: FieldTag) -> list:
+    """The former `enumerate_semi_integral`: every Hermitian matrix with a
+    nonnegative integer diagonal of trace <= trace_bound and off-diagonal
+    entries x_ij in O^# with N(x_ij) <= t_ii t_jj (the 2x2 minor bound),
+    built by the public constructor and kept when `is_psd`, in the order of
+    `matrix_order_by_fractions`."""
+    from itertools import product
+
+    from hermfj.hermitian import HermMatrix
+
+    zero = FieldElement.zero(tag)
+    pairs = [(i, j) for i in range(g) for j in range(i + 1, g)]
+    points = {}  # per bound t_ii t_jj
+    found = []
+    for diag in diagonal_tuples(g, trace_bound):
+        for i, j in pairs:
+            if diag[i] * diag[j] not in points:
+                points[diag[i] * diag[j]] = dual_points_bounded(tag, diag[i] * diag[j])
+        slots = [points[diag[i] * diag[j]] for i, j in pairs]
+        for choice in product(*slots):
+            rows = [[zero] * g for _ in range(g)]
+            for i in range(g):
+                rows[i][i] = FieldElement(diag[i], 0, tag)
+            for (i, j), x in zip(pairs, choice):
+                rows[i][j], rows[j][i] = x, x.conj()
+            t = HermMatrix(rows, tag)
+            if t.is_psd():
+                found.append(t)
+    return sorted(found, key=matrix_order_by_fractions)
+
+
+# ----------------------------------------------------------------------
 # group element builders (guaranteed members by construction)
 
 
