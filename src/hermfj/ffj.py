@@ -128,6 +128,10 @@ class FJFamily(Immutable):
             and other.coeffs == self.coeffs
         )
 
+    def __hash__(self):
+        return hash((self.g, self.l, self.k, self.tag.d, self.trunc, self.dim,
+                     frozenset(self.coeffs.items())))
+
     def __repr__(self):
         return "FJFamily(g=%d, l=%d, k=%d, d=%d, trunc=%s, %d indices)" % (
             self.g, self.l, self.k, self.tag.d, self.trunc, len(self.tables)

@@ -529,7 +529,8 @@ def _lattice_points(ldl: tuple[int, list[tuple[int, int, list]]], shift: tuple[i
 def _coset_vectors(shift: Sequence[FieldElement], m: int,
                    bound: RationalLike) -> list[tuple[FieldElement, ...]]:
     """All x in shift + m*O^g with sum_i N(x_i) <= bound, g = len(shift),
-    sorted by that sum and then by the coordinates (a_1, b_1, ..., b_g).
+    sorted by that sum and then by the coordinates (a_1, b_1, ..., b_g), so
+    that the points within a smaller bound form a prefix.
 
     One call of `_lattice_points` on the coordinates of den*x, den the
     common denominator of the shift, where twice the norm form has g

@@ -5,7 +5,9 @@ All writers emit records in the canonical enumeration order and all numbers
 in lowest terms, so identical values always serialize to identical bytes;
 readers parse exactly and reject anything malformed with the line number,
 also a record whose key the public constructor rejects (its
-`errors.RecordError` names the record).
+`errors.RecordError` names the record), and a header value it rejects (at
+line 1, with the constructor's message).  Surrounding whitespace on a line
+is ignored, and blank lines are skipped.
 A reader parses, and so validates, each distinct text once per call (any
 error is raised at its first occurrence), and rejects a repeated key.
 
@@ -26,18 +28,19 @@ error is raised at its first occurrence), and rejects a repeated key.
 Matrices are row-major, comma-separated field elements in the "a/b+c/d*w"
 form; <Q> is a rational in lowest terms.  An HJC bundle has one section per
 class of `delta_classes(g, m)`, numbered from 0 in that canonical order and
-naming each class by its canonical rep; its header trunc is the htrunc of
-class 0.
+naming each class by its canonical rep, as `ThetaComponentVector` requires;
+its header trunc is the htrunc of class 0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .errors import ParseError, RecordError
 from .ffj import FJFamily
 from .field import FieldElement, FieldTag, make_field
-from .hermitian import CosetClass, HermMatrix, _canonical_order, delta_classes
+from .hermitian import CosetClass, HermMatrix, _canonical_order
 from .jacobi import JacobiTable, ThetaComponentVector
 from .series import FourierSeries
 
@@ -56,6 +59,13 @@ def _parse_int(text: str, line: int) -> int:
         raise ParseError("bad integer %r" % text, line) from exc
 
 
+def _make_tag(text: str) -> FieldTag:
+    try:
+        return make_field(int(text))
+    except ValueError as exc:
+        raise ParseError(str(exc), 1) from exc
+
+
 #: the header fields of each format, in order
 HEADER_FIELDS = {
     "FJS v1": ("d", "g", "k", "trunc", "dim"),
@@ -63,6 +73,12 @@ HEADER_FIELDS = {
     "FJFAM v1": ("d", "g", "l", "k", "trunc", "dim"),
     "HJC v1": ("d", "g", "k", "m", "trunc", "dim"),
 }
+
+
+def _header_line(magic: str, *values) -> str:
+    """The header line of the format `magic`, its fields taking `values` in
+    the order of `HEADER_FIELDS[magic]`."""
+    return "; ".join([magic] + ["%s=%s" % fv for fv in zip(HEADER_FIELDS[magic], values)])
 
 
 def read_header(text: str, magic: str) -> dict:
@@ -95,6 +111,35 @@ def _parse_header(lines: list[str], magic: str) -> list:
         values.append(value)
     return [_make_tag(v) if f == "d" else _parse_q(v, 1) if f == "trunc" else _parse_int(v, 1)
             for f, v in zip(fields, values)]
+
+
+def _body(lines: list[str]):
+    """(line number, stripped text) of each nonblank line after the header."""
+    for i, raw in enumerate(lines[1:], start=2):
+        raw = raw.strip()
+        if raw:
+            yield i, raw
+
+
+def _split_labelled(raw: str, label: str, line: int) -> tuple[str, str]:
+    """The matrix and value texts of a record '<label> = <matrix> ; c = <values>'."""
+    left, sep, right = raw.partition(" ; c = ")
+    if sep == "" or not left.startswith(label + " = "):
+        raise ParseError("expected '%s = <matrix> ; c = <values>'" % label, line)
+    return left[len(label) + 3:], right
+
+
+def _split_pair(raw: str, line: int) -> tuple[str, str, str]:
+    """The n, r and value texts of a record '(<n> ; <r>) = <values>'."""
+    if not raw.startswith("("):
+        raise ParseError("record must start with '('", line)
+    close = raw.find(") = ")
+    if close < 0:
+        raise ParseError("record needs ') = '", line)
+    n_text, sep, r_text = raw[1:close].partition(" ; ")
+    if sep == "":
+        raise ParseError("expected '(<n> ; <r>) = <values>'", line)
+    return n_text, r_text, raw[close + 4:]
 
 
 def _parse_matrix(text: str, g: int, tag: FieldTag, line: int) -> HermMatrix:
@@ -142,6 +187,19 @@ def _rejected(exc: ValueError, records, record_lines: list[int], line: int | Non
     return ParseError(str(exc), line)
 
 
+def _construct(make, data, record_lines: list[int], records=None):
+    """`make(data)`, a public constructor on what was read; a rejection is
+    raised through `_rejected`, at its record's line, else at line 1, the
+    header.  `records` lists the records of `data` in constructor order
+    when they are not its keys.  A reader calls it on empty `data` right
+    after the header, so that a header value the constructor rejects fails
+    at line 1."""
+    try:
+        return make(data)
+    except ValueError as exc:
+        raise _rejected(exc, data if records is None else records, record_lines, 1) from exc
+
+
 def _vec_text(vec) -> str:
     return ",".join(x.to_text() for x in vec)
 
@@ -151,10 +209,7 @@ def _vec_text(vec) -> str:
 
 
 def write_series(f: FourierSeries) -> str:
-    lines = [
-        "FJS v1; d=%d; g=%d; k=%d; trunc=%s; dim=%d"
-        % (f.tag.d, f.g, f.k, f.trunc, f.dim)
-    ]
+    lines = [_header_line("FJS v1", f.tag.d, f.g, f.k, f.trunc, f.dim)]
     for t in f.support():
         lines.append("t = %s ; c = %s" % (t.to_text(), _vec_text(f.coeffs[t])))
     return "\n".join(lines) + "\n"
@@ -163,30 +218,18 @@ def write_series(f: FourierSeries) -> str:
 def read_series(text: str) -> FourierSeries:
     lines = text.splitlines()
     tag, g, k, trunc, dim = _parse_header(lines, "FJS v1")
+    make = partial(FourierSeries, g, k, tag, trunc, dim=dim)
+    _construct(make, {}, [])
     matrix, vector = _interned(_parse_matrix, tag), _interned(_parse_vector, tag)
     coeffs, record_lines = {}, []
-    for i, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        left, sep, right = raw.partition(" ; c = ")
-        if sep == "" or not left.startswith("t = "):
-            raise ParseError("expected 't = <matrix> ; c = <values>'", i)
-        t = matrix(left[4:], g, i)
+    for i, raw in _body(lines):
+        t_text, value = _split_labelled(raw, "t", i)
+        t = matrix(t_text, g, i)
         if t in coeffs:
             raise ParseError("repeated key t = %s" % t.to_text(), i)
-        coeffs[t] = vector(right, dim, i)
+        coeffs[t] = vector(value, dim, i)
         record_lines.append(i)
-    try:
-        return FourierSeries(g, k, tag, trunc, coeffs, dim)
-    except ValueError as exc:
-        raise _rejected(exc, coeffs, record_lines) from exc
-
-
-def _make_tag(text: str) -> FieldTag:
-    try:
-        return make_field(int(text))
-    except ValueError as exc:
-        raise ParseError(str(exc), 1) from exc
+    return _construct(make, coeffs, record_lines)
 
 
 # ----------------------------------------------------------------------
@@ -194,10 +237,7 @@ def _make_tag(text: str) -> FieldTag:
 
 
 def write_jacobi(t: JacobiTable) -> str:
-    lines = [
-        "HJF v1; d=%d; g=%d; k=%d; m=%d; trunc=%s; dim=%d"
-        % (t.tag.d, t.g, t.k, t.m, t.trunc, t.dim)
-    ]
+    lines = [_header_line("HJF v1", t.tag.d, t.g, t.k, t.m, t.trunc, t.dim)]
     for key in t.support():
         n, r = key
         lines.append("(%s ; %s) = %s" % (n.to_text(), _vec_text(r), _vec_text(t.coeffs[key])))
@@ -207,35 +247,19 @@ def write_jacobi(t: JacobiTable) -> str:
 def read_jacobi(text: str) -> JacobiTable:
     lines = text.splitlines()
     tag, g, k, m, trunc, dim = _parse_header(lines, "HJF v1")
+    make = partial(JacobiTable, g, k, m, tag, trunc, dim=dim)
+    _construct(make, {}, [])
     matrix, vector = _interned(_parse_matrix, tag), _interned(_parse_vector, tag)
     r_vector = _interned(_parse_vector, tag)
     coeffs, record_lines = {}, []
-    for i, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        key_part, value = _split_record(raw, i)
-        n_text, sep, r_text = key_part.partition(" ; ")
-        if sep == "":
-            raise ParseError("expected '(<n> ; <r>) = <values>'", i)
+    for i, raw in _body(lines):
+        n_text, r_text, value = _split_pair(raw, i)
         key = (matrix(n_text, g, i), r_vector(r_text, g, i))
         if key in coeffs:
             raise ParseError("repeated key (%s ; %s)" % (key[0].to_text(), _vec_text(key[1])), i)
         coeffs[key] = vector(value, dim, i)
         record_lines.append(i)
-    try:
-        return JacobiTable(g, k, m, tag, trunc, coeffs, dim)
-    except ValueError as exc:
-        raise _rejected(exc, coeffs, record_lines) from exc
-
-
-def _split_record(raw: str, line: int) -> tuple[str, str]:
-    raw = raw.strip()
-    if not raw.startswith("("):
-        raise ParseError("record must start with '('", line)
-    close = raw.find(") = ")
-    if close < 0:
-        raise ParseError("record needs ') = '", line)
-    return raw[1:close], raw[close + 4 :]
+    return _construct(make, coeffs, record_lines)
 
 
 # ----------------------------------------------------------------------
@@ -243,10 +267,7 @@ def _split_record(raw: str, line: int) -> tuple[str, str]:
 
 
 def write_family(fam: FJFamily) -> str:
-    lines = [
-        "FJFAM v1; d=%d; g=%d; l=%d; k=%d; trunc=%s; dim=%d"
-        % (fam.tag.d, fam.g, fam.l, fam.k, fam.trunc, fam.dim)
-    ]
+    lines = [_header_line("FJFAM v1", fam.tag.d, fam.g, fam.l, fam.k, fam.trunc, fam.dim)]
     tables = fam.tables
     for m in _canonical_order(tables):
         lines.append("[index m = %s]" % m.to_text())
@@ -263,6 +284,8 @@ def _rmat_text(r) -> str:
 def read_family(text: str) -> FJFamily:
     lines = text.splitlines()
     tag, g, l, k, trunc, dim = _parse_header(lines, "FJFAM v1")
+    make = partial(FJFamily, g, l, k, tag, trunc, dim=dim)
+    _construct(make, {}, [])
     a = g - l
 
     def parse_r(r_text, count, r_tag, line):  # the a x l matrix r, row-major
@@ -274,10 +297,7 @@ def read_family(text: str) -> FJFamily:
     tables: dict[HermMatrix, dict] = {}
     record_lines: list[int] = []
     current = None
-    for i, raw in enumerate(lines[1:], start=2):
-        raw = raw.strip()
-        if not raw:
-            continue
+    for i, raw in _body(lines):
         if raw.startswith("[index m = ") and raw.endswith("]"):
             m = index(raw[len("[index m = ") : -1], l, i)
             if m in tables:
@@ -286,21 +306,15 @@ def read_family(text: str) -> FJFamily:
             continue
         if current is None:
             raise ParseError("record before any [index m = ...] section", i)
-        key_part, value = _split_record(raw, i)
-        n_text, sep, r_text = key_part.partition(" ; ")
-        if sep == "":
-            raise ParseError("expected '(<n> ; <r>) = <values>'", i)
+        n_text, r_text, value = _split_pair(raw, i)
         key = (matrix(n_text, a, i), r_matrix(r_text, a * l, i))
         if key in current:
             raise ParseError("repeated key (%s ; %s) in [index m = %s]"
                              % (key[0].to_text(), _rmat_text(key[1]), m.to_text()), i)
         current[key] = vector(value, dim, i)
         record_lines.append(i)
-    try:
-        return FJFamily(g, l, k, tag, trunc, tables, dim)
-    except ValueError as exc:
-        records = ((m, key) for m, body in tables.items() for key in body)
-        raise _rejected(exc, records, record_lines) from exc
+    records = ((m, key) for m, body in tables.items() for key in body)
+    return _construct(make, tables, record_lines, records)
 
 
 # ----------------------------------------------------------------------
@@ -309,10 +323,8 @@ def read_family(text: str) -> FJFamily:
 
 def write_components(v: ThetaComponentVector) -> str:
     sample = v.components[v.classes[0]]
-    lines = [
-        "HJC v1; d=%d; g=%d; k=%d; m=%d; trunc=%s; dim=%d"
-        % (sample.tag.d, sample.g, sample.k, v.m, sample.trunc, sample.dim)
-    ]
+    lines = [_header_line("HJC v1", sample.tag.d, sample.g, sample.k, v.m, sample.trunc,
+                          sample.dim)]
     for i, s in enumerate(v.classes):
         h = v.components[s]
         lines.append("[class %d; rep = %s; htrunc = %s]" % (i, s.to_text(), h.trunc))
@@ -322,44 +334,30 @@ def write_components(v: ThetaComponentVector) -> str:
 
 
 def read_components(text: str) -> ThetaComponentVector:
+    """Builds each section's series when the next section or the end of the
+    file is reached, so errors come in file order.  The class list is
+    checked by the `ThetaComponentVector` constructor; a class out of place
+    is reported at its section's line."""
     lines = text.splitlines()
     tag, g, k, m, trunc, dim = _parse_header(lines, "HJC v1")
     if m < 1:
         raise ParseError("index m must be >= 1", 1)
+
+    def component(h_trunc):
+        return partial(FourierSeries, g, k, tag, h_trunc, dim=dim, semi_integral=False)
+
+    _construct(component(trunc), {}, [])
+    matrix, vector = _interned(_parse_matrix, tag), _interned(_parse_vector, tag)
     classes: list[CosetClass] = []
     class_lines: list[int] = []
     components: dict[CosetClass, FourierSeries] = {}
-    pending: dict[HermMatrix, tuple] = {}
-    pending_lines: list[int] = []
-    pending_class = None
-    pending_trunc = None
-    matrix, vector = _interned(_parse_matrix, tag), _interned(_parse_vector, tag)
-
-    def flush(line_no):
-        nonlocal pending, pending_lines, pending_class, pending_trunc
-        if pending_class is None:
-            return
-        try:
-            series = FourierSeries(g, k, tag, pending_trunc, pending, dim,
-                                   semi_integral=False)
-        except ValueError as exc:
-            raise _rejected(exc, pending, pending_lines, line_no) from exc
-        classes.append(pending_class)
-        components[pending_class] = series
-        pending, pending_lines = {}, []
-        pending_class = None
-        pending_trunc = None
-
-    for i, raw in enumerate(lines[1:], start=2):
-        raw = raw.strip()
-        if not raw:
-            continue
+    for i, raw in _body(lines):
         if raw.startswith("[class "):
-            flush(i)
-            inner = raw[1:-1] if raw.endswith("]") else None
-            if inner is None:
+            if classes:
+                components[classes[-1]] = _construct(component(h_trunc), body, body_lines)
+            if not raw.endswith("]"):
                 raise ParseError("unterminated class header", i)
-            parts = [p.strip() for p in inner.split(";")]
+            parts = [p.strip() for p in raw[1:-1].split(";")]
             if len(parts) != 3 or not parts[1].startswith("rep = ") \
                     or not parts[2].startswith("htrunc = "):
                 raise ParseError("bad class header", i)
@@ -367,41 +365,31 @@ def read_components(text: str) -> ThetaComponentVector:
                 raise ParseError("expected section 'class %d'" % len(classes), i)
             rep = _parse_vector(parts[1][len("rep = "):], g, tag, i)
             try:
-                pending_class = CosetClass(m, rep, tag)
+                classes.append(CosetClass(m, rep, tag))
             except ValueError as exc:
                 raise ParseError(str(exc), i) from exc
             class_lines.append(i)
-            pending_trunc = _parse_q(parts[2][len("htrunc = "):], i)
+            h_trunc = _parse_q(parts[2][len("htrunc = "):], i)
+            body, body_lines = {}, []
             continue
-        if pending_class is None:
+        if not classes:
             raise ParseError("record before any [class ...] section", i)
-        left, sep, right = raw.partition(" ; c = ")
-        if sep == "" or not left.startswith("n = "):
-            raise ParseError("expected 'n = <matrix> ; c = <values>'", i)
-        n = matrix(left[4:], g, i)
-        if n in pending:
-            raise ParseError("repeated key n = %s in class %d" % (n.to_text(), len(classes)), i)
-        pending[n] = vector(right, dim, i)
-        pending_lines.append(i)
-    flush(len(lines) + 1)
+        n_text, value = _split_labelled(raw, "n", i)
+        n = matrix(n_text, g, i)
+        if n in body:
+            raise ParseError("repeated key n = %s in class %d" % (n.to_text(), len(classes) - 1), i)
+        body[n] = vector(value, dim, i)
+        body_lines.append(i)
     if not classes:
         raise ParseError("bundle holds no classes", 1)
-    # compare counts before listing Delta_g(m), which has (m^2 |D|)^g classes
-    want = (m * m * abs(tag.disc)) ** g
-    if len(classes) != want:
-        raise ParseError("expected %d class sections, got %d" % (want, len(classes)), 1)
-    for i, (got, canonical) in enumerate(zip(classes, delta_classes(g, m, tag))):
-        if got != canonical:
-            raise ParseError("class %d: rep must be the canonical %s"
-                             % (i, canonical.to_text()), class_lines[i])
+    components[classes[-1]] = _construct(component(h_trunc), body, body_lines)
+    bundle = _construct(partial(ThetaComponentVector, m, classes), components, class_lines,
+                        range(len(classes)))
     # the writer puts the class-0 htrunc in the header
     if trunc != components[classes[0]].trunc:
         raise ParseError("header trunc=%s must equal the class 0 htrunc %s"
                          % (trunc, components[classes[0]].trunc), 1)
-    try:
-        return ThetaComponentVector(m, classes, components)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return bundle
 
 
 # ----------------------------------------------------------------------

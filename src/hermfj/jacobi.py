@@ -207,14 +207,6 @@ class JacobiTable(Immutable):
 # theta tables
 
 
-def _class_points(s: CosetClass, norm_bound: Fraction) -> list[Vector]:
-    """All vectors r in s + m O^g with |r|^2 = sum |r_i|^2 <= norm_bound,
-    ordered by |r|^2 first, so that the points within a smaller bound form
-    a prefix, then by the `sort_key`s of the components.  One search of
-    `field._coset_vectors`, over the 2g coordinates of r at once."""
-    return _coset_vectors(s.rep, s.m, norm_bound)
-
-
 def theta_coeffs(m: int, s: CosetClass, trunc) -> JacobiTable:
     """The theta table of index m and shift s: coefficient 1 exactly at the
     keys (r m^-1 r*, r) for r in the class; weight recorded as the cogenus."""
@@ -225,16 +217,17 @@ def theta_coeffs(m: int, s: CosetClass, trunc) -> JacobiTable:
     one = FieldElement.one(tag)
     coeffs = {}
     # each key has trace |r|^2/m <= trunc and a rank-one PSD block
-    for r in _class_points(s, trunc * m):
+    for r in _coset_vectors(s.rep, s.m, trunc * m):
         coeffs[(shift_matrix(r, m), r)] = (one,)
     return JacobiTable._trusted(s.g, 1, m, tag, trunc, coeffs)
 
 
 class ThetaComponentVector(Immutable):
     """The components (h_s)_s of a theta decomposition: one shifted series
-    per class of Delta_g(m), in the canonical class order, with at least one
-    class; each class has modulus m and g components, which lie in O^# by
-    `CosetClass`."""
+    per class of Delta_g(m).  The classes are exactly `delta_classes(g, m)`,
+    in that canonical order; each has modulus m and g components, which lie
+    in O^# by `CosetClass`.  A class out of place raises `errors.RecordError`
+    naming its position in `classes`."""
 
     __slots__ = ("m", "classes", "components")
 
@@ -248,6 +241,16 @@ class ThetaComponentVector(Immutable):
         for s in classes:
             if s.m != m or s.g != components[s].g:
                 raise ValueError("class %r does not fit modulus %d and its series" % (s, m))
+        g, tag = classes[0].g, classes[0].tag
+        # compare counts before listing Delta_g(m), which has (m^2 |D|)^g classes
+        want = (m * m * abs(tag.disc)) ** g
+        if len(classes) != want:
+            raise ValueError("expected %d class sections, got %d" % (want, len(classes)))
+        canonical = delta_classes(g, m, tag)
+        if classes != canonical:
+            i = next(i for i, (got, s) in enumerate(zip(classes, canonical)) if got != s)
+            raise RecordError("class %d: rep must be the canonical %s"
+                              % (i, canonical[i].to_text()), i)
         self._fill(m, classes, dict(components))
 
     def __eq__(self, other):
@@ -325,7 +328,8 @@ def theta_decompose(phi: JacobiTable, strict: bool = False) -> ThetaComponentVec
         if strict and body:
             big = lcm(*(n._trace[1] for n in body))
             least = Fraction(min(n._trace[0] * (big // n._trace[1]) for n in body), big)
-            points = [(shift_matrix(r, m), r) for r in _class_points(s, (phi.trunc - least) * m)]
+            points = [(shift_matrix(r, m), r)
+                      for r in _coset_vectors(s.rep, s.m, (phi.trunc - least) * m)]
             for nprime, vec in body.items():
                 room = _trace_sum(bound, nprime._trace, -1)
                 for shift, r_any in points:
@@ -365,7 +369,7 @@ def theta_recompose(v: ThetaComponentVector, trunc) -> JacobiTable:
             )
         if h.is_zero():
             continue
-        for r in _class_points(s, trunc * m):
+        for r in _coset_vectors(s.rep, s.m, trunc * m):
             shift = shift_matrix(r, m)
             room = _trace_sum(bound, shift._trace, -1)
             for nprime, vec in h.coeffs.items():

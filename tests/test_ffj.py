@@ -20,9 +20,9 @@ from hermfj.ffj import (
     split_block,
     zero_pad,
 )
-from hermfj.field import FieldElement, make_field
+from hermfj.field import FieldElement, _coset_vectors, make_field
 from hermfj.hermitian import HermMatrix, delta_classes, enumerate_semi_integral, reduce_class, small_rep
-from hermfj.jacobi import JacobiTable, _class_points, shift_matrix, theta_decompose
+from hermfj.jacobi import JacobiTable, shift_matrix, theta_decompose
 from hermfj.series import FourierSeries, gl_generators, symmetrize
 from util import (
     SplitTableFamily,
@@ -98,6 +98,17 @@ def test_disassemble_assemble_round_trip():
         fam2 = disassemble(f, 2)
         assert assemble(fam2) == f
         assert disassemble(assemble(fam2), 2) == fam2
+
+
+def test_equal_families_hash_equal():
+    rng = random.Random(69)
+    tag = make_field(-1)
+    fam = build_degree3_family(rng, tag)
+    again = disassemble(assemble(fam), 1)
+    assert again == fam and again is not fam
+    assert hash(again) == hash(fam)
+    assert len({fam, again, rearrange_cogenus(disassemble(assemble(fam), 2), 1)}) == 1
+    assert hash(FJFamily(3, 2, 8, tag, 3, {})) == hash(FJFamily(3, 2, 8, tag, 3, {}))
 
 
 def test_rearrange_cogenus_coherence():
@@ -382,7 +393,6 @@ def _orbit_constant_theta_family(tag, m_val=1, trunc=4, k=12):
     orbits of (class, key) pairs under the genus-2 unit group, hence
     symmetric in the sense of the component symmetry condition (the
     determinant factors are trivial since k is a multiple of 12)."""
-    from hermfj.jacobi import _class_points
     from hermfj import linalg
 
     gens = gl_generators(2, tag)
@@ -428,7 +438,7 @@ def _orbit_constant_theta_family(tag, m_val=1, trunc=4, k=12):
     for rv, nu in pairs:
         s = reduce_class(rv, m_val)
         budget = (room - nu.trace()) * m_val
-        for r in _class_points(s, budget):
+        for r in _coset_vectors(s.rep, s.m, budget):
             body[(nu.add(shift_matrix(r, m_val)), as_column(r))] = value
     idx = HermMatrix.from_rational(m_val, tag)
     return FJFamily(3, 1, k, tag, trunc, {idx: body})

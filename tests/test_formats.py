@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hermfj.errors import ParseError
-from hermfj.ffj import disassemble
+from hermfj.ffj import FJFamily, disassemble
 from hermfj.field import FieldElement, make_field
 from hermfj.formats import (
     HEADER_FIELDS,
@@ -21,9 +21,9 @@ from hermfj.formats import (
     write_series,
 )
 from hermfj.hermitian import delta_classes, enumerate_semi_integral
-from hermfj.jacobi import theta_coeffs, theta_decompose
+from hermfj.jacobi import JacobiTable, theta_coeffs, theta_decompose
 from hermfj.series import FourierSeries
-from util import all_tags, random_component_vector
+from util import all_tags, random_component_vector, read_by_lines
 
 
 def fe(a, b, tag):
@@ -192,3 +192,71 @@ def test_jacobi_fractional_truncation_round_trip():
     text = write_jacobi(table)
     assert read_jacobi(text) == table
     assert write_jacobi(read_jacobi(text)) == text
+
+
+T1 = make_field(-1)
+ONE_REC = "1/1+0/1*w ; 0/1+0/1*w) = 1/1+0/1*w\n"
+HJC_THETA = write_components(theta_decompose(theta_coeffs(1, delta_classes(1, 1, T1)[0], 3)))
+
+#: a header value that a public constructor rejects: the reader, a file
+#: with that value, and the constructor on the same header values
+HEADER_VALUE_CASES = {
+    "FJS g=0": (read_series, "FJS v1; d=-1; g=0; k=0; trunc=2; dim=1\n"
+                "t = 1/1+0/1*w ; c = 1/1+0/1*w\n", lambda: FourierSeries(0, 0, T1, 2, {})),
+    "FJS dim=0": (read_series, "FJS v1; d=-1; g=1; k=0; trunc=2; dim=0\n"
+                  "t = 1/1+0/1*w ; c = 1/1+0/1*w\n", lambda: FourierSeries(1, 0, T1, 2, {}, 0)),
+    "HJF g=0": (read_jacobi, "HJF v1; d=-1; g=0; k=1; m=2; trunc=3; dim=1\n(" + ONE_REC,
+                lambda: JacobiTable(0, 1, 2, T1, 3, {})),
+    "HJF m=-1": (read_jacobi, "HJF v1; d=-1; g=1; k=1; m=-1; trunc=3; dim=1\n(" + ONE_REC,
+                 lambda: JacobiTable(1, 1, -1, T1, 3, {})),
+    "FJFAM l=0": (read_family, "FJFAM v1; d=-1; g=2; l=0; k=4; trunc=3; dim=1\n"
+                  "[index m = 1/1+0/1*w]\n(" + ONE_REC, lambda: FJFamily(2, 0, 4, T1, 3, {})),
+    "FJFAM l=g": (read_family, "FJFAM v1; d=-1; g=3; l=3; k=4; trunc=3; dim=1\n"
+                  "[index m = 1/1+0/1*w]\n(" + ONE_REC, lambda: FJFamily(3, 3, 4, T1, 3, {})),
+    "HJC dim=0": (read_components, HJC_THETA.replace("dim=1", "dim=0", 1),
+                  lambda: FourierSeries(1, 0, T1, 3, {}, 0, semi_integral=False)),
+    "HJC g=0": (read_components, HJC_THETA.replace("g=1", "g=0", 1),
+                lambda: FourierSeries(0, 0, T1, 3, {}, semi_integral=False)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HEADER_VALUE_CASES))
+def test_header_value_fails_at_line_1_with_the_constructor_message(case):
+    read, text, construct = HEADER_VALUE_CASES[case]
+    with pytest.raises(ValueError) as want:
+        construct()
+    with pytest.raises(ParseError) as err:
+        read(text)
+    assert err.value.line == 1
+    assert str(err.value) == "line 1: %s" % want.value
+
+
+def test_indented_records_read_alike_in_every_format():
+    rng = random.Random(118)
+    texts = [
+        write_series(sample_series(rng, T1)),
+        write_jacobi(theta_coeffs(2, delta_classes(1, 2, T1)[1], 3)),
+        write_family(disassemble(sample_series(rng, T1, g=3, trunc=2), 2)),
+        write_components(random_component_vector(rng, T1, 1, 3)),
+    ]
+    for text in texts:
+        head, *body = text.splitlines()
+        assert body
+        indented = "\n".join([head] + [" \t %s\t " % line for line in body]) + "\n"
+        assert read_any(indented) == read_any(text) == read_by_lines(indented), head
+
+
+def test_bundle_class_out_of_place_is_reported_at_its_section():
+    """A section repeating the rep of class 0 is named by its own position
+    and line, as the `ThetaComponentVector` constructor reports it."""
+    lines = HJC_THETA.splitlines(keepends=True)
+    sections = [i for i, line in enumerate(lines) if line.startswith("[class ")]
+    first_rep = lines[sections[0]].split("; ")[1]
+    lines[sections[1]] = "; ".join(
+        part if j != 1 else first_rep for j, part in enumerate(lines[sections[1]].split("; ")))
+    want = delta_classes(1, 1, T1)[1].to_text()
+    with pytest.raises(ParseError) as err:
+        read_components("".join(lines))
+    assert err.value.line == sections[1] + 1
+    assert str(err.value) == "line %d: class 1: rep must be the canonical %s" % (
+        sections[1] + 1, want)

@@ -90,6 +90,9 @@ def cases(d: int) -> list[list[str]]:
         ["psi0", "--in", "@fam2.fjfam", "--out", "@psi0.fjfam"],
         ["validate", "--in", "@psi0.fjfam"],
         ["symmetry-check", "--in", "@fam2.fjfam"],
+        ["bounds", "--field", f, "--degree", "3", "--weight", "10"],
+        ["bounds", "--field", f, "--degree", "2", "--weight", "12", "--d-start", "0"],
+        ["c-constant", "--field", f],
     ]
 
 

@@ -1,5 +1,5 @@
 """Cross-checks of the integer-coordinate lattice kernels `gl_action`,
-`min_represented`, `coset_points`, `jacobi._class_points` and the
+`min_represented`, `coset_points`, `field._coset_vectors` and the
 fraction-free LDL^T of `field._search_levels` against their predecessors in
 `util`: two generic field-element matrix products, Fincke-Pohst searches in
 Fractions and in integers, coordinate ranges over-approximated in Fractions,
@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from hermfj.field import FieldElement, _search_levels, coset_points, sqrt_disc
+from hermfj.field import FieldElement, _coset_vectors, _search_levels, coset_points, sqrt_disc
 from hermfj.hermitian import (
     CosetClass,
     HermMatrix,
@@ -20,7 +20,7 @@ from hermfj.hermitian import (
     min_represented,
     small_rep,
 )
-from hermfj.jacobi import _class_points, shift_matrix, theta_coeffs
+from hermfj.jacobi import shift_matrix, theta_coeffs
 from hermfj.series import gl_generators
 from util import (
     all_tags,
@@ -152,10 +152,10 @@ def test_point_enumeration_matches_predecessors(tag):
             for _ in range(3):
                 s = CosetClass(m, random_dual_vector(rng, g, tag), tag)
                 for bound in bounds:
-                    got = _class_points(s, bound)
+                    got = _coset_vectors(s.rep, s.m, bound)
                     assert got == class_points_by_recursion(s, bound), (s, bound)
-                assert _class_points(s, -1) == []
-        assert _class_points(CosetClass(m, (FieldElement.zero(tag),) * 2, tag), 0) == \
+                assert _coset_vectors(s.rep, s.m, -1) == []
+        assert _coset_vectors((FieldElement.zero(tag),) * 2, m, 0) == \
             [(FieldElement.zero(tag),) * 2]
 
 

@@ -61,6 +61,13 @@ def q(x):
 
 ONE = (fe(1),)
 
+
+def _bundle(classes):
+    """Zero components on `classes`, which must be all of Delta_1(1)."""
+    return ThetaComponentVector(1, classes, {
+        s: FourierSeries(1, 0, TAG, 2, {}, semi_integral=False) for s in classes})
+
+
 # ----------------------------------------------------------------------
 # the boundary rejects each invalid kind
 
@@ -106,6 +113,8 @@ CONSTRUCTOR_CASES = {
     "ThetaComponentVector rep outside O^#": lambda: ThetaComponentVector(
         1, [CosetClass(1, (fe(Fraction(1, 3)),), TAG)],
         {CosetClass(1, (fe(Fraction(1, 3)),), TAG): FourierSeries(1, 0, TAG, 2, {})}),
+    "ThetaComponentVector subset of the classes": lambda: _bundle(delta_classes(1, 1, TAG)[:2]),
+    "ThetaComponentVector reordered classes": lambda: _bundle(delta_classes(1, 1, TAG)[::-1]),
     "theta_coeffs rep outside O^#": lambda: theta_coeffs(1, CosetClass(1, (fe(Fraction(1, 3)),), TAG), 2),
     "CosetClass m = 0": lambda: CosetClass(0, (fe(0),), TAG),
     "CosetClass empty rep": lambda: CosetClass(1, (), TAG),
@@ -128,6 +137,10 @@ CONSTRUCTOR_CASES = {
 def test_public_constructors_reject_each_invalid_kind(case):
     with pytest.raises(ValueError):
         CONSTRUCTOR_CASES[case]()
+
+
+def test_bundle_cases_are_valid_apart_from_the_defect():
+    _bundle(delta_classes(1, 1, TAG))
 
 
 def _fjs(t):

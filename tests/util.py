@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from hermfj.field import FieldElement, FieldTag, Immutable, make_field
+from hermfj.field import FieldElement, FieldTag, Immutable, _coset_vectors, make_field
 
 ALL_D = (-1, -2, -3, -7, -11)
 
@@ -574,8 +574,9 @@ def coset_points_by_fractions(shift, m: int, bound) -> list:
 
 def class_points_by_recursion(s, norm_bound) -> list:
     """All r in the class s with |r|^2 <= norm_bound, ordered by (|r|^2,
-    sort keys): the predecessor of `jacobi._class_points`, a recursion over
-    the per-component `coset_points_by_fractions`."""
+    sort keys): the predecessor of `field._coset_vectors` on the rep and
+    modulus of s, a recursion over the per-component
+    `coset_points_by_fractions`."""
     norm_bound = Fraction(norm_bound)
     per_component = [coset_points_by_fractions(x, s.m, norm_bound) for x in s.rep]
     out = []
@@ -872,7 +873,7 @@ def theta_built_psi_body(rng: random.Random, tag: FieldTag, m_val: int, trunc: i
     """A Bob-consistent cogenus-1 table body at index m_val: coefficients are
     spread over whole coset classes with the matching shifts."""
     from hermfj.hermitian import delta_classes, enumerate_semi_integral, small_rep
-    from hermfj.jacobi import _class_points, shift_matrix
+    from hermfj.jacobi import shift_matrix
 
     classes = delta_classes(g1, m_val, tag)
     body = {}
@@ -890,7 +891,7 @@ def theta_built_psi_body(rng: random.Random, tag: FieldTag, m_val: int, trunc: i
             seen.add(nprime)
             value = (FieldElement(rng.randint(1, 5), 0, tag),)
             budget = (room - nprime.trace()) * m_val
-            for r in _class_points(s, budget):
+            for r in _coset_vectors(s.rep, s.m, budget):
                 body[(nprime.add(shift_matrix(r, m_val)), tuple((x,) for x in r))] = value
     return body
 
@@ -1084,7 +1085,6 @@ def distant_break(tag: FieldTag, m: int, largest_trace: bool, trunc: int = 4):
     from hermfj.jacobi import (
         JacobiTable,
         ThetaComponentVector,
-        _class_points,
         shift_matrix,
         theta_recompose,
     )
@@ -1104,7 +1104,7 @@ def distant_break(tag: FieldTag, m: int, largest_trace: bool, trunc: int = 4):
     nprime = HermMatrix.from_rational(1 if largest_trace else 0, tag)
     r0 = small_rep(target)
     spare = (r0[0] + m,)
-    inside = [r for r in _class_points(target, (trunc - nprime.trace()) * m)
+    inside = [r for r in _coset_vectors(target.rep, target.m, (trunc - nprime.trace()) * m)
               if r not in (r0, spare)]
     r_far = inside[-1]
     coeffs = dict(table.coeffs)
