@@ -27,11 +27,15 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_MATH = 3
 
-#: The most theta component sections `decompose` writes.  A table of genus
-#: g and index m has (m^2 |D|)^g of them, and decompose writes about 5,000
-#: per second (measured on a 2-vCPU x86_64 machine, Python 3.11.7), so this
-#: is about 20 s of work and 7 MB of output.
+#: The most theta component sections `decompose` writes; a table of genus
+#: g and index m has (m^2 |D|)^g.  Set at 20 s of work when decompose wrote
+#: 5,000 sections per second.  It now writes 55,000 (85,184 in 1.55 s on a
+#: 2-vCPU x86_64 machine, Python 3.11.7): 2 s of work and 8 MB of output.
 DECOMPOSE_MAX_SECTIONS = 100_000
+#: The most matrix entries `theta` writes, g^2 per key.  At genus 1 it
+#: writes 40,000 to 65,000 keys per second (251,305 in 4.4 s, peak RSS
+#: 210 MB, measured as above): 8 to 12 s of work and 22 MB of output.
+THETA_MAX_ENTRIES = 500_000
 
 
 class _UsageError(Exception):
@@ -150,13 +154,22 @@ def _cmd_c_constant(args) -> int:
 
 def _cmd_theta(args) -> int:
     tag = make_field(args.field)
+    size = args.genus ** 2
+    if args.genus >= 1 and size > THETA_MAX_ENTRIES:  # one key is over the limit
+        raise _UsageError("theta would write keys of g^2 = %d entries, more than the limit "
+                          "of %d entries" % (size, THETA_MAX_ENTRIES))
     try:
         shift = delta_class(args.genus, args.m, tag, args.shift)
     except IndexError:
         count = (args.m * args.m * abs(tag.disc)) ** args.genus
         raise _UsageError("--shift must be in [0, %d) for m=%d over d=%d"
                           % (count, args.m, tag.d)) from None
-    table = jacobi.theta_coeffs(args.m, shift, args.trunc)
+    most = THETA_MAX_ENTRIES // size
+    try:
+        table = jacobi.theta_coeffs(args.m, shift, args.trunc, max_keys=most)
+    except ValueError:  # more keys than `most`, found before any was built
+        raise _UsageError("theta would write more than %d keys of g^2 = %d entries, more than "
+                          "the limit of %d entries" % (most, size, THETA_MAX_ENTRIES)) from None
     _write_file(args.out, formats.write_jacobi(table))
     return EXIT_OK
 

@@ -377,9 +377,11 @@ def euclidean_round(beta: FieldElement) -> FieldElement:
 
     Any minimizer satisfies N < 1, which pins its coordinates to the
     floor/ceil of beta's (after shearing off the w-coordinate), so four
-    candidates always suffice.
+    candidates always suffice.  They are compared on ints, by
+    den^2 N(beta - alpha).
     """
     tag = beta.tag
+    s, t = tag._norm_s, tag._norm_t
     p, q, den = beta.p, beta.q, beta.den
     best = None
     b_floor = q // den
@@ -387,13 +389,13 @@ def euclidean_round(beta: FieldElement) -> FieldElement:
         # given qq, the first coordinate minimizes a perfect square in it:
         # floor(a + (b - qq)/2) for w = (1+sqrt(d))/2, else floor(a)
         c_floor = (2 * p + q - qq * den) // (2 * den) if tag.half_basis else p // den
+        y = q - qq * den
         for pp in (c_floor, c_floor + 1):
-            alpha = FieldElement(pp, qq, tag)
-            n = (beta - alpha).norm()
-            key = (n, pp, qq)
-            if best is None or key < best[0]:
-                best = (key, alpha)
-    return best[1]
+            x = p - pp * den
+            key = (x * x + s * x * y + t * y * y, pp, qq)
+            if best is None or key < best:
+                best = key
+    return FieldElement(best[1], best[2], tag)
 
 
 class EuclideanConstant(Immutable):
@@ -489,63 +491,91 @@ def _search_levels(gram: list[list[int]],
 
 
 def _lattice_points(ldl: tuple[int, list[tuple[int, int, list]]], shift: tuple[int, ...],
-                    step: int, bound: int) -> list[tuple[int, tuple[int, ...]]]:
+                    step: int, bound: int,
+                    limit: int | None = None) -> list[tuple[int, tuple[int, ...]]] | None:
     """Every (Q(v), v) with v = shift + step*z for z in Z^n and Q(v) =
     v^T gram v <= bound, unordered, for a positive definite integer gram
-    with `_search_levels` (scale, levels) = `ldl`.
+    with `_search_levels` (scale, levels) = `ldl`.  With a `limit`, None as
+    soon as more than `limit` points are found, so that no more are listed.
 
     Fincke-Pohst in integers on that cleared LDL^T, with
     scale * Q(v) = sum_i K_i x_i^2.  Coordinates are fixed from the last
     down; given those above it, x_i = c_i step z_i + off_i with off_i an
     integer, and K_i x_i^2 within the remaining budget bounds z_i by `isqrt`
-    and floor division.
+    and floor division.  The levels are walked in a loop, not by recursion,
+    so n is not bounded by the interpreter's recursion limit.
     """
     if bound < 0:
         return []
     scale, cleared = ldl
     levels = [(c * step, c * shift[i], k, terms) for i, (c, k, terms) in enumerate(cleared)]
+    n = len(levels)
     top = scale * bound
     v = list(shift)
     out = []
-
-    def search(i: int, rem: int):
-        if i < 0:
-            out.append(((top - rem) // scale, tuple(v)))
-            return
+    full = 0 if limit is None else limit + 1  # len(out) is never 0 after an append
+    # level i resumes at (z, end, off) with the budget rem[i + 1] the levels above left
+    rem = [0] * n + [top]
+    saved = [None] * n
+    i = n - 1
+    while True:
         c, off, k, terms = levels[i]
         for j, l in terms:
             off += l * v[j]
-        r = isqrt(rem // k)
-        base = shift[i]
-        for z in range(-((r + off) // c), (r - off) // c + 1):
+        r = isqrt(rem[i + 1] // k)
+        z, end = -((r + off) // c), (r - off) // c
+        while True:
+            if z > end:  # level i is done: resume the level above
+                i += 1
+                if i == n:
+                    return out
+                c, _o, k, _t = levels[i]
+                z, end, off = saved[i]
+                z += 1
+                continue
             x = c * z + off
-            v[i] = base + step * z
-            search(i - 1, rem - k * x * x)
+            v[i] = shift[i] + step * z
+            left = rem[i + 1] - k * x * x
+            if i:
+                saved[i] = (z, end, off)
+                rem[i] = left
+                i -= 1
+                break
+            out.append(((top - left) // scale, tuple(v)))
+            if len(out) == full:
+                return None
+            z += 1
 
-    search(len(levels) - 1, top)
-    return out
+
+def _norm_levels(g: int, tag: FieldTag) -> tuple[int, list[tuple[int, int, list]]]:
+    """The `_search_levels` of twice the norm form sum_i N(y_i) on O^g, in
+    the coordinates (a_1, b_1, ..., a_g, b_g): g diagonal blocks [[2, s],
+    [s, 2t]], so the levels of one block, shifted to each coordinate pair."""
+    s, t = tag._norm_s, tag._norm_t
+    scale, block = _search_levels([[2, s], [s, 2 * t]])
+    return scale, [(c, k, [(j + i, l) for j, l in terms])
+                   for i in range(0, 2 * g, 2) for c, k, terms in block]
 
 
-def _coset_vectors(shift: Sequence[FieldElement], m: int,
-                   bound: RationalLike) -> list[tuple[FieldElement, ...]]:
+def _coset_vectors(shift: Sequence[FieldElement], m: int, bound: RationalLike,
+                   limit: int | None = None) -> list[tuple[FieldElement, ...]] | None:
     """All x in shift + m*O^g with sum_i N(x_i) <= bound, g = len(shift),
     sorted by that sum and then by the coordinates (a_1, b_1, ..., b_g), so
-    that the points within a smaller bound form a prefix.
+    that the points within a smaller bound form a prefix.  With a `limit`,
+    None when there are more than `limit` of them, found without listing
+    the rest.
 
-    One call of `_lattice_points` on the coordinates of den*x, den the
-    common denominator of the shift, where twice the norm form has g
-    diagonal blocks [[2, s], [s, 2t]] for N(a + b*w) = a^2 + s*a*b + t*b^2.
+    One call of `_lattice_points` on `_norm_levels`, in the coordinates of
+    den*x, den the common denominator of the shift.
     """
     tag = shift[0].tag
-    s, t = tag._norm_s, tag._norm_t
     dim = 2 * len(shift)
     den = lcm(*(x.den for x in shift))
-    gram = [[0] * dim for _ in range(dim)]
-    for i in range(0, dim, 2):
-        gram[i][i], gram[i][i + 1], gram[i + 1][i], gram[i + 1][i + 1] = 2, s, s, 2 * t
     start = tuple(c * (den // x.den) for x in shift for c in (x.p, x.q))
-    points = _lattice_points(_search_levels(gram), start, m * den,
-                             floor(2 * den * den * _as_fraction(bound)))
+    points = _lattice_points(_norm_levels(len(shift), tag), start, m * den,
+                             floor(2 * den * den * _as_fraction(bound)), limit)
+    if points is None:
+        return None
     points.sort()
     build = FieldElement._from_ints
     return [tuple(build(v[i], v[i + 1], den, tag) for i in range(0, dim, 2)) for _q, v in points]

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import linalg
 from .field import (
@@ -22,10 +22,10 @@ from .field import (
     Immutable,
     _lattice_points,
     _ldl_pivots,
+    _norm_levels,
     _parse_token,
     _search_levels,
     euclidean_round,
-    sqrt_disc,
 )
 
 Vector = tuple[FieldElement, ...]
@@ -495,7 +495,7 @@ def enumerate_semi_integral(g: int, trace_bound: int, tag: FieldTag) -> list[Her
     if g == 1:
         return [HermMatrix._trusted(1, (1, d, 0), tag) for d in range(trace_bound + 1)]
     s, n, disc = tag._norm_s, -tag._norm_t, abs(tag.disc)
-    form = _search_levels([[2, s], [s, -2 * n]])  # v^T gram v = 2 N(v)
+    form = _norm_levels(1, tag)  # v^T gram v = 2 N(v)
     results: list[HermMatrix] = []
 
     def disc_points(prev, c, bound):
@@ -570,10 +570,11 @@ class _SublatticeData(Immutable):
     """Reduction data for m*sqrt(D)*O inside O, in basis coordinates.
 
     Basis of the sublattice brought to the shape v1 = (p, q), v2 = (ell, 0)
-    with q, ell > 0; the canonical box is 0 <= a < ell, 0 <= b < q.  As
-    sqrt(D) = 2w - s, the sublattice is spanned by m*sqrt(D) = (-s*m, 2m)
-    and m*sqrt(D)*w = (-2t*m, s*m): q = gcd(2m, s*m) is the b-coordinate of
-    one of them, which gives p, and ell = m^2 |D| / q, the index over q.
+    with q, ell > 0; the canonical box is 0 <= a < ell, 0 <= b < q, and its
+    cell (a, b) has the box index a*q + b.  As sqrt(D) = 2w - s, the
+    sublattice is spanned by m*sqrt(D) = (-s*m, 2m) and m*sqrt(D)*w =
+    (-2t*m, s*m): q = gcd(2m, s*m) is the b-coordinate of one of them, which
+    gives p, and ell = m^2 |D| / q, the index over q.
     """
 
     __slots__ = ("p", "q", "ell")
@@ -584,16 +585,10 @@ class _SublatticeData(Immutable):
         ell = m * m * abs(tag.disc) // q
         self._fill(-2 * t * m % ell if s else 0, q, ell)
 
-    def reduce(self, a: int, b: int) -> tuple[int, int]:
-        k = b // self.q
-        a1 = a - k * self.p
-        b1 = b - k * self.q
-        return a1 % self.ell, b1
-
-    def box(self) -> Iterator[tuple[int, int]]:
-        for a in range(self.ell):
-            for b in range(self.q):
-                yield a, b
+    def index(self, a: int, b: int) -> int:
+        """The box index of the class of a + b*w modulo the sublattice."""
+        k, b = divmod(b, self.q)
+        return (a - k * self.p) % self.ell * self.q + b
 
 
 # keyed by (tag, m); a batch touches at most 15 keys
@@ -647,77 +642,120 @@ class CosetClass(Immutable):
         return "CosetClass(m=%d, rep=[%s], d=%d)" % (self.m, self.to_text(), self.tag.d)
 
 
-def _reduce_component(x: FieldElement, m: int) -> FieldElement:
-    """The canonical representative of x + m O, on ints: y = sqrt(D) x is
-    reduced in O, and y/sqrt(D) = -y sqrt(D)/|D| since N(sqrt(D)) = |D|.
-    With sqrt(D) = 2w - s, (a + b*w) sqrt(D) = -(s*a + 2t*b) + (2a + s*b)*w."""
-    tag = x.tag
-    s, t = tag._norm_s, tag._norm_t
-    p, q, den = x.p, x.q, x.den
-    ya, yb = -(s * p + 2 * t * q), 2 * p + s * q
-    if ya % den or yb % den:
+def _y_coords(x: FieldElement) -> tuple[int, int]:
+    """y = sqrt(D) x in O as its basis coordinates (a, b), for x in O^#:
+    with sqrt(D) = 2w - s, den*x*sqrt(D) = -(s*p + 2t*q) + (2p + s*q)*w.
+    Raises ValueError for x outside O^#."""
+    tag, p, q, den = x.tag, x.p, x.q, x.den
+    s = tag._norm_s
+    a, b = -(s * p + 2 * tag._norm_t * q), 2 * p + s * q
+    if a % den or b % den:
         raise ValueError("%r does not lie in the inverse different" % (x,))
-    a, b = _sublattice(tag, m).reduce(ya // den, yb // den)
+    return a // den, b // den
+
+
+def _from_y(a: int, b: int, tag: FieldTag) -> FieldElement:
+    """y/sqrt(D) for y = a + b*w in O, which is -y sqrt(D)/|D| since
+    N(sqrt(D)) = |D|: (s*a + 2t*b)/|D| - (2a + s*b)/|D| * w."""
+    s, t = tag._norm_s, tag._norm_t
     return FieldElement._from_ints(s * a + 2 * t * b, -(2 * a + s * b), -tag.disc, tag)
 
 
 def reduce_class(r: Sequence[FieldElement], m: int) -> CosetClass:
-    """Canonical representative of the class of r in (O^#)^g / m O^g."""
+    """Canonical representative of the class of r in (O^#)^g / m O^g: each
+    y = sqrt(D) r_i reduced to its cell of the `_sublattice` box."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    rep = tuple(_reduce_component(x, m) for x in r)
-    if not rep:
+    if not r:
         raise ValueError("r must have at least one component")
-    return CosetClass._trusted(m, rep, rep[0].tag)
+    tag = r[0].tag
+    sub = _sublattice(tag, m)
+    rep = tuple(_from_y(*divmod(sub.index(*_y_coords(x)), sub.q), tag) for x in r)
+    return CosetClass._trusted(m, rep, tag)
 
 
-def _delta_components(g: int, m: int, tag: FieldTag) -> list[FieldElement]:
-    """The m^2 |D| canonical components of the classes of Delta_g(m): the
-    `_sublattice` box over sqrt(D), in its order."""
+def _delta_box(g: int, m: int, tag: FieldTag) -> _SublatticeData:
+    """The `_sublattice` whose box holds the components of Delta_g(m)."""
     if g < 1:
         raise ValueError("g must be >= 1")
     if m < 1:
         raise ValueError("m must be >= 1")
-    inv_sd = sqrt_disc(tag).inv()
-    return [FieldElement(a, b, tag) * inv_sd for a, b in _sublattice(tag, m).box()]
+    return _sublattice(tag, m)
 
 
 @lru_cache(maxsize=64)
 def delta_classes(g: int, m: int, tag: FieldTag) -> tuple[CosetClass, ...]:
     """All classes of Delta_g(m), duplicate-free and in canonical order;
-    |result| = (m^2 |D|)^g.
+    |result| = (m^2 |D|)^g.  Component i of a class is y/sqrt(D) for the
+    cell y of box index i, and the box indices run as the digits of the
+    class index in base m^2 |D|, the last varying fastest.
 
     The tuple is shared between calls: an LRU cache of 64 (g, m, tag) keys
     holds it, well above the at most 15 keys a batch asks for.
     """
-    component = _delta_components(g, m, tag)
+    sub = _delta_box(g, m, tag)
+    component = [_from_y(a, b, tag) for a in range(sub.ell) for b in range(sub.q)]
     return tuple(CosetClass._trusted(m, rep, tag) for rep in product(component, repeat=g))
 
 
 def delta_class(g: int, m: int, tag: FieldTag, index: int) -> CosetClass:
     """`delta_classes(g, m, tag)[index]` without listing the classes: the
-    digits of index in base m^2 |D|, the last varying fastest as in
-    `itertools.product`, pick the components.  An index outside
-    [0, (m^2 |D|)^g) raises IndexError."""
-    component = _delta_components(g, m, tag)
-    base = len(component)
+    digits of index in base m^2 |D| are the box indices of its components,
+    so this is O(g) work.  An index outside [0, (m^2 |D|)^g) raises
+    IndexError."""
+    sub = _delta_box(g, m, tag)
+    base = sub.ell * sub.q
     if not 0 <= index < base ** g:
         raise IndexError("class index %d out of range" % index)
-    rep = tuple(component[index // base ** (g - 1 - i) % base] for i in range(g))
-    return CosetClass._trusted(m, rep, tag)
+    rep = []
+    for _ in range(g):
+        index, i = divmod(index, base)
+        rep.append(_from_y(*divmod(i, sub.q), tag))
+    return CosetClass._trusted(m, tuple(reversed(rep)), tag)
 
 
-@lru_cache(maxsize=4096)
 def small_rep(s: CosetClass) -> Vector:
     """A representative r of s with |r_i|^2 <= (1 - c) m^2 componentwise,
     built by rounding each coordinate of rep/m back into the fundamental
-    cell.  Rounding minimizes each component norm over the class.
-
-    Memoised per class in an LRU cache of 4096 entries; a benchmark batch
-    needs at most 462.
-    """
+    cell.  Rounding minimizes each component norm over the class."""
     m = s.m
     return tuple(x - euclidean_round(x / m) * m for x in s.rep)
+
+
+def _delta_cells(m: int, tag: FieldTag) -> list[tuple[FieldElement, tuple[int, int], int]]:
+    """Per box index i of the class components of Delta_g(m): the small
+    representative r0 of component i, y0 = sqrt(D) r0 as (a, b), and
+    N(y0) = |D| N(r0), so that the shift of the small representative of a
+    class has trace sum_i N(y0_i) / (|D| m) over the digits i of its index.
+    As in `small_rep`, alpha is the integer nearest x/m for the component
+    x = y/sqrt(D) of cell y, and y0 = y - m sqrt(D) alpha, on ints."""
+    sub, s, t = _sublattice(tag, m), tag._norm_s, tag._norm_t
+    cells = []
+    for a in range(sub.ell):
+        for b in range(sub.q):
+            alpha = euclidean_round(_from_y(a, b, tag) / m)
+            p, q = alpha.p, alpha.q
+            c, e = a + m * (s * p + 2 * t * q), b - m * (2 * p + s * q)
+            cells.append((_from_y(c, e, tag), (c, e), c * c + s * c * e + t * e * e))
+    return cells
+
+
+def _class_points(g: int, m: int, tag: FieldTag, bound: int,
+                  wanted) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(class index, N(y), y) for each y = sqrt(D) r in O^g, as (a_1, b_1,
+    ..., a_g, b_g), with N(y) = sum_i N(y_i) = |D| N(r) <= bound, whose
+    index in `delta_classes(g, m, tag)` is in `wanted`: one lattice search,
+    then the box index of each component."""
+    sub = _sublattice(tag, m)
+    base = sub.ell * sub.q
+    out = []
+    for q2, v in _lattice_points(_norm_levels(g, tag), (0,) * (2 * g), 1, 2 * bound):
+        index = 0
+        for i in range(0, 2 * g, 2):
+            index = index * base + sub.index(v[i], v[i + 1])
+        if index in wanted:
+            out.append((index, q2 // 2, v))
+    return out
 
 
 def in_same_class(r1: Sequence[FieldElement], r2: Sequence[FieldElement], m: int) -> bool:

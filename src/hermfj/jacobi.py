@@ -14,9 +14,11 @@ decomposition components are series with class-dependent rational shifts.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import inf, lcm
+from itertools import product
+from math import floor, inf, lcm
 from typing import Mapping, Sequence
 
 from .errors import ConsistencyError, RecordError
@@ -24,7 +26,8 @@ from .field import FieldElement, FieldTag, Immutable, _coset_vectors
 from .hermitian import (
     CosetClass,
     HermMatrix,
-    _canonical_order, _trace_sum, _trace_within,
+    _canonical_order, _class_points, _delta_cells, _from_y, _sublattice, _trace_sum,
+    _trace_within, _y_coords,
     delta_classes,
     join_block,
     min_represented,
@@ -40,8 +43,8 @@ def shift_matrix(r: Sequence[FieldElement], m: int) -> HermMatrix:
     """r m^-1 r* as a g x g Hermitian matrix, for a column vector r given
     as any sequence and an index m >= 1.
 
-    Memoised on (tuple(r), m) in an LRU cache of 4096 entries; a benchmark
-    batch needs at most 1,882.  Equal inputs share one matrix.
+    Memoised on (tuple(r), m) in an LRU cache of 4096 entries; equal inputs
+    share one matrix.
     """
     return _shift_matrix(tuple(r), m)
 
@@ -81,10 +84,10 @@ class JacobiTable(Immutable):
     """Coefficient table of a cogenus-1 Hermitian Jacobi form.
 
     Validation happens once, at the public boundary: the constructor, and
-    so `formats.read_jacobi`, checks every key, and raises
-    `errors.RecordError` naming an (n, r) it rejects.  `_trusted` skips the
-    checks for the outputs of `add`, `theta_coeffs`, `theta_recompose`,
-    `series_times_theta` and `ffj._cogenus_one_slice`.
+    so `formats.read_jacobi`, checks every key (each distinct r once), and
+    raises `errors.RecordError` naming an (n, r) it rejects.  `_trusted`
+    skips the checks for the outputs of `add`, `theta_coeffs`,
+    `theta_recompose`, `series_times_theta` and `ffj._cogenus_one_slice`.
     """
 
     __slots__ = ("g", "k", "m", "tag", "trunc", "dim", "coeffs")
@@ -108,6 +111,7 @@ class JacobiTable(Immutable):
         trunc = trunc if isinstance(trunc, Fraction) else Fraction(trunc)
         bound = trunc.as_integer_ratio()
         clean: dict[tuple[HermMatrix, Vector], Vec] = {}
+        good_r: set[Vector] = set()  # each distinct r is checked once
         for key, vec in coeffs.items():
             n, r = key
             n = _as_key_matrix(n, g, tag)
@@ -121,12 +125,15 @@ class JacobiTable(Immutable):
                 raise RecordError("key size or field mismatch", key)
             if not _trace_within(n, bound):
                 raise RecordError("key exceeds truncation %s" % trunc, key)
-            for x in r:
-                if x.tag != tag:
-                    raise RecordError("r component %r is not in the field d=%d" % (x, tag.d),
-                                      key)
-                if not x.is_dual_integral():
-                    raise RecordError("r component %r is not in the inverse different" % (x,), key)
+            if r not in good_r:
+                for x in r:
+                    if x.tag != tag:
+                        raise RecordError("r component %r is not in the field d=%d"
+                                          % (x, tag.d), key)
+                    if not x.is_dual_integral():
+                        raise RecordError("r component %r is not in the inverse different"
+                                          % (x,), key)
+                good_r.add(r)
             if g == 1:
                 # 2x2 block: psd iff n = p/D >= 0 and n*m >= |r|^2 = N_num/den_r^2
                 (den, p, _q), x = n._key, r[0]
@@ -207,18 +214,20 @@ class JacobiTable(Immutable):
 # theta tables
 
 
-def theta_coeffs(m: int, s: CosetClass, trunc) -> JacobiTable:
+def theta_coeffs(m: int, s: CosetClass, trunc, max_keys: int | None = None) -> JacobiTable:
     """The theta table of index m and shift s: coefficient 1 exactly at the
-    keys (r m^-1 r*, r) for r in the class; weight recorded as the cogenus."""
+    keys (r m^-1 r*, r) for r in the class; weight recorded as the cogenus.
+    More than `max_keys` keys raise ValueError before any key is built."""
     if s.m != m:
         raise ValueError("class has modulus %d, expected %d" % (s.m, m))
     tag = s.tag
     trunc = trunc if isinstance(trunc, Fraction) else Fraction(trunc)
+    points = _coset_vectors(s.rep, s.m, trunc * m, max_keys)
+    if points is None:
+        raise ValueError("the theta table has more than %d keys" % max_keys)
     one = FieldElement.one(tag)
-    coeffs = {}
     # each key has trace |r|^2/m <= trunc and a rank-one PSD block
-    for r in _coset_vectors(s.rep, s.m, trunc * m):
-        coeffs[(shift_matrix(r, m), r)] = (one,)
+    coeffs = {(shift_matrix(r, m), r): (one,) for r in points}
     return JacobiTable._trusted(s.g, 1, m, tag, trunc, coeffs)
 
 
@@ -268,113 +277,152 @@ class ThetaComponentVector(Immutable):
 def theta_decompose(phi: JacobiTable, strict: bool = False) -> ThetaComponentVector:
     """Splits phi into components c(h_s; n') = c(phi; n' + r m^-1 r*, r).
 
-    Reads through the canonical small representative of each class and
-    probes well-definedness: every stored key is compared against the
-    canonical read, and the spare representative r + m e_1 is cross-checked.
-    Each distinct r of phi is reduced to its class once per call.
+    The body of h_s is read off the keys at the small representative r0 of
+    s, and every other key (n, r) of s must find its coefficient there, at
+    n' = n - r m^-1 r*; then each n' is probed at r0 + m e_1.  With
+    `strict`, every r of s with tr(n' + r m^-1 r*) <= phi.trunc must give
+    body[n'].  The keys of s, all matched, map one-to-one into these pairs
+    (n', r), so it is enough that s has as many keys as pairs, counted on
+    one listing of y = sqrt(D) r by class; a class short of keys is walked.
 
-    With `strict`, every representative inside the truncation is compared:
-    for each stored n' of class s, every r in s with tr(n' + r m^-1 r*) <=
-    phi.trunc.  The class is enumerated once, in norm order, at the budget
-    of its smallest tr n', and each n' walks the prefix of that list that
-    fits its own budget.
-
-    Raises ConsistencyError with a witness (n', r, r') if the input is not
-    a Jacobi-form table.  Each n' is the Schur complement of a PSD block,
-    within its class's truncation, so the components skip re-validation.
+    Raises ConsistencyError with a witness (n', r, r') at the first failed
+    probe, by key in the order of phi.coeffs, then by class: r0 + m e_1
+    for each n' in the order the keys first give it, then the r of each n'
+    by norm.  Each n' is the Schur complement of a PSD block, within its
+    class's truncation, so the components skip re-validation.
     """
     m = phi.m
     if m < 1:
         raise ValueError("decomposition requires index >= 1")
-    tag = phi.tag
-    g = phi.g
-    classes = delta_classes(g, m, tag)
-    # per class: its body of h-coefficients and its small representative
-    slots: dict[CosetClass, tuple[dict, Vector]] = {s: ({}, small_rep(s)) for s in classes}
-    # per distinct r: the slot of its class and the shifts of r and r0
+    tag, g, trunc = phi.tag, phi.g, phi.trunc
+    cells, sub = _delta_cells(m, tag), _sublattice(tag, m)
+    base, scale = len(cells), abs(tag.disc) * m
+    # per class index: [body, keys off r0, r0]; per distinct r: (its class's
+    # entry, r m^-1 r*, whether r = r0)
+    found: dict[int, list] = {}
     seen: dict[Vector, tuple] = {}
-    bound = phi.trunc.as_integer_ratio()
-    zero = _zero_vec(phi.dim, tag)
-
+    off_r0 = []
     for (n, r), vec in phi.coeffs.items():
         info = seen.get(r)
         if info is None:
-            body, r0 = slots[reduce_class(r, m)]
-            info = seen[r] = (body, r0, shift_matrix(r, m), shift_matrix(r0, m))
-        body, r0, shift, shift0 = info
+            ys = [_y_coords(x) for x in r]
+            at = [sub.index(*y) for y in ys]
+            index = sum(i * base ** k for k, i in enumerate(reversed(at)))
+            if index not in found:
+                found[index] = [{}, 0, tuple(cells[i][0] for i in at)]
+            info = seen[r] = (found[index], shift_matrix(r, m), ys == [cells[i][1] for i in at])
+        entry, shift, at_r0 = info
         nprime = n.sub(shift)
-        key0 = nprime.add(shift0)
-        if _trace_within(key0, bound) and phi.coeffs.get((key0, r0), zero) != vec:
-            raise ConsistencyError(
-                "well-definedness violation: representatives disagree",
-                witness=(nprime, r, r0),
-            )
-        body[nprime] = vec
+        if at_r0:
+            entry[0][nprime] = vec
+        else:  # hold the place of n' in the body, in the order of the keys
+            entry[0].setdefault(nprime, None)
+            entry[1] += 1
+            off_r0.append((nprime, r, vec, entry))
+    # Rounding makes each r0_i least in norm over its coset, so
+    # tr(r0 m^-1 r0*) <= tr(r m^-1 r*): the read n' + r0 m^-1 r0* of a key
+    # is always within the truncation.
+    for nprime, r, vec, (body, _off, r0) in off_r0:
+        if body[nprime] != vec:
+            raise ConsistencyError("well-definedness violation: representatives disagree",
+                                   witness=(nprime, r, r0))
 
-    components = {}
-    for s, (body, r0) in slots.items():
-        shift0 = shift_matrix(r0, m)
-        h_trunc = phi.trunc - shift0.trace()
-        # spare-representative probe per stored index
+    norms: dict[int, list[int]] = {}
+    if strict:
+        for index, norm, _y in _class_points(g, m, tag, floor(trunc * scale), found):
+            norms.setdefault(index, []).append(norm)
+        for ns in norms.values():
+            ns.sort()
+    top, den = trunc.as_integer_ratio()
+    shared: dict[int, tuple] = {}  # per sum of N(y0_i): h_trunc and the zero component
+    classes, components = delta_classes(g, m, tag), {}
+    for index, (s, digits) in enumerate(zip(classes, product(range(base), repeat=g))):
+        norm0 = sum(cells[i][2] for i in digits)
+        if norm0 not in shared:
+            h_trunc = trunc - Fraction(norm0, scale)
+            shared[norm0] = h_trunc, FourierSeries._trusted(g, phi.k - 1, tag, h_trunc, {},
+                                                            phi.dim, semi_integral=False)
+        h_trunc, components[s] = shared[norm0]
+        if index not in found:
+            continue
+        body, off, r0 = found[index]
         r1 = (r0[0] + m,) + r0[1:]
         shift1 = shift_matrix(r1, m)
         for nprime, vec in body.items():
             key1 = nprime.add(shift1)
-            if _trace_within(key1, bound) and phi.coefficient(key1, r1) != vec:
-                raise ConsistencyError(
-                    "well-definedness violation at spare representative",
-                    witness=(nprime, r0, r1),
-                )
-        if strict and body:
-            big = lcm(*(n._trace[1] for n in body))
-            least = Fraction(min(n._trace[0] * (big // n._trace[1]) for n in body), big)
-            points = [(shift_matrix(r, m), r)
-                      for r in _coset_vectors(s.rep, s.m, (phi.trunc - least) * m)]
-            for nprime, vec in body.items():
-                room = _trace_sum(bound, nprime._trace, -1)
-                for shift, r_any in points:
-                    if not _trace_within(shift, room):
-                        break
-                    if phi.coefficient(nprime.add(shift), r_any) != vec:
-                        raise ConsistencyError(
-                            "well-definedness violation at representative %r" % (r_any,),
-                            witness=(nprime, r0, r_any),
-                        )
+            if _trace_within(key1, (top, den)) and phi.coefficient(key1, r1) != vec:
+                raise ConsistencyError("well-definedness violation at spare representative",
+                                       witness=(nprime, r0, r1))
+        # the pairs (n', r) with N(y) <= (trunc - tr n') |D| m, against the keys
+        if strict and len(body) + off != sum(
+                bisect_right(norms.get(index, ()), (top * d - num * den) * scale // (den * d))
+                for num, d in (nprime._trace for nprime in body)):
+            _walk_class(phi, s, r0, body)
         components[s] = FourierSeries._trusted(g, phi.k - 1, tag, h_trunc, body, phi.dim,
                                                semi_integral=False)
     return ThetaComponentVector(m, classes, components)
+
+
+def _walk_class(phi: JacobiTable, s: CosetClass, r0: Vector, body: Mapping):
+    """Compares body[n'] with phi at (n' + r m^-1 r*, r) for each n' of
+    `body` and each r of s inside the truncation, listed once in norm order
+    (`field._coset_vectors`) at the budget of the smallest tr n', and
+    raises ConsistencyError at the first that differs."""
+    m = phi.m
+    bound = phi.trunc.as_integer_ratio()
+    big = lcm(*(n._trace[1] for n in body))
+    least = Fraction(min(n._trace[0] * (big // n._trace[1]) for n in body), big)
+    points = [(shift_matrix(r, m), r) for r in _coset_vectors(s.rep, m, (phi.trunc - least) * m)]
+    for nprime, vec in body.items():
+        room = _trace_sum(bound, nprime._trace, -1)
+        for shift, r_any in points:
+            if not _trace_within(shift, room):
+                break
+            if phi.coefficient(nprime.add(shift), r_any) != vec:
+                raise ConsistencyError(
+                    "well-definedness violation at representative %r" % (r_any,),
+                    witness=(nprime, r0, r_any),
+                )
 
 
 def theta_recompose(v: ThetaComponentVector, trunc) -> JacobiTable:
     """phi(n, r) = c(h_class(r); n - r m^-1 r*): the exact sum of h_s theta_s.
 
     Component truncations must reach trunc minus the minimal class shift;
-    raises ValueError otherwise.  Each key has the PSD n' as its Schur
-    complement and r in O^#, so the table skips re-validation.
+    raises ValueError otherwise.  The r come from one listing of
+    y = sqrt(D) r in O^g by class (`hermitian._class_points`).  Each key
+    has the PSD n' as its Schur complement and r in O^#, so the table skips
+    re-validation.
     """
     m = v.m
     trunc = trunc if isinstance(trunc, Fraction) else Fraction(trunc)
-    bound = trunc.as_integer_ratio()
     sample = next(iter(v.components.values()))
     tag, g, dim, weight = sample.tag, sample.g, sample.dim, sample.k
-    coeffs: dict[tuple[HermMatrix, Vector], Vec] = {}
-    for s in v.classes:
+    cells = _delta_cells(m, tag)
+    scale = abs(tag.disc) * m
+    floors: dict[int, Fraction] = {}
+    live: dict[int, list] = {}
+    for index, (s, digits) in enumerate(zip(v.classes, product(range(len(cells)), repeat=g))):
         h = v.components[s]
         if (h.g, h.tag, h.dim, h.k) != (g, tag, dim, weight):
             raise ValueError("inconsistent components")
-        shift0 = shift_matrix(small_rep(s), m).trace()
-        if h.trunc < trunc - shift0:
-            raise ValueError(
-                "component truncation %s insufficient for target %s" % (h.trunc, trunc)
-            )
-        if h.is_zero():
-            continue
-        for r in _coset_vectors(s.rep, s.m, trunc * m):
-            shift = shift_matrix(r, m)
-            room = _trace_sum(bound, shift._trace, -1)
-            for nprime, vec in h.coeffs.items():
-                if not _trace_within(nprime, room):
-                    continue
+        norm0 = sum(cells[i][2] for i in digits)
+        if norm0 not in floors:  # trunc less the trace of the shift of r0
+            floors[norm0] = trunc - Fraction(norm0, scale)
+        if h.trunc < floors[norm0]:
+            raise ValueError("component truncation %s insufficient for target %s"
+                             % (h.trunc, trunc))
+        if h.coeffs:
+            live[index] = [(nprime, nprime._trace, vec) for nprime, vec in h.coeffs.items()]
+    top, den = trunc.as_integer_ratio()
+    coeffs: dict[tuple[HermMatrix, Vector], Vec] = {}
+    for index, norm, y in _class_points(g, m, tag, top * scale // den, live):
+        r = tuple(_from_y(y[i], y[i + 1], tag) for i in range(0, 2 * g, 2))
+        shift = shift_matrix(r, m)
+        # tr n' <= trunc - N(y)/(|D| m), on ints
+        room = top * scale - norm * den
+        for nprime, (num, d), vec in live[index]:
+            if num * den * scale <= room * d:
                 coeffs[(nprime.add(shift), r)] = vec
     return JacobiTable._trusted(g, weight + 1, m, tag, trunc, coeffs, dim)
 

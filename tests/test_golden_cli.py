@@ -49,6 +49,7 @@ def build_inputs(d: int) -> dict[str, str]:
     sym = symmetrize(_random_series(rng, tag, 2, 2, 4), gl_generators(2, tag))
     fam1 = build_degree3_family(rng, tag, trunc=3)
     broken, _witness = distant_break(tag, 2, largest_trace=True)
+    deep, _witness = distant_break(tag, 1, largest_trace=False)
     return {
         "a.fjs": write_series(a),
         "b.fjs": write_series(b),
@@ -57,6 +58,7 @@ def build_inputs(d: int) -> dict[str, str]:
         "fam2.fjfam": write_family(disassemble(assemble(fam1), 2)),
         "dense.hjc": write_components(random_component_vector(rng, tag, 3, 4)),
         "broken.hjf": write_jacobi(broken),
+        "deep.hjf": write_jacobi(deep),
     }
 
 
@@ -93,6 +95,14 @@ def cases(d: int) -> list[list[str]]:
         ["bounds", "--field", f, "--degree", "3", "--weight", "10"],
         ["bounds", "--field", f, "--degree", "2", "--weight", "12", "--d-start", "0"],
         ["c-constant", "--field", f],
+        ["decompose", "--in", "@deep.hjf", "--out", "@deep.hjc"],
+        ["decompose", "--strict", "--in", "@deep.hjf", "--out", "@deep2.hjc"],
+        ["theta", "--field", f, "--m", "1000", "--shift", "0", "--trunc", "1", "--out",
+         "@m1000.hjf"],
+        ["theta", "--field", f, "--m", "1", "--shift", "0", "--trunc", "100000000000",
+         "--out", "@huge.hjf"],
+        ["theta", "--field", f, "--m", "1", "--shift", "0", "--trunc", "1", "--genus", "1000",
+         "--out", "@wide.hjf"],
     ]
 
 

@@ -349,3 +349,22 @@ def test_products_drop_cancelled_coefficients():
     prod = f * g
     assert set(prod.coeffs) == {q(0), q(2)}
     assert prod == public_series(prod)
+
+
+def test_jacobi_table_checks_each_distinct_r_once(monkeypatch):
+    from hermfj.errors import RecordError
+
+    half, third = fe(0, Fraction(1, 2)), fe(Fraction(1, 3))
+    calls = []
+    check = FieldElement.is_dual_integral
+    monkeypatch.setattr(FieldElement, "is_dual_integral",
+                        lambda x: calls.append(x) or check(x))
+    coeffs = {(q(n), (r,)): (fe(1),) for n in (1, 2, 3) for r in (fe(0), half)}
+    JacobiTable(1, 1, 1, TAG, 3, coeffs)
+    assert sorted(calls, key=FieldElement.sort_key) == [fe(0), half]
+    # a bad r is still rejected at the first nonzero key that carries it
+    bad = {(q(1), (third,)): (fe(0),), (q(2), (third,)): (fe(1),), (q(3), (third,)): (fe(1),)}
+    with pytest.raises(RecordError) as caught:
+        JacobiTable(1, 1, 1, TAG, 3, {**coeffs, **bad})
+    assert caught.value.record == (q(2), (third,))
+    assert "not in the inverse different" in str(caught.value)

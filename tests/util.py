@@ -1113,6 +1113,126 @@ def distant_break(tag: FieldTag, m: int, largest_trace: bool, trunc: int = 4):
 
 
 # ----------------------------------------------------------------------
+# theta decomposition and recomposition class by class (before class buckets)
+
+
+def euclidean_round_by_norms(beta: FieldElement) -> FieldElement:
+    """The integer nearest beta, ties to the smallest (a, b): the four
+    floor/ceil candidates as field elements, compared by `Fraction` norm;
+    the predecessor of `field.euclidean_round`, which compares on ints."""
+    tag = beta.tag
+    p, q, den = beta.p, beta.q, beta.den
+    best = None
+    b_floor = q // den
+    for qq in (b_floor, b_floor + 1):
+        c_floor = (2 * p + q - qq * den) // (2 * den) if tag.half_basis else p // den
+        for pp in (c_floor, c_floor + 1):
+            alpha = FieldElement(pp, qq, tag)
+            key = ((beta - alpha).norm(), pp, qq)
+            if best is None or key < best[0]:
+                best = (key, alpha)
+    return best[1]
+
+
+def small_rep_by_rounding(s) -> tuple:
+    """x - round(x/m) m for each component x of the class rep, in field
+    arithmetic: the predecessor of `hermitian.small_rep`."""
+    return tuple(x - euclidean_round_by_norms(x / s.m) * s.m for x in s.rep)
+
+
+def theta_recompose_by_classes(v, trunc):
+    """`jacobi.theta_recompose` class by class: one `field._coset_vectors`
+    search per class with a nonzero component."""
+    from hermfj.hermitian import _trace_sum, _trace_within
+    from hermfj.jacobi import JacobiTable, shift_matrix
+
+    m = v.m
+    trunc = Fraction(trunc)
+    bound = trunc.as_integer_ratio()
+    sample = next(iter(v.components.values()))
+    tag, g, dim, weight = sample.tag, sample.g, sample.dim, sample.k
+    coeffs = {}
+    for s in v.classes:
+        h = v.components[s]
+        if (h.g, h.tag, h.dim, h.k) != (g, tag, dim, weight):
+            raise ValueError("inconsistent components")
+        shift0 = shift_matrix(small_rep_by_rounding(s), m).trace()
+        if h.trunc < trunc - shift0:
+            raise ValueError(
+                "component truncation %s insufficient for target %s" % (h.trunc, trunc))
+        if h.is_zero():
+            continue
+        for r in _coset_vectors(s.rep, s.m, trunc * m):
+            shift = shift_matrix(r, m)
+            room = _trace_sum(bound, shift._trace, -1)
+            for nprime, vec in h.coeffs.items():
+                if _trace_within(nprime, room):
+                    coeffs[(nprime.add(shift), r)] = vec
+    return JacobiTable._trusted(g, weight + 1, m, tag, trunc, coeffs, dim)
+
+
+def theta_decompose_by_probes(phi, strict: bool = False):
+    """`jacobi.theta_decompose` by probes: each key is compared with the
+    table's key at the small representative r0 of its class, each n' with
+    the spare representative r0 + m e_1, and with `strict` each n' with
+    every representative inside the truncation, listed per class by
+    `field._coset_vectors`.  Raises the same ConsistencyError, with the same
+    witness, at the same first failure."""
+    from math import lcm
+
+    from hermfj.errors import ConsistencyError
+    from hermfj.hermitian import _trace_sum, _trace_within, delta_classes, reduce_class
+    from hermfj.jacobi import ThetaComponentVector, shift_matrix
+    from hermfj.series import FourierSeries, _zero_vec
+
+    m, tag, g = phi.m, phi.tag, phi.g
+    classes = delta_classes(g, m, tag)
+    slots = {s: ({}, small_rep_by_rounding(s)) for s in classes}
+    seen = {}
+    bound = phi.trunc.as_integer_ratio()
+    zero = _zero_vec(phi.dim, tag)
+    for (n, r), vec in phi.coeffs.items():
+        info = seen.get(r)
+        if info is None:
+            body, r0 = slots[reduce_class(r, m)]
+            info = seen[r] = (body, r0, shift_matrix(r, m), shift_matrix(r0, m))
+        body, r0, shift, shift0 = info
+        nprime = n.sub(shift)
+        key0 = nprime.add(shift0)
+        if _trace_within(key0, bound) and phi.coeffs.get((key0, r0), zero) != vec:
+            raise ConsistencyError("well-definedness violation: representatives disagree",
+                                   witness=(nprime, r, r0))
+        body[nprime] = vec
+    components = {}
+    for s, (body, r0) in slots.items():
+        shift0 = shift_matrix(r0, m)
+        r1 = (r0[0] + m,) + r0[1:]
+        shift1 = shift_matrix(r1, m)
+        for nprime, vec in body.items():
+            key1 = nprime.add(shift1)
+            if _trace_within(key1, bound) and phi.coefficient(key1, r1) != vec:
+                raise ConsistencyError("well-definedness violation at spare representative",
+                                       witness=(nprime, r0, r1))
+        if strict and body:
+            big = lcm(*(n._trace[1] for n in body))
+            least = Fraction(min(n._trace[0] * (big // n._trace[1]) for n in body), big)
+            points = [(shift_matrix(r, m), r)
+                      for r in _coset_vectors(s.rep, s.m, (phi.trunc - least) * m)]
+            for nprime, vec in body.items():
+                room = _trace_sum(bound, nprime._trace, -1)
+                for shift, r_any in points:
+                    if not _trace_within(shift, room):
+                        break
+                    if phi.coefficient(nprime.add(shift), r_any) != vec:
+                        raise ConsistencyError(
+                            "well-definedness violation at representative %r" % (r_any,),
+                            witness=(nprime, r0, r_any))
+        components[s] = FourierSeries._trusted(g, phi.k - 1, tag, phi.trunc - shift0.trace(),
+                                               body, phi.dim, semi_integral=False)
+    return ThetaComponentVector(m, classes, components)
+
+
+# ----------------------------------------------------------------------
 # per-line reader oracle (the readers before per-read interning)
 
 
