@@ -165,11 +165,10 @@ def _cmd_theta(args) -> int:
         raise _UsageError("--shift must be in [0, %d) for m=%d over d=%d"
                           % (count, args.m, tag.d)) from None
     most = THETA_MAX_ENTRIES // size
-    try:
-        table = jacobi.theta_coeffs(args.m, shift, args.trunc, max_keys=most)
-    except ValueError:  # more keys than `most`, found before any was built
+    table = jacobi.theta_coeffs(args.m, shift, args.trunc, max_keys=most)
+    if table is None:  # more keys than `most`, found before any was built
         raise _UsageError("theta would write more than %d keys of g^2 = %d entries, more than "
-                          "the limit of %d entries" % (most, size, THETA_MAX_ENTRIES)) from None
+                          "the limit of %d entries" % (most, size, THETA_MAX_ENTRIES))
     _write_file(args.out, formats.write_jacobi(table))
     return EXIT_OK
 

@@ -575,11 +575,16 @@ class _SublatticeData(Immutable):
     sublattice is spanned by m*sqrt(D) = (-s*m, 2m) and m*sqrt(D)*w =
     (-2t*m, s*m): q = gcd(2m, s*m) is the b-coordinate of one of them, which
     gives p, and ell = m^2 |D| / q, the index over q.
+
+    A class of Delta_g(m) has index sum_i c_i B^(g-1-i) in `delta_classes`,
+    B = m^2 |D|, for the box indices c_i of y = sqrt(D) r_i: its digits.
     """
 
     __slots__ = ("p", "q", "ell")
 
     def __init__(self, tag: FieldTag, m: int):
+        if m < 1:
+            raise ValueError("m must be >= 1")
         s, t = tag._norm_s, tag._norm_t
         q = m if s else 2 * m
         ell = m * m * abs(tag.disc) // q
@@ -589,6 +594,21 @@ class _SublatticeData(Immutable):
         """The box index of the class of a + b*w modulo the sublattice."""
         k, b = divmod(b, self.q)
         return (a - k * self.p) % self.ell * self.q + b
+
+    def class_index(self, y: Sequence[int]) -> int:
+        """The class index of y = sqrt(D) r given as (a_1, b_1, ..., a_g, b_g)."""
+        base, index = self.ell * self.q, 0
+        for i in range(0, len(y), 2):
+            index = index * base + self.index(y[i], y[i + 1])
+        return index
+
+    def digits(self, index: int, g: int) -> list[int]:
+        """The box indices of the g components of class `index`."""
+        base, at = self.ell * self.q, []
+        for _ in range(g):
+            index, i = divmod(index, base)
+            at.append(i)
+        return at[::-1]
 
 
 # keyed by (tag, m); a batch touches at most 15 keys
@@ -664,8 +684,6 @@ def _from_y(a: int, b: int, tag: FieldTag) -> FieldElement:
 def reduce_class(r: Sequence[FieldElement], m: int) -> CosetClass:
     """Canonical representative of the class of r in (O^#)^g / m O^g: each
     y = sqrt(D) r_i reduced to its cell of the `_sublattice` box."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
     if not r:
         raise ValueError("r must have at least one component")
     tag = r[0].tag
@@ -674,87 +692,89 @@ def reduce_class(r: Sequence[FieldElement], m: int) -> CosetClass:
     return CosetClass._trusted(m, rep, tag)
 
 
-def _delta_box(g: int, m: int, tag: FieldTag) -> _SublatticeData:
-    """The `_sublattice` whose box holds the components of Delta_g(m)."""
-    if g < 1:
-        raise ValueError("g must be >= 1")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return _sublattice(tag, m)
-
-
 @lru_cache(maxsize=64)
 def delta_classes(g: int, m: int, tag: FieldTag) -> tuple[CosetClass, ...]:
     """All classes of Delta_g(m), duplicate-free and in canonical order;
     |result| = (m^2 |D|)^g.  Component i of a class is y/sqrt(D) for the
-    cell y of box index i, and the box indices run as the digits of the
-    class index in base m^2 |D|, the last varying fastest.
+    cell y of box index i, by the digits of the class index
+    (`_SublatticeData`).
 
     The tuple is shared between calls: an LRU cache of 64 (g, m, tag) keys
     holds it, well above the at most 15 keys a batch asks for.
     """
-    sub = _delta_box(g, m, tag)
-    component = [_from_y(a, b, tag) for a in range(sub.ell) for b in range(sub.q)]
+    if g < 1:
+        raise ValueError("g must be >= 1")
+    sub = _sublattice(tag, m)
+    component = [_from_y(*divmod(i, sub.q), tag) for i in range(sub.ell * sub.q)]
     return tuple(CosetClass._trusted(m, rep, tag) for rep in product(component, repeat=g))
 
 
 def delta_class(g: int, m: int, tag: FieldTag, index: int) -> CosetClass:
-    """`delta_classes(g, m, tag)[index]` without listing the classes: the
-    digits of index in base m^2 |D| are the box indices of its components,
-    so this is O(g) work.  An index outside [0, (m^2 |D|)^g) raises
-    IndexError."""
-    sub = _delta_box(g, m, tag)
-    base = sub.ell * sub.q
-    if not 0 <= index < base ** g:
+    """`delta_classes(g, m, tag)[index]` without listing the classes, from
+    the digits of index: O(g) work.  An index outside [0, (m^2 |D|)^g)
+    raises IndexError."""
+    if g < 1:
+        raise ValueError("g must be >= 1")
+    sub = _sublattice(tag, m)
+    if not 0 <= index < (sub.ell * sub.q) ** g:
         raise IndexError("class index %d out of range" % index)
-    rep = []
-    for _ in range(g):
-        index, i = divmod(index, base)
-        rep.append(_from_y(*divmod(i, sub.q), tag))
-    return CosetClass._trusted(m, tuple(reversed(rep)), tag)
+    return CosetClass._trusted(m, tuple(_from_y(*divmod(i, sub.q), tag)
+                                        for i in sub.digits(index, g)), tag)
+
+
+def _small_cell(a: int, b: int, m: int, tag: FieldTag) -> tuple[FieldElement, int]:
+    """The small representative r0 = x - m*alpha of x + m O, for x =
+    y/sqrt(D) and y = a + b*w, with N(sqrt(D) r0) = |D| N(r0).  alpha is the
+    integer nearest x/m, which makes N(r0) least over the coset, and
+    y0 = sqrt(D) r0 = y - m sqrt(D) alpha on ints."""
+    s, t = tag._norm_s, tag._norm_t
+    alpha = euclidean_round(FieldElement._from_ints(s * a + 2 * t * b, -(2 * a + s * b),
+                                                    -tag.disc * m, tag))
+    c, e = a + m * (s * alpha.p + 2 * t * alpha.q), b - m * (2 * alpha.p + s * alpha.q)
+    return _from_y(c, e, tag), c * c + s * c * e + t * e * e
 
 
 def small_rep(s: CosetClass) -> Vector:
-    """A representative r of s with |r_i|^2 <= (1 - c) m^2 componentwise,
-    built by rounding each coordinate of rep/m back into the fundamental
-    cell.  Rounding minimizes each component norm over the class."""
-    m = s.m
-    return tuple(x - euclidean_round(x / m) * m for x in s.rep)
+    """A representative r of s with |r_i|^2 <= (1 - c) m^2 componentwise:
+    the `_small_cell` of each component."""
+    return tuple(_small_cell(*_y_coords(x), s.m, s.tag)[0] for x in s.rep)
 
 
-def _delta_cells(m: int, tag: FieldTag) -> list[tuple[FieldElement, tuple[int, int], int]]:
-    """Per box index i of the class components of Delta_g(m): the small
-    representative r0 of component i, y0 = sqrt(D) r0 as (a, b), and
-    N(y0) = |D| N(r0), so that the shift of the small representative of a
-    class has trace sum_i N(y0_i) / (|D| m) over the digits i of its index.
-    As in `small_rep`, alpha is the integer nearest x/m for the component
-    x = y/sqrt(D) of cell y, and y0 = y - m sqrt(D) alpha, on ints."""
-    sub, s, t = _sublattice(tag, m), tag._norm_s, tag._norm_t
-    cells = []
-    for a in range(sub.ell):
-        for b in range(sub.q):
-            alpha = euclidean_round(_from_y(a, b, tag) / m)
-            p, q = alpha.p, alpha.q
-            c, e = a + m * (s * p + 2 * t * q), b - m * (2 * p + s * q)
-            cells.append((_from_y(c, e, tag), (c, e), c * c + s * c * e + t * e * e))
-    return cells
+def _delta_cells(m: int, tag: FieldTag) -> list[tuple[FieldElement, int]]:
+    """`_small_cell` of each box index: the shift r0 m^-1 r0* of the small
+    representative of a class has trace sum_i N(y0_i) / (|D| m) over its
+    digits i."""
+    q = _sublattice(tag, m).q
+    return [_small_cell(*divmod(i, q), m, tag) for i in range(m * m * abs(tag.disc))]
 
 
 def _class_points(g: int, m: int, tag: FieldTag, bound: int,
                   wanted) -> list[tuple[int, int, tuple[int, ...]]]:
     """(class index, N(y), y) for each y = sqrt(D) r in O^g, as (a_1, b_1,
-    ..., a_g, b_g), with N(y) = sum_i N(y_i) = |D| N(r) <= bound, whose
-    index in `delta_classes(g, m, tag)` is in `wanted`: one lattice search,
-    then the box index of each component."""
-    sub = _sublattice(tag, m)
-    base = sub.ell * sub.q
+    ..., a_g, b_g), with N(y) = |D| N(r) <= bound and class index in
+    `wanted`, unordered.
+
+    When at least half of the (m^2 |D|)^g classes are wanted, one lattice
+    search lists O^g and each point goes to its class; otherwise each
+    wanted class's coset is searched, on X = |D| r in X_s + m|D| Z^2g with
+    N(X) = |D| N(y), so few classes cost in proportion to their points.
+    """
+    sub, levels = _sublattice(tag, m), _norm_levels(g, tag)
+    if 2 * len(wanted) >= (sub.ell * sub.q) ** g:
+        points = _lattice_points(levels, (0,) * (2 * g), 1, 2 * bound)
+        return [(index, q2 // 2, v) for q2, v in points if (index := sub.class_index(v)) in wanted]
+    s, t, disc = tag._norm_s, tag._norm_t, abs(tag.disc)
     out = []
-    for q2, v in _lattice_points(_norm_levels(g, tag), (0,) * (2 * g), 1, 2 * bound):
-        index = 0
-        for i in range(0, 2 * g, 2):
-            index = index * base + sub.index(v[i], v[i + 1])
-        if index in wanted:
-            out.append((index, q2 // 2, v))
+    for index in wanted:
+        start = []
+        for i in sub.digits(index, g):
+            a, b = divmod(i, sub.q)
+            start += (s * a + 2 * t * b, -(2 * a + s * b))
+        for q2, x in _lattice_points(levels, tuple(start), m * disc, 2 * disc * bound):
+            y = []
+            for i in range(0, 2 * g, 2):  # y = sqrt(D) X / |D|
+                y += (-(s * x[i] + 2 * t * x[i + 1]) // disc, (2 * x[i] + s * x[i + 1]) // disc)
+            out.append((index, q2 // (2 * disc), tuple(y)))
     return out
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import floor, inf, lcm
 from typing import Mapping, Sequence
 
@@ -214,17 +213,18 @@ class JacobiTable(Immutable):
 # theta tables
 
 
-def theta_coeffs(m: int, s: CosetClass, trunc, max_keys: int | None = None) -> JacobiTable:
+def theta_coeffs(m: int, s: CosetClass, trunc,
+                 max_keys: int | None = None) -> JacobiTable | None:
     """The theta table of index m and shift s: coefficient 1 exactly at the
     keys (r m^-1 r*, r) for r in the class; weight recorded as the cogenus.
-    More than `max_keys` keys raise ValueError before any key is built."""
+    None if it has more than `max_keys` keys, found before any is built."""
     if s.m != m:
         raise ValueError("class has modulus %d, expected %d" % (s.m, m))
     tag = s.tag
     trunc = trunc if isinstance(trunc, Fraction) else Fraction(trunc)
     points = _coset_vectors(s.rep, s.m, trunc * m, max_keys)
     if points is None:
-        raise ValueError("the theta table has more than %d keys" % max_keys)
+        return None
     one = FieldElement.one(tag)
     # each key has trace |r|^2/m <= trunc and a rank-one PSD block
     coeffs = {(shift_matrix(r, m), r): (one,) for r in points}
@@ -283,7 +283,8 @@ def theta_decompose(phi: JacobiTable, strict: bool = False) -> ThetaComponentVec
     `strict`, every r of s with tr(n' + r m^-1 r*) <= phi.trunc must give
     body[n'].  The keys of s, all matched, map one-to-one into these pairs
     (n', r), so it is enough that s has as many keys as pairs, counted on
-    one listing of y = sqrt(D) r by class; a class short of keys is walked.
+    the points of the classes with keys (`hermitian._class_points`); a
+    class short of keys is walked.
 
     Raises ConsistencyError with a witness (n', r, r') at the first failed
     probe, by key in the order of phi.coeffs, then by class: r0 + m e_1
@@ -295,8 +296,7 @@ def theta_decompose(phi: JacobiTable, strict: bool = False) -> ThetaComponentVec
     if m < 1:
         raise ValueError("decomposition requires index >= 1")
     tag, g, trunc = phi.tag, phi.g, phi.trunc
-    cells, sub = _delta_cells(m, tag), _sublattice(tag, m)
-    base, scale = len(cells), abs(tag.disc) * m
+    cells, sub, scale = _delta_cells(m, tag), _sublattice(tag, m), abs(tag.disc) * m
     # per class index: [body, keys off r0, r0]; per distinct r: (its class's
     # entry, r m^-1 r*, whether r = r0)
     found: dict[int, list] = {}
@@ -305,12 +305,10 @@ def theta_decompose(phi: JacobiTable, strict: bool = False) -> ThetaComponentVec
     for (n, r), vec in phi.coeffs.items():
         info = seen.get(r)
         if info is None:
-            ys = [_y_coords(x) for x in r]
-            at = [sub.index(*y) for y in ys]
-            index = sum(i * base ** k for k, i in enumerate(reversed(at)))
+            index = sub.class_index([c for x in r for c in _y_coords(x)])
             if index not in found:
-                found[index] = [{}, 0, tuple(cells[i][0] for i in at)]
-            info = seen[r] = (found[index], shift_matrix(r, m), ys == [cells[i][1] for i in at])
+                found[index] = [{}, 0, tuple(cells[i][0] for i in sub.digits(index, g))]
+            info = seen[r] = (found[index], shift_matrix(r, m), r == found[index][2])
         entry, shift, at_r0 = info
         nprime = n.sub(shift)
         if at_r0:
@@ -334,18 +332,16 @@ def theta_decompose(phi: JacobiTable, strict: bool = False) -> ThetaComponentVec
         for ns in norms.values():
             ns.sort()
     top, den = trunc.as_integer_ratio()
-    shared: dict[int, tuple] = {}  # per sum of N(y0_i): h_trunc and the zero component
     classes, components = delta_classes(g, m, tag), {}
-    for index, (s, digits) in enumerate(zip(classes, product(range(base), repeat=g))):
-        norm0 = sum(cells[i][2] for i in digits)
-        if norm0 not in shared:
-            h_trunc = trunc - Fraction(norm0, scale)
-            shared[norm0] = h_trunc, FourierSeries._trusted(g, phi.k - 1, tag, h_trunc, {},
-                                                            phi.dim, semi_integral=False)
-        h_trunc, components[s] = shared[norm0]
-        if index not in found:
+    for index, s in enumerate(classes):
+        # trunc less the trace of the shift of r0
+        norm0 = sum(cells[i][1] for i in sub.digits(index, g))
+        h_trunc = Fraction(top * scale - den * norm0, den * scale)
+        body, off, r0 = found.get(index) or ({}, 0, ())
+        components[s] = FourierSeries._trusted(g, phi.k - 1, tag, h_trunc, body, phi.dim,
+                                               semi_integral=False)
+        if not body:
             continue
-        body, off, r0 = found[index]
         r1 = (r0[0] + m,) + r0[1:]
         shift1 = shift_matrix(r1, m)
         for nprime, vec in body.items():
@@ -353,44 +349,33 @@ def theta_decompose(phi: JacobiTable, strict: bool = False) -> ThetaComponentVec
             if _trace_within(key1, (top, den)) and phi.coefficient(key1, r1) != vec:
                 raise ConsistencyError("well-definedness violation at spare representative",
                                        witness=(nprime, r0, r1))
-        # the pairs (n', r) with N(y) <= (trunc - tr n') |D| m, against the keys
+        # the pairs (n', r) with N(y) <= (trunc - tr n') |D| m, against the
+        # keys; short of keys, walk the r of s in norm order to the witness
         if strict and len(body) + off != sum(
                 bisect_right(norms.get(index, ()), (top * d - num * den) * scale // (den * d))
                 for num, d in (nprime._trace for nprime in body)):
-            _walk_class(phi, s, r0, body)
-        components[s] = FourierSeries._trusted(g, phi.k - 1, tag, h_trunc, body, phi.dim,
-                                               semi_integral=False)
+            big = lcm(*(n._trace[1] for n in body))
+            least = Fraction(min(n._trace[0] * (big // n._trace[1]) for n in body), big)
+            points = [(shift_matrix(r, m), r)
+                      for r in _coset_vectors(s.rep, m, (trunc - least) * m)]
+            for nprime, vec in body.items():
+                room = _trace_sum((top, den), nprime._trace, -1)
+                for shift, r_any in points:
+                    if not _trace_within(shift, room):
+                        break
+                    if phi.coefficient(nprime.add(shift), r_any) != vec:
+                        raise ConsistencyError(
+                            "well-definedness violation at representative %r" % (r_any,),
+                            witness=(nprime, r0, r_any))
     return ThetaComponentVector(m, classes, components)
-
-
-def _walk_class(phi: JacobiTable, s: CosetClass, r0: Vector, body: Mapping):
-    """Compares body[n'] with phi at (n' + r m^-1 r*, r) for each n' of
-    `body` and each r of s inside the truncation, listed once in norm order
-    (`field._coset_vectors`) at the budget of the smallest tr n', and
-    raises ConsistencyError at the first that differs."""
-    m = phi.m
-    bound = phi.trunc.as_integer_ratio()
-    big = lcm(*(n._trace[1] for n in body))
-    least = Fraction(min(n._trace[0] * (big // n._trace[1]) for n in body), big)
-    points = [(shift_matrix(r, m), r) for r in _coset_vectors(s.rep, m, (phi.trunc - least) * m)]
-    for nprime, vec in body.items():
-        room = _trace_sum(bound, nprime._trace, -1)
-        for shift, r_any in points:
-            if not _trace_within(shift, room):
-                break
-            if phi.coefficient(nprime.add(shift), r_any) != vec:
-                raise ConsistencyError(
-                    "well-definedness violation at representative %r" % (r_any,),
-                    witness=(nprime, r0, r_any),
-                )
 
 
 def theta_recompose(v: ThetaComponentVector, trunc) -> JacobiTable:
     """phi(n, r) = c(h_class(r); n - r m^-1 r*): the exact sum of h_s theta_s.
 
     Component truncations must reach trunc minus the minimal class shift;
-    raises ValueError otherwise.  The r come from one listing of
-    y = sqrt(D) r in O^g by class (`hermitian._class_points`).  Each key
+    raises ValueError otherwise.  The r of the classes with a nonzero
+    component come from `hermitian._class_points`.  Each key
     has the PSD n' as its Schur complement and r in O^#, so the table skips
     re-validation.
     """
@@ -398,23 +383,20 @@ def theta_recompose(v: ThetaComponentVector, trunc) -> JacobiTable:
     trunc = trunc if isinstance(trunc, Fraction) else Fraction(trunc)
     sample = next(iter(v.components.values()))
     tag, g, dim, weight = sample.tag, sample.g, sample.dim, sample.k
-    cells = _delta_cells(m, tag)
-    scale = abs(tag.disc) * m
-    floors: dict[int, Fraction] = {}
+    cells, sub, scale = _delta_cells(m, tag), _sublattice(tag, m), abs(tag.disc) * m
+    top, den = trunc.as_integer_ratio()
     live: dict[int, list] = {}
-    for index, (s, digits) in enumerate(zip(v.classes, product(range(len(cells)), repeat=g))):
+    for index, s in enumerate(v.classes):
         h = v.components[s]
         if (h.g, h.tag, h.dim, h.k) != (g, tag, dim, weight):
             raise ValueError("inconsistent components")
-        norm0 = sum(cells[i][2] for i in digits)
-        if norm0 not in floors:  # trunc less the trace of the shift of r0
-            floors[norm0] = trunc - Fraction(norm0, scale)
-        if h.trunc < floors[norm0]:
+        # h.trunc >= trunc less the trace of the shift of r0, on ints
+        norm0, (num, d) = sum(cells[i][1] for i in sub.digits(index, g)), h.trunc.as_integer_ratio()
+        if num * den * scale < (top * scale - den * norm0) * d:
             raise ValueError("component truncation %s insufficient for target %s"
                              % (h.trunc, trunc))
         if h.coeffs:
             live[index] = [(nprime, nprime._trace, vec) for nprime, vec in h.coeffs.items()]
-    top, den = trunc.as_integer_ratio()
     coeffs: dict[tuple[HermMatrix, Vector], Vec] = {}
     for index, norm, y in _class_points(g, m, tag, top * scale // den, live):
         r = tuple(_from_y(y[i], y[i + 1], tag) for i in range(0, 2 * g, 2))

@@ -300,31 +300,38 @@ def test_decompose_refuses_a_table_over_the_section_limit(tmp_path, capsys):
 
 
 def test_theta_refuses_a_table_over_the_entry_limit(tmp_path, capsys, monkeypatch):
-    from hermfj import cli
+    from hermfj import cli, field
 
+    searches = []
+    search = field._lattice_points
+
+    def counted(*args):
+        points = search(*args)
+        searches.append(points)
+        return points
+
+    monkeypatch.setattr(field, "_lattice_points", counted)
     out = tmp_path / "t.hjf"
-    # about pi * 10^11 keys: the search stops past the limit, builds none of them
-    start = time.perf_counter()
+    # about pi * 10^11 keys: the search stops one point past the limit and
+    # builds none of them
     code = cli.run(["theta", "--field", "-1", "--m", "1", "--shift", "0",
                     "--trunc", "100000000000", "--out", str(out)])
-    assert time.perf_counter() - start < 5.0
     captured = capsys.readouterr()
     assert code == 1 and captured.out == "" and "Traceback" not in captured.err
     assert "more than %d keys" % cli.THETA_MAX_ENTRIES in captured.err
-    assert not out.exists()
-    # one key of a genus-3000 table has 9 * 10^6 entries
-    start = time.perf_counter()
+    assert searches == [None] and not out.exists()
+    # one key of a genus-3000 table has 9 * 10^6 entries: refused unsearched
+    searches.clear()
     assert cli.run(["theta", "--field", "-1", "--m", "1", "--shift", "0", "--trunc", "1",
                     "--genus", "3000", "--out", str(out)]) == 1
-    assert time.perf_counter() - start < 1.0
     assert "g^2 = 9000000 entries" in capsys.readouterr().err
-    assert not out.exists()
+    assert searches == [] and not out.exists()
     # a genus-700 key fits the limit, two do not: the search of O^700 stops
     # at the second point
     assert cli.run(["theta", "--field", "-1", "--m", "1", "--shift", "0", "--trunc", "1",
                     "--genus", "700", "--out", str(out)]) == 1
     assert "more than 1 keys" in capsys.readouterr().err
-    assert not out.exists()
+    assert searches == [None] and not out.exists()
     # the limit counts keys x g^2: at trunc 1 over Q(i), N(r) <= 1 gives 5 keys
     # at genus 1 and 9 keys of 4 entries at genus 2
     for genus, entries in (("1", 5), ("2", 36)):
@@ -338,16 +345,24 @@ def test_theta_refuses_a_table_over_the_entry_limit(tmp_path, capsys, monkeypatc
     capsys.readouterr()
 
 
-def test_theta_at_a_large_index_builds_only_its_class(tmp_path):
-    # Delta_1(1000) over Q(sqrt(-3)) has 3 * 10^6 classes
-    from hermfj import cli
+def test_theta_at_a_large_index_builds_only_its_class(tmp_path, monkeypatch):
+    # Delta_1(1000) over Q(sqrt(-3)) has 3 * 10^6 classes; the shift class
+    # is built from the digits of its index, one component
+    from hermfj import cli, hermitian
 
+    built = []
+    from_y = hermitian._from_y
+
+    def counted(a, b, tag):
+        built.append((a, b))
+        return from_y(a, b, tag)
+
+    monkeypatch.setattr(hermitian, "_from_y", counted)
     tag = make_field(-3)
     out = tmp_path / "m1000.hjf"
-    start = time.perf_counter()
     assert cli.run(["theta", "--field", "-3", "--m", "1000", "--shift", "0", "--trunc", "1",
                     "--out", str(out)]) == 0
-    assert time.perf_counter() - start < 0.5
+    assert built == [(0, 0)]
     zero = CosetClass(1000, (FieldElement.zero(tag),), tag)
     assert out.read_text(encoding="ascii") == write_jacobi(theta_coeffs(1000, zero, 1))
 

@@ -22,10 +22,10 @@ import pytest
 from hermfj.errors import ConsistencyError
 from hermfj.field import FieldElement, _coset_vectors, _lattice_points, _norm_levels, \
     _search_levels, euclidean_round, make_field
-from hermfj.hermitian import _class_points, _delta_cells, _from_y, delta_classes, \
+from hermfj.hermitian import CosetClass, _class_points, _delta_cells, _from_y, delta_classes, \
     enumerate_semi_integral, reduce_class, small_rep
-from hermfj.jacobi import JacobiTable, ThetaComponentVector, shift_matrix, theta_decompose, \
-    theta_recompose
+from hermfj.jacobi import JacobiTable, ThetaComponentVector, shift_matrix, theta_coeffs, \
+    theta_decompose, theta_recompose
 from hermfj.series import FourierSeries
 from util import ALL_D, euclidean_round_by_norms, small_rep_by_rounding, \
     theta_decompose_by_probes, theta_recompose_by_classes
@@ -42,10 +42,9 @@ def test_small_representatives_match_rounding_in_field_arithmetic(d):
     for g, m in CASES:
         for s in delta_classes(g, m, tag):
             assert small_rep(s) == small_rep_by_rounding(s), (g, m, s)
-        for i, (r0, y0, norm0) in enumerate(_delta_cells(m, tag)):
+        for i, (r0, norm0) in enumerate(_delta_cells(m, tag)):
             s = delta_classes(1, m, tag)[i]
             assert (r0,) == small_rep_by_rounding(s)
-            assert _from_y(*y0, tag) == r0
             assert norm0 == abs(tag.disc) * r0.norm()
 
 
@@ -61,20 +60,60 @@ def test_euclidean_round_matches_the_comparison_of_fraction_norms():
 
 @pytest.mark.parametrize("d", ALL_D)
 def test_class_buckets_hold_the_points_of_each_class(d):
+    # every class wanted: one listing of O^g; a few: one coset search each
     tag = make_field(d)
+    rng = random.Random(d)
     for g, m in CASES:
         classes = delta_classes(g, m, tag)
         trunc = TRUNC[g]
-        got: dict[int, dict] = {}
-        for index, norm, y in _class_points(g, m, tag, trunc * abs(tag.disc) * m,
-                                            range(len(classes))):
-            r = tuple(_from_y(y[i], y[i + 1], tag) for i in range(0, 2 * g, 2))
-            assert norm == abs(tag.disc) * sum(x.norm() for x in r)
-            got.setdefault(index, {})[r] = norm
-        for index, s in enumerate(classes):
-            want = _coset_vectors(s.rep, m, trunc * m)
-            assert set(got.get(index, ())) == set(want), (g, m, s)
-            assert all(reduce_class(r, m) == s for r in want)
+        few = set(rng.sample(range(len(classes)), len(classes) // 2 - 1))
+        for wanted in (range(len(classes)), few):
+            got: dict[int, dict] = {}
+            for index, norm, y in _class_points(g, m, tag, trunc * abs(tag.disc) * m, wanted):
+                r = tuple(_from_y(y[i], y[i + 1], tag) for i in range(0, 2 * g, 2))
+                assert norm == abs(tag.disc) * sum(x.norm() for x in r)
+                got.setdefault(index, {})[r] = norm
+            assert set(got) <= set(wanted)
+            for index in wanted:
+                s = classes[index]
+                want = _coset_vectors(s.rep, m, trunc * m)
+                assert set(got.get(index, ())) == set(want), (g, m, s)
+                assert all(reduce_class(r, m) == s for r in want)
+
+
+def test_few_classes_of_a_large_index_list_only_their_points(monkeypatch):
+    # Delta_1(100) over Q(sqrt(-3)) has 30,000 classes; at trunc 10^4 O
+    # has about 1.1 * 10^7 points y = sqrt(D) r with N(y) <= trunc m |D|,
+    # and the zero class about 360 of them
+    from hermfj import field, hermitian
+
+    tag = make_field(-3)
+    m, trunc = 100, 10_000
+    zero = CosetClass(m, (FieldElement.zero(tag),), tag)
+    theta = theta_coeffs(m, zero, trunc)
+    listed = []
+    search = field._lattice_points
+
+    def counted(*args):
+        points = search(*args)
+        listed.append(len(points))
+        return points
+
+    monkeypatch.setattr(hermitian, "_lattice_points", counted)
+    assert _class_points(1, m, tag, 0, {}) == []
+    v = theta_decompose(theta, strict=True)
+    assert listed == [len(theta.coeffs)]
+    assert [s for s, h in v.components.items() if not h.is_zero()] == [zero]
+    listed.clear()
+    assert theta_recompose(v, trunc) == theta
+    assert listed == [len(theta.coeffs)]
+    # components all zero: no search at all
+    listed.clear()
+    empty = ThetaComponentVector(m, v.classes, {s: FourierSeries(1, 0, tag, h.trunc, {},
+                                                                 semi_integral=False)
+                                                for s, h in v.components.items()})
+    assert theta_recompose(empty, trunc).coeffs == {}
+    assert listed == []
 
 
 def test_norm_levels_equal_the_elimination_of_the_block_gram():
