@@ -62,7 +62,7 @@ class FJFamily(Immutable):
             raise ValueError("cogenus must satisfy 1 <= l <= g-1")
         if dim < 1:
             raise ValueError("coefficient dimension must be >= 1")
-        trunc = trunc if isinstance(trunc, Fraction) else Fraction(trunc)
+        trunc = Fraction(trunc)
         bound = trunc.as_integer_ratio()
         coeffs: dict[HermMatrix, Vec] = {}
         for m, table in tables.items():

@@ -13,6 +13,10 @@ arithmetic, equality and hashing are integer operations; `Fraction` appears
 only where a rational leaves the module (norms, traces, the coordinates
 `a` and `b`).  Every operation is exact and every value is immutable, so
 the whole module is safe for concurrent use.
+
+The `_pair_*` helpers define, once each, the int arithmetic of O on pairs
+(a, b) = a + b*w: conjugate, product, dot, norm, trace and the sqrt(D) map;
+`_clear_dens` brings elements to one denominator.  Other modules use these.
 """
 
 from __future__ import annotations
@@ -88,6 +92,57 @@ class FieldTag(Immutable):
 def make_field(d: int) -> FieldTag:
     """Return the field tag for Q(sqrt(d)), rejecting non-norm-Euclidean d."""
     return FieldTag(d)
+
+
+# ----------------------------------------------------------------------
+# coordinate arithmetic of O: a + b*w as the int pair (a, b)
+
+
+def _pair_conj(a: int, b: int, tag: FieldTag) -> tuple[int, int]:
+    """conj(a + b*w) = (a + s*b) - b*w, as conj(w) = s - w."""
+    return a + tag._norm_s * b, -b
+
+
+def _pair_mul(a: int, b: int, c: int, e: int, tag: FieldTag) -> tuple[int, int]:
+    """(a + b*w)(c + e*w), as w^2 = s*w - t."""
+    be = b * e
+    return a * c - tag._norm_t * be, a * e + b * c + tag._norm_s * be
+
+
+def _pair_dot(xs: Sequence[tuple], ys: Sequence[tuple], tag: FieldTag) -> tuple[int, int]:
+    """sum_k x_k y_k over pairs: `_pair_mul` summed, written out for per-key loops."""
+    s, t = tag._norm_s, tag._norm_t
+    p = q = 0
+    for (a, b), (c, e) in zip(xs, ys):
+        be = b * e
+        p += a * c - t * be
+        q += a * e + b * c + s * be
+    return p, q
+
+
+def _pair_norm(a: int, b: int, tag: FieldTag) -> int:
+    """N(a + b*w) = a^2 + s*a*b + t*b^2."""
+    return a * a + tag._norm_s * a * b + tag._norm_t * b * b
+
+
+def _pair_trace(a: int, b: int, tag: FieldTag) -> int:
+    """Tr(a + b*w) = 2a + s*b."""
+    return 2 * a + tag._norm_s * b
+
+
+def _pair_sqrt_disc(a: int, b: int, tag: FieldTag) -> tuple[int, int]:
+    """(a + b*w) sqrt(D) = -(s*a + 2t*b) + (2a + s*b)*w, as sqrt(D) = 2w - s;
+    and y/sqrt(D) is the negated image of y over |D|, as sqrt(D)^2 = -|D|."""
+    s = tag._norm_s
+    return -(s * a + 2 * tag._norm_t * b), 2 * a + s * b
+
+
+def _clear_dens(xs: Sequence["FieldElement"], den: int | None = None) -> tuple[int, list[int]]:
+    """(den, [p_1, q_1, p_2, q_2, ...]) with x_i = (p_i + q_i*w)/den, for den
+    the lcm of the denominators of `xs`, or a given multiple of each."""
+    if den is None:
+        den = lcm(*(x.den for x in xs))
+    return den, [c * (den // x.den) for x in xs for c in (x.p, x.q)]
 
 
 def _as_fraction(x: RationalLike) -> Fraction:
@@ -170,32 +225,24 @@ class FieldElement(Immutable):
 
     def conj(self) -> "FieldElement":
         """The image under the nontrivial field automorphism; conj(w) = s - w."""
-        return FieldElement._from_ints(self.p + self.tag._norm_s * self.q, -self.q, self.den,
-                                       self.tag)
-
-    def _norm_num(self) -> int:
-        """den^2 N(x) = p^2 + s*p*q + t*q^2, an int."""
-        p, q, tag = self.p, self.q, self.tag
-        return p * p + tag._norm_s * p * q + tag._norm_t * q * q
+        return FieldElement._from_ints(*_pair_conj(self.p, self.q, self.tag), self.den, self.tag)
 
     def norm(self) -> Fraction:
         """N(x) = x * conj(x), a nonnegative rational."""
-        return Fraction(self._norm_num(), self.den * self.den)
+        return Fraction(_pair_norm(self.p, self.q, self.tag), self.den * self.den)
 
     def trace(self) -> Fraction:
         """Tr(x) = x + conj(x), a rational."""
-        return Fraction(2 * self.p + self.tag._norm_s * self.q, self.den)
+        return Fraction(_pair_trace(self.p, self.q, self.tag), self.den)
 
     def is_integral(self) -> bool:
         """Membership in the ring of integers O."""
         return self.den == 1
 
     def is_dual_integral(self) -> bool:
-        """Membership in the inverse different O^# = (1/sqrt(D)) O, read off
-        den * sqrt(D) x = -(s*p + 2t*q) + (2p + s*q)*w, as sqrt(D) = 2w - s."""
-        p, q, tag = self.p, self.q, self.tag
-        s = tag._norm_s
-        return not (s * p + 2 * tag._norm_t * q) % self.den and not (2 * p + s * q) % self.den
+        """Membership in the inverse different O^# = (1/sqrt(D)) O, read off den*sqrt(D)*x."""
+        a, b = _pair_sqrt_disc(self.p, self.q, self.tag)
+        return not a % self.den and not b % self.den
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -209,27 +256,22 @@ class FieldElement(Immutable):
             return FieldElement(other, 0, self.tag)
         return NotImplemented
 
-    def __add__(self, other):
+    def _sum(self, other, sign: int):
+        """self + sign*other, over one denominator."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         d1, d2 = self.den, other.den
-        if d1 == d2:
-            return FieldElement._from_ints(self.p + other.p, self.q + other.q, d1, self.tag)
-        return FieldElement._from_ints(self.p * d2 + other.p * d1, self.q * d2 + other.q * d1,
-                                       d1 * d2, self.tag)
+        return FieldElement._from_ints(self.p * d2 + sign * other.p * d1,
+                                       self.q * d2 + sign * other.q * d1, d1 * d2, self.tag)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d1, d2 = self.den, other.den
-        if d1 == d2:
-            return FieldElement._from_ints(self.p - other.p, self.q - other.q, d1, self.tag)
-        return FieldElement._from_ints(self.p * d2 - other.p * d1, self.q * d2 - other.q * d1,
-                                       d1 * d2, self.tag)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -241,23 +283,19 @@ class FieldElement(Immutable):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        p, q, r, e = self.p, self.q, other.p, other.q
-        tag = self.tag
-        qe = q * e
-        # w^2 = s*w - t
-        return FieldElement._from_ints(p * r - tag._norm_t * qe, p * e + q * r + tag._norm_s * qe,
-                                       self.den * other.den, tag)
+        p, q = _pair_mul(self.p, self.q, other.p, other.q, self.tag)
+        return FieldElement._from_ints(p, q, self.den * other.den, self.tag)
 
     __rmul__ = __mul__
 
     def inv(self) -> "FieldElement":
         """conj(x) / N(x), with N(x) = n/den^2."""
-        n = self._norm_num()
+        p, q, den, tag = self.p, self.q, self.den, self.tag
+        n = _pair_norm(p, q, tag)
         if not n:
             raise ZeroDivisionError("inverse of zero field element")
-        den, tag = self.den, self.tag
-        return FieldElement._from_ints(den * (self.p + tag._norm_s * self.q), -den * self.q, n,
-                                       tag)
+        a, b = _pair_conj(p, q, tag)
+        return FieldElement._from_ints(den * a, den * b, n, tag)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -355,20 +393,14 @@ def _parse_token(text: str) -> tuple[int, int, int]:
 
 @cache
 def sqrt_disc(tag: FieldTag) -> FieldElement:
-    """The element sqrt(D) generating the different: 2w-1 if d=1 (mod 4), else 2w."""
-    return FieldElement(-1, 2, tag) if tag.half_basis else FieldElement(0, 2, tag)
+    """The element sqrt(D) = 2w - s generating the different."""
+    return FieldElement(*_pair_sqrt_disc(1, 0, tag), tag)
 
 
 def unit_group(tag: FieldTag) -> tuple[FieldElement, ...]:
-    """All units of O, found by solving N(u)=1 within coordinate bound 1."""
-    found = []
-    for a in (-1, 0, 1):
-        for b in (-1, 0, 1):
-            u = FieldElement(a, b, tag)
-            if u.norm() == 1:
-                found.append(u)
-    found.sort(key=FieldElement.sort_key)
-    return tuple(found)
+    """All units of O: the (a, b) with N = 1 within coordinate bound 1, in (a, b) order."""
+    return tuple(FieldElement(a, b, tag) for a in (-1, 0, 1) for b in (-1, 0, 1)
+                 if _pair_norm(a, b, tag) == 1)
 
 
 def euclidean_round(beta: FieldElement) -> FieldElement:
@@ -381,7 +413,6 @@ def euclidean_round(beta: FieldElement) -> FieldElement:
     den^2 N(beta - alpha).
     """
     tag = beta.tag
-    s, t = tag._norm_s, tag._norm_t
     p, q, den = beta.p, beta.q, beta.den
     best = None
     b_floor = q // den
@@ -392,7 +423,7 @@ def euclidean_round(beta: FieldElement) -> FieldElement:
         y = q - qq * den
         for pp in (c_floor, c_floor + 1):
             x = p - pp * den
-            key = (x * x + s * x * y + t * y * y, pp, qq)
+            key = (_pair_norm(x, y, tag), pp, qq)
             if best is None or key < best:
                 best = key
     return FieldElement(best[1], best[2], tag)
@@ -423,13 +454,9 @@ def euclidean_constant(tag: FieldTag) -> EuclideanConstant:
     same circumcircle), so the deepest hole is the circumcenter p solving
     2*B(p, e_i) = N(e_i) for the polarization B of the norm form.
     """
-    s = Fraction(tag._norm_s)  # 2*B12
-    t = Fraction(tag._norm_t)  # B22
-    # Solve [[2, s], [s, 2t]] p = (1, t).
-    det = 4 * t - s * s
-    p1 = (2 * t - s * t) / det
-    p2 = (2 * t - s) / det
-    hole = FieldElement(p1, p2, tag)
+    s, t = tag._norm_s, tag._norm_t
+    # Solve [[2, s], [s, 2t]] p = (1, t) by Cramer's rule; the determinant is |D|.
+    hole = FieldElement(Fraction(2 * t - s * t, -tag.disc), Fraction(2 * t - s, -tag.disc), tag)
     return EuclideanConstant(tag, hole.norm(), hole)
 
 
@@ -569,16 +596,14 @@ def _coset_vectors(shift: Sequence[FieldElement], m: int, bound: RationalLike,
     den*x, den the common denominator of the shift.
     """
     tag = shift[0].tag
-    dim = 2 * len(shift)
-    den = lcm(*(x.den for x in shift))
-    start = tuple(c * (den // x.den) for x in shift for c in (x.p, x.q))
+    den, start = _clear_dens(shift)
     points = _lattice_points(_norm_levels(len(shift), tag), start, m * den,
                              floor(2 * den * den * _as_fraction(bound)), limit)
     if points is None:
         return None
     points.sort()
     build = FieldElement._from_ints
-    return [tuple(build(v[i], v[i + 1], den, tag) for i in range(0, dim, 2)) for _q, v in points]
+    return [tuple(build(v[i], v[i + 1], den, tag) for i in range(0, len(v), 2)) for _q, v in points]
 
 
 def coset_points(shift: FieldElement, m: int, bound: RationalLike) -> list[FieldElement]:

@@ -20,9 +20,11 @@ from .field import (
     FieldElement,
     FieldTag,
     Immutable,
+    _clear_dens,
     _lattice_points,
     _ldl_pivots,
     _norm_levels,
+    _pair_conj, _pair_dot, _pair_mul, _pair_norm, _pair_sqrt_disc, _pair_trace,
     _parse_token,
     _search_levels,
     euclidean_round,
@@ -64,8 +66,8 @@ class HermMatrix(Immutable):
         for e in upper:  # `linalg.is_hermitian` ties each lower entry to its upper one
             if e.tag.d != tag.d:
                 raise ValueError("entry %r is not in the field d=%d" % (e, tag.d))
-        den = lcm(*(e.den for e in upper))
-        _store(self, n, [den] + _coords(upper, den), tag)
+        den, coords = _clear_dens(upper)
+        _store(self, n, [den] + coords, tag)
 
     @classmethod
     def _trusted(cls, g: int, raw: Sequence[int], tag: FieldTag) -> "HermMatrix":
@@ -105,28 +107,28 @@ class HermMatrix(Immutable):
 
     def _int_coords(self) -> tuple[list[list[tuple[int, int]]], int]:
         """(rows, D) with entry (i, j) equal to (a + b*w)/D for rows[i][j] =
-        (a, b), read off the key; conj(a + b*w) = (a + s*b) - b*w below the
-        diagonal, s = tag._norm_s."""
-        g, key, s = self.g, self._key, self.tag._norm_s
+        (a, b), read off the key, and the conjugates below the diagonal."""
+        g, key, tag = self.g, self._key, self.tag
         rows = [[None] * g for _ in range(g)]
         k = 1
         for i in range(g):
             for j in range(i, g):
                 a, b = key[k], key[k + 1]
-                rows[i][j], rows[j][i] = (a, b), (a + s * b, -b)
+                rows[i][j], rows[j][i] = (a, b), _pair_conj(a, b, tag)
                 k += 2
         return rows, key[0]
 
     def is_semi_integral(self) -> bool:
         """An integer diagonal, and off-diagonal entries in O^# (as in
         `FieldElement.is_dual_integral`), read off the key row by row."""
-        key, g, s, t = self._key, self.g, self.tag._norm_s, self.tag._norm_t
+        key, g, tag = self._key, self.g, self.tag
         den, k = key[0], 1
         for i in range(g):
             if key[k] % den:
                 return False
             for j in range(k + 2, k + 2 * (g - i), 2):
-                if (s * key[j] + 2 * t * key[j + 1]) % den or (2 * key[j] + s * key[j + 1]) % den:
+                a, b = _pair_sqrt_disc(key[j], key[j + 1], tag)
+                if a % den or b % den:
                     return False
             k += 2 * (g - i)
         return True
@@ -137,18 +139,21 @@ class HermMatrix(Immutable):
         with den from `_int_coords` and v^T gram v = 2*den * omega* t omega
         for omega with coordinates v.
 
-        Entries are Tr(x), Tr(x w), Tr(conj(w) x) and N(w) Tr(x) for
-        x = den * t_ij = a + b*w.
+        Entries are Tr(x), Tr(x w), Tr(conj(w) x) = Tr(w) Tr(x) - Tr(x w) and
+        N(w) Tr(x) for x = den * t_ij = a + b*w.  Tr is linear, so Tr(x) and
+        Tr(x w) come from Tr(w) and Tr(w^2), found once by the field helpers.
         """
-        s, n = self.tag._norm_s, -self.tag._norm_t
+        tag = self.tag
+        tw, tw2 = _pair_trace(0, 1, tag), _pair_trace(*_pair_mul(0, 1, 0, 1, tag), tag)
+        nw = _pair_norm(0, 1, tag)
         rows, den = self._int_coords()
         gram = []
         for row in rows:
             even, odd = [], []
             for a, b in row:
-                tr = 2 * a + s * b
-                even += (tr, 2 * n * b + s * (a + s * b))
-                odd += (s * a - 2 * n * b, -n * tr)
+                tr, trw = 2 * a + b * tw, a * tw + b * tw2
+                even += (tr, trw)
+                odd += (tw * tr - trw, nw * tr)
             gram += (even, odd)
         return gram, den
 
@@ -229,12 +234,12 @@ class HermMatrix(Immutable):
             return cls._trusted(1, (den, p, 0), tag)
         if g < 1:
             return cls((), tag)
-        s, upper = tag._norm_s, []
+        upper = []
         for i in range(g):
             for j in range(i, g):
                 (p, q, den), (pc, qc, dc) = cells[i * g + j], cells[j * g + i]
-                # t_ij = conj(t_ji) = ((pc + s*qc) - qc*w)/dc
-                if p * dc != (pc + s * qc) * den or q * dc != -qc * den:
+                pc, qc = _pair_conj(pc, qc, tag)  # t_ij = conj(t_ji)
+                if p * dc != pc * den or q * dc != qc * den:
                     raise ValueError("matrix is not Hermitian")
                 upper.append((p, q, den))
         den = lcm(*(d for _p, _q, d in upper))
@@ -246,12 +251,6 @@ class HermMatrix(Immutable):
 
     def __repr__(self):
         return "HermMatrix(%s, g=%d, d=%d)" % (self.to_text(), self.g, self.tag.d)
-
-
-def _coords(xs: Iterable[FieldElement], den: int) -> list[int]:
-    """The coordinates p, q of den*x for each x of `xs`, flattened; den is a
-    multiple of every x.den."""
-    return [c * (den // x.den) for x in xs for c in (x.p, x.q)]
 
 
 def _store(x: HermMatrix, g: int, raw: Sequence[int], tag: FieldTag) -> HermMatrix:
@@ -283,7 +282,7 @@ def join_block(n: HermMatrix, r: linalg.Matrix, m: HermMatrix) -> HermMatrix:
     fn, fm = den // nkey[0], den // mkey[0]
     raw, k = [den], 1
     for i, row in enumerate(r):
-        raw += [c * fn for c in nkey[k:k + 2 * (a - i)]] + _coords(row, den)
+        raw += [c * fn for c in nkey[k:k + 2 * (a - i)]] + _clear_dens(row, den)[1]
         k += 2 * (a - i)
     return HermMatrix._trusted(a + m.g, raw + [c * fm for c in mkey[1:]], n.tag)
 
@@ -332,7 +331,7 @@ def _canonical_order(keys: Iterable, r_key: Callable | None = None) -> list:
         rbig = lcm(*(x.den for _n, r in keys for x in r))
 
         def r_key(r):
-            return tuple(c * (rbig // x.den) for x in r for c in (x.p, x.q))
+            return _clear_dens(r, rbig)[1]
 
     return sorted(keys, key=lambda key: (key[0]._trace[0] * (big // key[0]._trace[1]),
                                          key[0].to_text(), r_key(key[1])))
@@ -341,9 +340,10 @@ def _canonical_order(keys: Iterable, r_key: Callable | None = None) -> list:
 class UnitMatrix(Immutable):
     """An element of GL_g(O): integral entries and unit determinant.
 
-    `_coords` holds the entries as integer coordinate pairs (a, b)."""
+    `_cols` holds the columns as integer coordinate pairs (a, b), and
+    `_star` their conjugates, the rows of u*, for `gl_action`."""
 
-    __slots__ = ("g", "entries", "tag", "det_unit", "_coords")
+    __slots__ = ("g", "entries", "tag", "det_unit", "_cols", "_star")
 
     def __init__(self, entries: Sequence[Sequence[FieldElement]], tag: FieldTag):
         rows = linalg.freeze(entries)
@@ -357,7 +357,9 @@ class UnitMatrix(Immutable):
         d = linalg.det(rows)
         if d.norm() != 1:
             raise ValueError("determinant is not a unit of O")
-        self._fill(n, rows, tag, d, tuple(tuple((e.p, e.q) for e in row) for row in rows))
+        cols = tuple(tuple((e.p, e.q) for e in col) for col in zip(*rows))
+        self._fill(n, rows, tag, d, cols,
+                   tuple(tuple(_pair_conj(a, b, tag) for a, b in col) for col in cols))
 
     @classmethod
     def identity(cls, g: int, tag: FieldTag) -> "UnitMatrix":
@@ -392,10 +394,7 @@ class UnitMatrix(Immutable):
         )
 
     def inverse(self) -> "UnitMatrix":
-        # det is a unit, so det^-1 = conj(det)/N(det) stays integral
-        inv_det = self.det_unit.inv()
-        adj = linalg.adjugate(self.entries)
-        return UnitMatrix(linalg.scalar_mul(inv_det, adj), self.tag)
+        return UnitMatrix(linalg.inverse(self.entries), self.tag)
 
     def mul(self, other: "UnitMatrix") -> "UnitMatrix":
         if other.g != self.g or other.tag != self.tag:
@@ -425,37 +424,22 @@ class UnitMatrix(Immutable):
         )
 
 
-def _int_dot(xs, ys, s: int, n: int) -> tuple[int, int]:
-    """sum_k x_k * y_k over integer coordinate pairs, with w^2 = s*w + n,
-    where s = tag._norm_s and n = -tag._norm_t = -N(w).  Then
-    conj(a + b*w) = (a + s*b) - b*w."""
-    p = q = 0
-    for (a, b), (c, e) in zip(xs, ys):
-        be = b * e
-        p += a * c + n * be
-        q += a * e + b * c + s * be
-    return p, q
-
-
 def gl_action(u: UnitMatrix, t: HermMatrix) -> HermMatrix:
     """u* t u; preserves semi-integrality and positive semidefiniteness.
 
     Exact, on the key: V = t u is formed from `t._int_coords()` and the
-    integral coordinates of u, then only the upper triangle of u* V, over
-    the denominator of t.
+    integral columns of u, then only the upper triangle of u* V, over the
+    denominator of t.
     """
     if u.g != t.g or u.tag != t.tag:
         raise ValueError("matrix size or field mismatch")
     g, tag = t.g, t.tag
-    s, n = tag._norm_s, -tag._norm_t
     rows, den = t._int_coords()
-    ucols = list(zip(*u._coords))
-    vcols = [[_int_dot(row, col, s, n) for row in rows] for col in ucols]
+    vcols = [[_pair_dot(row, col, tag) for row in rows] for col in u._cols]
     raw = [den]
-    for i in range(g):
-        ustar_row = [(a + s * b, -b) for a, b in ucols[i]]
+    for i, ustar_row in enumerate(u._star):
         for j in range(i, g):
-            raw += _int_dot(ustar_row, vcols[j], s, n)
+            raw += _pair_dot(ustar_row, vcols[j], tag)
     return HermMatrix._trusted(g, raw, tag)
 
 
@@ -494,19 +478,17 @@ def enumerate_semi_integral(g: int, trace_bound: int, tag: FieldTag) -> list[Her
         raise ValueError("trace_bound must be >= 0")
     if g == 1:
         return [HermMatrix._trusted(1, (1, d, 0), tag) for d in range(trace_bound + 1)]
-    s, n, disc = tag._norm_s, -tag._norm_t, abs(tag.disc)
+    disc = abs(tag.disc)
     form = _norm_levels(1, tag)  # v^T gram v = 2 N(v)
     results: list[HermMatrix] = []
 
     def disc_points(prev, c, bound):
         """Each x in c + prev sqrt(D) O with N(x) <= bound, as (a, b): the
         v = -x sqrt(D) in -c sqrt(D) + prev |D| O with 2 N(v) <= 2 |D| bound,
-        mapped back by x = v sqrt(D)/|D|, where (a + b*w) sqrt(D) =
-        -(s*a + 2t*b) + (2a + s*b)*w for sqrt(D) = 2w - s and t = -n."""
-        a, b = c
-        points = _lattice_points(form, (s * a - 2 * n * b, -2 * a - s * b), prev * disc,
-                                 2 * disc * bound)
-        return [((2 * n * b - s * a) // disc, (2 * a + s * b) // disc) for _q, (a, b) in points]
+        mapped back by x = v sqrt(D)/|D|."""
+        a, b = _pair_sqrt_disc(*c, tag)
+        points = _lattice_points(form, (-a, -b), prev * disc, 2 * disc * bound)
+        return [(a // disc, b // disc) for _q, v in points for a, b in (_pair_sqrt_disc(*v, tag),)]
 
     def fill(k, prev, rows, raw):
         """Rows k.. of the key `raw` of the matrix with diagonal `top`, from
@@ -520,9 +502,9 @@ def enumerate_semi_integral(g: int, trace_bound: int, tag: FieldTag) -> list[Her
             if k == g - 2:  # the last row: only t_gg is left
                 results.append(HermMatrix._trusted(g, key + [disc * top[-1], 0], tag))
                 continue
-            conj = [(a + s * b, -b) for a, b in xs]  # conj(a + b*w) = (a + s*b) - b*w
+            conj = [_pair_conj(a, b, tag) for a, b in xs]
             # M^(k+1)_ij = (q M^(k)_ij - conj(x_i) x_j) / prev, x_j = M^(k)_kj
-            fill(k + 1, q, [[[(q * e - f) // prev for e, f in zip(c, _int_dot([x], [y], s, n))]
+            fill(k + 1, q, [[[(q * e - f) // prev for e, f in zip(c, _pair_mul(*x, *y, tag))]
                              for c, y in zip(r, xs[i:])]
                             for i, (r, x) in enumerate(zip(rows[1:], conj))], key)
 
@@ -585,10 +567,9 @@ class _SublatticeData(Immutable):
     def __init__(self, tag: FieldTag, m: int):
         if m < 1:
             raise ValueError("m must be >= 1")
-        s, t = tag._norm_s, tag._norm_t
-        q = m if s else 2 * m
+        p, q = _pair_sqrt_disc(0, m, tag) if tag.half_basis else _pair_sqrt_disc(m, 0, tag)
         ell = m * m * abs(tag.disc) // q
-        self._fill(-2 * t * m % ell if s else 0, q, ell)
+        self._fill(p % ell, q, ell)
 
     def index(self, a: int, b: int) -> int:
         """The box index of the class of a + b*w modulo the sublattice."""
@@ -663,22 +644,18 @@ class CosetClass(Immutable):
 
 
 def _y_coords(x: FieldElement) -> tuple[int, int]:
-    """y = sqrt(D) x in O as its basis coordinates (a, b), for x in O^#:
-    with sqrt(D) = 2w - s, den*x*sqrt(D) = -(s*p + 2t*q) + (2p + s*q)*w.
-    Raises ValueError for x outside O^#."""
-    tag, p, q, den = x.tag, x.p, x.q, x.den
-    s = tag._norm_s
-    a, b = -(s * p + 2 * tag._norm_t * q), 2 * p + s * q
+    """y = sqrt(D) x in O as its basis coordinates (a, b), for x in O^#,
+    from den*x*sqrt(D).  Raises ValueError for x outside O^#."""
+    (a, b), den = _pair_sqrt_disc(x.p, x.q, x.tag), x.den
     if a % den or b % den:
         raise ValueError("%r does not lie in the inverse different" % (x,))
     return a // den, b // den
 
 
 def _from_y(a: int, b: int, tag: FieldTag) -> FieldElement:
-    """y/sqrt(D) for y = a + b*w in O, which is -y sqrt(D)/|D| since
-    N(sqrt(D)) = |D|: (s*a + 2t*b)/|D| - (2a + s*b)/|D| * w."""
-    s, t = tag._norm_s, tag._norm_t
-    return FieldElement._from_ints(s * a + 2 * t * b, -(2 * a + s * b), -tag.disc, tag)
+    """y/sqrt(D) for y = a + b*w in O, which is -y sqrt(D)/|D|."""
+    c, e = _pair_sqrt_disc(a, b, tag)
+    return FieldElement._from_ints(-c, -e, -tag.disc, tag)
 
 
 def reduce_class(r: Sequence[FieldElement], m: int) -> CosetClass:
@@ -727,11 +704,11 @@ def _small_cell(a: int, b: int, m: int, tag: FieldTag) -> tuple[FieldElement, in
     y/sqrt(D) and y = a + b*w, with N(sqrt(D) r0) = |D| N(r0).  alpha is the
     integer nearest x/m, which makes N(r0) least over the coset, and
     y0 = sqrt(D) r0 = y - m sqrt(D) alpha on ints."""
-    s, t = tag._norm_s, tag._norm_t
-    alpha = euclidean_round(FieldElement._from_ints(s * a + 2 * t * b, -(2 * a + s * b),
-                                                    -tag.disc * m, tag))
-    c, e = a + m * (s * alpha.p + 2 * t * alpha.q), b - m * (2 * alpha.p + s * alpha.q)
-    return _from_y(c, e, tag), c * c + s * c * e + t * e * e
+    c, e = _pair_sqrt_disc(a, b, tag)
+    alpha = euclidean_round(FieldElement._from_ints(-c, -e, -tag.disc * m, tag))
+    c, e = _pair_sqrt_disc(alpha.p, alpha.q, tag)
+    c, e = a - m * c, b - m * e
+    return _from_y(c, e, tag), _pair_norm(c, e, tag)
 
 
 def small_rep(s: CosetClass) -> Vector:
@@ -763,17 +740,17 @@ def _class_points(g: int, m: int, tag: FieldTag, bound: int,
     if 2 * len(wanted) >= (sub.ell * sub.q) ** g:
         points = _lattice_points(levels, (0,) * (2 * g), 1, 2 * bound)
         return [(index, q2 // 2, v) for q2, v in points if (index := sub.class_index(v)) in wanted]
-    s, t, disc = tag._norm_s, tag._norm_t, abs(tag.disc)
+    disc = abs(tag.disc)
     out = []
     for index in wanted:
-        start = []
-        for i in sub.digits(index, g):
-            a, b = divmod(i, sub.q)
-            start += (s * a + 2 * t * b, -(2 * a + s * b))
-        for q2, x in _lattice_points(levels, tuple(start), m * disc, 2 * disc * bound):
+        # X_s = -sqrt(D) y_s for the cells y_s of the class
+        start = tuple(-c for i in sub.digits(index, g)
+                      for c in _pair_sqrt_disc(*divmod(i, sub.q), tag))
+        for q2, x in _lattice_points(levels, start, m * disc, 2 * disc * bound):
             y = []
             for i in range(0, 2 * g, 2):  # y = sqrt(D) X / |D|
-                y += (-(s * x[i] + 2 * t * x[i + 1]) // disc, (2 * x[i] + s * x[i + 1]) // disc)
+                a, b = _pair_sqrt_disc(x[i], x[i + 1], tag)
+                y += (a // disc, b // disc)
             out.append((index, q2 // (2 * disc), tuple(y)))
     return out
 

@@ -21,10 +21,12 @@ from math import floor, inf, lcm
 from typing import Mapping, Sequence
 
 from .errors import ConsistencyError, RecordError
-from .field import FieldElement, FieldTag, Immutable, _coset_vectors
+from .field import (FieldElement, FieldTag, Immutable, _clear_dens, _coset_vectors, _pair_conj,
+                    _pair_mul, _pair_norm)
 from .hermitian import (
     CosetClass,
     HermMatrix,
+    Vector,
     _canonical_order, _class_points, _delta_cells, _from_y, _sublattice, _trace_sum,
     _trace_within, _y_coords,
     delta_classes,
@@ -34,8 +36,6 @@ from .hermitian import (
     small_rep,
 )
 from .series import FourierSeries, Vec, _all_zero, _nonzero, _zero_vec
-
-Vector = tuple[FieldElement, ...]
 
 
 def shift_matrix(r: Sequence[FieldElement], m: int) -> HermMatrix:
@@ -50,18 +50,16 @@ def shift_matrix(r: Sequence[FieldElement], m: int) -> HermMatrix:
 
 @lru_cache(maxsize=4096)
 def _shift_matrix(r: Vector, m: int) -> HermMatrix:
-    """On ints: for x = D*r_i = a + b*w and y = D*r_j = c + e*w, D the lcm
-    of the denominators of r, x conj(y) = (a*c + s*a*e + t*b*e) + (b*c - a*e)*w."""
+    """On ints: entry (i, j) is x conj(y)/(D^2 m) for x = D*r_i and
+    y = D*r_j in O, D the lcm of the denominators of r."""
     if m < 1:
         raise ValueError("index m must be >= 1, got %r" % (m,))
     tag = r[0].tag
-    s, t = tag._norm_s, tag._norm_t
-    den = lcm(*(x.den for x in r))
-    xs = [(x.p * (den // x.den), x.q * (den // x.den)) for x in r]
+    den, xs = _clear_dens(r)
     raw = [den * den * m]
-    for i, (a, b) in enumerate(xs):
-        for c, e in xs[i:]:
-            raw += (a * c + s * a * e + t * b * e, b * c - a * e)
+    for i in range(0, len(xs), 2):
+        for j in range(i, len(xs), 2):
+            raw += _pair_mul(xs[i], xs[i + 1], *_pair_conj(xs[j], xs[j + 1], tag), tag)
     return HermMatrix._trusted(len(r), raw, tag)
 
 
@@ -107,7 +105,7 @@ class JacobiTable(Immutable):
             raise ValueError("index must be >= 0")
         if dim < 1:
             raise ValueError("coefficient dimension must be >= 1")
-        trunc = trunc if isinstance(trunc, Fraction) else Fraction(trunc)
+        trunc = Fraction(trunc)
         bound = trunc.as_integer_ratio()
         clean: dict[tuple[HermMatrix, Vector], Vec] = {}
         good_r: set[Vector] = set()  # each distinct r is checked once
@@ -136,7 +134,7 @@ class JacobiTable(Immutable):
             if g == 1:
                 # 2x2 block: psd iff n = p/D >= 0 and n*m >= |r|^2 = N_num/den_r^2
                 (den, p, _q), x = n._key, r[0]
-                ok = p >= 0 and p * m * x.den * x.den >= x._norm_num() * den
+                ok = p >= 0 and p * m * x.den * x.den >= _pair_norm(x.p, x.q, tag) * den
             else:
                 ok = block_key(n, r, m).is_psd()
             if not ok:
@@ -221,7 +219,7 @@ def theta_coeffs(m: int, s: CosetClass, trunc,
     if s.m != m:
         raise ValueError("class has modulus %d, expected %d" % (s.m, m))
     tag = s.tag
-    trunc = trunc if isinstance(trunc, Fraction) else Fraction(trunc)
+    trunc = Fraction(trunc)
     points = _coset_vectors(s.rep, s.m, trunc * m, max_keys)
     if points is None:
         return None
@@ -380,7 +378,7 @@ def theta_recompose(v: ThetaComponentVector, trunc) -> JacobiTable:
     re-validation.
     """
     m = v.m
-    trunc = trunc if isinstance(trunc, Fraction) else Fraction(trunc)
+    trunc = Fraction(trunc)
     sample = next(iter(v.components.values()))
     tag, g, dim, weight = sample.tag, sample.g, sample.dim, sample.k
     cells, sub, scale = _delta_cells(m, tag), _sublattice(tag, m), abs(tag.disc) * m

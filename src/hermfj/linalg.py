@@ -2,16 +2,17 @@
 
 Matrices are immutable tuples of tuples of FieldElement: the entries of
 `UnitMatrix` and of the unitary groups, and the rows that the `HermMatrix`
-constructor checks with `is_hermitian`.  Sizes here are tiny (degree <= 4
-in practice), so determinants use cofactor expansion.  Hermitian matrices
-are held as ints, and their kernels in `hermitian` work on those.
+constructor checks with `is_hermitian`.  Determinants and inverses come
+from one Gaussian elimination over E, O(n^3) field operations, so a
+`UnitMatrix` of any genus is cheap to build and to invert.  Hermitian
+matrices are held as ints, and their kernels in `hermitian` work on those.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .field import FieldElement, FieldTag
+from .field import FieldElement, FieldTag, _pair_conj
 
 Matrix = tuple[tuple[FieldElement, ...], ...]
 
@@ -65,10 +66,6 @@ def mat_mul(x: Matrix, y: Matrix) -> Matrix:
     return tuple(out)
 
 
-def scalar_mul(c: FieldElement, x: Matrix) -> Matrix:
-    return tuple(tuple(c * a for a in row) for row in x)
-
-
 def conj_transpose(x: Matrix) -> Matrix:
     return tuple(tuple(a.conj() for a in col) for col in zip(*x))
 
@@ -76,11 +73,9 @@ def conj_transpose(x: Matrix) -> Matrix:
 def is_hermitian(x: Matrix) -> bool:
     """Whether x equals its conjugate transpose.
 
-    Compared on the canonical integer coordinates (p + q*w)/den, without
-    building conjugates: the diagonal has no w-part, and for each pair
-    u = x_ij, v = x_ji of one field, conj(v) = ((v.p + s*v.q) - v.q*w)/v.den
-    (conj(w) = s - w) is again canonical, so it equals u exactly when the
-    ints agree.
+    Compared on the canonical ints (p + q*w)/den: the diagonal has no
+    w-part, and the conjugate of v = x_ji over v.den is canonical, so it
+    equals u = x_ij exactly when the ints agree.
     """
     n, m = shape(x)
     if n != m:
@@ -91,47 +86,50 @@ def is_hermitian(x: Matrix) -> bool:
             return False
         for j in range(i + 1, n):
             u, v = row[j], x[j][i]
-            if u.tag.d != v.tag.d or u.q != -v.q or u.den != v.den:
-                return False
-            if u.p != v.p + u.tag._norm_s * v.q:
+            if u.tag.d != v.tag.d or u.den != v.den or (u.p, u.q) != _pair_conj(v.p, v.q, u.tag):
                 return False
     return True
 
 
-def det(x: Matrix) -> FieldElement:
+def _eliminate(x: Matrix, invert: bool = False) -> tuple[FieldElement, list[tuple]]:
+    """Gaussian elimination over E on the square x: (det x, x^-1 if
+    `invert`); a singular x gives det 0, or with `invert` raises ValueError.
+    Each pivot, the first nonzero entry on or below the diagonal, has its row
+    scaled to a leading 1; det x is the product of the pivots, signed by the
+    row swaps.  Only rows with a nonzero entry in the pivot column change:
+    those below it, or to invert, all of them, on (x | I) (Gauss-Jordan).
+    """
     n, m = shape(x)
     if n != m:
         raise ValueError("determinant of non-square matrix")
     if n == 0:
         raise ValueError("determinant of empty matrix")
-    if n == 1:
-        return x[0][0]
-    if n == 2:
-        return x[0][0] * x[1][1] - x[0][1] * x[1][0]
-    total = None
-    sign = 1
-    for j in range(n):
-        minor = tuple(tuple(row[c] for c in range(n) if c != j) for row in x[1:])
-        term = x[0][j] * det(minor)
-        if sign < 0:
-            term = -term
-        total = term if total is None else total + term
-        sign = -sign
-    return total
+    det = FieldElement.one(x[0][0].tag)
+    rows = [list(row) + list(e if invert else ()) for row, e in zip(x, identity(n, det.tag))]
+    for k in range(n):
+        i = next((i for i in range(k, n) if not rows[i][k].is_zero()), None)
+        if i is None:  # singular
+            if invert:
+                raise ValueError("matrix is singular")
+            return rows[k][k], []
+        if i != k:
+            rows[k], rows[i], det = rows[i], rows[k], -det
+        pivot = rows[k]
+        det = det * pivot[k]
+        if pivot[k] != 1:
+            inv = pivot[k].inv()
+            pivot[k:] = [inv * e for e in pivot[k:]]
+        for i in range(n) if invert else range(k + 1, n):
+            row, f = rows[i], rows[i][k]
+            if i != k and not f.is_zero():
+                row[k:] = [e - f * c for e, c in zip(row[k:], pivot[k:])]
+    return det, [tuple(row[n:]) for row in rows]
 
 
-def adjugate(x: Matrix) -> Matrix:
-    n, _ = shape(x)
-    if n == 1:
-        return identity(1, x[0][0].tag)
-    cof = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = tuple(
-                tuple(x[r][c] for c in range(n) if c != j) for r in range(n) if r != i
-            )
-            m = det(minor)
-            row.append(m if (i + j) % 2 == 0 else -m)
-        cof.append(row)
-    return tuple(tuple(cof[j][i] for j in range(n)) for i in range(n))
+def det(x: Matrix) -> FieldElement:
+    return _eliminate(x)[0]
+
+
+def inverse(x: Matrix) -> Matrix:
+    """x^-1 by Gauss-Jordan elimination; a singular x raises ValueError."""
+    return tuple(_eliminate(x, invert=True)[1])

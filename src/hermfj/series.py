@@ -74,7 +74,7 @@ class FourierSeries(Immutable):
             raise ValueError("degree must be >= 1")
         if dim < 1:
             raise ValueError("coefficient dimension must be >= 1")
-        trunc = trunc if isinstance(trunc, Fraction) else Fraction(trunc)
+        trunc = Fraction(trunc)
         bound = trunc.as_integer_ratio()
         clean: dict[HermMatrix, Vec] = {}
         for t, vec in coeffs.items():

@@ -6,6 +6,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from hermfj.ffj import disassemble
 from hermfj.field import FieldElement, make_field
 from hermfj.formats import read_family, read_jacobi, write_family, write_jacobi, write_series
@@ -154,6 +156,29 @@ def test_symmetry_check_passes_and_fails(tmp_path):
     code, out, err = run_cli("symmetry-check", "--in", str(bad))
     assert code == 3
     assert "violation" in out and "consistency" in err
+
+
+@pytest.mark.parametrize("g", [8, 30])
+def test_symmetry_check_of_a_header_only_series_at_high_genus(g, tmp_path, capsys, monkeypatch):
+    # each generator of GL_g(O) and its inverse cost O(g^2) field
+    # multiplications by elimination, where a cofactor expansion takes g!
+    from hermfj import cli
+
+    path = tmp_path / "empty.fjs"
+    path.write_text("FJS v1; d=-1; g=%d; k=4; trunc=2; dim=1\n" % g, encoding="ascii")
+    calls = []
+    mul = FieldElement.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counted)
+    monkeypatch.setattr(FieldElement, "__rmul__", counted)
+    assert cli.run(["symmetry-check", "--in", str(path)]) == 0
+    gens = 3 + (g - 1) + 4  # units other than 1, transpositions, elementary matrices
+    assert capsys.readouterr().out == "symmetry ok: %d generators\n" % gens
+    assert len(calls) <= 4 * gens * g * g
 
 
 def test_rearrange_and_psi0(tmp_path):

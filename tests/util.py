@@ -343,10 +343,40 @@ def principal_minor(m, idx) -> Fraction:
 
 
 def _minor_of_rows(rows, idx) -> Fraction:
+    sub = tuple(tuple(rows[i][j] for j in idx) for i in idx)
+    return det_by_cofactors(sub).as_rational()
+
+
+def det_by_cofactors(x):
+    """det of a nonempty square matrix of field elements by Laplace expansion
+    along the first row: n! terms (the former `linalg.det`)."""
+    n = len(x)
+    if n == 1:
+        return x[0][0]
+    total = None
+    for j in range(n):
+        minor = tuple(tuple(row[c] for c in range(n) if c != j) for row in x[1:])
+        term = x[0][j] * det_by_cofactors(minor)
+        term = term if j % 2 == 0 else -term
+        total = term if total is None else total + term
+    return total
+
+
+def adjugate_by_cofactors(x):
+    """The adjugate, entry (i, j) the signed (j, i) cofactor, so that
+    x adj(x) = det(x) I (the former `linalg.adjugate`)."""
     from hermfj import linalg
 
-    sub = tuple(tuple(rows[i][j] for j in idx) for i in idx)
-    return linalg.det(sub).as_rational()
+    n = len(x)
+    if n == 1:
+        return linalg.identity(1, x[0][0].tag)
+
+    def cofactor(i, j):
+        minor = tuple(tuple(x[r][c] for c in range(n) if c != j) for r in range(n) if r != i)
+        m = det_by_cofactors(minor)
+        return m if (i + j) % 2 == 0 else -m
+
+    return tuple(tuple(cofactor(j, i) for j in range(n)) for i in range(n))
 
 
 def psd_by_minors(m) -> bool:
