@@ -16,7 +16,9 @@ the whole module is safe for concurrent use.
 
 The `_pair_*` helpers define, once each, the int arithmetic of O on pairs
 (a, b) = a + b*w: conjugate, product, dot, norm, trace and the sqrt(D) map;
-`_clear_dens` brings elements to one denominator.  Other modules use these.
+`_clear_dens` brings elements to one denominator.  Other modules use these,
+and `hermitian` the Fincke-Pohst search `_lattice_points`, which here lists
+the cosets of `coset_points`.
 """
 
 from __future__ import annotations
@@ -584,29 +586,12 @@ def _norm_levels(g: int, tag: FieldTag) -> tuple[int, list[tuple[int, int, list]
                    for i in range(0, 2 * g, 2) for c, k, terms in block]
 
 
-def _coset_vectors(shift: Sequence[FieldElement], m: int, bound: RationalLike,
-                   limit: int | None = None) -> list[tuple[FieldElement, ...]] | None:
-    """All x in shift + m*O^g with sum_i N(x_i) <= bound, g = len(shift),
-    sorted by that sum and then by the coordinates (a_1, b_1, ..., b_g), so
-    that the points within a smaller bound form a prefix.  With a `limit`,
-    None when there are more than `limit` of them, found without listing
-    the rest.
-
-    One call of `_lattice_points` on `_norm_levels`, in the coordinates of
-    den*x, den the common denominator of the shift.
-    """
-    tag = shift[0].tag
-    den, start = _clear_dens(shift)
-    points = _lattice_points(_norm_levels(len(shift), tag), start, m * den,
-                             floor(2 * den * den * _as_fraction(bound)), limit)
-    if points is None:
-        return None
-    points.sort()
-    build = FieldElement._from_ints
-    return [tuple(build(v[i], v[i + 1], den, tag) for i in range(0, len(v), 2)) for _q, v in points]
-
-
 def coset_points(shift: FieldElement, m: int, bound: RationalLike) -> list[FieldElement]:
-    """All x in shift + m*O with N(x) <= bound, sorted by (norm, a, b);
-    `_coset_vectors` at g = 1."""
-    return [x for (x,) in _coset_vectors((shift,), m, bound)]
+    """All x in shift + m*O with N(x) <= bound, for any shift in E and
+    m >= 1, sorted by (norm, a, b): one `_lattice_points` search on den*x."""
+    if m < 1:
+        raise ValueError("m must be >= 1, got %r" % (m,))
+    tag, den = shift.tag, shift.den
+    points = sorted(_lattice_points(_norm_levels(1, tag), (shift.p, shift.q), m * den,
+                                    floor(2 * den * den * _as_fraction(bound))))
+    return [FieldElement._from_ints(p, q, den, tag) for _q, (p, q) in points]

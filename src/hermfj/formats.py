@@ -149,14 +149,17 @@ def _parse_matrix(text: str, g: int, tag: FieldTag, line: int) -> HermMatrix:
         raise ParseError(str(exc), line) from exc
 
 
-def _parse_vector(text: str, count: int, tag: FieldTag, line: int):
+def _parse_vector(text: str, count: int, tag: FieldTag, line: int, elements=None):
+    """With an `elements` map kept for one read, each distinct element text is parsed once."""
     parts = text.strip().split(",")
     if len(parts) != count:
         raise ParseError("expected %d elements, got %d" % (count, len(parts)), line)
+    elements = {} if elements is None else elements
     try:
-        return tuple(FieldElement.from_text(p, tag) for p in parts)
+        elements.update((p, FieldElement.from_text(p, tag)) for p in parts if p not in elements)
     except ValueError as exc:
         raise ParseError(str(exc), line) from exc
+    return tuple(elements[p] for p in parts)
 
 
 def _interned(parse, tag: FieldTag):
@@ -348,6 +351,7 @@ def read_components(text: str) -> ThetaComponentVector:
 
     _construct(component(trunc), {}, [])
     matrix, vector = _interned(_parse_matrix, tag), _interned(_parse_vector, tag)
+    rep_elements: dict[str, FieldElement] = {}
     classes: list[CosetClass] = []
     class_lines: list[int] = []
     components: dict[CosetClass, FourierSeries] = {}
@@ -363,7 +367,7 @@ def read_components(text: str) -> ThetaComponentVector:
                 raise ParseError("bad class header", i)
             if parts[0] != "class %d" % len(classes):
                 raise ParseError("expected section 'class %d'" % len(classes), i)
-            rep = _parse_vector(parts[1][len("rep = "):], g, tag, i)
+            rep = _parse_vector(parts[1][len("rep = "):], g, tag, i, rep_elements)
             try:
                 classes.append(CosetClass(m, rep, tag))
             except ValueError as exc:

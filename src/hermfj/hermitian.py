@@ -725,19 +725,20 @@ def _delta_cells(m: int, tag: FieldTag) -> list[tuple[FieldElement, int]]:
     return [_small_cell(*divmod(i, q), m, tag) for i in range(m * m * abs(tag.disc))]
 
 
-def _class_points(g: int, m: int, tag: FieldTag, bound: int,
-                  wanted) -> list[tuple[int, int, tuple[int, ...]]]:
+def _class_points(g: int, m: int, tag: FieldTag, bound: int, wanted,
+                  limit: int | None = None) -> list[tuple[int, int, tuple[int, ...]]] | None:
     """(class index, N(y), y) for each y = sqrt(D) r in O^g, as (a_1, b_1,
     ..., a_g, b_g), with N(y) = |D| N(r) <= bound and class index in
-    `wanted`, unordered.
+    `wanted`, unordered: the one search for the points of classes.
 
-    When at least half of the (m^2 |D|)^g classes are wanted, one lattice
-    search lists O^g and each point goes to its class; otherwise each
+    With no `limit` and at least half of the (m^2 |D|)^g classes wanted, one
+    lattice search lists O^g and each point goes to its class; otherwise each
     wanted class's coset is searched, on X = |D| r in X_s + m|D| Z^2g with
-    N(X) = |D| N(y), so few classes cost in proportion to their points.
+    N(X) = |D| N(y), so few classes cost in proportion to their points, and
+    the search stops with None one point past `limit`.
     """
     sub, levels = _sublattice(tag, m), _norm_levels(g, tag)
-    if 2 * len(wanted) >= (sub.ell * sub.q) ** g:
+    if limit is None and 2 * len(wanted) >= (sub.ell * sub.q) ** g:
         points = _lattice_points(levels, (0,) * (2 * g), 1, 2 * bound)
         return [(index, q2 // 2, v) for q2, v in points if (index := sub.class_index(v)) in wanted]
     disc = abs(tag.disc)
@@ -746,7 +747,11 @@ def _class_points(g: int, m: int, tag: FieldTag, bound: int,
         # X_s = -sqrt(D) y_s for the cells y_s of the class
         start = tuple(-c for i in sub.digits(index, g)
                       for c in _pair_sqrt_disc(*divmod(i, sub.q), tag))
-        for q2, x in _lattice_points(levels, start, m * disc, 2 * disc * bound):
+        points = _lattice_points(levels, start, m * disc, 2 * disc * bound,
+                                 None if limit is None else limit - len(out))
+        if points is None:
+            return None
+        for q2, x in points:
             y = []
             for i in range(0, 2 * g, 2):  # y = sqrt(D) X / |D|
                 a, b = _pair_sqrt_disc(x[i], x[i + 1], tag)

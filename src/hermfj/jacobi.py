@@ -17,23 +17,21 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, inf, lcm
+from math import inf
 from typing import Mapping, Sequence
 
 from .errors import ConsistencyError, RecordError
-from .field import (FieldElement, FieldTag, Immutable, _clear_dens, _coset_vectors, _pair_conj,
-                    _pair_mul, _pair_norm)
+from .field import (FieldElement, FieldTag, Immutable, _clear_dens, _pair_conj, _pair_mul,
+                    _pair_norm, _pair_sqrt_disc)
 from .hermitian import (
     CosetClass,
     HermMatrix,
     Vector,
-    _canonical_order, _class_points, _delta_cells, _from_y, _sublattice, _trace_sum,
-    _trace_within, _y_coords,
+    _canonical_order, _class_points, _delta_cells, _from_y, _small_cell, _sublattice,
+    _trace_sum, _trace_within, _y_coords,
     delta_classes,
     join_block,
     min_represented,
-    reduce_class,
-    small_rep,
 )
 from .series import FourierSeries, Vec, _all_zero, _nonzero, _zero_vec
 
@@ -214,19 +212,24 @@ class JacobiTable(Immutable):
 def theta_coeffs(m: int, s: CosetClass, trunc,
                  max_keys: int | None = None) -> JacobiTable | None:
     """The theta table of index m and shift s: coefficient 1 exactly at the
-    keys (r m^-1 r*, r) for r in the class; weight recorded as the cogenus.
-    None if it has more than `max_keys` keys, found before any is built."""
+    keys (r m^-1 r*, r) for r in the class, any rep, from
+    `hermitian._class_points`; weight recorded as the cogenus.  Keys are in
+    the order of N(r), then of the coordinates of |D| r = -sqrt(D) y.  None
+    if there are more than `max_keys`, found before any key is built."""
     if s.m != m:
         raise ValueError("class has modulus %d, expected %d" % (s.m, m))
-    tag = s.tag
-    trunc = Fraction(trunc)
-    points = _coset_vectors(s.rep, s.m, trunc * m, max_keys)
+    tag, trunc, pairs = s.tag, Fraction(trunc), range(0, 2 * s.g, 2)
+    top, den = trunc.as_integer_ratio()
+    index = _sublattice(tag, m).class_index([c for x in s.rep for c in _y_coords(x)])
+    # each key has trace |r|^2/m <= trunc and a rank-one PSD block
+    points = _class_points(s.g, m, tag, top * abs(tag.disc) * m // den, (index,), max_keys)
     if points is None:
         return None
-    one = FieldElement.one(tag)
-    # each key has trace |r|^2/m <= trunc and a rank-one PSD block
-    coeffs = {(shift_matrix(r, m), r): (one,) for r in points}
-    return JacobiTable._trusted(s.g, 1, m, tag, trunc, coeffs)
+    order = sorted((norm, [-c for i in pairs for c in _pair_sqrt_disc(y[i], y[i + 1], tag)],
+                    tuple(_from_y(y[i], y[i + 1], tag) for i in pairs)) for _i, norm, y in points)
+    one = (FieldElement.one(tag),)
+    return JacobiTable._trusted(s.g, 1, m, tag, trunc,
+                                {(shift_matrix(r, m), r): one for _n, _x, r in order})
 
 
 class ThetaComponentVector(Immutable):
@@ -282,13 +285,14 @@ def theta_decompose(phi: JacobiTable, strict: bool = False) -> ThetaComponentVec
     body[n'].  The keys of s, all matched, map one-to-one into these pairs
     (n', r), so it is enough that s has as many keys as pairs, counted on
     the points of the classes with keys (`hermitian._class_points`); a
-    class short of keys is walked.
+    class short of keys is walked on the keys of its theta table.
 
     Raises ConsistencyError with a witness (n', r, r') at the first failed
     probe, by key in the order of phi.coeffs, then by class: r0 + m e_1
     for each n' in the order the keys first give it, then the r of each n'
-    by norm.  Each n' is the Schur complement of a PSD block, within its
-    class's truncation, so the components skip re-validation.
+    in the key order of `theta_coeffs`.  Each n' is the Schur complement of
+    a PSD block, within its class's truncation, so the components skip
+    re-validation.
     """
     m = phi.m
     if m < 1:
@@ -323,13 +327,13 @@ def theta_decompose(phi: JacobiTable, strict: bool = False) -> ThetaComponentVec
             raise ConsistencyError("well-definedness violation: representatives disagree",
                                    witness=(nprime, r, r0))
 
+    top, den = trunc.as_integer_ratio()
     norms: dict[int, list[int]] = {}
     if strict:
-        for index, norm, _y in _class_points(g, m, tag, floor(trunc * scale), found):
+        for index, norm, _y in _class_points(g, m, tag, top * scale // den, found):
             norms.setdefault(index, []).append(norm)
         for ns in norms.values():
             ns.sort()
-    top, den = trunc.as_integer_ratio()
     classes, components = delta_classes(g, m, tag), {}
     for index, s in enumerate(classes):
         # trunc less the trace of the shift of r0
@@ -348,14 +352,11 @@ def theta_decompose(phi: JacobiTable, strict: bool = False) -> ThetaComponentVec
                 raise ConsistencyError("well-definedness violation at spare representative",
                                        witness=(nprime, r0, r1))
         # the pairs (n', r) with N(y) <= (trunc - tr n') |D| m, against the
-        # keys; short of keys, walk the r of s in norm order to the witness
+        # keys; short of keys, walk the keys of theta_s to the witness
         if strict and len(body) + off != sum(
                 bisect_right(norms.get(index, ()), (top * d - num * den) * scale // (den * d))
                 for num, d in (nprime._trace for nprime in body)):
-            big = lcm(*(n._trace[1] for n in body))
-            least = Fraction(min(n._trace[0] * (big // n._trace[1]) for n in body), big)
-            points = [(shift_matrix(r, m), r)
-                      for r in _coset_vectors(s.rep, m, (trunc - least) * m)]
+            points = theta_coeffs(m, s, trunc).coeffs
             for nprime, vec in body.items():
                 room = _trace_sum((top, den), nprime._trace, -1)
                 for shift, r_any in points:
@@ -414,11 +415,14 @@ def series_times_theta(h: FourierSeries, theta: JacobiTable) -> JacobiTable:
     table must be truncated at least there.  A PSD n' plus a valid key of
     theta is a valid key, so the table skips re-validation.
     """
-    m = theta.m
+    m, tag = theta.m, theta.tag
     if not theta.coeffs:
         raise ValueError("empty theta table")
-    cls = reduce_class(next(iter(theta.coeffs))[1], m)
-    shift0 = shift_matrix(small_rep(cls), m).trace()
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    # tr(r0 m^-1 r0*) for r0 the small representative of the class of the keys
+    shift0 = Fraction(sum(_small_cell(*_y_coords(x), m, tag)[1]
+                          for x in next(iter(theta.coeffs))[1]), abs(tag.disc) * m)
     out_trunc = h.trunc + shift0
     if theta.trunc < out_trunc:
         raise ValueError("theta truncation %s below product target %s" % (theta.trunc, out_trunc))

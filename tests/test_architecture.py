@@ -3,8 +3,14 @@
 The coordinate arithmetic of O has one home: `field` defines it on int
 pairs, and every other module calls those helpers.  So the basis constants
 `_norm_s` and `_norm_t` of a `FieldTag` are read nowhere but in `field.py`.
+
+Lattice searches have one home too: `field._lattice_points` is called only
+in `field` and `hermitian`, and the points of a class of Delta_g(m) come
+from `hermitian._class_points` alone.  So `jacobi` imports no search from
+`field`, nor the class reductions `reduce_class` and `small_rep`.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -22,3 +28,38 @@ def test_norm_constants_are_read_only_in_field():
             if re.search(r"_norm_[st]\b", line):
                 found.append("%s:%d: %s" % (path.name, number, line.strip()))
     assert not found, "\n".join(found)
+
+
+#: the search kernels of `field` and the searches built on them
+FIELD_SEARCHES = {"_coset_vectors", "_lattice_points", "_ldl_pivots", "_norm_levels",
+                  "_search_levels", "coset_points"}
+
+
+def lines_matching(pattern: str, skip: tuple[str, ...]) -> list[str]:
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in skip:
+            continue
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if re.search(pattern, line):
+                found.append("%s:%d: %s" % (path.name, number, line.strip()))
+    return found
+
+
+def test_lattice_points_is_called_only_in_field_and_hermitian():
+    found = lines_matching(r"\b_lattice_points\b", ("field.py", "hermitian.py"))
+    assert not found, "\n".join(found)
+
+
+def test_the_coset_vector_search_is_gone():
+    found = lines_matching(r"\b_coset_vectors\b", ())
+    assert not found, "\n".join(found)
+
+
+def test_jacobi_imports_no_search_and_no_class_reduction():
+    tree = ast.parse((SRC / "jacobi.py").read_text(encoding="utf-8"))
+    imported = {(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    banned = {("field", name) for name in FIELD_SEARCHES}
+    banned |= {("hermitian", "reduce_class"), ("hermitian", "small_rep"), (None, "field")}
+    assert not imported & banned, imported & banned

@@ -325,7 +325,7 @@ def test_decompose_refuses_a_table_over_the_section_limit(tmp_path, capsys):
 
 
 def test_theta_refuses_a_table_over_the_entry_limit(tmp_path, capsys, monkeypatch):
-    from hermfj import cli, field
+    from hermfj import cli, field, hermitian
 
     searches = []
     search = field._lattice_points
@@ -336,6 +336,7 @@ def test_theta_refuses_a_table_over_the_entry_limit(tmp_path, capsys, monkeypatc
         return points
 
     monkeypatch.setattr(field, "_lattice_points", counted)
+    monkeypatch.setattr(hermitian, "_lattice_points", counted)
     out = tmp_path / "t.hjf"
     # about pi * 10^11 keys: the search stops one point past the limit and
     # builds none of them
@@ -372,8 +373,9 @@ def test_theta_refuses_a_table_over_the_entry_limit(tmp_path, capsys, monkeypatc
 
 def test_theta_at_a_large_index_builds_only_its_class(tmp_path, monkeypatch):
     # Delta_1(1000) over Q(sqrt(-3)) has 3 * 10^6 classes; the shift class
-    # is built from the digits of its index, one component
-    from hermfj import cli, hermitian
+    # is built from the digits of its index, one component, and the one key
+    # r = 0 from its point y = 0
+    from hermfj import cli, hermitian, jacobi
 
     built = []
     from_y = hermitian._from_y
@@ -383,11 +385,12 @@ def test_theta_at_a_large_index_builds_only_its_class(tmp_path, monkeypatch):
         return from_y(a, b, tag)
 
     monkeypatch.setattr(hermitian, "_from_y", counted)
+    monkeypatch.setattr(jacobi, "_from_y", counted)
     tag = make_field(-3)
     out = tmp_path / "m1000.hjf"
     assert cli.run(["theta", "--field", "-3", "--m", "1000", "--shift", "0", "--trunc", "1",
                     "--out", str(out)]) == 0
-    assert built == [(0, 0)]
+    assert built == [(0, 0), (0, 0)]
     zero = CosetClass(1000, (FieldElement.zero(tag),), tag)
     assert out.read_text(encoding="ascii") == write_jacobi(theta_coeffs(1000, zero, 1))
 

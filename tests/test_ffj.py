@@ -20,11 +20,12 @@ from hermfj.ffj import (
     split_block,
     zero_pad,
 )
-from hermfj.field import FieldElement, _coset_vectors, make_field
+from hermfj.field import FieldElement, make_field
 from hermfj.hermitian import HermMatrix, delta_classes, enumerate_semi_integral, reduce_class, small_rep
 from hermfj.jacobi import JacobiTable, shift_matrix, theta_decompose
 from hermfj.series import FourierSeries, gl_generators, symmetrize
 from util import (
+    _coset_vectors,
     SplitTableFamily,
     all_tags,
     assemble_by_tables,

@@ -1,5 +1,5 @@
 """Cross-checks of the integer-coordinate lattice kernels `gl_action`,
-`min_represented`, `coset_points`, `field._coset_vectors` and the
+`min_represented`, `coset_points`, `util._coset_vectors` and the
 fraction-free LDL^T of `field._search_levels` against their predecessors in
 `util`: two generic field-element matrix products, Fincke-Pohst searches in
 Fractions and in integers, coordinate ranges over-approximated in Fractions,
@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from hermfj.field import FieldElement, _coset_vectors, _search_levels, coset_points, sqrt_disc
+from hermfj.field import FieldElement, _search_levels, coset_points, sqrt_disc
 from hermfj.hermitian import (
     CosetClass,
     HermMatrix,
@@ -23,6 +23,7 @@ from hermfj.hermitian import (
 from hermfj.jacobi import shift_matrix, theta_coeffs
 from hermfj.series import gl_generators
 from util import (
+    _coset_vectors,
     all_tags,
     class_points_by_recursion,
     coset_points_by_fractions,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -303,3 +304,30 @@ def test_readers_match_the_per_line_oracle():
         assert got == read_by_lines(text), text.splitlines()[0]
         seen.add(text.split(" ")[0])
     assert seen == {"FJS", "HJF", "FJFAM", "HJC"}
+
+
+def test_bundle_class_reps_parse_each_component_text_once(monkeypatch):
+    # Delta_2(2) over Q(i) has 256 classes, whose 512 rep components are 16
+    # distinct texts; every class but one has an empty body
+    from hermfj import field
+
+    tag = make_field(-1)
+    s = delta_classes(2, 2, tag)[37]
+    text = write_components(theta_decompose(theta_coeffs(2, s, 2)))
+    parsed = []
+    parse = field._parse_token
+
+    def counted(token):
+        parsed.append(token)
+        return parse(token)
+
+    monkeypatch.setattr(field, "_parse_token", counted)
+    bundle = read_any(text)
+    reps = [part for line in text.splitlines() if line.startswith("[class ")
+            for part in line.split("; rep = ")[1].split(";")[0].split(",")]
+    values = [line.split(" ; c = ")[1] for line in text.splitlines() if " ; c = " in line]
+    assert len(reps) == 512 and len(set(reps)) == 16
+    # one parse per distinct rep component text, and one per distinct value
+    assert Counter(parsed) == Counter(set(reps)) + Counter(set(values))
+    monkeypatch.undo()
+    assert bundle == read_by_lines(text)

@@ -3,7 +3,7 @@ class-by-class code they replaced (kept in `tests/util.py`).
 
 Small representatives rounded per component on ints are compared with
 rounding in field arithmetic; one listing of y = sqrt(D) r sorted into
-class buckets with one `field._coset_vectors` search per class; and
+class buckets with one `util._coset_vectors` search per class; and
 decomposition that reads each body at r0 and checks `strict` by counting
 with decomposition by probes: the same components, or the same exception
 with the same witness, on consistent tables, on tables with a coefficient
@@ -20,14 +20,14 @@ from itertools import islice
 import pytest
 
 from hermfj.errors import ConsistencyError
-from hermfj.field import FieldElement, _coset_vectors, _lattice_points, _norm_levels, \
+from hermfj.field import FieldElement, _lattice_points, _norm_levels, \
     _search_levels, euclidean_round, make_field
 from hermfj.hermitian import CosetClass, _class_points, _delta_cells, _from_y, delta_classes, \
     enumerate_semi_integral, reduce_class, small_rep
 from hermfj.jacobi import JacobiTable, ThetaComponentVector, shift_matrix, theta_coeffs, \
     theta_decompose, theta_recompose
 from hermfj.series import FourierSeries
-from util import ALL_D, euclidean_round_by_norms, small_rep_by_rounding, \
+from util import ALL_D, _coset_vectors, euclidean_round_by_norms, small_rep_by_rounding, \
     theta_decompose_by_probes, theta_recompose_by_classes
 
 CASES = [(g, m) for g in (1, 2) for m in (1, 2, 3)] + [(3, 1)]

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from hermfj.field import FieldElement, FieldTag, Immutable, _coset_vectors, make_field
+from hermfj.field import FieldElement, FieldTag, Immutable, make_field
 
 ALL_D = (-1, -2, -3, -7, -11)
 
@@ -604,7 +604,7 @@ def coset_points_by_fractions(shift, m: int, bound) -> list:
 
 def class_points_by_recursion(s, norm_bound) -> list:
     """All r in the class s with |r|^2 <= norm_bound, ordered by (|r|^2,
-    sort keys): the predecessor of `field._coset_vectors` on the rep and
+    sort keys): the predecessor of `_coset_vectors` on the rep and
     modulus of s, a recursion over the per-component
     `coset_points_by_fractions`."""
     norm_bound = Fraction(norm_bound)
@@ -624,6 +624,33 @@ def class_points_by_recursion(s, norm_bound) -> list:
     build(0, (), Fraction(0))
     out.sort(key=lambda point: (point[0], tuple(x.sort_key() for x in point[1])))
     return [r for _norm, r in out]
+
+
+def _coset_vectors(shift, m: int, bound, limit: int | None = None):
+    """All x in shift + m*O^g with sum_i N(x_i) <= bound, g = len(shift),
+    sorted by that sum and then by the coordinates (a_1, b_1, ..., b_g), so
+    that the points within a smaller bound form a prefix.  With a `limit`,
+    None when there are more than `limit` of them, found without listing
+    the rest.
+
+    One call of `field._lattice_points` on `_norm_levels`, in the
+    coordinates of den*x, den the common denominator of the shift: the
+    predecessor of `hermitian._class_points` in `jacobi.theta_coeffs` and
+    the strict walk of `jacobi.theta_decompose`, kept as their oracle.
+    """
+    from math import floor
+
+    from hermfj.field import _clear_dens, _lattice_points, _norm_levels
+
+    tag = shift[0].tag
+    den, start = _clear_dens(shift)
+    points = _lattice_points(_norm_levels(len(shift), tag), start, m * den,
+                             floor(2 * den * den * Fraction(bound)), limit)
+    if points is None:
+        return None
+    points.sort()
+    build = FieldElement._from_ints
+    return [tuple(build(v[i], v[i + 1], den, tag) for i in range(0, len(v), 2)) for _q, v in points]
 
 
 def min_represented_by_best_budget(t) -> Fraction:
@@ -1171,7 +1198,7 @@ def small_rep_by_rounding(s) -> tuple:
 
 
 def theta_recompose_by_classes(v, trunc):
-    """`jacobi.theta_recompose` class by class: one `field._coset_vectors`
+    """`jacobi.theta_recompose` class by class: one `_coset_vectors`
     search per class with a nonzero component."""
     from hermfj.hermitian import _trace_sum, _trace_within
     from hermfj.jacobi import JacobiTable, shift_matrix
@@ -1206,7 +1233,7 @@ def theta_decompose_by_probes(phi, strict: bool = False):
     table's key at the small representative r0 of its class, each n' with
     the spare representative r0 + m e_1, and with `strict` each n' with
     every representative inside the truncation, listed per class by
-    `field._coset_vectors`.  Raises the same ConsistencyError, with the same
+    `_coset_vectors`.  Raises the same ConsistencyError, with the same
     witness, at the same first failure."""
     from math import lcm
 
@@ -1260,6 +1287,43 @@ def theta_decompose_by_probes(phi, strict: bool = False):
         components[s] = FourierSeries._trusted(g, phi.k - 1, tag, phi.trunc - shift0.trace(),
                                                body, phi.dim, semi_integral=False)
     return ThetaComponentVector(m, classes, components)
+
+
+def theta_coeffs_by_coset_vectors(m: int, s, trunc, max_keys: int | None = None):
+    """`jacobi.theta_coeffs` on `_coset_vectors`: one search of the coset
+    of the rep of s, in den*r coordinates, keys in its order."""
+    from hermfj.jacobi import JacobiTable, shift_matrix
+
+    trunc = Fraction(trunc)
+    points = _coset_vectors(s.rep, s.m, trunc * m, max_keys)
+    if points is None:
+        return None
+    one = FieldElement.one(s.tag)
+    coeffs = {(shift_matrix(r, m), r): (one,) for r in points}
+    return JacobiTable._trusted(s.g, 1, m, s.tag, trunc, coeffs)
+
+
+def series_times_theta_by_small_rep(h, theta):
+    """`jacobi.series_times_theta` with its minimal shift read as the trace
+    of `shift_matrix(small_rep(reduce_class(r, m)), m)`, r of one key."""
+    from hermfj.hermitian import _trace_within, reduce_class, small_rep
+    from hermfj.jacobi import JacobiTable, shift_matrix
+
+    m = theta.m
+    if not theta.coeffs:
+        raise ValueError("empty theta table")
+    cls = reduce_class(next(iter(theta.coeffs))[1], m)
+    out_trunc = h.trunc + shift_matrix(small_rep(cls), m).trace()
+    if theta.trunc < out_trunc:
+        raise ValueError("theta truncation %s below product target %s" % (theta.trunc, out_trunc))
+    bound = out_trunc.as_integer_ratio()
+    coeffs = {}
+    for (n_theta, r), _one in theta.coeffs.items():
+        for nprime, vec in h.coeffs.items():
+            n = nprime.add(n_theta)
+            if _trace_within(n, bound):
+                coeffs[(n, r)] = vec
+    return JacobiTable._trusted(h.g, h.k + 1, m, h.tag, out_trunc, coeffs, h.dim)
 
 
 # ----------------------------------------------------------------------
