@@ -601,10 +601,11 @@ class CosetClass(Immutable):
 
     The constructor rejects m < 1 and a rep that is empty or has a
     component outside O^# of `tag`; `_trusted` skips the checks for
-    `reduce_class` and `delta_classes`.
+    `reduce_class` and `delta_classes`.  Both store the hash, so a class
+    used as a key is not hashed again.
     """
 
-    __slots__ = ("m", "rep", "tag")
+    __slots__ = ("m", "rep", "tag", "_hash")
 
     def __init__(self, m: int, rep: Vector, tag: FieldTag):
         rep = tuple(rep)
@@ -617,13 +618,13 @@ class CosetClass(Immutable):
                 raise ValueError("class component %r is not in the field d=%d" % (x, tag.d))
             if not x.is_dual_integral():
                 raise ValueError("class component %r is not in the inverse different" % (x,))
-        self._fill(m, rep, tag)
+        self._fill(m, rep, tag, hash((m, rep, tag.d)))
 
     @classmethod
     def _trusted(cls, m: int, rep: Vector, tag: FieldTag) -> "CosetClass":
         """The class of `rep`, a nonempty tuple over O^# of `tag`, modulo
         m O^g for m >= 1; skips the checks of `__init__`."""
-        return object.__new__(cls)._fill(m, rep, tag)
+        return object.__new__(cls)._fill(m, rep, tag, hash((m, rep, tag.d)))
 
     @property
     def g(self) -> int:
@@ -634,7 +635,7 @@ class CosetClass(Immutable):
                 and (other.m, other.tag, other.rep) == (self.m, self.tag, self.rep))
 
     def __hash__(self):
-        return hash((self.m, self.rep, self.tag.d))
+        return self._hash
 
     def to_text(self) -> str:
         return ",".join(e.to_text() for e in self.rep)

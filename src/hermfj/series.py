@@ -218,6 +218,21 @@ def _apply_rho(rho_mat, vec: Vec) -> Vec:
     return tuple(sum((a * b for a, b in zip(row, vec)), zero) for row in rho_mat)
 
 
+def _steps(units: Iterable[UnitMatrix]) -> tuple[dict[UnitMatrix, int], list[int]]:
+    """(index, inv): `index` numbers the distinct matrices among `units` and
+    their inverses, in first-seen order of `units` then the inverses, and
+    inv[i] is the number of the inverse of matrix i."""
+    distinct = list(dict.fromkeys(units))
+    inverses = [u.inverse() for u in distinct]
+    index: dict[UnitMatrix, int] = {}
+    for u in distinct + inverses:
+        index.setdefault(u, len(index))
+    inv = [0] * len(index)
+    for u, v in zip(distinct, inverses):
+        inv[index[u]], inv[index[v]] = index[v], index[u]
+    return index, inv
+
+
 def check_symmetry(
     f: FourierSeries,
     units: Iterable[UnitMatrix],
@@ -225,36 +240,46 @@ def check_symmetry(
 ) -> list[tuple[UnitMatrix, HermMatrix]]:
     """Violations of rho(rot(u)) c(f; u* t u) = (det u*)^k c(f; t).
 
-    For every u and every candidate key t whose image also lies inside the
+    For every u and every key t whose image also lies inside the
     truncation, both sides are compared exactly; the returned list is empty
-    precisely when the series is symmetric at this truncation.  Vector-
-    valued series require `rho` giving the explicit matrix per generator.
+    precisely when the series is symmetric at this truncation.  Only a
+    support key t, or a preimage t = u^-1 s outside the support of a support
+    key s, can fail; each u's violations come in the canonical key order.
+    Vector-valued series require `rho` giving the explicit matrix per
+    generator.  One call maps the support once under each distinct matrix
+    among `units` and their inverses: |support| x (their number)
+    `gl_action` calls, in maps that die with the call.
     """
-    violations = []
-    bound = f.trunc.as_integer_ratio()
+    units = list(units)
+    checks = []
     for u in units:
         if u.g != f.g or u.tag != f.tag:
             raise ValueError("generator size or field mismatch")
-        u_inv = u.inverse()
-        det_pow = u.det_unit.conj() ** f.k
         rho_mat = None
         if f.dim > 1:
             if rho is None:
                 raise ValueError("vector-valued series need an explicit rho")
             rho_mat = linalg.freeze(rho(u))
-        candidates = set(f.coeffs) | {gl_action(u_inv, t) for t in f.coeffs}
-        for t in _canonical_order(candidates):
-            if not _trace_within(t, bound):
-                continue
-            image = gl_action(u, t)
-            if not _trace_within(image, bound):
+        checks.append((u, u.det_unit.conj() ** f.k, rho_mat))
+    index, inv = _steps(units)
+    keys = list(f.coeffs)
+    images = [[gl_action(m, t) for t in keys] for m in index]
+    bound = f.trunc.as_integer_ratio()
+    violations = []
+    for u, det_pow, rho_mat in checks:
+        i = index[u]
+        pairs = list(zip(keys, images[i]))  # (t, u* t u)
+        pairs += [(t, s) for s, t in zip(keys, images[inv[i]]) if t not in f.coeffs]
+        bad = []
+        for t, image in pairs:
+            if not (_trace_within(t, bound) and _trace_within(image, bound)):
                 continue
             lhs = f.coefficient(image)
             if rho_mat is not None:
                 lhs = _apply_rho(rho_mat, lhs)
-            rhs = tuple(det_pow * v for v in f.coefficient(t))
-            if lhs != rhs:
-                violations.append((u, t))
+            if lhs != tuple(det_pow * v for v in f.coefficient(t)):
+                bad.append(t)
+        violations += [(u, t) for t in _canonical_order(bad)]
     return violations
 
 
@@ -282,7 +307,7 @@ def gl_generators(g: int, tag: FieldTag) -> list[UnitMatrix]:
     return gens
 
 
-def symmetrize(f: FourierSeries, units: Sequence[UnitMatrix]) -> FourierSeries:
+def symmetrize(f: FourierSeries, units: Iterable[UnitMatrix]) -> FourierSeries:
     """Spreads each seed coefficient over the orbit of its key under the
     group generated by `units`, restricted to the truncation window, with
     the (det u*)^k factor tracked along paths.
@@ -293,11 +318,19 @@ def symmetrize(f: FourierSeries, units: Sequence[UnitMatrix]) -> FourierSeries:
     dropped.  The result passes `check_symmetry` for these generators.
     GL_g(O) preserves semi-integrality and semidefiniteness, so the result
     skips re-validation.
+
+    The walk steps by the distinct matrices among `units` and their
+    inverses.  When u maps t to x inside the window, the call records that
+    u^-1 maps x back to t and skips that edge, whose factor check repeats
+    this one.  So it makes one `gl_action` call per edge inside the window
+    and one per step out of it; the record dies with the call.
     """
-    steps = [(u, u.det_unit.conj() ** f.k) for u in list(units) + [u.inverse() for u in units]]
+    index, inv = _steps(units)
+    steps = [(u, u.det_unit.conj() ** f.k) for u in index]
     bound = f.trunc.as_integer_ratio()
     out: dict[HermMatrix, Vec] = {}
     done: set[HermMatrix] = set()
+    known: dict[HermMatrix, set[int]] = {}  # key -> steps that lead back into the walk
     for seed in _canonical_order(f.coeffs):
         if seed in done:
             continue
@@ -310,10 +343,14 @@ def symmetrize(f: FourierSeries, units: Sequence[UnitMatrix]) -> FourierSeries:
             nxt = []
             for t in frontier:
                 base = factors[t]
-                for u, det_pow in steps:
+                skip = known.setdefault(t, set())
+                for j, (u, det_pow) in enumerate(steps):
+                    if j in skip:
+                        continue
                     image = gl_action(u, t)
                     if not _trace_within(image, bound):
                         continue
+                    known.setdefault(image, set()).add(inv[j])
                     fac = base * det_pow
                     prev = factors.get(image)
                     if prev is None:

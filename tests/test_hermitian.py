@@ -5,6 +5,7 @@ import pytest
 
 from hermfj.field import FieldElement, euclidean_constant, make_field, unit_group
 from hermfj.hermitian import (
+    CosetClass,
     HermMatrix,
     UnitMatrix,
     delta_class,
@@ -340,3 +341,23 @@ def test_gl_action_preserves_semi_integral_psd():
             u = _random_unit(rng, 2, tag)
             image = gl_action(u, t)
             assert image.is_semi_integral() and image.is_psd()
+
+
+def test_coset_class_hash_is_stored(monkeypatch):
+    tag = make_field(-3)
+    classes = list(delta_classes(2, 2, tag))
+    classes.append(CosetClass(3, (fe(0, 0, tag), fe(1, 0, tag)), tag))
+    classes.append(reduce_class((fe(5, 0, tag), fe(2, 1, tag)), 2))
+    hashes = [hash(s) for s in classes]
+    calls = [0]
+    element_hash = FieldElement.__hash__
+
+    def counted(x):
+        calls[0] += 1
+        return element_hash(x)
+
+    monkeypatch.setattr(FieldElement, "__hash__", counted)
+    assert [hash(s) for s in classes] == hashes
+    assert all(s in set(classes) for s in classes)
+    assert calls[0] == 0
+    assert hash(classes[0]) == hash((2, classes[0].rep, tag.d))

@@ -1327,6 +1327,89 @@ def series_times_theta_by_small_rep(h, theta):
 
 
 # ----------------------------------------------------------------------
+# unimodular symmetry oracles (the orbit walks before one action per edge)
+
+
+def symmetrize_by_all_steps(f, units):
+    """`series.symmetrize` stepping from every orbit key by every unit and
+    every inverse, repeats included, and checking the factor on each
+    directed edge inside the window."""
+    from hermfj.hermitian import _canonical_order, _trace_within, gl_action
+    from hermfj.series import FourierSeries
+
+    steps = [(u, u.det_unit.conj() ** f.k) for u in list(units) + [u.inverse() for u in units]]
+    bound = f.trunc.as_integer_ratio()
+    out = {}
+    done = set()
+    for seed in _canonical_order(f.coeffs):
+        if seed in done:
+            continue
+        vec = f.coeffs[seed]
+        factors = {seed: FieldElement.one(f.tag)}
+        frontier = [seed]
+        consistent = True
+        while frontier:
+            nxt = []
+            for t in frontier:
+                base = factors[t]
+                for u, det_pow in steps:
+                    image = gl_action(u, t)
+                    if not _trace_within(image, bound):
+                        continue
+                    fac = base * det_pow
+                    prev = factors.get(image)
+                    if prev is None:
+                        factors[image] = fac
+                        nxt.append(image)
+                    elif prev != fac:
+                        consistent = False
+            frontier = nxt
+        done.update(factors)
+        if not consistent:
+            continue
+        for t, fac in factors.items():
+            contrib = tuple(fac * v for v in vec)
+            prev = out.get(t)
+            out[t] = tuple(a + b for a, b in zip(prev, contrib)) if prev is not None else contrib
+    return FourierSeries._trusted(f.g, f.k, f.tag, f.trunc, out, f.dim, f.semi_integral)
+
+
+def check_symmetry_by_candidates(f, units, rho=None):
+    """`series.check_symmetry` per unit over every candidate key, the support
+    and its preimages, sorted by the canonical order, each acted on anew."""
+    from hermfj import linalg
+    from hermfj.hermitian import _canonical_order, _trace_within, gl_action
+
+    violations = []
+    bound = f.trunc.as_integer_ratio()
+    for u in units:
+        if u.g != f.g or u.tag != f.tag:
+            raise ValueError("generator size or field mismatch")
+        u_inv = u.inverse()
+        det_pow = u.det_unit.conj() ** f.k
+        rho_mat = None
+        if f.dim > 1:
+            if rho is None:
+                raise ValueError("vector-valued series need an explicit rho")
+            rho_mat = linalg.freeze(rho(u))
+        candidates = set(f.coeffs) | {gl_action(u_inv, t) for t in f.coeffs}
+        for t in _canonical_order(candidates):
+            if not _trace_within(t, bound):
+                continue
+            image = gl_action(u, t)
+            if not _trace_within(image, bound):
+                continue
+            lhs = f.coefficient(image)
+            if rho_mat is not None:
+                zero = FieldElement.zero(f.tag)
+                lhs = tuple(sum((a * b for a, b in zip(row, lhs)), zero) for row in rho_mat)
+            rhs = tuple(det_pow * v for v in f.coefficient(t))
+            if lhs != rhs:
+                violations.append((u, t))
+    return violations
+
+
+# ----------------------------------------------------------------------
 # per-line reader oracle (the readers before per-read interning)
 
 
