@@ -19,6 +19,13 @@ The `_pair_*` helpers define, once each, the int arithmetic of O on pairs
 `_clear_dens` brings elements to one denominator.  Other modules use these,
 and `hermitian` the Fincke-Pohst search `_lattice_points`, which here lists
 the cosets of `coset_points`.
+
+Two fraction-free (Bareiss) eliminations share one Sylvester step.
+`_herm_psd_rank` decides semidefiniteness and rank of a Hermitian matrix
+on its g rows over O.  `_ldl_pivots` eliminates a symmetric integer
+matrix, the 2g x 2g trace form when a point search follows: its pivot rows
+give the levels of `_search_levels` and `_lattice_points`, which O^g as a
+lattice in Z^{2g} needs and the g rows over O do not.
 """
 
 from __future__ import annotations
@@ -492,6 +499,47 @@ def _ldl_pivots(gram: list[list[int]]) -> list[tuple[int, int, list[int]]] | Non
                 target[j] = (piv * target[j] - f * row[j]) // prev
         prev = piv
     return pivots
+
+
+def _herm_psd_rank(key: Sequence[int], g: int, tag: FieldTag) -> int | None:
+    """The rank of a g x g Hermitian matrix T over E if it is positive
+    semidefinite, else None, from the fraction-free (Bareiss) LDL* of D*T
+    over O.  `key` is laid out as `hermitian.HermMatrix._key`: D, then the
+    pair (p, q) of D*t_ij = p + q*w for i <= j, row by row; D is not read.
+
+    Step k replaces t_ij, k < i <= j, by (p_k t_ij - conj(t_ki) t_kj) / p_prev
+    for the pivot p_k = t_kk and the last nonzero pivot p_prev (1 before
+    the first).  That is the Sylvester step of `_ldl_pivots`, on g rows of
+    O instead of the 2g rows of the trace form: each entry becomes a minor
+    of D*T on the kept indices, in O, so both coordinates divide exactly,
+    and each diagonal entry stays in Z.  Pivots, zero rows and the rank are
+    read as in `_ldl_pivots`.  The pair products are written out.
+    """
+    s, t = tag._norm_s, tag._norm_t
+    rows, at = [], 1
+    for n in range(2 * g, 0, -2):  # rows[i] holds the pairs of t_ij for j >= i
+        rows.append(list(key[at:at + n]))
+        at += n
+    prev, rank = 1, 0
+    for k, row in enumerate(rows):
+        piv = row[0]
+        if piv <= 0:
+            if piv or any(row):
+                return None
+            continue
+        rank += 1
+        n = len(row)
+        for i in range(2, n, 2):  # row k + i/2 from conj(t_ki) t_kj
+            a, b = row[i], row[i + 1]
+            c, e = a + s * b, -b
+            target = rows[k + i // 2]
+            for j in range(i, n, 2):
+                x, y = row[j], row[j + 1]
+                ey = e * y
+                target[j - i] = (piv * target[j - i] - c * x + t * ey) // prev
+                target[j - i + 1] = (piv * target[j - i + 1] - c * y - e * x - s * ey) // prev
+        prev = piv
+    return rank
 
 
 def _search_levels(gram: list[list[int]],

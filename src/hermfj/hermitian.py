@@ -21,6 +21,7 @@ from .field import (
     FieldTag,
     Immutable,
     _clear_dens,
+    _herm_psd_rank,
     _lattice_points,
     _ldl_pivots,
     _norm_levels,
@@ -50,7 +51,9 @@ class HermMatrix(Immutable):
     `split_block`, `enumerate_semi_integral`, `jacobi.shift_matrix` and the
     leading block of `ffj.extract_psi0`.
     Semi-integrality is a separate query, as theta supports carry rational
-    diagonals.
+    diagonals.  Definiteness and rank come from the LDL* of the key over O
+    (`_psd_rank`); the 2g x 2g trace form `_gram` is built only for the
+    point search of `min_represented`.
     """
 
     __slots__ = ("g", "tag", "_key", "_trace")
@@ -137,7 +140,8 @@ class HermMatrix(Immutable):
         """The trace form of the matrix on the coordinate lattice Z^{2g} of
         O^g (basis e_i and w*e_i interleaved), taken integral: (gram, den)
         with den from `_int_coords` and v^T gram v = 2*den * omega* t omega
-        for omega with coordinates v.
+        for omega with coordinates v.  `min_represented` searches it; a
+        PSD test needs only the g rows of `_psd_rank`.
 
         Entries are Tr(x), Tr(x w), Tr(conj(w) x) = Tr(w) Tr(x) - Tr(x w) and
         N(w) Tr(x) for x = den * t_ij = a + b*w.  Tr is linear, so Tr(x) and
@@ -160,16 +164,15 @@ class HermMatrix(Immutable):
     def _psd_rank(self) -> int | None:
         """The rank if the matrix is positive semidefinite, else None.
 
-        The matrix is semidefinite exactly when its trace form `_gram` is,
-        and the form has twice its rank, so this is half the pivot count of
-        `field._ldl_pivots` on the form: O(g^3) integer operations.  A 1x1
-        key (D, p, 0), D > 0, is the sign of p.
+        A 1x1 key (D, p, 0), D > 0, is the sign of p.  A larger one is the
+        pivot count of `field._herm_psd_rank`, the fraction-free LDL* of D*t
+        over O read off the key: O(g^3) operations on pairs of ints, and no
+        trace form.
         """
         if self.g == 1:
             p = self._key[1]
             return None if p < 0 else int(p > 0)
-        pivots = _ldl_pivots(self._gram()[0])
-        return None if pivots is None else len(pivots) // 2
+        return _herm_psd_rank(self._key, self.g, self.tag)
 
     def is_psd(self) -> bool:
         """Positive semidefinite, tested by the exact elimination of
@@ -455,12 +458,14 @@ def enumerate_semi_integral(g: int, trace_bound: int, tag: FieldTag) -> list[Her
     M = |D| t, an integral matrix whose off-diagonal entries range over
     sqrt(D) O = |D| O^#.  The integer diagonal is fixed first; then row k of
     the current Schur complement S is filled, for k = 0, ..., g-2.  S is PSD
-    only if N(S_kj) <= S_kk S_jj, so entry (k, j) ranges over a disc.  In
-    the fraction-free (Bareiss) form of `field._ldl_pivots`,
-    M^(k)_kj = prev M_kj + C_kj, with prev the last nonzero pivot (1 before
-    the first) and C_kj fixed by the rows above, and `field._lattice_points`
-    finds the points of that translate of sqrt(D) O with
-    N(M^(k)_kj) <= M^(k)_kk M^(k)_jj.  A zero pivot gives a disc of radius
+    only if N(S_kj) <= S_kk S_jj, so entry (k, j) ranges over a disc.  Each
+    row updates S by the fraction-free Sylvester step of
+    `field._herm_psd_rank`, M^(k+1)_ij = (p_k M^(k)_ij - conj(M^(k)_ki)
+    M^(k)_kj) / prev, with p_k = M^(k)_kk and prev the last nonzero pivot
+    (1 before the first).  So row k reads M^(k)_kj = prev M_kj + C_kj, with
+    C_kj fixed by the rows above, and `field._lattice_points` finds the
+    points of that translate of sqrt(D) O with N(M^(k)_kj) <=
+    M^(k)_kk M^(k)_jj.  A zero pivot gives a disc of radius
     0: its row is forced to the centre, and the branch is empty when the
     centre is not in the lattice.
 

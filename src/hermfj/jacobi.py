@@ -107,6 +107,7 @@ class JacobiTable(Immutable):
         bound = trunc.as_integer_ratio()
         clean: dict[tuple[HermMatrix, Vector], Vec] = {}
         good_r: set[Vector] = set()  # each distinct r is checked once
+        index = None  # the 1x1 matrix [m] of the block keys, built at the first one
         for key, vec in coeffs.items():
             n, r = key
             n = _as_key_matrix(n, g, tag)
@@ -134,7 +135,9 @@ class JacobiTable(Immutable):
                 (den, p, _q), x = n._key, r[0]
                 ok = p >= 0 and p * m * x.den * x.den >= _pair_norm(x.p, x.q, tag) * den
             else:
-                ok = block_key(n, r, m).is_psd()
+                if index is None:
+                    index = HermMatrix.from_rational(m, tag)
+                ok = join_block(n, tuple((x,) for x in r), index).is_psd()  # block_key(n, r, m)
             if not ok:
                 raise RecordError("block key (n r; r* m) is not positive semidefinite", key)
             clean[(n, r)] = vec

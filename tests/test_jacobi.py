@@ -4,7 +4,7 @@ from math import inf
 
 import pytest
 
-from hermfj.errors import ConsistencyError
+from hermfj.errors import ConsistencyError, RecordError
 from hermfj.field import FieldElement, euclidean_constant, make_field
 from hermfj.hermitian import HermMatrix, delta_classes, reduce_class, small_rep
 from hermfj.jacobi import (
@@ -324,3 +324,28 @@ def test_input_keyed_caches_are_bounded():
     assert shift_matrix(r, 3) is shift_matrix(tuple(r), 3)
     classes = delta_classes(1, 2, tag)
     assert isinstance(classes, tuple) and delta_classes(1, 2, tag) is classes
+
+
+def test_reading_a_genus_two_table_builds_its_index_matrix_once(monkeypatch):
+    """The constructor checks each (n r; r* m) against one 1x1 matrix [m],
+    built at the first key, and its verdicts are those of `block_key`: it
+    rejects a block with a zero diagonal entry over a nonzero row."""
+    from hermfj.formats import read_jacobi, write_jacobi
+
+    tag = make_field(-3)
+    table = theta_coeffs(2, delta_classes(2, 2, tag)[0], 3)
+    for s in delta_classes(2, 2, tag)[1:4]:
+        table = table.add(theta_coeffs(2, s, 3))
+    text = write_jacobi(table)
+    built = []
+    public = HermMatrix.from_rational.__func__
+    monkeypatch.setattr(HermMatrix, "from_rational",
+                        classmethod(lambda cls, x, t: built.append(x) or public(cls, x, t)))
+    assert read_jacobi(text) == table
+    assert len(table.coeffs) > 20 and built == [2]
+    assert all(block_key(n, r, 2).is_psd() for n, r in table.coeffs)
+    bad = (HermMatrix.zero(2, tag), (FieldElement.zero(tag), FieldElement.one(tag)))
+    assert not block_key(*bad, 2).is_psd()
+    with pytest.raises(RecordError, match=r"block key \(n r; r\* m\) is not positive") as caught:
+        JacobiTable(2, table.k, 2, tag, 3, {**table.coeffs, bad: (FieldElement.one(tag),)})
+    assert caught.value.record == bad

@@ -1,13 +1,15 @@
 """Cross-checks of the LDL* definiteness test and the coordinate hermicity
 check against their predecessors in `util`: all principal minors by
-cofactors, leading minors for definiteness, and entrywise conjugates."""
+cofactors, leading minors for definiteness, the elimination of the 2g x 2g
+trace form, and entrywise conjugates."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
-from hermfj import linalg
-from hermfj.field import FieldElement, _ldl_pivots
-from hermfj.hermitian import HermMatrix, enumerate_semi_integral, gl_action
+from hermfj import field, hermitian, linalg
+from hermfj.field import FieldElement
+from hermfj.hermitian import HermMatrix, enumerate_semi_integral, gl_action, min_represented
 from hermfj.jacobi import shift_matrix
 from util import (
     all_tags,
@@ -16,6 +18,7 @@ from util import (
     hermitian_by_conj,
     pd_by_leading_minors,
     psd_by_minors,
+    psd_rank_by_trace_form,
     random_field_element,
     random_unit_matrix,
 )
@@ -140,12 +143,108 @@ def test_scalar_psd_rank_agrees_with_trace_form_elimination():
             keys += [shift, shift.sub(HermMatrix.from_rational(Fraction(1, 5), tag)),
                      HermMatrix.zero(1, tag).sub(shift)]
         for t in keys:
-            pivots = _ldl_pivots(t._gram()[0])
-            want = None if pivots is None else len(pivots) // 2
+            want = psd_rank_by_trace_form(t)
             assert t._psd_rank() == want, t
             assert_matches_oracle(t)
             outcomes[want] += 1
     assert min(outcomes.values()) > 30, outcomes
+
+
+def perturbed(rng, t: HermMatrix) -> HermMatrix:
+    """t with each coordinate of its key moved by -1, 0 or 1, except the
+    w-coordinates of the diagonal: Hermitian with a real diagonal."""
+    g, raw, k = t.g, list(t._key), 1
+    for i in range(g):
+        raw[k] += rng.randint(-1, 1)
+        for j in range(k + 2, k + 2 * (g - i)):
+            raw[j] += rng.randint(-1, 1)
+        k += 2 * (g - i)
+    return HermMatrix._trusted(g, raw, t.tag)
+
+
+def random_shift(rng, tag, g) -> HermMatrix:
+    """A rank-one key r m^-1 r*, r with denominators up to 3 and some zero
+    components."""
+    r = [random_field_element(rng, tag, 3, 3) if rng.random() < 0.8 else FieldElement.zero(tag)
+         for _ in range(g)]
+    if all(x.is_zero() for x in r):
+        r[rng.randrange(g)] = FieldElement(Fraction(1, rng.randint(1, 3)), 0, tag)
+    return shift_matrix(r, rng.randint(1, 4))
+
+
+def with_zero_row(t: HermMatrix, i: int, rng=None) -> HermMatrix:
+    """t with row and column i zero; with `rng`, then one nonzero t_ij,
+    j != i, so that the zero diagonal entry makes it indefinite."""
+    rows = [list(row) for row in t.entries]
+    zero = FieldElement.zero(t.tag)
+    for k in range(t.g):
+        rows[i][k] = rows[k][i] = zero
+    if rng is not None:
+        j = rng.choice([k for k in range(t.g) if k != i])
+        x = random_field_element(rng, t.tag, 2, 2)
+        rows[i][j] = FieldElement.one(t.tag) if x.is_zero() else x
+        rows[j][i] = rows[i][j].conj()
+    return HermMatrix(rows, t.tag)
+
+
+def test_psd_rank_agrees_with_trace_form_elimination():
+    """`_psd_rank` of g x g keys, g = 2..5, against the elimination of the
+    2g x 2g trace form it replaced, and `is_psd`/`is_pd` against the minors,
+    in all five fields: enumerated keys and their Hermitian perturbations,
+    rank-one shifts with denominators and their sums and differences, and
+    zero rows at the first, middle and last index."""
+    rng = random.Random(20220)
+    outcomes = Counter()
+    for tag in all_tags():
+        for g, bound in ((2, 3), (3, 3), (4, 2), (5, 2)):
+            keys = enumerate_semi_integral(g, bound, tag)
+            keys = rng.sample(keys, min(len(keys), 120))
+            keys += [perturbed(rng, t) for t in keys[:60]]
+            shifts = [random_shift(rng, tag, g) for _ in range(3 * g)]
+            keys += shifts
+            for _ in range(20):
+                a, b = rng.sample(shifts, 2)
+                total = a
+                for c in rng.sample(shifts, g):
+                    total = total.add(c)
+                keys += [a.add(b), a.sub(b), total, perturbed(rng, total)]
+            for i in (0, g // 2, g - 1):
+                for t in rng.sample(keys, 4):
+                    keys += [with_zero_row(t, i), with_zero_row(t, i, rng)]
+            for t in keys:
+                rank = t._psd_rank()
+                assert rank == psd_rank_by_trace_form(t), t
+                outcomes[g, "not psd" if rank is None else "full" if rank == g else "deficient"] += 1
+            for t in keys if g < 5 else rng.sample(keys, 60):
+                assert_matches_oracle(t)
+    assert len(outcomes) == 12 and min(outcomes.values()) > 40, outcomes
+
+
+def test_psd_tests_build_no_trace_form(monkeypatch):
+    """`is_psd` and `is_pd` of a key with g >= 2 eliminate its g rows over O:
+    no `HermMatrix._gram` and no `field._ldl_pivots` call; `min_represented`
+    still makes both, which shows the counters work."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(HermMatrix, "_gram", counted("_gram", HermMatrix._gram))
+    for module in (field, hermitian):
+        monkeypatch.setattr(module, "_ldl_pivots", counted("_ldl_pivots", module._ldl_pivots))
+    rng = random.Random(20221)
+    for tag in all_tags():
+        for g in (2, 3, 4):
+            for t in (HermMatrix.identity(g, tag), random_shift(rng, tag, g),
+                      with_zero_row(HermMatrix.identity(g, tag), g - 1, rng)):
+                t.is_psd()
+                t.is_pd()
+    assert not calls, calls
+    min_represented(HermMatrix.identity(2, all_tags()[0]))
+    assert calls == {"_gram": 1, "_ldl_pivots": 1}, calls
 
 
 def test_is_hermitian_agrees_with_conj_oracle():

@@ -389,6 +389,16 @@ def psd_by_minors(m) -> bool:
     return True
 
 
+def psd_rank_by_trace_form(t):
+    """The rank of the HermMatrix t if it is positive semidefinite, else
+    None, as half the pivot count of `field._ldl_pivots` on its 2g x 2g
+    integral trace form `t._gram()` (the former `HermMatrix._psd_rank`)."""
+    from hermfj.field import _ldl_pivots
+
+    pivots = _ldl_pivots(t._gram()[0])
+    return None if pivots is None else len(pivots) // 2
+
+
 def pd_by_leading_minors(m) -> bool:
     """Positive definite: the g leading principal minors are > 0."""
     rows = m.entries
