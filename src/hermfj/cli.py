@@ -222,7 +222,7 @@ def _cmd_symmetry_check(args) -> int:
         violations = report.symmetry_violations + report.subaction_violations
         summary = "%d symmetry and %d sub-action violations" % (
             len(report.symmetry_violations), len(report.subaction_violations))
-        ok = "symmetry ok: family with %d indices" % len(fam.tables)
+        ok = "symmetry ok: family with %d indices" % len(fam.indices())
     else:
         raise ParseError("symmetry-check expects an FJS or FJFAM file")
     for u, t in violations:

@@ -25,7 +25,7 @@ from . import linalg
 from .errors import RecordError
 from .field import FieldElement, FieldTag, Immutable
 from .hermitian import CosetClass, HermMatrix, UnitMatrix, join_block, reduce_class, small_rep
-from .hermitian import _canonical_order, _trace_within, split_block
+from .hermitian import _canonical_order, _split_raw, _trace_within, split_block
 from .jacobi import JacobiTable, shift_matrix, theta_decompose
 from .series import FourierSeries, RhoMap, Vec, _all_zero, _nonzero, _zero_vec, check_symmetry
 
@@ -38,6 +38,9 @@ class FJFamily(Immutable):
     `coeffs` maps each assembled degree-g key (n r; r* m) to its
     coefficient vector, as `FourierSeries.coeffs` does; `tables` and
     `indices` are the cogenus-l views.  The constructor takes the tables.
+    `indices`, `repr` and `_blocks`, which `formats.write_family` prints,
+    read the blocks off the assembled keys as ints (`hermitian._split_raw`)
+    and build no table.
 
     Validation happens once, at the public boundary: the constructor, and
     so `formats.read_family`, checks every assembled key, and raises
@@ -110,7 +113,32 @@ class FJFamily(Immutable):
         return _split_tables(self.coeffs, self.l)
 
     def indices(self) -> list[HermMatrix]:
-        return _canonical_order(self.tables)
+        return _canonical_order(self._index_blocks())
+
+    def _index_blocks(self) -> set[HermMatrix]:
+        """The distinct index blocks m of the keys."""
+        l, tag = self.l, self.tag
+        return {HermMatrix._trusted(l, raw, tag)
+                for raw in {_split_raw(t, l)[2] for t in self.coeffs}}
+
+    def _blocks(self) -> dict[HermMatrix, list[tuple[HermMatrix, list[int], int, Vec]]]:
+        """The keys t = (n r; r* m) by index: {m: [(n, r, D, vec)]}, with r
+        the coordinates of its entries over the D of t, as `_split_raw`
+        reads them.  One `HermMatrix` is built per distinct n or m key over
+        D, and no `FieldElement`."""
+        a, l, tag = self.g - self.l, self.l, self.tag
+        made: dict[tuple[int, ...], HermMatrix] = {}
+        blocks: dict[HermMatrix, list] = {}
+        for t, vec in self.coeffs.items():
+            n_raw, r, m_raw = _split_raw(t, l)
+            n = made.get(n_raw)
+            if n is None:
+                n = made[n_raw] = HermMatrix._trusted(a, n_raw, tag)
+            m = made.get(m_raw)
+            if m is None:
+                m = made[m_raw] = HermMatrix._trusted(l, m_raw, tag)
+            blocks.setdefault(m, []).append((n, r, t._key[0], vec))
+        return blocks
 
     def coefficient(self, m: HermMatrix, n: HermMatrix, r) -> Vec:
         vec = self.coeffs.get(join_block(n, linalg.freeze(r), m))
@@ -134,7 +162,7 @@ class FJFamily(Immutable):
 
     def __repr__(self):
         return "FJFamily(g=%d, l=%d, k=%d, d=%d, trunc=%s, %d indices)" % (
-            self.g, self.l, self.k, self.tag.d, self.trunc, len(self.tables)
+            self.g, self.l, self.k, self.tag.d, self.trunc, len(self._index_blocks())
         )
 
 

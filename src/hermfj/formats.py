@@ -9,7 +9,8 @@ also a record whose key the public constructor rejects (its
 line 1, with the constructor's message).  Surrounding whitespace on a line
 is ignored, and blank lines are skipped.
 A reader parses, and so validates, each distinct text once per call (any
-error is raised at its first occurrence), and rejects a repeated key.
+error is raised at its first occurrence), and rejects a repeated key.  The
+FJFAM writer reads the blocks off the family's assembled keys, as ints.
 
     FJS v1; d=<d>; g=<g>; k=<k>; trunc=<N>; dim=<v>
     t = <matrix> ; c = <elem>,<elem>,...
@@ -36,11 +37,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 
 from .errors import ParseError, RecordError
 from .ffj import FJFamily
 from .field import FieldElement, FieldTag, make_field
-from .hermitian import CosetClass, HermMatrix, _canonical_order
+from .hermitian import CosetClass, HermMatrix, _entries_text, _text_order
 from .jacobi import JacobiTable, ThetaComponentVector
 from .series import FourierSeries
 
@@ -270,13 +272,21 @@ def read_jacobi(text: str) -> JacobiTable:
 
 
 def write_family(fam: FJFamily) -> str:
+    """Prints the blocks of `FJFamily._blocks`, read off the assembled keys:
+    each distinct n and m is rendered once, and each r straight from the
+    ints of its key.  The indices, and the records of an index by n, sort
+    as `_canonical_order` sorts matrices; records with equal n sort by the
+    text of r."""
     lines = [_header_line("FJFAM v1", fam.tag.d, fam.g, fam.l, fam.k, fam.trunc, fam.dim)]
-    tables = fam.tables
-    for m in _canonical_order(tables):
-        lines.append("[index m = %s]" % m.to_text())
-        body = tables[m]
-        for (n, r) in _canonical_order(body, _rmat_text):
-            lines.append("(%s ; %s) = %s" % (n.to_text(), _rmat_text(r), _vec_text(body[(n, r)])))
+    blocks = fam._blocks()
+    order = _text_order(chain(blocks, (n for records in blocks.values() for n, *_ in records)))
+    for m in sorted(blocks, key=order.__getitem__):
+        lines.append("[index m = %s]" % order[m][1])
+        # (n, r) is unique within an index, so the sort never compares vectors
+        records = sorted((order[n], _entries_text(zip(r[::2], r[1::2]), den), vec)
+                         for n, r, den, vec in blocks[m])
+        lines += ["(%s ; %s) = %s" % (n_order[1], r_text, _vec_text(vec))
+                  for n_order, r_text, vec in records]
     return "\n".join(lines) + "\n"
 
 

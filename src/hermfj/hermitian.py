@@ -11,9 +11,9 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from math import gcd, lcm
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import linalg
 from .field import (
@@ -48,8 +48,9 @@ class HermMatrix(Immutable):
     `from_text`, so every reader, check hermicity, and the constructor
     checks that every entry lies in the field of `tag`.  `_trusted` takes a key
     and skips the checks for `add`, `sub`, `gl_action`, `join_block`,
-    `split_block`, `enumerate_semi_integral`, `jacobi.shift_matrix` and the
-    leading block of `ffj.extract_psi0`.
+    `split_block`, `enumerate_semi_integral`, `jacobi.shift_matrix`, the
+    leading block of `ffj.extract_psi0` and the blocks that `FJFamily`
+    reads off its keys for its views and the FJFAM writer.
     Semi-integrality is a separate query, as theta supports carry rational
     diagonals.  Definiteness and rank come from the LDL* of the key over O
     (`_psd_rank`); the 2g x 2g trace form `_gram` is built only for the
@@ -212,15 +213,7 @@ class HermMatrix(Immutable):
         if self.g == 1:  # gcd(p, D) = 1 in a 1x1 key (D, p, 0)
             return "%d/%d+0/1*w" % (self._key[1], self._key[0])
         rows, den = self._int_coords()
-        out = []
-        for row in rows:
-            for a, b in row:
-                if a % den or b % den:
-                    ga, gb = gcd(a, den), gcd(b, den)
-                    out.append("%d/%d+%d/%d*w" % (a // ga, den // ga, b // gb, den // gb))
-                else:
-                    out.append("%d/1+%d/1*w" % (a // den, b // den))
-        return ",".join(out)
+        return _entries_text(chain.from_iterable(rows), den)
 
     @classmethod
     def from_text(cls, text: str, g: int, tag: FieldTag) -> "HermMatrix":
@@ -290,20 +283,45 @@ def join_block(n: HermMatrix, r: linalg.Matrix, m: HermMatrix) -> HermMatrix:
     return HermMatrix._trusted(a + m.g, raw + [c * fm for c in mkey[1:]], n.tag)
 
 
-def split_block(t: HermMatrix, l: int) -> tuple[HermMatrix, linalg.Matrix, HermMatrix]:
-    """(n, r, m) with t = (n r; r* m) and m the lower-right l x l block,
-    read off the key as `join_block` writes it."""
-    if not 1 <= l < t.g:
-        raise ValueError("split size must satisfy 1 <= l < %d" % t.g)
-    a, key, tag, build = t.g - l, t._key, t.tag, FieldElement._from_ints
-    n_raw, r, k = [key[0]], [], 1
+def _split_raw(t: HermMatrix, l: int) -> tuple[tuple[int, ...], list[int], tuple[int, ...]]:
+    """(n, r, m) with t = (n r; r* m) and m the lower-right l x l block, as
+    ints read off the key as `join_block` writes it: the keys of n and m,
+    over the D of t and so up to lowest terms, and the coordinates
+    a_11, b_11, a_12, ... of the entries (a_ij + b_ij*w)/D of r, row by row."""
+    a, key = t.g - l, t._key
+    n_raw, r, k = key[:1], [], 1
     for i in range(a):
         k += 2 * (a - i)
         n_raw += key[k - 2 * (a - i):k]
-        r.append(tuple(build(key[j], key[j + 1], key[0], tag) for j in range(k, k + 2 * l, 2)))
+        r += key[k:k + 2 * l]
         k += 2 * l
-    return (HermMatrix._trusted(a, n_raw, tag), tuple(r),
-            HermMatrix._trusted(l, key[:1] + key[k:], tag))
+    return n_raw, r, key[:1] + key[k:]
+
+
+def split_block(t: HermMatrix, l: int) -> tuple[HermMatrix, linalg.Matrix, HermMatrix]:
+    """(n, r, m) with t = (n r; r* m) and m the lower-right l x l block,
+    split by `_split_raw`."""
+    if not 1 <= l < t.g:
+        raise ValueError("split size must satisfy 1 <= l < %d" % t.g)
+    n_raw, c, m_raw = _split_raw(t, l)
+    den, tag, build = t._key[0], t.tag, FieldElement._from_ints
+    r = tuple([tuple([build(c[j], c[j + 1], den, tag) for j in range(i, i + 2 * l, 2)])
+               for i in range(0, len(c), 2 * l)])
+    return HermMatrix._trusted(t.g - l, n_raw, tag), r, HermMatrix._trusted(l, m_raw, tag)
+
+
+def _entries_text(pairs: Iterable[tuple[int, int]], den: int) -> str:
+    """The entries (a + b*w)/den of `pairs`, comma-joined in the form of
+    `FieldElement.to_text`: each coordinate in lowest terms, over a positive
+    denominator."""
+    out = []
+    for a, b in pairs:
+        if a % den or b % den:
+            ga, gb = gcd(a, den), gcd(b, den)
+            out.append("%d/%d+%d/%d*w" % (a // ga, den // ga, b // gb, den // gb))
+        else:
+            out.append("%d/1+%d/1*w" % (a // den, b // den))
+    return ",".join(out)
 
 
 def _trace_sum(x: tuple[int, int], y: tuple[int, int], sign: int) -> tuple[int, int]:
@@ -320,24 +338,27 @@ def _trace_within(t: HermMatrix, bound: tuple[int, int]) -> bool:
     return num * bound[1] <= bound[0] * den
 
 
-def _canonical_order(keys: Iterable, r_key: Callable | None = None) -> list:
+def _canonical_order(keys: Iterable) -> list:
     """`keys`, matrices or (n, r) pairs, in the canonical order of the text
     formats: `HermMatrix.sort_key` of n, then r by coordinates (as by their
-    `FieldElement.sort_key`s) or by r_key(r).  On ints: traces scale by L,
-    the lcm of their denominators, and r coordinates by R, the lcm of theirs."""
+    `FieldElement.sort_key`s).  On ints: traces scale by L, the lcm of their
+    denominators, and r coordinates by R, the lcm of theirs."""
     keys = list(keys)
     if not keys or isinstance(keys[0], HermMatrix):
         big = lcm(*(t._trace[1] for t in keys))
         return sorted(keys, key=lambda t: (t._trace[0] * (big // t._trace[1]), t.to_text()))
     big = lcm(*(n._trace[1] for n, _r in keys))
-    if r_key is None:
-        rbig = lcm(*(x.den for _n, r in keys for x in r))
-
-        def r_key(r):
-            return _clear_dens(r, rbig)[1]
-
+    rbig = lcm(*(x.den for _n, r in keys for x in r))
     return sorted(keys, key=lambda key: (key[0]._trace[0] * (big // key[0]._trace[1]),
-                                         key[0].to_text(), r_key(key[1])))
+                                         key[0].to_text(), _clear_dens(key[1], rbig)[1]))
+
+
+def _text_order(mats: Iterable[HermMatrix]) -> dict[HermMatrix, tuple[int, str]]:
+    """{t: (trace, text)} for the distinct matrices of `mats`: the order of
+    `_canonical_order` as a sort key, with each text rendered once."""
+    mats = set(mats)
+    big = lcm(*(t._trace[1] for t in mats))
+    return {t: (t._trace[0] * (big // t._trace[1]), t.to_text()) for t in mats}
 
 
 class UnitMatrix(Immutable):

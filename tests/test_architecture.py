@@ -4,6 +4,9 @@ The coordinate arithmetic of O has one home: `field` defines it on int
 pairs, and every other module calls those helpers.  So the basis constants
 `_norm_s` and `_norm_t` of a `FieldTag` are read nowhere but in `field.py`.
 
+The FJFAM writer reads the blocks off the assembled keys: `formats.py`
+names neither `split_block` nor the `tables` view.
+
 Lattice searches have one home too: `field._lattice_points` is called only
 in `field` and `hermitian`, and the points of a class of Delta_g(m) come
 from `hermitian._class_points` alone.  So `jacobi` imports no search from
@@ -63,3 +66,10 @@ def test_jacobi_imports_no_search_and_no_class_reduction():
     banned = {("field", name) for name in FIELD_SEARCHES}
     banned |= {("hermitian", "reduce_class"), ("hermitian", "small_rep"), (None, "field")}
     assert not imported & banned, imported & banned
+
+
+def test_formats_reads_no_split_tables():
+    text = (SRC / "formats.py").read_text(encoding="utf-8")
+    found = [line.strip() for line in text.splitlines()
+             if re.search(r"\bsplit_block\b|\.tables\b", line)]
+    assert not found, "\n".join(found)

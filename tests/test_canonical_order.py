@@ -9,6 +9,7 @@ and `write_family`, and `<=` on random signed rationals.
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from hermfj.ffj import assemble, disassemble, rearrange_cogenus
 from hermfj.field import FieldElement, make_field
@@ -16,6 +17,8 @@ from hermfj.formats import _rmat_text, write_family
 from hermfj.hermitian import (
     HermMatrix,
     _canonical_order,
+    _entries_text,
+    _text_order,
     _trace_sum,
     _trace_within,
     delta_classes,
@@ -49,10 +52,14 @@ def assert_trace_pair(t):
     assert (num, den) == trace_by_fractions(t).as_integer_ratio()
 
 
-def assert_order(keys, oracle, r_key=None):
+def assert_order(keys, oracle):
     keys = list(keys)
-    assert _canonical_order(keys, r_key) == sorted(keys, key=oracle)
-    assert _canonical_order(reversed(keys), r_key) == sorted(keys, key=oracle)
+    assert _canonical_order(keys) == sorted(keys, key=oracle)
+    assert _canonical_order(reversed(keys)) == sorted(keys, key=oracle)
+    if isinstance(keys[0], HermMatrix):
+        order = _text_order(keys)
+        assert sorted(reversed(keys), key=order.__getitem__) == sorted(keys, key=oracle)
+        assert all(order[t][1] == t.to_text() for t in keys)
 
 
 def test_trace_pairs_match_fractions():
@@ -125,9 +132,19 @@ def test_hand_built_keys_sort_as_by_fractions():
     twos = [t for t in hand_built_matrices() if t.g == 2][:6]
     keys2 = [(n, (r1, r2)) for n in twos for r1 in rs[:6] for r2 in rs[5:]]
     assert_order(keys2, key_order_by_fractions)
-    # FJFAM records order r by its text, which differs from its coordinates
+    # FJFAM records order r by its text, which differs from its coordinates;
+    # `write_family` renders r over the key's denominator by `_entries_text`
     rows = [(n, ((r,),)) for n in ns for r in rs]
-    assert_order(rows, family_key_order_by_fractions, _rmat_text)
+    den = 12 * lcm(*(r.den for r in rs))
+    order = _text_order(n for n, _r in rows)
+
+    def record_key(key):
+        (x,), = key[1]
+        r_text = _entries_text([(x.p * (den // x.den), x.q * (den // x.den))], den)
+        assert r_text == _rmat_text(key[1])
+        return order[key[0]], r_text
+
+    assert sorted(reversed(rows), key=record_key) == sorted(rows, key=family_key_order_by_fractions)
     assert sorted(rows, key=family_key_order_by_fractions) != \
         sorted(rows, key=lambda key: key_order_by_fractions((key[0], key[1][0])))
 

@@ -1115,6 +1115,27 @@ def cogenus_one_slice_by_tables(fam: SplitTableFamily, m: int):
     return JacobiTable(fam.g - 1, fam.k, m, fam.tag, fam.trunc - m, coeffs, fam.dim)
 
 
+def write_family_by_tables(fam) -> str:
+    """The former `formats.write_family`: through the `tables` view, which
+    splits every key into its n and m matrices and the field elements of r,
+    and with the former r_key sort of `_canonical_order`, by the text of r."""
+    from math import lcm
+
+    from hermfj.formats import _header_line, _rmat_text, _vec_text
+    from hermfj.hermitian import _canonical_order
+
+    lines = [_header_line("FJFAM v1", fam.tag.d, fam.g, fam.l, fam.k, fam.trunc, fam.dim)]
+    tables = fam.tables
+    for m in _canonical_order(tables):
+        lines.append("[index m = %s]" % m.to_text())
+        body = tables[m]
+        big = lcm(*(n._trace[1] for n, _r in body))
+        for (n, r) in sorted(body, key=lambda key: (key[0]._trace[0] * (big // key[0]._trace[1]),
+                                                    key[0].to_text(), _rmat_text(key[1]))):
+            lines.append("(%s ; %s) = %s" % (n.to_text(), _rmat_text(r), _vec_text(body[(n, r)])))
+    return "\n".join(lines) + "\n"
+
+
 def random_component_vector(rng: random.Random, tag: FieldTag, m: int, total_trunc, k: int = 10):
     """Genus-1 theta components: per-class polynomial series whose truncations
     match what decomposition reproduces."""
