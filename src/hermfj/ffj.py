@@ -23,10 +23,11 @@ from typing import Mapping, Optional, Sequence
 
 from . import linalg
 from .errors import RecordError
-from .field import FieldElement, FieldTag, Immutable
-from .hermitian import CosetClass, HermMatrix, UnitMatrix, join_block, reduce_class, small_rep
-from .hermitian import _canonical_order, _split_raw, _trace_within, split_block
-from .jacobi import JacobiTable, shift_matrix, theta_decompose
+from .field import FieldElement, FieldTag, Immutable, _pair_sqrt_disc
+from .hermitian import CosetClass, HermMatrix, UnitMatrix, join_block
+from .hermitian import _canonical_order, _delta_cells, _split_raw, _sublattice, _trace_within, \
+    _y_coords, split_block
+from .jacobi import JacobiTable, _shift_matrix, theta_decompose
 from .series import FourierSeries, RhoMap, Vec, _all_zero, _nonzero, _zero_vec, check_symmetry
 
 RMat = tuple[tuple[FieldElement, ...], ...]
@@ -259,15 +260,25 @@ def _index_value(m_prime, tag: FieldTag) -> int:
 def _cogenus_one_slice(fam: FJFamily, m: int) -> JacobiTable:
     """The index-m coefficient of the cogenus-1 rearrangement, as a genus
     g-1 Jacobi table truncated at trunc - m: the keys whose last diagonal
-    entry is m, each split by its last row and column.
+    entry is m, each read by `_split_raw` into n, one `HermMatrix` per
+    distinct n, and the y = sqrt(D) r of its last column, as ints.  No m
+    block and no `FieldElement` is built.
     """
+    a, tag = fam.g - 1, fam.tag
+    made: dict[tuple[int, ...], HermMatrix] = {}
     coeffs = {}
     for t, vec in fam.coeffs.items():
-        if t._key[-2] == m * t._key[0]:
-            n, r, _m = split_block(t, 1)
-            coeffs[(n, tuple(row[0] for row in r))] = vec
+        den = t._key[0]
+        if t._key[-2] == m * den:
+            n_raw, r, _m = _split_raw(t, 1)
+            n = made.get(n_raw)
+            if n is None:
+                n = made[n_raw] = HermMatrix._trusted(a, n_raw, tag)
+            # r = (a_i + b_i*w)/D lies in O^#, as the key is semi-integral
+            coeffs[(n, tuple([c // den for i in range(0, 2 * a, 2)
+                              for c in _pair_sqrt_disc(r[i], r[i + 1], tag)]))] = vec
     # each key re-splits a valid family key, so the table skips re-validation
-    return JacobiTable._trusted(fam.g - 1, fam.k, m, fam.tag, fam.trunc - m, coeffs, fam.dim)
+    return JacobiTable._trusted(a, fam.k, m, tag, fam.trunc - m, coeffs, fam.dim)
 
 
 def formal_theta_coeffs(
@@ -297,29 +308,33 @@ def partial_decomposition_check(fam: FJFamily, m_prime, s2: CosetClass, r_prime:
     identity holds at this truncation."""
     tag = fam.tag
     m_val = _index_value(m_prime, tag)
-    if s2.m != m_val or s2.g != 1:
-        raise ValueError("shift class does not match the index")
+    if s2.m != m_val or s2.g != 1 or s2.tag != tag:
+        raise ValueError("shift class does not match the index and field")
     if not ((r_prime - s2.rep[0]) / m_val).is_integral():
         raise ValueError("r' is not a representative of the shift class")
     phi = _cogenus_one_slice(fam, m_val)
-    bound = phi.trunc.as_integer_ratio()
+    bound, d = phi.trunc.as_integer_ratio(), tag.d
+    sub, cells, zero = _sublattice(tag, m_val), _delta_cells(m_val, tag), _zero_vec(fam.dim, tag)
+    # r' - s2.rep[0] above raises on another field, so r' is over `tag` too
+    y_prime, y_s2 = _y_coords(r_prime), _y_coords(s2.rep[0])
 
-    def value(n: HermMatrix, rv) -> Optional[Vec]:
-        return phi.coefficient(n, rv) if _trace_within(n, bound) else None
+    def value(n: HermMatrix, y) -> Optional[Vec]:
+        return phi._coeffs.get((n, y), zero) if _trace_within(n, bound) else None
 
-    for (n, rv), vec in phi.coeffs.items():
-        s = reduce_class(rv, m_val)
-        r0 = small_rep(s)
-        shift_r = shift_matrix(rv, m_val)
-        if rv[-1] == r_prime:
+    for (n, y), vec in phi._coeffs.items():
+        # the small representative r0 of the class of r, as y0
+        y0 = tuple([c for i in range(0, len(y), 2) for c in cells[sub.index(y[i], y[i + 1])][0]])
+        shift_r = _shift_matrix(y, m_val, d)
+        if y[-2:] == y_prime:
             # phi-side key; compare against the canonical read
-            canonical = value(n.sub(shift_r).add(shift_matrix(r0, m_val)), r0)
+            canonical = value(n.sub(shift_r).add(_shift_matrix(y0, m_val, d)), y0)
             if canonical is not None and canonical != vec:
                 return False
-        if rv == r0 and reduce_class(rv[-1:], m_val) == s2:
-            # canonical h-data; compare against the r'-side read
-            r_side = rv[:-1] + (r_prime,)
-            got = value(n.sub(shift_r).add(shift_matrix(r_side, m_val)), r_side)
+        if y == y0 and divmod(sub.index(*y[-2:]), sub.q) == y_s2:
+            # canonical h-data (r_last reduces to the rep of s2); compare
+            # against the r'-side read
+            y_side = y[:-2] + y_prime
+            got = value(n.sub(shift_r).add(_shift_matrix(y_side, m_val, d)), y_side)
             if got is not None and got != vec:
                 return False
     return True

@@ -10,7 +10,10 @@ line 1, with the constructor's message).  Surrounding whitespace on a line
 is ignored, and blank lines are skipped.
 A reader parses, and so validates, each distinct text once per call (any
 error is raised at its first occurrence), and rejects a repeated key.  The
-FJFAM writer reads the blocks off the family's assembled keys, as ints.
+FJFAM writer reads the blocks off the family's assembled keys, as ints.  An
+HJF table holds each r as y = sqrt(D) r in O^g: the reader parses r texts
+straight to ints, and the writer prints |D| r = -sqrt(D) y over |D|.  Each
+writer renders each distinct key matrix, and each HJF r, once.
 
     FJS v1; d=<d>; g=<g>; k=<k>; trunc=<N>; dim=<v>
     t = <matrix> ; c = <elem>,<elem>,...
@@ -38,10 +41,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import chain
+from math import gcd
 
 from .errors import ParseError, RecordError
 from .ffj import FJFamily
-from .field import FieldElement, FieldTag, make_field
+from .field import FieldElement, FieldTag, _parse_token, make_field
 from .hermitian import CosetClass, HermMatrix, _entries_text, _text_order
 from .jacobi import JacobiTable, ThetaComponentVector
 from .series import FourierSeries
@@ -151,17 +155,28 @@ def _parse_matrix(text: str, g: int, tag: FieldTag, line: int) -> HermMatrix:
         raise ParseError(str(exc), line) from exc
 
 
-def _parse_vector(text: str, count: int, tag: FieldTag, line: int, elements=None):
-    """With an `elements` map kept for one read, each distinct element text is parsed once."""
+def _parse_vector(text: str, count: int, tag: FieldTag, line: int, elements=None,
+                  parse=FieldElement.from_text):
+    """The `count` elements of `text`, each read by `parse(text, tag)`.
+    With an `elements` map kept for one read, each distinct element text is
+    parsed once."""
     parts = text.strip().split(",")
     if len(parts) != count:
         raise ParseError("expected %d elements, got %d" % (count, len(parts)), line)
     elements = {} if elements is None else elements
     try:
-        elements.update((p, FieldElement.from_text(p, tag)) for p in parts if p not in elements)
+        elements.update((p, parse(p, tag)) for p in parts if p not in elements)
     except ValueError as exc:
         raise ParseError(str(exc), line) from exc
     return tuple(elements[p] for p in parts)
+
+
+def _token_ints(text: str, _tag: FieldTag) -> tuple[int, int, int]:
+    """(p, q, den) for the element (p + q*w)/den that `text` names, in
+    lowest terms, straight from `_parse_token`: an HJF r component."""
+    p, q, den = _parse_token(text)
+    c = gcd(p, q, den)
+    return p // c, q // c, den // c
 
 
 def _interned(parse, tag: FieldTag):
@@ -214,9 +229,12 @@ def _vec_text(vec) -> str:
 
 
 def write_series(f: FourierSeries) -> str:
+    """Records sort as `_canonical_order` sorts the keys, each t rendered once."""
     lines = [_header_line("FJS v1", f.tag.d, f.g, f.k, f.trunc, f.dim)]
-    for t in f.support():
-        lines.append("t = %s ; c = %s" % (t.to_text(), _vec_text(f.coeffs[t])))
+    order = _text_order(f.coeffs)
+    # each t has its own text, so the sort never compares vectors
+    lines += ["t = %s ; c = %s" % (t_order[1], _vec_text(vec))
+              for t_order, vec in sorted((order[t], vec) for t, vec in f.coeffs.items())]
     return "\n".join(lines) + "\n"
 
 
@@ -242,26 +260,35 @@ def read_series(text: str) -> FourierSeries:
 
 
 def write_jacobi(t: JacobiTable) -> str:
+    """Prints the records of `JacobiTable._records`, in the canonical order:
+    each distinct n is rendered once, and each distinct r once, from the
+    ints X = |D| r by `_entries_text`."""
     lines = [_header_line("HJF v1", t.tag.d, t.g, t.k, t.m, t.trunc, t.dim)]
-    for key in t.support():
-        n, r = key
-        lines.append("(%s ; %s) = %s" % (n.to_text(), _vec_text(r), _vec_text(t.coeffs[key])))
+    disc, r_texts = abs(t.tag.disc), {}
+    for (_trace, n_text), x, _n, y, vec in t._records():
+        r_text = r_texts.get(y)
+        if r_text is None:
+            r_text = r_texts[y] = _entries_text(zip(x[::2], x[1::2]), disc)
+        lines.append("(%s ; %s) = %s" % (n_text, r_text, _vec_text(vec)))
     return "\n".join(lines) + "\n"
 
 
 def read_jacobi(text: str) -> JacobiTable:
+    """Parses each distinct r text straight to ints (`_token_ints`); the
+    table checks them as its constructor checks `FieldElement`s."""
     lines = text.splitlines()
     tag, g, k, m, trunc, dim = _parse_header(lines, "HJF v1")
-    make = partial(JacobiTable, g, k, m, tag, trunc, dim=dim)
+    make = partial(JacobiTable._from_parsed, g, k, m, tag, trunc, dim=dim)
     _construct(make, {}, [])
     matrix, vector = _interned(_parse_matrix, tag), _interned(_parse_vector, tag)
-    r_vector = _interned(_parse_vector, tag)
+    r_vector = _interned(partial(_parse_vector, parse=_token_ints), tag)
     coeffs, record_lines = {}, []
     for i, raw in _body(lines):
         n_text, r_text, value = _split_pair(raw, i)
         key = (matrix(n_text, g, i), r_vector(r_text, g, i))
         if key in coeffs:
-            raise ParseError("repeated key (%s ; %s)" % (key[0].to_text(), _vec_text(key[1])), i)
+            raise ParseError("repeated key (%s ; %s)" % (key[0].to_text(), ",".join(
+                _entries_text([(p, q)], den) for p, q, den in key[1])), i)
         coeffs[key] = vector(value, dim, i)
         record_lines.append(i)
     return _construct(make, coeffs, record_lines)
@@ -335,14 +362,17 @@ def read_family(text: str) -> FJFamily:
 
 
 def write_components(v: ThetaComponentVector) -> str:
-    sample = v.components[v.classes[0]]
+    """Each section's records sort as `_canonical_order` sorts its keys,
+    with each distinct n of the bundle rendered once."""
+    series = [v.components[s] for s in v.classes]
+    sample = series[0]
     lines = [_header_line("HJC v1", sample.tag.d, sample.g, sample.k, v.m, sample.trunc,
                           sample.dim)]
-    for i, s in enumerate(v.classes):
-        h = v.components[s]
+    order = _text_order(n for h in series for n in h.coeffs)
+    for i, (s, h) in enumerate(zip(v.classes, series)):
         lines.append("[class %d; rep = %s; htrunc = %s]" % (i, s.to_text(), h.trunc))
-        for n in h.support():
-            lines.append("n = %s ; c = %s" % (n.to_text(), _vec_text(h.coeffs[n])))
+        lines += ["n = %s ; c = %s" % (n_order[1], _vec_text(vec))
+                  for n_order, vec in sorted((order[n], vec) for n, vec in h.coeffs.items())]
     return "\n".join(lines) + "\n"
 
 
@@ -362,6 +392,7 @@ def read_components(text: str) -> ThetaComponentVector:
     _construct(component(trunc), {}, [])
     matrix, vector = _interned(_parse_matrix, tag), _interned(_parse_vector, tag)
     rep_elements: dict[str, FieldElement] = {}
+    htruncs: dict[str, Fraction] = {}  # each distinct htrunc text is parsed once
     classes: list[CosetClass] = []
     class_lines: list[int] = []
     components: dict[CosetClass, FourierSeries] = {}
@@ -383,7 +414,10 @@ def read_components(text: str) -> ThetaComponentVector:
             except ValueError as exc:
                 raise ParseError(str(exc), i) from exc
             class_lines.append(i)
-            h_trunc = _parse_q(parts[2][len("htrunc = "):], i)
+            h_text = parts[2][len("htrunc = "):]
+            h_trunc = htruncs.get(h_text)
+            if h_trunc is None:
+                h_trunc = htruncs[h_text] = _parse_q(h_text, i)
             body, body_lines = {}, []
             continue
         if not classes:

@@ -47,10 +47,12 @@ class HermMatrix(Immutable):
     Validation happens once, at the public boundary: the constructor and
     `from_text`, so every reader, check hermicity, and the constructor
     checks that every entry lies in the field of `tag`.  `_trusted` takes a key
-    and skips the checks for `add`, `sub`, `gl_action`, `join_block`,
-    `split_block`, `enumerate_semi_integral`, `jacobi.shift_matrix`, the
-    leading block of `ffj.extract_psi0` and the blocks that `FJFamily`
-    reads off its keys for its views and the FJFAM writer.
+    and skips the checks for `add`, `sub`, `gl_action`, `join_block` and
+    `_join_raw`, `split_block`, `enumerate_semi_integral`, the shift
+    matrices of `jacobi._shift_matrix` (cached on the ints (y, m, d), y =
+    sqrt(D) r), the leading block of `ffj.extract_psi0`, the n blocks of
+    `ffj._cogenus_one_slice` and the blocks that `FJFamily` reads off its
+    keys for its views and the FJFAM writer.
     Semi-integrality is a separate query, as theta supports carry rational
     diagonals.  Definiteness and rank come from the LDL* of the key over O
     (`_psd_rank`); the 2g x 2g trace form `_gram` is built only for the
@@ -269,16 +271,27 @@ def _store(x: HermMatrix, g: int, raw: Sequence[int], tag: FieldTag) -> HermMatr
 
 def join_block(n: HermMatrix, r: linalg.Matrix, m: HermMatrix) -> HermMatrix:
     """The block matrix (n r; r* m), for an n.g x m.g matrix r; Hermitian
-    by construction.  Its key holds each row of the key of n followed by
-    that row of r, then the key of m."""
+    by construction, by `_join_raw` on the coordinates of r."""
     if len(r) != n.g or any(len(row) != m.g for row in r):
         raise ValueError("r must be %d x %d" % (n.g, m.g))
-    a, nkey, mkey = n.g, n._key, m._key
-    den = lcm(nkey[0], mkey[0], *(x.den for row in r for x in row))
+    flat = [x for row in r for x in row]
+    den = lcm(n._key[0], m._key[0], *(x.den for x in flat))
+    return _join_raw(n, _clear_dens(flat, den)[1], den, m)
+
+
+def _join_raw(n: HermMatrix, r: Sequence[int], rden: int, m: HermMatrix) -> HermMatrix:
+    """(n r; r* m) for r given as the coordinates a_11, b_11, a_12, ... of
+    its entries (a_ij + b_ij*w)/rden, row by row.  The key holds each row of
+    the key of n followed by that row of r, then the key of m."""
+    a, width, nkey, mkey = n.g, 2 * m.g, n._key, m._key
+    den = lcm(nkey[0], mkey[0], rden)
     fn, fm = den // nkey[0], den // mkey[0]
+    if den != rden:
+        r = [c * (den // rden) for c in r]
     raw, k = [den], 1
-    for i, row in enumerate(r):
-        raw += [c * fn for c in nkey[k:k + 2 * (a - i)]] + _clear_dens(row, den)[1]
+    for i in range(a):
+        raw += [c * fn for c in nkey[k:k + 2 * (a - i)]]
+        raw += r[i * width:(i + 1) * width]
         k += 2 * (a - i)
     return HermMatrix._trusted(a + m.g, raw + [c * fm for c in mkey[1:]], n.tag)
 
@@ -338,19 +351,13 @@ def _trace_within(t: HermMatrix, bound: tuple[int, int]) -> bool:
     return num * bound[1] <= bound[0] * den
 
 
-def _canonical_order(keys: Iterable) -> list:
-    """`keys`, matrices or (n, r) pairs, in the canonical order of the text
-    formats: `HermMatrix.sort_key` of n, then r by coordinates (as by their
-    `FieldElement.sort_key`s).  On ints: traces scale by L, the lcm of their
-    denominators, and r coordinates by R, the lcm of theirs."""
+def _canonical_order(keys: Iterable[HermMatrix]) -> list[HermMatrix]:
+    """`keys` in the canonical order of the text formats,
+    `HermMatrix.sort_key`, on ints: traces scale by the lcm of their
+    denominators."""
     keys = list(keys)
-    if not keys or isinstance(keys[0], HermMatrix):
-        big = lcm(*(t._trace[1] for t in keys))
-        return sorted(keys, key=lambda t: (t._trace[0] * (big // t._trace[1]), t.to_text()))
-    big = lcm(*(n._trace[1] for n, _r in keys))
-    rbig = lcm(*(x.den for _n, r in keys for x in r))
-    return sorted(keys, key=lambda key: (key[0]._trace[0] * (big // key[0]._trace[1]),
-                                         key[0].to_text(), _clear_dens(key[1], rbig)[1]))
+    big = lcm(*(t._trace[1] for t in keys))
+    return sorted(keys, key=lambda t: (t._trace[0] * (big // t._trace[1]), t.to_text()))
 
 
 def _text_order(mats: Iterable[HermMatrix]) -> dict[HermMatrix, tuple[int, str]]:
@@ -726,28 +733,28 @@ def delta_class(g: int, m: int, tag: FieldTag, index: int) -> CosetClass:
                                         for i in sub.digits(index, g)), tag)
 
 
-def _small_cell(a: int, b: int, m: int, tag: FieldTag) -> tuple[FieldElement, int]:
-    """The small representative r0 = x - m*alpha of x + m O, for x =
-    y/sqrt(D) and y = a + b*w, with N(sqrt(D) r0) = |D| N(r0).  alpha is the
-    integer nearest x/m, which makes N(r0) least over the coset, and
-    y0 = sqrt(D) r0 = y - m sqrt(D) alpha on ints."""
+def _small_cell(a: int, b: int, m: int, tag: FieldTag) -> tuple[tuple[int, int], int]:
+    """(y0, N(y0)) for the small representative r0 = x - m*alpha of
+    x + m O, x = y/sqrt(D) and y = a + b*w, with y0 = sqrt(D) r0 as ints
+    and N(y0) = |D| N(r0).  alpha is the integer nearest x/m, which makes
+    N(r0) least over the coset, and y0 = y - m sqrt(D) alpha."""
     c, e = _pair_sqrt_disc(a, b, tag)
     alpha = euclidean_round(FieldElement._from_ints(-c, -e, -tag.disc * m, tag))
     c, e = _pair_sqrt_disc(alpha.p, alpha.q, tag)
     c, e = a - m * c, b - m * e
-    return _from_y(c, e, tag), _pair_norm(c, e, tag)
+    return (c, e), _pair_norm(c, e, tag)
 
 
 def small_rep(s: CosetClass) -> Vector:
     """A representative r of s with |r_i|^2 <= (1 - c) m^2 componentwise:
     the `_small_cell` of each component."""
-    return tuple(_small_cell(*_y_coords(x), s.m, s.tag)[0] for x in s.rep)
+    return tuple(_from_y(*_small_cell(*_y_coords(x), s.m, s.tag)[0], s.tag) for x in s.rep)
 
 
-def _delta_cells(m: int, tag: FieldTag) -> list[tuple[FieldElement, int]]:
-    """`_small_cell` of each box index: the shift r0 m^-1 r0* of the small
-    representative of a class has trace sum_i N(y0_i) / (|D| m) over its
-    digits i."""
+def _delta_cells(m: int, tag: FieldTag) -> list[tuple[tuple[int, int], int]]:
+    """`_small_cell` of each box index: the small representative of a
+    class has y0 = sqrt(D) r0 the cells of its digits, and its shift
+    r0 m^-1 r0* has trace sum_i N(y0_i) / (|D| m) over them."""
     q = _sublattice(tag, m).q
     return [_small_cell(*divmod(i, q), m, tag) for i in range(m * m * abs(tag.disc))]
 

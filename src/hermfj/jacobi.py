@@ -10,6 +10,11 @@ matrix (a plain rational when g = 1).  The block matrix
 must be positive semidefinite for every key.  Theta tables are supported on
 n = r m^-1 r*, so diagonals of n are rational rather than integral; the
 decomposition components are series with class-dependent rational shifts.
+
+Every r lies in O^# = (1/sqrt(D)) O, so a table holds it as the integer
+vector y = sqrt(D) r in O^g, the int tuple (a_1, b_1, ..., a_g, b_g) of
+y_i = a_i + b_i*w: its class in Delta_g(m) is `_SublatticeData.class_index`
+of y, and its shift r m^-1 r* is y y* / (|D| m).
 """
 
 from __future__ import annotations
@@ -17,48 +22,60 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import inf
+from math import gcd, inf
 from typing import Mapping, Sequence
 
 from .errors import ConsistencyError, RecordError
 from .field import (FieldElement, FieldTag, Immutable, _clear_dens, _pair_conj, _pair_mul,
-                    _pair_norm, _pair_sqrt_disc)
-from .hermitian import (
-    CosetClass,
-    HermMatrix,
-    Vector,
-    _canonical_order, _class_points, _delta_cells, _from_y, _small_cell, _sublattice,
-    _trace_sum, _trace_within, _y_coords,
-    delta_classes,
-    join_block,
-    min_represented,
-)
+                    _pair_norm, _pair_sqrt_disc, make_field)
+from .hermitian import (CosetClass, HermMatrix, Vector, _class_points, _delta_cells, _from_y,
+                        _join_raw, _small_cell, _sublattice, _text_order, _trace_sum,
+                        _trace_within, _y_coords, delta_classes, join_block, min_represented)
 from .series import FourierSeries, Vec, _all_zero, _nonzero, _zero_vec
+
+#: y = sqrt(D) r in O^g as (a_1, b_1, ..., a_g, b_g)
+Y = tuple[int, ...]
 
 
 def shift_matrix(r: Sequence[FieldElement], m: int) -> HermMatrix:
     """r m^-1 r* as a g x g Hermitian matrix, for a column vector r given
     as any sequence and an index m >= 1.
 
-    Memoised on (tuple(r), m) in an LRU cache of 4096 entries; equal inputs
-    share one matrix.
+    Memoised on ints by `_shift_matrix`, keyed on (y, m, d) for y =
+    sqrt(D) r, which the library calls with the y of its tables: equal
+    inputs share one matrix.  An r outside (O^#)^g has sqrt(D) r = y/e for
+    an integral y and the least e > 1, and the shift of y at index e^2 m.
     """
-    return _shift_matrix(tuple(r), m)
+    if m < 1:
+        raise ValueError("index m must be >= 1, got %r" % (m,))
+    r = tuple(r)
+    tag = r[0].tag
+    den, xs = _clear_dens(r)
+    y = [c for i in range(0, len(xs), 2) for c in _pair_sqrt_disc(xs[i], xs[i + 1], tag)]
+    e = gcd(den, *y)
+    return _shift_matrix(tuple([c // e for c in y]), m * (den // e) ** 2, tag.d)
 
 
 @lru_cache(maxsize=4096)
-def _shift_matrix(r: Vector, m: int) -> HermMatrix:
-    """On ints: entry (i, j) is x conj(y)/(D^2 m) for x = D*r_i and
-    y = D*r_j in O, D the lcm of the denominators of r."""
-    if m < 1:
-        raise ValueError("index m must be >= 1, got %r" % (m,))
-    tag = r[0].tag
-    den, xs = _clear_dens(r)
-    raw = [den * den * m]
-    for i in range(0, len(xs), 2):
-        for j in range(i, len(xs), 2):
-            raw += _pair_mul(xs[i], xs[i + 1], *_pair_conj(xs[j], xs[j + 1], tag), tag)
-    return HermMatrix._trusted(len(r), raw, tag)
+def _shift_matrix(y: Y, m: int, d: int) -> HermMatrix:
+    """The shift r m^-1 r* of y = sqrt(D) r in O^g, for m >= 1, on ints:
+    entry (i, j) is y_i conj(y_j) / (|D| m), as sqrt(D) conj(sqrt(D)) = |D|."""
+    tag = make_field(d)
+    raw = [abs(tag.disc) * m]
+    for i in range(0, len(y), 2):
+        for j in range(i, len(y), 2):
+            raw += _pair_mul(y[i], y[i + 1], *_pair_conj(y[j], y[j + 1], tag), tag)
+    return HermMatrix._trusted(len(y) // 2, raw, tag)
+
+
+def _r_of(y: Y, tag: FieldTag) -> Vector:
+    """r = y/sqrt(D) as a tuple of `FieldElement`s."""
+    return tuple(_from_y(y[i], y[i + 1], tag) for i in range(0, len(y), 2))
+
+
+def _x_of(y: Y, tag: FieldTag) -> Y:
+    """X = |D| r = -sqrt(D) y, the coordinates the canonical order compares."""
+    return tuple([-c for i in range(0, len(y), 2) for c in _pair_sqrt_disc(y[i], y[i + 1], tag)])
 
 
 def block_key(n: HermMatrix, r: Sequence[FieldElement], m: int) -> HermMatrix:
@@ -75,92 +92,98 @@ def _as_key_matrix(n, g: int, tag: FieldTag) -> HermMatrix:
     return HermMatrix.from_rational(n, tag)
 
 
+def _element_y(r: Vector, tag: FieldTag, key=None) -> Y | None:
+    """y of r given as `FieldElement`s over `tag` in O^#; for any other r,
+    None, or with a `key` the `errors.RecordError` naming it."""
+    y = []
+    for x in r:
+        if x.tag != tag or not x.is_dual_integral():
+            if key is None:
+                return None
+            where = "the field d=%d" % tag.d if x.tag != tag else "the inverse different"
+            raise RecordError("r component %r is not in %s" % (x, where), key)
+        y += _y_coords(x)
+    return tuple(y)
+
+
+def _parsed_y(r: tuple[tuple[int, int, int], ...], tag: FieldTag, key) -> Y:
+    """y of r given as parsed ints, ((p, q, den), ...) for the components
+    (p + q*w)/den over `tag`; a component outside O^# is rejected as by
+    `_element_y`, its `FieldElement` built only for the message."""
+    y = []
+    for p, q, den in r:
+        a, b = _pair_sqrt_disc(p, q, tag)
+        if a % den or b % den:
+            raise RecordError("r component %r is not in the inverse different"
+                              % (FieldElement._from_ints(p, q, den, tag),), key)
+        y += (a // den, b // den)
+    return tuple(y)
+
+
 class JacobiTable(Immutable):
     """Coefficient table of a cogenus-1 Hermitian Jacobi form.
 
-    Validation happens once, at the public boundary: the constructor, and
-    so `formats.read_jacobi`, checks every key (each distinct r once), and
-    raises `errors.RecordError` naming an (n, r) it rejects.  `_trusted`
-    skips the checks for the outputs of `add`, `theta_coeffs`,
-    `theta_recompose`, `series_times_theta` and `ffj._cogenus_one_slice`.
+    The store `_coeffs` is keyed by (n, y), y = sqrt(D) r as ints (see the
+    module docstring).  `coeffs` is a view keyed by (n, r), r a tuple of
+    `FieldElement`s, one per distinct y, built on each access as
+    `HermMatrix.entries` is; `coefficient`, `support` and
+    `vanishing_order_at` take r that way too.
+
+    Validation happens once, at the public boundary: `_checked`, the one
+    checking body of the constructor (r as `FieldElement`s) and of
+    `formats.read_jacobi` (`_from_parsed`, r as parsed ints), checks every
+    key (each distinct r once) and raises `errors.RecordError` naming an
+    (n, r) it rejects.  `_trusted` takes y keys and skips the checks for
+    the outputs of `add`, `theta_coeffs`, `theta_recompose`,
+    `series_times_theta` and `ffj._cogenus_one_slice`.
     """
 
-    __slots__ = ("g", "k", "m", "tag", "trunc", "dim", "coeffs")
+    __slots__ = ("g", "k", "m", "tag", "trunc", "dim", "_coeffs")
 
-    def __init__(
-        self,
-        g: int,
-        k: int,
-        m: int,
-        tag: FieldTag,
-        trunc,
-        coeffs: Mapping,
-        dim: int = 1,
-    ):
-        if g < 1:
-            raise ValueError("genus must be >= 1")
-        if m < 0:
-            raise ValueError("index must be >= 0")
-        if dim < 1:
-            raise ValueError("coefficient dimension must be >= 1")
-        trunc = Fraction(trunc)
-        bound = trunc.as_integer_ratio()
-        clean: dict[tuple[HermMatrix, Vector], Vec] = {}
-        good_r: set[Vector] = set()  # each distinct r is checked once
-        index = None  # the 1x1 matrix [m] of the block keys, built at the first one
-        for key, vec in coeffs.items():
-            n, r = key
-            n = _as_key_matrix(n, g, tag)
-            r = tuple(r)
-            vec = tuple(vec)
-            if len(vec) != dim:
-                raise RecordError("coefficient dimension mismatch", key)
-            if _all_zero(vec, tag):
-                continue
-            if n.g != g or len(r) != g or n.tag != tag:
-                raise RecordError("key size or field mismatch", key)
-            if not _trace_within(n, bound):
-                raise RecordError("key exceeds truncation %s" % trunc, key)
-            if r not in good_r:
-                for x in r:
-                    if x.tag != tag:
-                        raise RecordError("r component %r is not in the field d=%d"
-                                          % (x, tag.d), key)
-                    if not x.is_dual_integral():
-                        raise RecordError("r component %r is not in the inverse different"
-                                          % (x,), key)
-                good_r.add(r)
-            if g == 1:
-                # 2x2 block: psd iff n = p/D >= 0 and n*m >= |r|^2 = N_num/den_r^2
-                (den, p, _q), x = n._key, r[0]
-                ok = p >= 0 and p * m * x.den * x.den >= _pair_norm(x.p, x.q, tag) * den
-            else:
-                if index is None:
-                    index = HermMatrix.from_rational(m, tag)
-                ok = join_block(n, tuple((x,) for x in r), index).is_psd()  # block_key(n, r, m)
-            if not ok:
-                raise RecordError("block key (n r; r* m) is not positive semidefinite", key)
-            clean[(n, r)] = vec
-        self._fill(g, k, m, tag, trunc, dim, clean)
+    def __init__(self, g: int, k: int, m: int, tag: FieldTag, trunc, coeffs: Mapping,
+                 dim: int = 1):
+        _checked(self, g, k, m, tag, trunc, coeffs, dim, _element_y)
+
+    @classmethod
+    def _from_parsed(cls, g: int, k: int, m: int, tag: FieldTag, trunc, coeffs: Mapping,
+                     dim: int = 1) -> "JacobiTable":
+        """The table of `coeffs` keyed by (n, r), r as the parsed ints of
+        `_parsed_y`, through the checks of the constructor."""
+        return _checked(object.__new__(cls), g, k, m, tag, trunc, coeffs, dim, _parsed_y)
 
     @classmethod
     def _trusted(cls, g: int, k: int, m: int, tag: FieldTag, trunc: Fraction,
                  coeffs: Mapping, dim: int = 1) -> "JacobiTable":
-        """A table on `coeffs`, keyed by (HermMatrix, tuple) pairs that are
+        """A table on `coeffs`, keyed by (HermMatrix, y) pairs that are
         valid by construction; skips the key checks of `__init__` but still
         drops all-zero coefficient vectors."""
         return object.__new__(cls)._fill(g, k, m, tag, trunc, dim, _nonzero(coeffs))
 
+    @property
+    def coeffs(self) -> dict[tuple[HermMatrix, Vector], Vec]:
+        rs = {y: _r_of(y, self.tag) for y in {y for _n, y in self._coeffs}}
+        return {(n, rs[y]): vec for (n, y), vec in self._coeffs.items()}
+
     def coefficient(self, n, r: Sequence[FieldElement]) -> Vec:
         n = _as_key_matrix(n, self.g, self.tag)
-        vec = self.coeffs.get((n, tuple(r)))
+        vec = self._coeffs.get((n, _element_y(r, self.tag)))
         return vec if vec is not None else _zero_vec(self.dim, self.tag)
 
     def support(self) -> list[tuple[HermMatrix, Vector]]:
-        return _canonical_order(self.coeffs)
+        """The keys in the canonical order of the text formats."""
+        return [(n, _r_of(y, self.tag)) for _n_order, _x, n, y, _vec in self._records()]
+
+    def _records(self) -> list[tuple[tuple[int, str], Y, HermMatrix, Y, Vec]]:
+        """(`_text_order` of n, X = -sqrt(D) y, n, y, vec) for each key,
+        sorted: n as `HermMatrix.sort_key`, then r by the coordinates of
+        |D| r = X.  Each distinct n and y is mapped once; (n, X) differ
+        between keys, so the sort never compares n, y or vec."""
+        order = _text_order(n for n, _y in self._coeffs)
+        xs = {y: _x_of(y, self.tag) for y in {y for _n, y in self._coeffs}}
+        return sorted((order[n], xs[y], n, y, vec) for (n, y), vec in self._coeffs.items())
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._coeffs
 
     def __eq__(self, other):
         return (
@@ -168,16 +191,16 @@ class JacobiTable(Immutable):
             and (other.g, other.k, other.m, other.trunc, other.dim) ==
                 (self.g, self.k, self.m, self.trunc, self.dim)
             and other.tag == self.tag
-            and other.coeffs == self.coeffs
+            and other._coeffs == self._coeffs
         )
 
     def __hash__(self):
         return hash((self.g, self.k, self.m, self.tag.d, self.trunc, self.dim,
-                     frozenset(self.coeffs.items())))
+                     frozenset(self._coeffs.items())))
 
     def __repr__(self):
         return "JacobiTable(g=%d, k=%d, m=%d, d=%d, trunc=%s, %d terms)" % (
-            self.g, self.k, self.m, self.tag.d, self.trunc, len(self.coeffs)
+            self.g, self.k, self.m, self.tag.d, self.trunc, len(self._coeffs)
         )
 
     def add(self, other: "JacobiTable") -> "JacobiTable":
@@ -186,26 +209,74 @@ class JacobiTable(Immutable):
             raise ValueError("table shape mismatch")
         trunc = min(self.trunc, other.trunc)
         bound = trunc.as_integer_ratio()
-        out: dict[tuple[HermMatrix, Vector], Vec] = {}
-        for key in set(self.coeffs) | set(other.coeffs):
+        out: dict[tuple[HermMatrix, Y], Vec] = {}
+        for key in set(self._coeffs) | set(other._coeffs):
             if not _trace_within(key[0], bound):
                 continue
-            a = self.coeffs.get(key, _zero_vec(self.dim, self.tag))
-            b = other.coeffs.get(key, _zero_vec(other.dim, other.tag))
+            a = self._coeffs.get(key, _zero_vec(self.dim, self.tag))
+            b = other._coeffs.get(key, _zero_vec(other.dim, other.tag))
             out[key] = tuple(x + y for x, y in zip(a, b))
         return JacobiTable._trusted(self.g, self.k, self.m, self.tag, trunc, out, self.dim)
 
     def vanishing_order(self):
         """min over supported keys of the minimal value represented by the
         n-block; +inf on empty support."""
-        return min((min_represented(n) for (n, _r) in self.coeffs), default=inf)
+        return min((min_represented(n) for (n, _y) in self._coeffs), default=inf)
 
     def vanishing_order_at(self, r: Sequence[FieldElement]):
         """Smallest corner entry n[g-1][g-1] over supported keys with second
         component r; +inf when r never occurs."""
-        r = tuple(r)
-        return min((Fraction(n._key[-2], n._key[0]) for n, rr in self.coeffs if rr == r),
+        y = _element_y(r, self.tag)
+        return min((Fraction(n._key[-2], n._key[0]) for n, yy in self._coeffs if yy == y),
                    default=inf)
+
+
+def _checked(table: JacobiTable, g: int, k: int, m: int, tag: FieldTag, trunc,
+             coeffs: Mapping, dim: int, y_of) -> JacobiTable:
+    """Fills `table` with `coeffs` after the checks of the public boundary:
+    the one checking body of the constructor and the HJF reader.  Each
+    distinct r is checked once, by `y_of(r, tag, key)`, which gives its y
+    or raises `errors.RecordError`."""
+    if g < 1:
+        raise ValueError("genus must be >= 1")
+    if m < 0:
+        raise ValueError("index must be >= 0")
+    if dim < 1:
+        raise ValueError("coefficient dimension must be >= 1")
+    trunc = Fraction(trunc)
+    bound, scale = trunc.as_integer_ratio(), abs(tag.disc) * m
+    clean: dict[tuple[HermMatrix, Y], Vec] = {}
+    ys: dict = {}  # each distinct r is checked once
+    index = None  # the 1x1 matrix [m] of the block keys, built at the first one
+    for key, vec in coeffs.items():
+        n, r = key
+        n = _as_key_matrix(n, g, tag)
+        r = tuple(r)
+        vec = tuple(vec)
+        if len(vec) != dim:
+            raise RecordError("coefficient dimension mismatch", key)
+        if _all_zero(vec, tag):
+            continue
+        if n.g != g or len(r) != g or n.tag != tag:
+            raise RecordError("key size or field mismatch", key)
+        if not _trace_within(n, bound):
+            raise RecordError("key exceeds truncation %s" % trunc, key)
+        y = ys.get(r)
+        if y is None:
+            y = ys[r] = y_of(r, tag, key)
+        if g == 1:
+            # 2x2 block: psd iff n = p/D >= 0 and n*m >= |r|^2 = N(y)/|D|
+            den, p, _q = n._key
+            ok = p >= 0 and p * scale >= _pair_norm(y[0], y[1], tag) * den
+        else:
+            if index is None:
+                index = HermMatrix.from_rational(m, tag)
+            # block_key(n, r, m), with the column r = X/|D|
+            ok = _join_raw(n, _x_of(y, tag), abs(tag.disc), index).is_psd()
+        if not ok:
+            raise RecordError("block key (n r; r* m) is not positive semidefinite", key)
+        clean[(n, y)] = vec
+    return table._fill(g, k, m, tag, trunc, dim, clean)
 
 
 # ----------------------------------------------------------------------
@@ -215,24 +286,24 @@ class JacobiTable(Immutable):
 def theta_coeffs(m: int, s: CosetClass, trunc,
                  max_keys: int | None = None) -> JacobiTable | None:
     """The theta table of index m and shift s: coefficient 1 exactly at the
-    keys (r m^-1 r*, r) for r in the class, any rep, from
-    `hermitian._class_points`; weight recorded as the cogenus.  Keys are in
-    the order of N(r), then of the coordinates of |D| r = -sqrt(D) y.  None
-    if there are more than `max_keys`, found before any key is built."""
+    keys (r m^-1 r*, r) for r in the class, any rep, each built from the y
+    = sqrt(D) r of `hermitian._class_points`; weight recorded as the
+    cogenus.  Keys are in the order of N(r), then of the coordinates of
+    |D| r = -sqrt(D) y.  None if there are more than `max_keys`, found
+    before any key is built."""
     if s.m != m:
         raise ValueError("class has modulus %d, expected %d" % (s.m, m))
-    tag, trunc, pairs = s.tag, Fraction(trunc), range(0, 2 * s.g, 2)
+    tag, trunc = s.tag, Fraction(trunc)
     top, den = trunc.as_integer_ratio()
     index = _sublattice(tag, m).class_index([c for x in s.rep for c in _y_coords(x)])
     # each key has trace |r|^2/m <= trunc and a rank-one PSD block
     points = _class_points(s.g, m, tag, top * abs(tag.disc) * m // den, (index,), max_keys)
     if points is None:
         return None
-    order = sorted((norm, [-c for i in pairs for c in _pair_sqrt_disc(y[i], y[i + 1], tag)],
-                    tuple(_from_y(y[i], y[i + 1], tag) for i in pairs)) for _i, norm, y in points)
+    order = sorted((norm, _x_of(y, tag), y) for _i, norm, y in points)
     one = (FieldElement.one(tag),)
     return JacobiTable._trusted(s.g, 1, m, tag, trunc,
-                                {(shift_matrix(r, m), r): one for _n, _x, r in order})
+                                {(_shift_matrix(y, m, tag.d), y): one for _n, _x, y in order})
 
 
 class ThetaComponentVector(Immutable):
@@ -288,7 +359,8 @@ def theta_decompose(phi: JacobiTable, strict: bool = False) -> ThetaComponentVec
     body[n'].  The keys of s, all matched, map one-to-one into these pairs
     (n', r), so it is enough that s has as many keys as pairs, counted on
     the points of the classes with keys (`hermitian._class_points`); a
-    class short of keys is walked on the keys of its theta table.
+    class short of keys is walked on the keys of its theta table.  Every r
+    is its y = sqrt(D) r throughout, and r0 + m e_1 is y0 + m sqrt(D) e_1.
 
     Raises ConsistencyError with a witness (n', r, r') at the first failed
     probe, by key in the order of phi.coeffs, then by class: r0 + m e_1
@@ -302,33 +374,34 @@ def theta_decompose(phi: JacobiTable, strict: bool = False) -> ThetaComponentVec
         raise ValueError("decomposition requires index >= 1")
     tag, g, trunc = phi.tag, phi.g, phi.trunc
     cells, sub, scale = _delta_cells(m, tag), _sublattice(tag, m), abs(tag.disc) * m
-    # per class index: [body, keys off r0, r0]; per distinct r: (its class's
-    # entry, r m^-1 r*, whether r = r0)
+    # per class index: [body, keys off y0, y0]; per distinct y: (its class's
+    # entry, r m^-1 r*, whether y = y0)
     found: dict[int, list] = {}
-    seen: dict[Vector, tuple] = {}
-    off_r0 = []
-    for (n, r), vec in phi.coeffs.items():
-        info = seen.get(r)
+    seen: dict[Y, tuple] = {}
+    off_y0 = []
+    for (n, y), vec in phi._coeffs.items():
+        info = seen.get(y)
         if info is None:
-            index = sub.class_index([c for x in r for c in _y_coords(x)])
+            index = sub.class_index(y)
             if index not in found:
-                found[index] = [{}, 0, tuple(cells[i][0] for i in sub.digits(index, g))]
-            info = seen[r] = (found[index], shift_matrix(r, m), r == found[index][2])
-        entry, shift, at_r0 = info
+                y0 = tuple([c for i in sub.digits(index, g) for c in cells[i][0]])
+                found[index] = [{}, 0, y0]
+            info = seen[y] = (found[index], _shift_matrix(y, m, tag.d), y == found[index][2])
+        entry, shift, at_y0 = info
         nprime = n.sub(shift)
-        if at_r0:
+        if at_y0:
             entry[0][nprime] = vec
         else:  # hold the place of n' in the body, in the order of the keys
             entry[0].setdefault(nprime, None)
             entry[1] += 1
-            off_r0.append((nprime, r, vec, entry))
+            off_y0.append((nprime, y, vec, entry))
     # Rounding makes each r0_i least in norm over its coset, so
     # tr(r0 m^-1 r0*) <= tr(r m^-1 r*): the read n' + r0 m^-1 r0* of a key
     # is always within the truncation.
-    for nprime, r, vec, (body, _off, r0) in off_r0:
+    for nprime, y, vec, (body, _off, y0) in off_y0:
         if body[nprime] != vec:
             raise ConsistencyError("well-definedness violation: representatives disagree",
-                                   witness=(nprime, r, r0))
+                                   witness=(nprime, _r_of(y, tag), _r_of(y0, tag)))
 
     top, den = trunc.as_integer_ratio()
     norms: dict[int, list[int]] = {}
@@ -337,38 +410,43 @@ def theta_decompose(phi: JacobiTable, strict: bool = False) -> ThetaComponentVec
             norms.setdefault(index, []).append(norm)
         for ns in norms.values():
             ns.sort()
+    step = _pair_sqrt_disc(m, 0, tag)  # m e_1 as y
     classes, components = delta_classes(g, m, tag), {}
     for index, s in enumerate(classes):
         # trunc less the trace of the shift of r0
         norm0 = sum(cells[i][1] for i in sub.digits(index, g))
         h_trunc = Fraction(top * scale - den * norm0, den * scale)
-        body, off, r0 = found.get(index) or ({}, 0, ())
+        body, off, y0 = found.get(index) or ({}, 0, ())
         components[s] = FourierSeries._trusted(g, phi.k - 1, tag, h_trunc, body, phi.dim,
                                                semi_integral=False)
         if not body:
             continue
-        r1 = (r0[0] + m,) + r0[1:]
-        shift1 = shift_matrix(r1, m)
+        y1 = (y0[0] + step[0], y0[1] + step[1]) + y0[2:]
+        shift1 = _shift_matrix(y1, m, tag.d)
+        room1 = _trace_sum((top, den), shift1._trace, -1)  # tr n' + tr shift1 <= trunc
         for nprime, vec in body.items():
-            key1 = nprime.add(shift1)
-            if _trace_within(key1, (top, den)) and phi.coefficient(key1, r1) != vec:
+            # only a key within the truncation is built; vec is nonzero, so
+            # an absent key differs from it
+            if _trace_within(nprime, room1) and \
+                    phi._coeffs.get((nprime.add(shift1), y1)) != vec:
                 raise ConsistencyError("well-definedness violation at spare representative",
-                                       witness=(nprime, r0, r1))
+                                       witness=(nprime, _r_of(y0, tag), _r_of(y1, tag)))
         # the pairs (n', r) with N(y) <= (trunc - tr n') |D| m, against the
         # keys; short of keys, walk the keys of theta_s to the witness
         if strict and len(body) + off != sum(
                 bisect_right(norms.get(index, ()), (top * d - num * den) * scale // (den * d))
                 for num, d in (nprime._trace for nprime in body)):
-            points = theta_coeffs(m, s, trunc).coeffs
+            points = theta_coeffs(m, s, trunc)._coeffs
             for nprime, vec in body.items():
                 room = _trace_sum((top, den), nprime._trace, -1)
-                for shift, r_any in points:
+                for shift, y_any in points:
                     if not _trace_within(shift, room):
                         break
-                    if phi.coefficient(nprime.add(shift), r_any) != vec:
+                    if phi._coeffs.get((nprime.add(shift), y_any)) != vec:
+                        r_any = _r_of(y_any, tag)
                         raise ConsistencyError(
                             "well-definedness violation at representative %r" % (r_any,),
-                            witness=(nprime, r0, r_any))
+                            witness=(nprime, _r_of(y0, tag), r_any))
     return ThetaComponentVector(m, classes, components)
 
 
@@ -376,10 +454,10 @@ def theta_recompose(v: ThetaComponentVector, trunc) -> JacobiTable:
     """phi(n, r) = c(h_class(r); n - r m^-1 r*): the exact sum of h_s theta_s.
 
     Component truncations must reach trunc minus the minimal class shift;
-    raises ValueError otherwise.  The r of the classes with a nonzero
-    component come from `hermitian._class_points`.  Each key
-    has the PSD n' as its Schur complement and r in O^#, so the table skips
-    re-validation.
+    raises ValueError otherwise.  The y = sqrt(D) r of the classes with a
+    nonzero component come from `hermitian._class_points` and key the
+    table as they are.  Each key has the PSD n' as its Schur complement
+    and r in O^#, so the table skips re-validation.
     """
     m = v.m
     trunc = Fraction(trunc)
@@ -399,15 +477,14 @@ def theta_recompose(v: ThetaComponentVector, trunc) -> JacobiTable:
                              % (h.trunc, trunc))
         if h.coeffs:
             live[index] = [(nprime, nprime._trace, vec) for nprime, vec in h.coeffs.items()]
-    coeffs: dict[tuple[HermMatrix, Vector], Vec] = {}
+    coeffs: dict[tuple[HermMatrix, Y], Vec] = {}
     for index, norm, y in _class_points(g, m, tag, top * scale // den, live):
-        r = tuple(_from_y(y[i], y[i + 1], tag) for i in range(0, 2 * g, 2))
-        shift = shift_matrix(r, m)
+        shift = _shift_matrix(y, m, tag.d)
         # tr n' <= trunc - N(y)/(|D| m), on ints
         room = top * scale - norm * den
         for nprime, (num, d), vec in live[index]:
             if num * den * scale <= room * d:
-                coeffs[(nprime.add(shift), r)] = vec
+                coeffs[(nprime.add(shift), y)] = vec
     return JacobiTable._trusted(g, weight + 1, m, tag, trunc, coeffs, dim)
 
 
@@ -419,22 +496,23 @@ def series_times_theta(h: FourierSeries, theta: JacobiTable) -> JacobiTable:
     theta is a valid key, so the table skips re-validation.
     """
     m, tag = theta.m, theta.tag
-    if not theta.coeffs:
+    if not theta._coeffs:
         raise ValueError("empty theta table")
     if m < 1:
         raise ValueError("m must be >= 1")
     # tr(r0 m^-1 r0*) for r0 the small representative of the class of the keys
-    shift0 = Fraction(sum(_small_cell(*_y_coords(x), m, tag)[1]
-                          for x in next(iter(theta.coeffs))[1]), abs(tag.disc) * m)
+    y = next(iter(theta._coeffs))[1]
+    shift0 = Fraction(sum(_small_cell(y[i], y[i + 1], m, tag)[1] for i in range(0, len(y), 2)),
+                      abs(tag.disc) * m)
     out_trunc = h.trunc + shift0
     if theta.trunc < out_trunc:
         raise ValueError("theta truncation %s below product target %s" % (theta.trunc, out_trunc))
     bound = out_trunc.as_integer_ratio()
-    coeffs: dict[tuple[HermMatrix, Vector], Vec] = {}
-    for (n_theta, r), _one in theta.coeffs.items():
+    coeffs: dict[tuple[HermMatrix, Y], Vec] = {}
+    for (n_theta, y), _one in theta._coeffs.items():
         for nprime, vec in h.coeffs.items():
             n = nprime.add(n_theta)
             if not _trace_within(n, bound):
                 continue
-            coeffs[(n, r)] = vec
+            coeffs[(n, y)] = vec
     return JacobiTable._trusted(h.g, h.k + 1, m, h.tag, out_trunc, coeffs, h.dim)

@@ -74,7 +74,8 @@ class FourierSeries(Immutable):
             raise ValueError("degree must be >= 1")
         if dim < 1:
             raise ValueError("coefficient dimension must be >= 1")
-        trunc = Fraction(trunc)
+        if type(trunc) is not Fraction:  # a reader hands over one Fraction per text
+            trunc = Fraction(trunc)
         bound = trunc.as_integer_ratio()
         clean: dict[HermMatrix, Vec] = {}
         for t, vec in coeffs.items():

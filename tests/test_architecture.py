@@ -5,7 +5,9 @@ pairs, and every other module calls those helpers.  So the basis constants
 `_norm_s` and `_norm_t` of a `FieldTag` are read nowhere but in `field.py`.
 
 The FJFAM writer reads the blocks off the assembled keys: `formats.py`
-names neither `split_block` nor the `tables` view.
+names neither `split_block` nor the `tables` view.  The cogenus-1 slice
+reads its n and y = sqrt(D) r off the key ints too: `ffj._cogenus_one_slice`
+does not name `split_block`.
 
 Lattice searches have one home too: `field._lattice_points` is called only
 in `field` and `hermitian`, and the points of a class of Delta_g(m) come
@@ -73,3 +75,12 @@ def test_formats_reads_no_split_tables():
     found = [line.strip() for line in text.splitlines()
              if re.search(r"\bsplit_block\b|\.tables\b", line)]
     assert not found, "\n".join(found)
+
+
+def test_cogenus_one_slice_splits_no_block():
+    tree = ast.parse((SRC / "ffj.py").read_text(encoding="utf-8"))
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_cogenus_one_slice")
+    names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
+    assert "split_block" not in names

@@ -374,7 +374,7 @@ def test_theta_refuses_a_table_over_the_entry_limit(tmp_path, capsys, monkeypatc
 def test_theta_at_a_large_index_builds_only_its_class(tmp_path, monkeypatch):
     # Delta_1(1000) over Q(sqrt(-3)) has 3 * 10^6 classes; the shift class
     # is built from the digits of its index, one component, and the one key
-    # r = 0 from its point y = 0
+    # is keyed by its point y = 0 as it is, with no r built from it
     from hermfj import cli, hermitian, jacobi
 
     built = []
@@ -390,7 +390,7 @@ def test_theta_at_a_large_index_builds_only_its_class(tmp_path, monkeypatch):
     out = tmp_path / "m1000.hjf"
     assert cli.run(["theta", "--field", "-3", "--m", "1000", "--shift", "0", "--trunc", "1",
                     "--out", str(out)]) == 0
-    assert built == [(0, 0), (0, 0)]
+    assert built == [(0, 0)]
     zero = CosetClass(1000, (FieldElement.zero(tag),), tag)
     assert out.read_text(encoding="ascii") == write_jacobi(theta_coeffs(1000, zero, 1))
 

@@ -42,8 +42,8 @@ def test_small_representatives_match_rounding_in_field_arithmetic(d):
     for g, m in CASES:
         for s in delta_classes(g, m, tag):
             assert small_rep(s) == small_rep_by_rounding(s), (g, m, s)
-        for i, (r0, norm0) in enumerate(_delta_cells(m, tag)):
-            s = delta_classes(1, m, tag)[i]
+        for i, (y0, norm0) in enumerate(_delta_cells(m, tag)):
+            s, r0 = delta_classes(1, m, tag)[i], _from_y(*y0, tag)
             assert (r0,) == small_rep_by_rounding(s)
             assert norm0 == abs(tag.disc) * r0.norm()
 

@@ -1256,7 +1256,7 @@ def theta_recompose_by_classes(v, trunc):
             for nprime, vec in h.coeffs.items():
                 if _trace_within(nprime, room):
                     coeffs[(nprime.add(shift), r)] = vec
-    return JacobiTable._trusted(g, weight + 1, m, tag, trunc, coeffs, dim)
+    return JacobiTable(g, weight + 1, m, tag, trunc, coeffs, dim)
 
 
 def theta_decompose_by_probes(phi, strict: bool = False):
@@ -1279,7 +1279,8 @@ def theta_decompose_by_probes(phi, strict: bool = False):
     seen = {}
     bound = phi.trunc.as_integer_ratio()
     zero = _zero_vec(phi.dim, tag)
-    for (n, r), vec in phi.coeffs.items():
+    coeffs = phi.coeffs
+    for (n, r), vec in coeffs.items():
         info = seen.get(r)
         if info is None:
             body, r0 = slots[reduce_class(r, m)]
@@ -1287,7 +1288,7 @@ def theta_decompose_by_probes(phi, strict: bool = False):
         body, r0, shift, shift0 = info
         nprime = n.sub(shift)
         key0 = nprime.add(shift0)
-        if _trace_within(key0, bound) and phi.coeffs.get((key0, r0), zero) != vec:
+        if _trace_within(key0, bound) and coeffs.get((key0, r0), zero) != vec:
             raise ConsistencyError("well-definedness violation: representatives disagree",
                                    witness=(nprime, r, r0))
         body[nprime] = vec
@@ -1331,7 +1332,7 @@ def theta_coeffs_by_coset_vectors(m: int, s, trunc, max_keys: int | None = None)
         return None
     one = FieldElement.one(s.tag)
     coeffs = {(shift_matrix(r, m), r): (one,) for r in points}
-    return JacobiTable._trusted(s.g, 1, m, s.tag, trunc, coeffs)
+    return JacobiTable(s.g, 1, m, s.tag, trunc, coeffs)
 
 
 def series_times_theta_by_small_rep(h, theta):
@@ -1354,7 +1355,7 @@ def series_times_theta_by_small_rep(h, theta):
             n = nprime.add(n_theta)
             if _trace_within(n, bound):
                 coeffs[(n, r)] = vec
-    return JacobiTable._trusted(h.g, h.k + 1, m, h.tag, out_trunc, coeffs, h.dim)
+    return JacobiTable(h.g, h.k + 1, m, h.tag, out_trunc, coeffs, h.dim)
 
 
 # ----------------------------------------------------------------------
@@ -1507,3 +1508,241 @@ def read_by_lines(text: str):
     return ThetaComponentVector(m, [s for s, _t, _b in sections], {
         s: FourierSeries(g, k, tag, h_trunc, body, dim, semi_integral=False)
         for s, h_trunc, body in sections})
+
+
+# ----------------------------------------------------------------------
+# the theta path and HJF I/O on r as `FieldElement`s (the library before
+# tables held r as the integer vector y = sqrt(D) r)
+
+
+def canonical_pair_order(keys) -> list:
+    """(n, r) pairs in the canonical order of the text formats: the former
+    pair branch of `hermitian._canonical_order`, `HermMatrix.sort_key` of
+    n, then r by coordinates over their common denominator."""
+    from math import lcm
+
+    from hermfj.field import _clear_dens
+
+    keys = list(keys)
+    big = lcm(*(n._trace[1] for n, _r in keys))
+    rbig = lcm(*(x.den for _n, r in keys for x in r))
+    return sorted(keys, key=lambda key: (key[0]._trace[0] * (big // key[0]._trace[1]),
+                                         key[0].to_text(), _clear_dens(key[1], rbig)[1]))
+
+
+def shift_by_elements(r, m: int):
+    from hermfj.hermitian import HermMatrix
+
+    return HermMatrix(shift_rows_by_elements(r, m), r[0].tag)
+
+
+def theta_coeffs_by_elements(m: int, s, trunc, max_keys: int | None = None):
+    """The former `jacobi.theta_coeffs`: each point y of
+    `hermitian._class_points` mapped to r = y/sqrt(D) and to its sort key,
+    the key built from r by field-element products, through the public
+    constructor."""
+    from hermfj.field import _pair_sqrt_disc
+    from hermfj.hermitian import _class_points, _from_y, _sublattice, _y_coords
+    from hermfj.jacobi import JacobiTable
+
+    tag, trunc, pairs = s.tag, Fraction(trunc), range(0, 2 * s.g, 2)
+    top, den = trunc.as_integer_ratio()
+    index = _sublattice(tag, m).class_index([c for x in s.rep for c in _y_coords(x)])
+    points = _class_points(s.g, m, tag, top * abs(tag.disc) * m // den, (index,), max_keys)
+    if points is None:
+        return None
+    order = sorted((norm, [-c for i in pairs for c in _pair_sqrt_disc(y[i], y[i + 1], tag)],
+                    tuple(_from_y(y[i], y[i + 1], tag) for i in pairs)) for _i, norm, y in points)
+    one = (FieldElement.one(tag),)
+    return JacobiTable(s.g, 1, m, tag, trunc,
+                       {(shift_by_elements(r, m), r): one for _n, _x, r in order})
+
+
+def theta_decompose_by_elements(phi, strict: bool = False):
+    """The former `jacobi.theta_decompose`, on the `coeffs` view: per
+    distinct r its class index from the y of each component, r0 and
+    r0 + m e_1 as field elements, shifts by field-element products."""
+    from bisect import bisect_right
+
+    from hermfj.errors import ConsistencyError
+    from hermfj.hermitian import (_class_points, _delta_cells, _from_y, _sublattice, _trace_sum,
+                                  _trace_within, _y_coords, delta_classes)
+    from hermfj.jacobi import ThetaComponentVector
+    from hermfj.series import FourierSeries
+
+    m, tag, g, trunc = phi.m, phi.tag, phi.g, phi.trunc
+    cells, sub, scale = _delta_cells(m, tag), _sublattice(tag, m), abs(tag.disc) * m
+    coeffs = phi.coeffs
+    found, seen, off_r0 = {}, {}, []
+    for (n, r), vec in coeffs.items():
+        info = seen.get(r)
+        if info is None:
+            index = sub.class_index([c for x in r for c in _y_coords(x)])
+            if index not in found:
+                found[index] = [{}, 0, tuple(_from_y(*cells[i][0], tag)
+                                             for i in sub.digits(index, g))]
+            info = seen[r] = (found[index], shift_by_elements(r, m), r == found[index][2])
+        entry, shift, at_r0 = info
+        nprime = n.sub(shift)
+        if at_r0:
+            entry[0][nprime] = vec
+        else:
+            entry[0].setdefault(nprime, None)
+            entry[1] += 1
+            off_r0.append((nprime, r, vec, entry))
+    for nprime, r, vec, (body, _off, r0) in off_r0:
+        if body[nprime] != vec:
+            raise ConsistencyError("well-definedness violation: representatives disagree",
+                                   witness=(nprime, r, r0))
+    top, den = trunc.as_integer_ratio()
+    norms = {}
+    if strict:
+        for index, norm, _y in _class_points(g, m, tag, top * scale // den, found):
+            norms.setdefault(index, []).append(norm)
+        for ns in norms.values():
+            ns.sort()
+    classes, components = delta_classes(g, m, tag), {}
+    for index, s in enumerate(classes):
+        norm0 = sum(cells[i][1] for i in sub.digits(index, g))
+        h_trunc = Fraction(top * scale - den * norm0, den * scale)
+        body, off, r0 = found.get(index) or ({}, 0, ())
+        components[s] = FourierSeries._trusted(g, phi.k - 1, tag, h_trunc, body, phi.dim,
+                                               semi_integral=False)
+        if not body:
+            continue
+        r1 = (r0[0] + m,) + r0[1:]
+        shift1 = shift_by_elements(r1, m)
+        for nprime, vec in body.items():
+            key1 = nprime.add(shift1)
+            if _trace_within(key1, (top, den)) and phi.coefficient(key1, r1) != vec:
+                raise ConsistencyError("well-definedness violation at spare representative",
+                                       witness=(nprime, r0, r1))
+        if strict and len(body) + off != sum(
+                bisect_right(norms.get(index, ()), (top * d - num * den) * scale // (den * d))
+                for num, d in (nprime._trace for nprime in body)):
+            points = theta_coeffs_by_elements(m, s, trunc).coeffs
+            for nprime, vec in body.items():
+                room = _trace_sum((top, den), nprime._trace, -1)
+                for shift, r_any in points:
+                    if not _trace_within(shift, room):
+                        break
+                    if phi.coefficient(nprime.add(shift), r_any) != vec:
+                        raise ConsistencyError(
+                            "well-definedness violation at representative %r" % (r_any,),
+                            witness=(nprime, r0, r_any))
+    return ThetaComponentVector(m, classes, components)
+
+
+def theta_recompose_by_elements(v, trunc):
+    """The former `jacobi.theta_recompose`: each point y of the classes with
+    a nonzero component mapped to r = y/sqrt(D), its shift by field-element
+    products, through the public constructor."""
+    from hermfj.hermitian import _class_points, _delta_cells, _from_y, _sublattice
+    from hermfj.jacobi import JacobiTable
+
+    m, trunc = v.m, Fraction(trunc)
+    sample = next(iter(v.components.values()))
+    tag, g, dim, weight = sample.tag, sample.g, sample.dim, sample.k
+    cells, sub, scale = _delta_cells(m, tag), _sublattice(tag, m), abs(tag.disc) * m
+    top, den = trunc.as_integer_ratio()
+    live = {}
+    for index, s in enumerate(v.classes):
+        h = v.components[s]
+        if (h.g, h.tag, h.dim, h.k) != (g, tag, dim, weight):
+            raise ValueError("inconsistent components")
+        norm0, (num, d) = sum(cells[i][1] for i in sub.digits(index, g)), h.trunc.as_integer_ratio()
+        if num * den * scale < (top * scale - den * norm0) * d:
+            raise ValueError("component truncation %s insufficient for target %s"
+                             % (h.trunc, trunc))
+        if h.coeffs:
+            live[index] = [(nprime, nprime._trace, vec) for nprime, vec in h.coeffs.items()]
+    coeffs = {}
+    for index, norm, y in _class_points(g, m, tag, top * scale // den, live):
+        r = tuple(_from_y(y[i], y[i + 1], tag) for i in range(0, 2 * g, 2))
+        shift = shift_by_elements(r, m)
+        room = top * scale - norm * den
+        for nprime, (num, d), vec in live[index]:
+            if num * den * scale <= room * d:
+                coeffs[(nprime.add(shift), r)] = vec
+    return JacobiTable(g, weight + 1, m, tag, trunc, coeffs, dim)
+
+
+def cogenus_one_slice_by_split_block(fam, m: int):
+    """The former `ffj._cogenus_one_slice`: each selected key split by
+    `split_block`, which builds the m block and r as field elements."""
+    from hermfj.hermitian import split_block
+    from hermfj.jacobi import JacobiTable
+
+    coeffs = {}
+    for t, vec in fam.coeffs.items():
+        if t._key[-2] == m * t._key[0]:
+            n, r, _m = split_block(t, 1)
+            coeffs[(n, tuple(row[0] for row in r))] = vec
+    return JacobiTable(fam.g - 1, fam.k, m, fam.tag, fam.trunc - m, coeffs, fam.dim)
+
+
+def read_jacobi_by_elements(text: str):
+    """The former `formats.read_jacobi`: each distinct r text parsed to
+    field elements, the table built by the public constructor."""
+    from functools import partial
+
+    from hermfj.errors import ParseError
+    from hermfj.formats import (_body, _construct, _interned, _parse_header, _parse_matrix,
+                                _parse_vector, _split_pair, _vec_text)
+    from hermfj.jacobi import JacobiTable
+
+    lines = text.splitlines()
+    tag, g, k, m, trunc, dim = _parse_header(lines, "HJF v1")
+    make = partial(JacobiTable, g, k, m, tag, trunc, dim=dim)
+    _construct(make, {}, [])
+    matrix, vector = _interned(_parse_matrix, tag), _interned(_parse_vector, tag)
+    r_vector = _interned(_parse_vector, tag)
+    coeffs, record_lines = {}, []
+    for i, raw in _body(lines):
+        n_text, r_text, value = _split_pair(raw, i)
+        key = (matrix(n_text, g, i), r_vector(r_text, g, i))
+        if key in coeffs:
+            raise ParseError("repeated key (%s ; %s)" % (key[0].to_text(), _vec_text(key[1])), i)
+        coeffs[key] = vector(value, dim, i)
+        record_lines.append(i)
+    return _construct(make, coeffs, record_lines)
+
+
+def write_jacobi_by_elements(t) -> str:
+    """The former `formats.write_jacobi`: the `coeffs` view in
+    `canonical_pair_order`, every n and r rendered per record."""
+    from hermfj.formats import _header_line, _vec_text
+
+    lines = [_header_line("HJF v1", t.tag.d, t.g, t.k, t.m, t.trunc, t.dim)]
+    coeffs = t.coeffs
+    for key in canonical_pair_order(coeffs):
+        n, r = key
+        lines.append("(%s ; %s) = %s" % (n.to_text(), _vec_text(r), _vec_text(coeffs[key])))
+    return "\n".join(lines) + "\n"
+
+
+def write_series_by_support(f) -> str:
+    """The former `formats.write_series`: `support()`, then each t rendered
+    per record."""
+    from hermfj.formats import _header_line, _vec_text
+
+    lines = [_header_line("FJS v1", f.tag.d, f.g, f.k, f.trunc, f.dim)]
+    for t in f.support():
+        lines.append("t = %s ; c = %s" % (t.to_text(), _vec_text(f.coeffs[t])))
+    return "\n".join(lines) + "\n"
+
+
+def write_components_by_support(v) -> str:
+    """The former `formats.write_components`: each section by `support()`,
+    each n rendered per record."""
+    from hermfj.formats import _header_line, _vec_text
+
+    sample = v.components[v.classes[0]]
+    lines = [_header_line("HJC v1", sample.tag.d, sample.g, sample.k, v.m, sample.trunc,
+                          sample.dim)]
+    for i, s in enumerate(v.classes):
+        h = v.components[s]
+        lines.append("[class %d; rep = %s; htrunc = %s]" % (i, s.to_text(), h.trunc))
+        for n in h.support():
+            lines.append("n = %s ; c = %s" % (n.to_text(), _vec_text(h.coeffs[n])))
+    return "\n".join(lines) + "\n"
