@@ -400,12 +400,6 @@ def _parse_token(text: str) -> tuple[int, int, int]:
     return a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator
 
 
-@cache
-def sqrt_disc(tag: FieldTag) -> FieldElement:
-    """The element sqrt(D) = 2w - s generating the different."""
-    return FieldElement(*_pair_sqrt_disc(1, 0, tag), tag)
-
-
 def unit_group(tag: FieldTag) -> tuple[FieldElement, ...]:
     """All units of O: the (a, b) with N = 1 within coordinate bound 1, in (a, b) order."""
     return tuple(FieldElement(a, b, tag) for a in (-1, 0, 1) for b in (-1, 0, 1)

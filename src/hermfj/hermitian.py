@@ -243,10 +243,6 @@ class HermMatrix(Immutable):
         den = lcm(*(d for _p, _q, d in upper))
         return cls._trusted(g, [den] + [c * (den // d) for p, q, d in upper for c in (p, q)], tag)
 
-    def sort_key(self) -> tuple:
-        """The canonical order; `_canonical_order` computes it on ints."""
-        return (self.trace(), self.to_text())
-
     def __repr__(self):
         return "HermMatrix(%s, g=%d, d=%d)" % (self.to_text(), self.g, self.tag.d)
 
@@ -351,30 +347,33 @@ def _trace_within(t: HermMatrix, bound: tuple[int, int]) -> bool:
     return num * bound[1] <= bound[0] * den
 
 
-def _canonical_order(keys: Iterable[HermMatrix]) -> list[HermMatrix]:
-    """`keys` in the canonical order of the text formats,
-    `HermMatrix.sort_key`, on ints: traces scale by the lcm of their
-    denominators."""
-    keys = list(keys)
-    big = lcm(*(t._trace[1] for t in keys))
-    return sorted(keys, key=lambda t: (t._trace[0] * (big // t._trace[1]), t.to_text()))
-
-
 def _text_order(mats: Iterable[HermMatrix]) -> dict[HermMatrix, tuple[int, str]]:
-    """{t: (trace, text)} for the distinct matrices of `mats`: the order of
-    `_canonical_order` as a sort key, with each text rendered once."""
+    """{t: (trace, text)} for the distinct matrices of `mats`: the canonical
+    order of the text formats as a sort key, by trace, then by `to_text`,
+    on ints (traces scale by the lcm of their denominators), with each text
+    rendered once."""
     mats = set(mats)
     big = lcm(*(t._trace[1] for t in mats))
     return {t: (t._trace[0] * (big // t._trace[1]), t.to_text()) for t in mats}
 
 
+def _canonical_order(keys: Iterable[HermMatrix]) -> list[HermMatrix]:
+    """The distinct matrices `keys` sorted by `_text_order`."""
+    order = _text_order(keys)
+    return sorted(order, key=order.__getitem__)
+
+
 class UnitMatrix(Immutable):
     """An element of GL_g(O): integral entries and unit determinant.
 
-    `_cols` holds the columns as integer coordinate pairs (a, b), and
-    `_star` their conjugates, the rows of u*, for `gl_action`."""
+    Held as ints: `_cols` holds the columns as coordinate pairs (a, b) of
+    a + b*w, and `_star` their conjugates, the rows of u*, for `gl_action`.
+    `entries` is a view built on demand, as `HermMatrix.entries` is, and
+    equality and hashing compare `_cols`.  The public constructors check
+    integrality and the unit determinant; GL_g(O) is closed under products
+    and inverses, so `mul` and `inverse` build through `_trusted`."""
 
-    __slots__ = ("g", "entries", "tag", "det_unit", "_cols", "_star")
+    __slots__ = ("g", "tag", "det_unit", "_cols", "_star")
 
     def __init__(self, entries: Sequence[Sequence[FieldElement]], tag: FieldTag):
         rows = linalg.freeze(entries)
@@ -388,9 +387,17 @@ class UnitMatrix(Immutable):
         d = linalg.det(rows)
         if d.norm() != 1:
             raise ValueError("determinant is not a unit of O")
-        cols = tuple(tuple((e.p, e.q) for e in col) for col in zip(*rows))
-        self._fill(n, rows, tag, d, cols,
-                   tuple(tuple(_pair_conj(a, b, tag) for a, b in col) for col in cols))
+        self._set(tuple(tuple((e.p, e.q) for e in col) for col in zip(*rows)), tag, d)
+
+    @classmethod
+    def _trusted(cls, cols: tuple, tag: FieldTag, det_unit: FieldElement) -> "UnitMatrix":
+        """The matrix on the int columns `cols` of a member of GL_g(O) with
+        determinant `det_unit`; skips the checks of `__init__`."""
+        return object.__new__(cls)._set(cols, tag, det_unit)
+
+    def _set(self, cols: tuple, tag: FieldTag, det_unit: FieldElement) -> "UnitMatrix":
+        star = tuple(tuple(_pair_conj(a, b, tag) for a, b in col) for col in cols)
+        return self._fill(len(cols), tag, det_unit, cols, star)
 
     @classmethod
     def identity(cls, g: int, tag: FieldTag) -> "UnitMatrix":
@@ -398,13 +405,8 @@ class UnitMatrix(Immutable):
 
     @classmethod
     def permutation(cls, perm: Sequence[int], tag: FieldTag) -> "UnitMatrix":
-        g = len(perm)
-        one = FieldElement.one(tag)
-        z = FieldElement.zero(tag)
-        return cls(
-            tuple(tuple(one if perm[i] == j else z for j in range(g)) for i in range(g)),
-            tag,
-        )
+        one, z = FieldElement.one(tag), FieldElement.zero(tag)
+        return cls([[one if p == j else z for j in range(len(perm))] for p in perm], tag)
 
     @classmethod
     def elementary(cls, g: int, i: int, j: int, value: FieldElement) -> "UnitMatrix":
@@ -417,42 +419,42 @@ class UnitMatrix(Immutable):
 
     @classmethod
     def diagonal_units(cls, units: Sequence[FieldElement], tag: FieldTag) -> "UnitMatrix":
-        g = len(units)
         z = FieldElement.zero(tag)
-        return cls(
-            tuple(tuple(units[i] if i == j else z for j in range(g)) for i in range(g)),
-            tag,
-        )
+        return cls([[u if i == j else z for j in range(len(units))] for i, u in enumerate(units)],
+                   tag)
+
+    @property
+    def entries(self) -> linalg.Matrix:
+        tag, build = self.tag, FieldElement._from_ints
+        return tuple(tuple(build(a, b, 1, tag) for a, b in row) for row in zip(*self._cols))
 
     def inverse(self) -> "UnitMatrix":
-        return UnitMatrix(linalg.inverse(self.entries), self.tag)
+        """By `linalg.inverse`; the determinant of the inverse is
+        1/det = conj(det), as N(det) = 1."""
+        cols = tuple(tuple((e.p, e.q) for e in col) for col in zip(*linalg.inverse(self.entries)))
+        return UnitMatrix._trusted(cols, self.tag, self.det_unit.conj())
 
     def mul(self, other: "UnitMatrix") -> "UnitMatrix":
+        """The product on the int columns: column j is u times column j of
+        other, a `_pair_dot` of each row of u with it."""
         if other.g != self.g or other.tag != self.tag:
             raise ValueError("matrix size or field mismatch")
-        return UnitMatrix(linalg.mat_mul(self.entries, other.entries), self.tag)
+        tag, rows = self.tag, tuple(zip(*self._cols))
+        cols = tuple(tuple(_pair_dot(row, col, tag) for row in rows) for col in other._cols)
+        return UnitMatrix._trusted(cols, tag, self.det_unit * other.det_unit)
 
     __mul__ = mul
 
-    def conj_transpose_entries(self) -> linalg.Matrix:
-        return linalg.conj_transpose(self.entries)
-
     def __eq__(self, other):
-        return (
-            isinstance(other, UnitMatrix)
-            and other.tag == self.tag
-            and other.entries == self.entries
-        )
+        return (isinstance(other, UnitMatrix) and other._cols == self._cols
+                and other.tag.d == self.tag.d)
 
     def __hash__(self):
-        return hash((self.entries, self.tag.d))
+        return hash((self._cols, self.tag.d))
 
     def __repr__(self):
         return "UnitMatrix(%s, g=%d, d=%d)" % (
-            ",".join(e.to_text() for row in self.entries for e in row),
-            self.g,
-            self.tag.d,
-        )
+            _entries_text(chain.from_iterable(zip(*self._cols)), 1), self.g, self.tag.d)
 
 
 def gl_action(u: UnitMatrix, t: HermMatrix) -> HermMatrix:
@@ -793,12 +795,3 @@ def _class_points(g: int, m: int, tag: FieldTag, bound: int, wanted,
             out.append((index, q2 // (2 * disc), tuple(y)))
     return out
 
-
-def in_same_class(r1: Sequence[FieldElement], r2: Sequence[FieldElement], m: int) -> bool:
-    """Whether r1 - r2 lies in m O^g, for m >= 1; vectors of different
-    lengths raise ValueError."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if len(r1) != len(r2):
-        raise ValueError("vectors of lengths %d and %d" % (len(r1), len(r2)))
-    return all(((x - y) / m).is_integral() for x, y in zip(r1, r2))

@@ -30,7 +30,7 @@ from .field import (FieldElement, FieldTag, Immutable, _clear_dens, _pair_conj, 
                     _pair_norm, _pair_sqrt_disc, make_field)
 from .hermitian import (CosetClass, HermMatrix, Vector, _class_points, _delta_cells, _from_y,
                         _join_raw, _small_cell, _sublattice, _text_order, _trace_sum,
-                        _trace_within, _y_coords, delta_classes, join_block, min_represented)
+                        _trace_within, _y_coords, delta_classes, min_represented)
 from .series import FourierSeries, Vec, _all_zero, _nonzero, _zero_vec
 
 #: y = sqrt(D) r in O^g as (a_1, b_1, ..., a_g, b_g)
@@ -78,12 +78,6 @@ def _x_of(y: Y, tag: FieldTag) -> Y:
     return tuple([-c for i in range(0, len(y), 2) for c in _pair_sqrt_disc(y[i], y[i + 1], tag)])
 
 
-def block_key(n: HermMatrix, r: Sequence[FieldElement], m: int) -> HermMatrix:
-    """The (g+1) x (g+1) assembly (n r; r* m), Hermitian by construction
-    for a Hermitian n and a rational m."""
-    return join_block(n, tuple((x,) for x in r), HermMatrix.from_rational(m, n.tag))
-
-
 def _as_key_matrix(n, g: int, tag: FieldTag) -> HermMatrix:
     if isinstance(n, HermMatrix):
         return n
@@ -126,8 +120,9 @@ class JacobiTable(Immutable):
     The store `_coeffs` is keyed by (n, y), y = sqrt(D) r as ints (see the
     module docstring).  `coeffs` is a view keyed by (n, r), r a tuple of
     `FieldElement`s, one per distinct y, built on each access as
-    `HermMatrix.entries` is; `coefficient`, `support` and
-    `vanishing_order_at` take r that way too.
+    `HermMatrix.entries` is; `coefficient` and `vanishing_order_at` take r
+    that way too.  `_records` gives the keys in the canonical order of the
+    text formats.
 
     Validation happens once, at the public boundary: `_checked`, the one
     checking body of the constructor (r as `FieldElement`s) and of
@@ -169,15 +164,11 @@ class JacobiTable(Immutable):
         vec = self._coeffs.get((n, _element_y(r, self.tag)))
         return vec if vec is not None else _zero_vec(self.dim, self.tag)
 
-    def support(self) -> list[tuple[HermMatrix, Vector]]:
-        """The keys in the canonical order of the text formats."""
-        return [(n, _r_of(y, self.tag)) for _n_order, _x, n, y, _vec in self._records()]
-
     def _records(self) -> list[tuple[tuple[int, str], Y, HermMatrix, Y, Vec]]:
-        """(`_text_order` of n, X = -sqrt(D) y, n, y, vec) for each key,
-        sorted: n as `HermMatrix.sort_key`, then r by the coordinates of
-        |D| r = X.  Each distinct n and y is mapped once; (n, X) differ
-        between keys, so the sort never compares n, y or vec."""
+        """(`_text_order` of n, X = -sqrt(D) y, n, y, vec) for each key, in
+        the canonical order of the text formats: n by that order, then r by
+        the coordinates of |D| r = X.  Each distinct n and y is mapped once;
+        (n, X) differ between keys, so the sort never compares n, y or vec."""
         order = _text_order(n for n, _y in self._coeffs)
         xs = {y: _x_of(y, self.tag) for y in {y for _n, y in self._coeffs}}
         return sorted((order[n], xs[y], n, y, vec) for (n, y), vec in self._coeffs.items())
@@ -271,7 +262,7 @@ def _checked(table: JacobiTable, g: int, k: int, m: int, tag: FieldTag, trunc,
         else:
             if index is None:
                 index = HermMatrix.from_rational(m, tag)
-            # block_key(n, r, m), with the column r = X/|D|
+            # the block key (n r; r* m), with the column r = X/|D|
             ok = _join_raw(n, _x_of(y, tag), abs(tag.disc), index).is_psd()
         if not ok:
             raise RecordError("block key (n r; r* m) is not positive semidefinite", key)

@@ -1,11 +1,12 @@
 """Small exact linear algebra over field elements.
 
 Matrices are immutable tuples of tuples of FieldElement: the entries of
-`UnitMatrix` and of the unitary groups, and the rows that the `HermMatrix`
-constructor checks with `is_hermitian`.  Determinants and inverses come
-from one Gaussian elimination over E, O(n^3) field operations, so a
-`UnitMatrix` of any genus is cheap to build and to invert.  Hermitian
-matrices are held as ints, and their kernels in `hermitian` work on those.
+the unitary groups, the rows that the `HermMatrix` and `UnitMatrix`
+constructors check (`is_hermitian`, `det`), and the `entries` views of
+both.  Determinants and inverses come from one Gaussian elimination over
+E, O(n^3) field operations, so a `UnitMatrix` of any genus is cheap to
+build and to invert.  `HermMatrix` and `UnitMatrix` are held as ints, and
+their products and actions in `hermitian` work on those.
 """
 
 from __future__ import annotations

@@ -118,9 +118,6 @@ class FourierSeries(Immutable):
         vec = self.coeffs.get(t)
         return vec if vec is not None else _zero_vec(self.dim, self.tag)
 
-    def support(self) -> list[HermMatrix]:
-        return _canonical_order(self.coeffs)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

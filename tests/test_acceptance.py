@@ -39,10 +39,12 @@ from util import (
     build_degree3_family,
     deep_hole_oracle,
     grid_max_min_dist,
+    matrix_order_by_fractions,
     random_component_vector,
     random_heisenberg,
     random_unit_matrix,
     random_unitary,
+    sqrt_disc,
 )
 
 EXPECTED_MU = {-1: Fraction(1, 2), -2: Fraction(3, 4), -3: Fraction(1, 3),
@@ -88,8 +90,6 @@ def test_criterion_01_euclidean_constants():
 def _brute_force_classes_g1(tag, m):
     """Exhaustive coset enumeration of O^# / m O at genus 1, classifying a
     covering box of dual vectors by pairwise equivalence."""
-    from hermfj.field import sqrt_disc
-
     sd = sqrt_disc(tag)
     w = FieldElement.omega(tag)
     c1 = ((sd * m).a, (sd * m).b)
@@ -130,8 +130,6 @@ def test_criterion_02_coset_cardinalities():
                 assert len(reps) == m * m * size
                 classes = delta_classes(1, m, tag)
                 assert len(classes) == m * m * size
-                from hermfj.field import sqrt_disc
-
                 sd = sqrt_disc(tag)
                 matched = set()
                 for s in classes:
@@ -300,7 +298,7 @@ def test_criterion_09_reindexing_coherence():
             broken_body = dict(body)
             broken_rv = None
             for (n, r), vec in sorted(broken_body.items(),
-                                      key=lambda kv: (kv[0][0].sort_key(), str(kv[0][1]))):
+                                      key=lambda kv: (matrix_order_by_fractions(kv[0][0]), str(kv[0][1]))):
                 rv = tuple(row[0] for row in r)
                 if rv != small_rep(reduce_class(rv, 1)):
                     broken_body[(n, r)] = (vec[0] + FieldElement.one(tag),)

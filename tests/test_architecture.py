@@ -9,6 +9,11 @@ names neither `split_block` nor the `tables` view.  The cogenus-1 slice
 reads its n and y = sqrt(D) r off the key ints too: `ffj._cogenus_one_slice`
 does not name `split_block`.
 
+Code that no library or CLI path reaches is not kept in the library:
+`in_same_class`, `block_key`, `sqrt_disc`, `UnitMatrix.conj_transpose_entries`,
+`HermMatrix.sort_key` and the `support` views of `FourierSeries` and
+`JacobiTable` are gone, and their oracles live in the tests' `util`.
+
 Lattice searches have one home too: `field._lattice_points` is called only
 in `field` and `hermitian`, and the points of a class of Delta_g(m) come
 from `hermitian._class_points` alone.  So `jacobi` imports no search from
@@ -58,6 +63,28 @@ def test_lattice_points_is_called_only_in_field_and_hermitian():
 
 def test_the_coset_vector_search_is_gone():
     found = lines_matching(r"\b_coset_vectors\b", ())
+    assert not found, "\n".join(found)
+
+
+#: names deleted because no library or CLI path reached them; each has its
+#: former body, or a rewrite, in the tests' `util`.  `sort_key` and
+#: `support` are pinned per class, as `FieldElement.sort_key` stays and
+#: "support" names the keys of a series in prose.
+RETIRED_NAMES = r"\b(in_same_class|block_key|sqrt_disc|conj_transpose_entries)\b|\.support\b"
+RETIRED_METHODS = {("HermMatrix", "sort_key"), ("FourierSeries", "support"),
+                   ("JacobiTable", "support")}
+
+
+def test_the_unreached_surface_is_gone():
+    found = lines_matching(RETIRED_NAMES, ())
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(cls, ast.ClassDef):
+                defined = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+                defined |= {target.id for node in cls.body if isinstance(node, ast.Assign)
+                            for target in node.targets if isinstance(target, ast.Name)}
+                found += ["%s.%s" % (cls.name, name) for name in sorted(defined)
+                          if (cls.name, name) in RETIRED_METHODS]
     assert not found, "\n".join(found)
 
 

@@ -181,6 +181,54 @@ def test_symmetry_check_of_a_header_only_series_at_high_genus(g, tmp_path, capsy
     assert len(calls) <= 4 * gens * g * g
 
 
+def test_symmetry_check_refuses_a_header_over_the_entry_limit(tmp_path, capsys, monkeypatch):
+    # g = 100, l = 50 over Q(i): 106 generators of GL_100(O) and 5,000 shears
+    # of 10^4 entries each, counted off the header before anything is built
+    from hermfj import cli, hermitian
+
+    built = []
+    store = hermitian.UnitMatrix._set  # every UnitMatrix build ends here
+    monkeypatch.setattr(hermitian.UnitMatrix, "_set",
+                        lambda self, *args: built.append(None) or store(self, *args))
+    path = tmp_path / "empty.fjfam"
+    path.write_text("FJFAM v1; d=-1; g=100; l=50; k=12; trunc=2; dim=1\n", encoding="ascii")
+    assert cli.run(["symmetry-check", "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "5106 generators of g^2 = 10000 entries each, 51060000 in all" in captured.err
+    assert "limit of %d entries" % cli.SYMMETRY_MAX_ENTRIES in captured.err
+    assert built == []
+    # a header the reader rejects keeps its parse error
+    path.write_text("FJFAM v1; d=-1; g=100; l=x; k=12; trunc=2; dim=1\n", encoding="ascii")
+    assert cli.run(["symmetry-check", "--in", str(path)]) == 2
+    path.write_text("FJFAM v1; d=-1; g=3; l=1; k=12; trunc=2; dim=1\n", encoding="ascii")
+    assert cli.run(["symmetry-check", "--in", str(path)]) == 0 and built
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("magic", ["FJS v1", "FJFAM v1"])
+def test_symmetry_check_counts_the_generators_it_builds(magic, tmp_path, capsys, monkeypatch):
+    # the limit admits exactly the entries of the generators that are built
+    from hermfj import cli
+    from hermfj.ffj import shear_generators
+    from hermfj.series import gl_generators
+
+    path = tmp_path / "empty"
+    header = {"FJS v1": "FJS v1; d=%d; g=%d; k=12; trunc=1; dim=1\n",
+              "FJFAM v1": "FJFAM v1; d=%d; g=%d; l=%d; k=12; trunc=1; dim=1\n"}[magic]
+    for tag in (make_field(-1), make_field(-3), make_field(-7)):
+        for g in (1, 2, 3, 5):
+            for l in range(1, g) if magic == "FJFAM v1" else (None,):
+                units = gl_generators(g, tag) + (shear_generators(g, l, tag) if l else [])
+                entries = len(units) * g * g
+                path.write_text(header % ((tag.d, g) + ((l,) if l else ())), encoding="ascii")
+                monkeypatch.setattr(cli, "SYMMETRY_MAX_ENTRIES", entries)
+                assert cli.run(["symmetry-check", "--in", str(path)]) == 0
+                monkeypatch.setattr(cli, "SYMMETRY_MAX_ENTRIES", entries - 1)
+                assert cli.run(["symmetry-check", "--in", str(path)]) == 1
+    capsys.readouterr()
+
+
 def test_rearrange_and_psi0(tmp_path):
     tag = make_field(-1)
     t = HermMatrix.diagonal([1, 1, 0], tag)

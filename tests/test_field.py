@@ -10,7 +10,6 @@ from hermfj.field import (
     euclidean_constant,
     euclidean_round,
     make_field,
-    sqrt_disc,
     unit_group,
 )
 from util import (
@@ -19,6 +18,7 @@ from util import (
     min_dist_to_lattice,
     psd_rank_by_minors,
     random_field_element,
+    sqrt_disc,
 )
 
 EXPECTED_MU = {-1: Fraction(1, 2), -2: Fraction(3, 4), -3: Fraction(1, 3),

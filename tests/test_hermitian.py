@@ -12,12 +12,11 @@ from hermfj.hermitian import (
     delta_classes,
     enumerate_semi_integral,
     gl_action,
-    in_same_class,
     min_represented,
     reduce_class,
     small_rep,
 )
-from util import all_tags, principal_minor, psd_by_minors, random_field_element
+from util import all_tags, in_same_class, principal_minor, psd_by_minors, random_field_element
 
 
 def fe(a, b, tag):

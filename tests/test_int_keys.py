@@ -16,9 +16,10 @@ from hermfj import linalg
 from hermfj.ffj import _leading_block, join_block, split_block
 from hermfj.field import FieldElement, unit_group
 from hermfj.hermitian import HermMatrix, UnitMatrix, gl_action
-from hermfj.jacobi import block_key, shift_matrix
+from hermfj.jacobi import shift_matrix
 from util import (
     all_tags,
+    block_key,
     gl_action_rows_by_mat_mul,
     gram_by_elements,
     join_rows_by_elements,

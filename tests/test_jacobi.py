@@ -10,7 +10,6 @@ from hermfj.hermitian import HermMatrix, delta_classes, reduce_class, small_rep
 from hermfj.jacobi import (
     JacobiTable,
     ThetaComponentVector,
-    block_key,
     series_times_theta,
     shift_matrix,
     theta_coeffs,
@@ -18,7 +17,7 @@ from hermfj.jacobi import (
     theta_recompose,
 )
 from hermfj.series import FourierSeries
-from util import all_tags, distant_break
+from util import all_tags, block_key, distant_break
 
 
 def fe(a, b, tag):
@@ -328,7 +327,7 @@ def test_input_keyed_caches_are_bounded():
 
 def test_reading_a_genus_two_table_builds_its_index_matrix_once(monkeypatch):
     """The constructor checks each (n r; r* m) against one 1x1 matrix [m],
-    built at the first key, and its verdicts are those of `block_key`: it
+    built at the first key, and its verdicts are those of `join_block`: it
     rejects a block with a zero diagonal entry over a nonzero row."""
     from hermfj.formats import read_jacobi, write_jacobi
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from hermfj.field import FieldElement, _search_levels, coset_points, sqrt_disc
+from hermfj.field import FieldElement, _search_levels, coset_points
 from hermfj.hermitian import (
     CosetClass,
     HermMatrix,
@@ -33,6 +33,7 @@ from util import (
     random_field_element,
     real_gram_by_fractions,
     search_levels_by_fractions,
+    sqrt_disc,
 )
 
 

@@ -28,23 +28,22 @@ from hermfj.formats import (
 from hermfj.hermitian import (
     CosetClass,
     HermMatrix,
+    UnitMatrix,
     delta_classes,
     enumerate_semi_integral,
-    in_same_class,
     reduce_class,
     small_rep,
 )
 from hermfj.jacobi import (
     JacobiTable,
     ThetaComponentVector,
-    block_key,
     shift_matrix,
     theta_coeffs,
     theta_decompose,
     theta_recompose,
 )
 from hermfj.series import FourierSeries, gl_generators, symmetrize
-from util import all_tags, build_degree3_family, random_component_vector
+from util import all_tags, block_key, build_degree3_family, random_component_vector
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hermfj"
 TAG = make_field(-1)
@@ -121,9 +120,6 @@ CONSTRUCTOR_CASES = {
     "CosetClass component of another field": lambda: CosetClass(
         1, (FieldElement(0, 0, make_field(-3)),), TAG),
     "reduce_class of an empty r": lambda: reduce_class((), 1),
-    "in_same_class of unequal lengths": lambda: in_same_class((fe(0),), (fe(0), fe(1)), 1),
-    "in_same_class m = 0": lambda: in_same_class((fe(0),), (fe(1),), 0),
-    "in_same_class m = -2": lambda: in_same_class((fe(0),), (fe(2),), -2),
     "shift_matrix m = 0": lambda: shift_matrix((fe(1),), 0),
     "shift_matrix m = -1": lambda: shift_matrix((fe(1),), -1),
     "enumerate_semi_integral g = 0": lambda: enumerate_semi_integral(0, 2, TAG),
@@ -257,6 +253,10 @@ def public_class(c):
     return CosetClass(c.m, c.rep, c.tag)
 
 
+def public_unit(u):
+    return UnitMatrix(u.entries, u.tag)
+
+
 def public_family(fam):
     return FJFamily(fam.g, fam.l, fam.k, fam.tag, fam.trunc,
                     {public_matrix(m): {(public_matrix(n), r): vec for (n, r), vec in body.items()}
@@ -331,6 +331,13 @@ def test_trusted_outputs_equal_their_public_rebuild():
                  if not c.is_zero())
         assert_same_as_public(h + h.scale(2), public_series)
         assert_same_as_public(symmetrize(f1, gl_generators(2, tag)), public_series)
+        for g in (1, 2, 4):
+            gens = gl_generators(g, tag)
+            for u in gens:
+                assert_same_as_public(u.inverse(), public_unit)
+                for v in rng.sample(gens, min(3, len(gens))):
+                    assert_same_as_public(u.mul(v), public_unit)
+                    assert_same_as_public(u.mul(v).inverse().mul(u), public_unit)
 
     for d in (-1, -3):
         fam1 = build_degree3_family(random.Random(d), make_field(d), trunc=3)

@@ -46,6 +46,7 @@ from util import (
     cogenus_one_slice_by_split_block,
     random_component_vector,
     read_jacobi_by_elements,
+    table_support,
     theta_coeffs_by_elements,
     theta_decompose_by_elements,
     theta_recompose_by_elements,
@@ -91,7 +92,7 @@ def test_theta_path_matches_the_field_element_bodies(d):
         text = write_jacobi(table)
         assert text == write_jacobi_by_elements(table)
         assert read_jacobi(text) == read_jacobi_by_elements(text) == table
-        assert table.support() == canonical_pair_order(table.coeffs)
+        assert table_support(table) == canonical_pair_order(table.coeffs)
         for strict in (False, True):
             v = theta_decompose(table, strict)
             assert v == theta_decompose_by_elements(table, strict)

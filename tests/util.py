@@ -133,6 +133,12 @@ def all_tags():
     return [make_field(d) for d in ALL_D]
 
 
+def sqrt_disc(tag: FieldTag) -> FieldElement:
+    """The element sqrt(D) generating the different (the former
+    `field.sqrt_disc`): 2w - 1 for w = (1+sqrt(d))/2, else 2w."""
+    return FieldElement(-1 if tag.half_basis else 0, 2, tag)
+
+
 # ----------------------------------------------------------------------
 # field element oracle (the library's predecessor, on Fractions)
 
@@ -446,8 +452,6 @@ def psd_rank_by_minors(gram):
 def dual_integral_by_product(x) -> bool:
     """x in O^# = O/sqrt(D), tested as sqrt(D) * x in O by a field-element
     product (the predecessor of `FieldElement.is_dual_integral`)."""
-    from hermfj.field import sqrt_disc
-
     return (x * sqrt_disc(x.tag)).is_integral()
 
 
@@ -469,7 +473,7 @@ def gl_action_rows_by_mat_mul(u, rows):
     matrix products."""
     from hermfj import linalg
 
-    return linalg.mat_mul(linalg.mat_mul(u.conj_transpose_entries(), rows), u.entries)
+    return linalg.mat_mul(linalg.mat_mul(linalg.conj_transpose(u.entries), rows), u.entries)
 
 
 def gl_action_by_mat_mul(u, t):
@@ -796,13 +800,14 @@ def trace_by_fractions(t) -> Fraction:
 
 
 def matrix_order_by_fractions(t) -> tuple:
-    """`HermMatrix.sort_key` on a `Fraction` trace: the order of
-    `FourierSeries.support`, `FJFamily.indices` and enumeration."""
+    """(trace, text) on a `Fraction` trace (the former `HermMatrix.sort_key`):
+    the order of `hermitian._canonical_order`, `FJFamily.indices` and
+    enumeration."""
     return (trace_by_fractions(t), t.to_text())
 
 
 def key_order_by_fractions(key) -> tuple:
-    """The order of `JacobiTable.support`: the former `jacobi._key_sort`."""
+    """The order of `JacobiTable._records`: the former `jacobi._key_sort`."""
     n, r = key
     return matrix_order_by_fractions(n) + (tuple((x.a, x.b) for x in r),)
 
@@ -828,8 +833,6 @@ def diagonal_tuples(g: int, total: int):
 def dual_points_bounded(tag: FieldTag, bound) -> list:
     """All x in O^# with N(x) <= bound: y/sqrt(D) for the y in O with
     N(y) <= bound |D|, found by `coset_points_by_fractions`."""
-    from hermfj.field import sqrt_disc
-
     inv_sd = sqrt_disc(tag).inv()
     return [y * inv_sd for y in coset_points_by_fractions(FieldElement.zero(tag), 1,
                                                           Fraction(bound) * abs(tag.disc))]
@@ -864,6 +867,54 @@ def enumerate_by_psd_tests(g: int, trace_bound: int, tag: FieldTag) -> list:
             if t.is_psd():
                 found.append(t)
     return sorted(found, key=matrix_order_by_fractions)
+
+
+# ----------------------------------------------------------------------
+# unit arithmetic oracles (the former bodies of `UnitMatrix.mul` and
+# `UnitMatrix.inverse`: field-element rows through the validating constructor)
+
+
+def unit_mul_by_mat_mul(u, v):
+    """u v as a generic field-element matrix product."""
+    from hermfj import linalg
+    from hermfj.hermitian import UnitMatrix
+
+    return UnitMatrix(linalg.mat_mul(u.entries, v.entries), u.tag)
+
+
+def unit_inverse_by_constructor(u):
+    """u^-1 by `linalg.inverse`, its determinant found again."""
+    from hermfj import linalg
+    from hermfj.hermitian import UnitMatrix
+
+    return UnitMatrix(linalg.inverse(u.entries), u.tag)
+
+
+# ----------------------------------------------------------------------
+# former library functions that no library path reached
+
+
+def in_same_class(r1, r2, m: int) -> bool:
+    """Whether r1 - r2 lies in m O^g, for vectors of equal length and m >= 1
+    (the former `hermitian.in_same_class`)."""
+    assert m >= 1 and len(r1) == len(r2)
+    return all(((x - y) / m).is_integral() for x, y in zip(r1, r2))
+
+
+def block_key(n, r, m):
+    """The assembly (n r; r* m) for a column r and a rational m, by
+    `join_block` (the former `jacobi.block_key`)."""
+    from hermfj.hermitian import HermMatrix, join_block
+
+    return join_block(n, tuple((x,) for x in r), HermMatrix.from_rational(m, n.tag))
+
+
+def table_support(table) -> list:
+    """The keys (n, r) of a Jacobi table in the order of its
+    `JacobiTable._records` (the former `JacobiTable.support`)."""
+    from hermfj.jacobi import _r_of
+
+    return [(n, _r_of(y, table.tag)) for _n_order, _x, n, y, _vec in table._records()]
 
 
 # ----------------------------------------------------------------------
@@ -1517,8 +1568,9 @@ def read_by_lines(text: str):
 
 def canonical_pair_order(keys) -> list:
     """(n, r) pairs in the canonical order of the text formats: the former
-    pair branch of `hermitian._canonical_order`, `HermMatrix.sort_key` of
-    n, then r by coordinates over their common denominator."""
+    pair branch of `hermitian._canonical_order`, n by
+    `matrix_order_by_fractions`, then r by coordinates over their common
+    denominator."""
     from math import lcm
 
     from hermfj.field import _clear_dens
@@ -1722,20 +1774,22 @@ def write_jacobi_by_elements(t) -> str:
 
 
 def write_series_by_support(f) -> str:
-    """The former `formats.write_series`: `support()`, then each t rendered
-    per record."""
+    """The former `formats.write_series`: the keys by `_canonical_order`,
+    then each t rendered per record."""
     from hermfj.formats import _header_line, _vec_text
+    from hermfj.hermitian import _canonical_order
 
     lines = [_header_line("FJS v1", f.tag.d, f.g, f.k, f.trunc, f.dim)]
-    for t in f.support():
+    for t in _canonical_order(f.coeffs):
         lines.append("t = %s ; c = %s" % (t.to_text(), _vec_text(f.coeffs[t])))
     return "\n".join(lines) + "\n"
 
 
 def write_components_by_support(v) -> str:
-    """The former `formats.write_components`: each section by `support()`,
-    each n rendered per record."""
+    """The former `formats.write_components`: each section by
+    `_canonical_order`, each n rendered per record."""
     from hermfj.formats import _header_line, _vec_text
+    from hermfj.hermitian import _canonical_order
 
     sample = v.components[v.classes[0]]
     lines = [_header_line("HJC v1", sample.tag.d, sample.g, sample.k, v.m, sample.trunc,
@@ -1743,6 +1797,6 @@ def write_components_by_support(v) -> str:
     for i, s in enumerate(v.classes):
         h = v.components[s]
         lines.append("[class %d; rep = %s; htrunc = %s]" % (i, s.to_text(), h.trunc))
-        for n in h.support():
+        for n in _canonical_order(h.coeffs):
             lines.append("n = %s ; c = %s" % (n.to_text(), _vec_text(h.coeffs[n])))
     return "\n".join(lines) + "\n"
