@@ -9,6 +9,7 @@ small canonical representatives.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
@@ -47,7 +48,7 @@ class HermMatrix(Immutable):
     Validation happens once, at the public boundary: the constructor and
     `from_text`, so every reader, check hermicity, and the constructor
     checks that every entry lies in the field of `tag`.  `_trusted` takes a key
-    and skips the checks for `add`, `sub`, `gl_action`, `join_block` and
+    and skips the checks for `add`, `sub`, `_congruent`, `join_block` and
     `_join_raw`, `split_block`, `enumerate_semi_integral`, the shift
     matrices of `jacobi._shift_matrix` (cached on the ints (y, m, d), y =
     sqrt(D) r), the leading block of `ffj.extract_psi0`, the n blocks of
@@ -367,13 +368,12 @@ class UnitMatrix(Immutable):
     """An element of GL_g(O): integral entries and unit determinant.
 
     Held as ints: `_cols` holds the columns as coordinate pairs (a, b) of
-    a + b*w, and `_star` their conjugates, the rows of u*, for `gl_action`.
-    `entries` is a view built on demand, as `HermMatrix.entries` is, and
-    equality and hashing compare `_cols`.  The public constructors check
-    integrality and the unit determinant; GL_g(O) is closed under products
-    and inverses, so `mul` and `inverse` build through `_trusted`."""
+    a + b*w.  `entries` is a view built on demand, as `HermMatrix.entries`
+    is, and equality and hashing compare `_cols`.  The public constructors
+    check integrality and the unit determinant; GL_g(O) is closed under
+    products and inverses, so `mul` and `inverse` build through `_trusted`."""
 
-    __slots__ = ("g", "tag", "det_unit", "_cols", "_star")
+    __slots__ = ("g", "tag", "det_unit", "_cols")
 
     def __init__(self, entries: Sequence[Sequence[FieldElement]], tag: FieldTag):
         rows = linalg.freeze(entries)
@@ -387,17 +387,13 @@ class UnitMatrix(Immutable):
         d = linalg.det(rows)
         if d.norm() != 1:
             raise ValueError("determinant is not a unit of O")
-        self._set(tuple(tuple((e.p, e.q) for e in col) for col in zip(*rows)), tag, d)
+        self._fill(n, tag, d, tuple(tuple((e.p, e.q) for e in col) for col in zip(*rows)))
 
     @classmethod
     def _trusted(cls, cols: tuple, tag: FieldTag, det_unit: FieldElement) -> "UnitMatrix":
         """The matrix on the int columns `cols` of a member of GL_g(O) with
         determinant `det_unit`; skips the checks of `__init__`."""
-        return object.__new__(cls)._set(cols, tag, det_unit)
-
-    def _set(self, cols: tuple, tag: FieldTag, det_unit: FieldElement) -> "UnitMatrix":
-        star = tuple(tuple(_pair_conj(a, b, tag) for a, b in col) for col in cols)
-        return self._fill(len(cols), tag, det_unit, cols, star)
+        return object.__new__(cls)._fill(len(cols), tag, det_unit, cols)
 
     @classmethod
     def identity(cls, g: int, tag: FieldTag) -> "UnitMatrix":
@@ -458,22 +454,44 @@ class UnitMatrix(Immutable):
 
 
 def gl_action(u: UnitMatrix, t: HermMatrix) -> HermMatrix:
-    """u* t u; preserves semi-integrality and positive semidefiniteness.
-
-    Exact, on the key: V = t u is formed from `t._int_coords()` and the
-    integral columns of u, then only the upper triangle of u* V, over the
-    denominator of t.
-    """
+    """u* t u by the map of `_congruence`; keeps semi-integrality and PSD."""
     if u.g != t.g or u.tag != t.tag:
         raise ValueError("matrix size or field mismatch")
-    g, tag = t.g, t.tag
-    rows, den = t._int_coords()
-    vcols = [[_pair_dot(row, col, tag) for row in rows] for col in u._cols]
-    raw = [den]
-    for i, ustar_row in enumerate(u._star):
-        for j in range(i, g):
-            raw += _pair_dot(ustar_row, vcols[j], tag)
-    return HermMatrix._trusted(g, raw, tag)
+    return _congruent(_congruence(u), t)
+
+
+def _congruence(u: UnitMatrix) -> tuple:
+    """t -> u* t u as an int-linear map on the key after D: (g, tag, rows,
+    trace), rows[c] the (key position, coefficient) pairs of coordinate c,
+    `trace` the sum of the diagonal rows.  A pair of nonzero u_ik, u_jl adds
+    c p + c x q to s_kl, c = conj(u_ik) u_jl, for t_ij = p + q*x (x = w above
+    the diagonal, conj(w) below): O(g^2) with 2 nonzeros per column."""
+    g, tag = u.g, u.tag
+    cells = [(k, l) for k in range(g) for l in range(k, g)]
+    at = {ij: 2 * n + 1 for n, (k, l) in enumerate(cells) for ij in ((k, l), (l, k))}
+    xs = ((0, 1), _pair_conj(0, 1, tag))
+    nz = [[(i, a, b) for i, (a, b) in enumerate(col) if a or b] for col in u._cols]
+    rows, trace = [], Counter()
+    for k, l in cells:
+        re, im = Counter(), Counter()
+        for (i, a, b), (j, e, f) in product(nz[k], nz[l]):
+            c = _pair_mul(*_pair_conj(a, b, tag), e, f, tag)
+            for p, (x, y) in ((at[i, j], c), (at[i, j] + 1, _pair_mul(*c, *xs[i > j], tag))):
+                re[p] += x
+                im[p] += y
+        if k == l:  # s_kk is rational: its w-coordinate is 0
+            trace.update(re)
+        rows += [tuple((p, c) for p, c in row.items() if c) for row in (re, im if k < l else {})]
+    return g, tag, rows, tuple((p, c) for p, c in trace.items() if c)
+
+
+def _congruent(cmap: tuple, t: HermMatrix, bound: tuple | None = None) -> HermMatrix | None:
+    """The image of t under `cmap` from `_congruence`; None, before any key
+    is built, when its trace is over bound = (num, den)."""
+    (g, tag, rows, trace), key = cmap, t._key
+    if bound is not None and sum([c * key[p] for p, c in trace]) * bound[1] > bound[0] * key[0]:
+        return None
+    return HermMatrix._trusted(g, [key[0]] + [sum([c * key[p] for p, c in r]) for r in rows], tag)
 
 
 # ----------------------------------------------------------------------

@@ -18,8 +18,8 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from . import linalg
 from .errors import RecordError
 from .field import FieldElement, FieldTag, Immutable, unit_group
-from .hermitian import HermMatrix, UnitMatrix, gl_action, min_represented
-from .hermitian import _canonical_order, _trace_sum, _trace_within
+from .hermitian import HermMatrix, UnitMatrix, min_represented
+from .hermitian import _canonical_order, _congruence, _congruent, _trace_sum, _trace_within
 
 Vec = tuple[FieldElement, ...]
 
@@ -244,9 +244,9 @@ def check_symmetry(
     support key t, or a preimage t = u^-1 s outside the support of a support
     key s, can fail; each u's violations come in the canonical key order.
     Vector-valued series require `rho` giving the explicit matrix per
-    generator.  One call maps the support once under each distinct matrix
-    among `units` and their inverses: |support| x (their number)
-    `gl_action` calls, in maps that die with the call.
+    generator.  One call maps each support key once by the `_congruence`
+    map of each distinct matrix among `units` and their inverses, under the
+    truncation bound; the maps die with the call.
     """
     units = list(units)
     checks = []
@@ -259,19 +259,20 @@ def check_symmetry(
                 raise ValueError("vector-valued series need an explicit rho")
             rho_mat = linalg.freeze(rho(u))
         checks.append((u, u.det_unit.conj() ** f.k, rho_mat))
+    if not f.coeffs:  # no key to act on: no map is built
+        return []
     index, inv = _steps(units)
     keys = list(f.coeffs)
-    images = [[gl_action(m, t) for t in keys] for m in index]
     bound = f.trunc.as_integer_ratio()
+    images = [[_congruent(cmap, t, bound) for t in keys] for cmap in map(_congruence, index)]
     violations = []
     for u, det_pow, rho_mat in checks:
         i = index[u]
-        pairs = list(zip(keys, images[i]))  # (t, u* t u)
-        pairs += [(t, s) for s, t in zip(keys, images[inv[i]]) if t not in f.coeffs]
+        pairs = [(t, s) for t, s in zip(keys, images[i]) if s is not None]  # (t, u* t u)
+        pairs += [(t, s) for s, t in zip(keys, images[inv[i]])
+                  if t is not None and t not in f.coeffs]
         bad = []
         for t, image in pairs:
-            if not (_trace_within(t, bound) and _trace_within(image, bound)):
-                continue
             lhs = f.coefficient(image)
             if rho_mat is not None:
                 lhs = _apply_rho(rho_mat, lhs)
@@ -320,11 +321,12 @@ def symmetrize(f: FourierSeries, units: Iterable[UnitMatrix]) -> FourierSeries:
     The walk steps by the distinct matrices among `units` and their
     inverses.  When u maps t to x inside the window, the call records that
     u^-1 maps x back to t and skips that edge, whose factor check repeats
-    this one.  So it makes one `gl_action` call per edge inside the window
-    and one per step out of it; the record dies with the call.
+    this one.  So it applies a step's `_congruence` map once per edge inside
+    the window and once, building no key, per step out of it; the maps and
+    the record die with the call, and an empty support builds no map.
     """
     index, inv = _steps(units)
-    steps = [(u, u.det_unit.conj() ** f.k) for u in index]
+    steps = [(_congruence(u), u.det_unit.conj() ** f.k) for u in index] if f.coeffs else []
     bound = f.trunc.as_integer_ratio()
     out: dict[HermMatrix, Vec] = {}
     done: set[HermMatrix] = set()
@@ -342,11 +344,11 @@ def symmetrize(f: FourierSeries, units: Iterable[UnitMatrix]) -> FourierSeries:
             for t in frontier:
                 base = factors[t]
                 skip = known.setdefault(t, set())
-                for j, (u, det_pow) in enumerate(steps):
+                for j, (cmap, det_pow) in enumerate(steps):
                     if j in skip:
                         continue
-                    image = gl_action(u, t)
-                    if not _trace_within(image, bound):
+                    image = _congruent(cmap, t, bound)
+                    if image is None:
                         continue
                     known.setdefault(image, set()).add(inv[j])
                     fac = base * det_pow

@@ -14,6 +14,10 @@ Code that no library or CLI path reaches is not kept in the library:
 `HermMatrix.sort_key` and the `support` views of `FourierSeries` and
 `JacobiTable` are gone, and their oracles live in the tests' `util`.
 
+The orbit walks of `series` act on keys by the int maps of
+`hermitian._congruence` alone: `series.py` names neither `gl_action` nor
+`_int_coords`.
+
 Lattice searches have one home too: `field._lattice_points` is called only
 in `field` and `hermitian`, and the points of a class of Delta_g(m) come
 from `hermitian._class_points` alone.  So `jacobi` imports no search from
@@ -101,6 +105,13 @@ def test_formats_reads_no_split_tables():
     text = (SRC / "formats.py").read_text(encoding="utf-8")
     found = [line.strip() for line in text.splitlines()
              if re.search(r"\bsplit_block\b|\.tables\b", line)]
+    assert not found, "\n".join(found)
+
+
+def test_series_acts_only_by_congruence_maps():
+    text = (SRC / "series.py").read_text(encoding="utf-8")
+    found = [line.strip() for line in text.splitlines()
+             if re.search(r"\bgl_action\b|\b_int_coords\b", line)]
     assert not found, "\n".join(found)
 
 

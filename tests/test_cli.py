@@ -161,8 +161,9 @@ def test_symmetry_check_passes_and_fails(tmp_path):
 @pytest.mark.parametrize("g", [8, 30])
 def test_symmetry_check_of_a_header_only_series_at_high_genus(g, tmp_path, capsys, monkeypatch):
     # each generator of GL_g(O) and its inverse cost O(g^2) field
-    # multiplications by elimination, where a cofactor expansion takes g!
-    from hermfj import cli
+    # multiplications by elimination, where a cofactor expansion takes g!;
+    # with no key to act on, no congruence map is built
+    from hermfj import cli, series
 
     path = tmp_path / "empty.fjs"
     path.write_text("FJS v1; d=-1; g=%d; k=4; trunc=2; dim=1\n" % g, encoding="ascii")
@@ -173,12 +174,16 @@ def test_symmetry_check_of_a_header_only_series_at_high_genus(g, tmp_path, capsy
         calls.append(None)
         return mul(self, other)
 
+    maps = []
+    congruence = series._congruence
+    monkeypatch.setattr(series, "_congruence", lambda u: maps.append(u) or congruence(u))
     monkeypatch.setattr(FieldElement, "__mul__", counted)
     monkeypatch.setattr(FieldElement, "__rmul__", counted)
     assert cli.run(["symmetry-check", "--in", str(path)]) == 0
     gens = 3 + (g - 1) + 4  # units other than 1, transpositions, elementary matrices
     assert capsys.readouterr().out == "symmetry ok: %d generators\n" % gens
     assert len(calls) <= 4 * gens * g * g
+    assert maps == []
 
 
 def test_symmetry_check_refuses_a_header_over_the_entry_limit(tmp_path, capsys, monkeypatch):
@@ -187,8 +192,8 @@ def test_symmetry_check_refuses_a_header_over_the_entry_limit(tmp_path, capsys, 
     from hermfj import cli, hermitian
 
     built = []
-    store = hermitian.UnitMatrix._set  # every UnitMatrix build ends here
-    monkeypatch.setattr(hermitian.UnitMatrix, "_set",
+    store = hermitian.UnitMatrix._fill  # every UnitMatrix build ends here
+    monkeypatch.setattr(hermitian.UnitMatrix, "_fill",
                         lambda self, *args: built.append(None) or store(self, *args))
     path = tmp_path / "empty.fjfam"
     path.write_text("FJFAM v1; d=-1; g=100; l=50; k=12; trunc=2; dim=1\n", encoding="ascii")

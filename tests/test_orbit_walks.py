@@ -1,6 +1,8 @@
 """`series.symmetrize` and `series.check_symmetry` against the walks that act
 by every step on every key: the same series, in the same key order, and the
-same violations in the same order, with fewer `gl_action` calls."""
+same violations in the same order, with fewer actions.  The walks act by one
+`hermitian._congruence` map per step, applied by `_congruent`; the oracles
+act by `util.gl_action_by_int_coords`."""
 
 import random
 from fractions import Fraction
@@ -9,6 +11,7 @@ import pytest
 
 import hermfj.hermitian as hermitian
 import hermfj.series as series
+import util
 from hermfj.ffj import shear_generators
 from hermfj.field import FieldElement, make_field
 from hermfj.hermitian import HermMatrix, UnitMatrix, _canonical_order, enumerate_semi_integral
@@ -16,6 +19,7 @@ from hermfj.series import FourierSeries, check_symmetry, gl_generators, symmetri
 from util import (
     ALL_D,
     check_symmetry_by_candidates,
+    gl_action_by_int_coords,
     random_field_element,
     symmetrize_by_all_steps,
 )
@@ -95,15 +99,15 @@ def test_symmetrize_reads_units_once():
     assert check_symmetry(from_iter, iter([e])) == []
 
 
-def _counting(monkeypatch, module):
+def _counting(monkeypatch, module, name):
     calls = [0]
-    act = module.gl_action
+    act = getattr(module, name)
 
-    def counted(u, t):
+    def counted(*args):
         calls[0] += 1
-        return act(u, t)
+        return act(*args)
 
-    monkeypatch.setattr(module, "gl_action", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -115,15 +119,28 @@ def test_orbit_walks_act_once_per_edge(d, monkeypatch):
     seed = FourierSeries(2, 12, tag, 4, {t: (FieldElement.one(tag),) for t in keys})
     gens = gl_generators(2, tag)
     steps = set(gens) | {u.inverse() for u in gens}
-    every_step = _counting(monkeypatch, hermitian)  # the oracles act through hermitian
-    calls = _counting(monkeypatch, series)
+    every_step = _counting(monkeypatch, util, "gl_action_by_int_coords")  # the oracles' action
+    calls = _counting(monkeypatch, series, "_congruent")  # one per key and step applied
+    maps = _counting(monkeypatch, series, "_congruence")
+    zero = FourierSeries.zero(2, 12, tag, 4)
+    assert symmetrize(zero, gens) == zero and check_symmetry(zero, gens) == []
+    assert maps[0] == 0  # an empty support builds no map
     f = symmetrize(seed, gens)
     assert f == symmetrize_by_all_steps(seed, gens)
     assert 3 * calls[0] <= 2 * every_step[0]
+    assert maps[0] == len(steps)
     square = f * f
-    calls[0] = 0
+    bound = square.trunc
+    inside = sum(gl_action_by_int_coords(u, t).trace() <= bound
+                 for u in steps for t in square.coeffs)
+    assert inside < len(square.coeffs) * len(steps)
+    calls[0] = maps[0] = 0
+    built = _counting(monkeypatch, hermitian, "_store")  # every key build ends here
     assert check_symmetry(square, gens) == []
     assert calls[0] == len(square.coeffs) * len(steps)
+    assert maps[0] == len(steps)
+    # only an image inside the window is built as a key
+    assert built[0] == inside
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -483,6 +483,26 @@ def gl_action_by_mat_mul(u, t):
     return HermMatrix(gl_action_rows_by_mat_mul(u, t.entries), t.tag)
 
 
+def gl_action_by_int_coords(u, t):
+    """The former `hermitian.gl_action`: V = t u from `t._int_coords()` and
+    the int columns of u, then the upper triangle of u* V over the
+    denominator of t, each entry a `_pair_dot`."""
+    from hermfj.field import _pair_conj, _pair_dot
+    from hermfj.hermitian import HermMatrix
+
+    if u.g != t.g or u.tag != t.tag:
+        raise ValueError("matrix size or field mismatch")
+    g, tag = t.g, t.tag
+    rows, den = t._int_coords()
+    vcols = [[_pair_dot(row, col, tag) for row in rows] for col in u._cols]
+    raw = [den]
+    for i, col in enumerate(u._cols):
+        ustar_row = [_pair_conj(a, b, tag) for a, b in col]
+        for j in range(i, g):
+            raw += _pair_dot(ustar_row, vcols[j], tag)
+    return HermMatrix._trusted(g, raw, tag)
+
+
 def real_gram_by_fractions(t):
     """The rational Gram matrix of omega* t omega on the coordinate lattice
     Z^{2g}, with basis e_i and w*e_i interleaved."""
@@ -1410,14 +1430,15 @@ def series_times_theta_by_small_rep(h, theta):
 
 
 # ----------------------------------------------------------------------
-# unimodular symmetry oracles (the orbit walks before one action per edge)
+# unimodular symmetry oracles (the orbit walks before one action per edge),
+# acting by `gl_action_by_int_coords`, not by the library's congruence maps
 
 
 def symmetrize_by_all_steps(f, units):
     """`series.symmetrize` stepping from every orbit key by every unit and
     every inverse, repeats included, and checking the factor on each
     directed edge inside the window."""
-    from hermfj.hermitian import _canonical_order, _trace_within, gl_action
+    from hermfj.hermitian import _canonical_order, _trace_within
     from hermfj.series import FourierSeries
 
     steps = [(u, u.det_unit.conj() ** f.k) for u in list(units) + [u.inverse() for u in units]]
@@ -1436,7 +1457,7 @@ def symmetrize_by_all_steps(f, units):
             for t in frontier:
                 base = factors[t]
                 for u, det_pow in steps:
-                    image = gl_action(u, t)
+                    image = gl_action_by_int_coords(u, t)
                     if not _trace_within(image, bound):
                         continue
                     fac = base * det_pow
@@ -1461,7 +1482,7 @@ def check_symmetry_by_candidates(f, units, rho=None):
     """`series.check_symmetry` per unit over every candidate key, the support
     and its preimages, sorted by the canonical order, each acted on anew."""
     from hermfj import linalg
-    from hermfj.hermitian import _canonical_order, _trace_within, gl_action
+    from hermfj.hermitian import _canonical_order, _trace_within
 
     violations = []
     bound = f.trunc.as_integer_ratio()
@@ -1475,11 +1496,11 @@ def check_symmetry_by_candidates(f, units, rho=None):
             if rho is None:
                 raise ValueError("vector-valued series need an explicit rho")
             rho_mat = linalg.freeze(rho(u))
-        candidates = set(f.coeffs) | {gl_action(u_inv, t) for t in f.coeffs}
+        candidates = set(f.coeffs) | {gl_action_by_int_coords(u_inv, t) for t in f.coeffs}
         for t in _canonical_order(candidates):
             if not _trace_within(t, bound):
                 continue
-            image = gl_action(u, t)
+            image = gl_action_by_int_coords(u, t)
             if not _trace_within(image, bound):
                 continue
             lhs = f.coefficient(image)
