@@ -39,9 +39,9 @@ class FJFamily(Immutable):
     `coeffs` maps each assembled degree-g key (n r; r* m) to its
     coefficient vector, as `FourierSeries.coeffs` does; `tables` and
     `indices` are the cogenus-l views.  The constructor takes the tables.
-    `indices`, `repr` and `_blocks`, which `formats.write_family` prints,
-    read the blocks off the assembled keys as ints (`hermitian._split_raw`)
-    and build no table.
+    `indices`, `repr` and `formats.write_family` read `_blocks`, and
+    `extract_psi0` and the cogenus-1 slice read `_corner`: both split the
+    assembled keys as ints (`hermitian._split_raw`) and build no table.
 
     Validation happens once, at the public boundary: the constructor, and
     so `formats.read_family`, checks every assembled key, and raises
@@ -114,13 +114,7 @@ class FJFamily(Immutable):
         return _split_tables(self.coeffs, self.l)
 
     def indices(self) -> list[HermMatrix]:
-        return _canonical_order(self._index_blocks())
-
-    def _index_blocks(self) -> set[HermMatrix]:
-        """The distinct index blocks m of the keys."""
-        l, tag = self.l, self.tag
-        return {HermMatrix._trusted(l, raw, tag)
-                for raw in {_split_raw(t, l)[2] for t in self.coeffs}}
+        return _canonical_order(self._blocks())
 
     def _blocks(self) -> dict[HermMatrix, list[tuple[HermMatrix, list[int], int, Vec]]]:
         """The keys t = (n r; r* m) by index: {m: [(n, r, D, vec)]}, with r
@@ -138,7 +132,7 @@ class FJFamily(Immutable):
             m = made.get(m_raw)
             if m is None:
                 m = made[m_raw] = HermMatrix._trusted(l, m_raw, tag)
-            blocks.setdefault(m, []).append((n, r, t._key[0], vec))
+            blocks.setdefault(m, []).append((n, r, n_raw[0], vec))
         return blocks
 
     def coefficient(self, m: HermMatrix, n: HermMatrix, r) -> Vec:
@@ -163,7 +157,7 @@ class FJFamily(Immutable):
 
     def __repr__(self):
         return "FJFamily(g=%d, l=%d, k=%d, d=%d, trunc=%s, %d indices)" % (
-            self.g, self.l, self.k, self.tag.d, self.trunc, len(self._index_blocks())
+            self.g, self.l, self.k, self.tag.d, self.trunc, len(self._blocks())
         )
 
 
@@ -206,28 +200,18 @@ def extract_psi0(fam: FJFamily) -> FJFamily:
     """The index-0 coefficient of the cogenus-1 rearrangement, re-identified
     as a family of degree g-1 and cogenus l-1.
 
-    Keeps the keys whose last diagonal entry vanishes and drops their last
-    row and column.  Nothing nonzero is dropped: every key t is positive
-    semidefinite, so each 2x2 principal minor t_ii t_gg - |t_ig|^2 >= 0,
-    and t_gg = 0 forces the whole last row and column to vanish.  The
-    shorter keys go through the public constructor of the smaller family.
+    Keeps the n of the `_corner` at 0: each key whose last diagonal entry
+    vanishes, without its last row and column.  Nothing nonzero is dropped:
+    every key t is positive semidefinite, so each 2x2 principal minor
+    t_ii t_gg - |t_ig|^2 >= 0, and t_gg = 0 forces the whole last row and
+    column to vanish.  The shorter keys go through the public constructor
+    of the smaller family.
     """
     if fam.l < 2:
         raise ValueError("psi_0 extraction needs cogenus >= 2")
-    kept = {_leading_block(t): vec for t, vec in fam.coeffs.items() if not t._key[-2]}
+    kept = {n: vec for n, _r, _den, vec in _corner(fam, 0)}
     return FJFamily(fam.g - 1, fam.l - 1, fam.k, fam.tag, fam.trunc,
                     _split_tables(kept, fam.l - 1), fam.dim)
-
-
-def _leading_block(t: HermMatrix) -> HermMatrix:
-    """t without its last row and column: each row of the key's upper
-    triangle without its last entry."""
-    g, key = t.g, t._key
-    raw, k = [key[0]], 1
-    for i in range(g - 1):
-        raw += key[k:k + 2 * (g - 1 - i)]
-        k += 2 * (g - i)
-    return HermMatrix._trusted(g - 1, raw, t.tag)
 
 
 def zero_pad(fam: FJFamily) -> FJFamily:
@@ -249,7 +233,7 @@ def _index_value(m_prime, tag: FieldTag) -> int:
         if m_prime.g != 1:
             raise ValueError("only 1x1 decomposition indices are supported "
                              "(coset classes are built for cogenus 1)")
-        value = Fraction(m_prime._key[1], m_prime._key[0])
+        value = m_prime.trace()
     else:
         value = Fraction(m_prime)
     if value.denominator != 1 or value <= 0:
@@ -257,16 +241,14 @@ def _index_value(m_prime, tag: FieldTag) -> int:
     return int(value)
 
 
-def _cogenus_one_slice(fam: FJFamily, m: int) -> JacobiTable:
-    """The index-m coefficient of the cogenus-1 rearrangement, as a genus
-    g-1 Jacobi table truncated at trunc - m: the keys whose last diagonal
-    entry is m, each read by `_split_raw` into n, one `HermMatrix` per
-    distinct n, and the y = sqrt(D) r of its last column, as ints.  No m
-    block and no `FieldElement` is built.
-    """
+def _corner(fam: FJFamily, m: int):
+    """(n, r, D, vec) for each key t = (n r; r* m) of `fam` whose last
+    diagonal entry is m, split by `_split_raw(t, 1)`: one `HermMatrix` per
+    distinct n key, and r the ints of its last column over the D of t.  The
+    corner is read off the key before the split, so keys at other indices
+    cost one comparison."""
     a, tag = fam.g - 1, fam.tag
     made: dict[tuple[int, ...], HermMatrix] = {}
-    coeffs = {}
     for t, vec in fam.coeffs.items():
         den = t._key[0]
         if t._key[-2] == m * den:
@@ -274,9 +256,21 @@ def _cogenus_one_slice(fam: FJFamily, m: int) -> JacobiTable:
             n = made.get(n_raw)
             if n is None:
                 n = made[n_raw] = HermMatrix._trusted(a, n_raw, tag)
-            # r = (a_i + b_i*w)/D lies in O^#, as the key is semi-integral
-            coeffs[(n, tuple([c // den for i in range(0, 2 * a, 2)
-                              for c in _pair_sqrt_disc(r[i], r[i + 1], tag)]))] = vec
+            yield n, r, den, vec
+
+
+def _cogenus_one_slice(fam: FJFamily, m: int) -> JacobiTable:
+    """The index-m coefficient of the cogenus-1 rearrangement, as a genus
+    g-1 Jacobi table truncated at trunc - m: the `_corner` at m, each key
+    keyed by its n and the y = sqrt(D) r of its last column, as ints.  No m
+    block and no `FieldElement` is built.
+    """
+    a, tag = fam.g - 1, fam.tag
+    coeffs = {}
+    for n, r, den, vec in _corner(fam, m):
+        # r = (a_i + b_i*w)/D lies in O^#, as the key is semi-integral
+        coeffs[(n, tuple([c // den for i in range(0, 2 * a, 2)
+                          for c in _pair_sqrt_disc(r[i], r[i + 1], tag)]))] = vec
     # each key re-splits a valid family key, so the table skips re-validation
     return JacobiTable._trusted(a, fam.k, m, tag, fam.trunc - m, coeffs, fam.dim)
 
@@ -304,8 +298,9 @@ def partial_decomposition_check(fam: FJFamily, m_prime, s2: CosetClass, r_prime:
     """Verifies the partial theta decomposition identity for the fixed shift
     class s2 and representative r': every stored coefficient whose index
     block ends in r' must agree with the read through the canonical
-    representative of its full class, and conversely.  True exactly when the
-    identity holds at this truncation."""
+    representative of its full class, and conversely.  Any representative
+    of s2 gives the same verdict.  True exactly when the identity holds at
+    this truncation."""
     tag = fam.tag
     m_val = _index_value(m_prime, tag)
     if s2.m != m_val or s2.g != 1 or s2.tag != tag:
@@ -316,7 +311,7 @@ def partial_decomposition_check(fam: FJFamily, m_prime, s2: CosetClass, r_prime:
     bound, d = phi.trunc.as_integer_ratio(), tag.d
     sub, cells, zero = _sublattice(tag, m_val), _delta_cells(m_val, tag), _zero_vec(fam.dim, tag)
     # r' - s2.rep[0] above raises on another field, so r' is over `tag` too
-    y_prime, y_s2 = _y_coords(r_prime), _y_coords(s2.rep[0])
+    y_prime, box_s2 = _y_coords(r_prime), sub.index(*_y_coords(s2.rep[0]))
 
     def value(n: HermMatrix, y) -> Optional[Vec]:
         return phi._coeffs.get((n, y), zero) if _trace_within(n, bound) else None
@@ -330,7 +325,7 @@ def partial_decomposition_check(fam: FJFamily, m_prime, s2: CosetClass, r_prime:
             canonical = value(n.sub(shift_r).add(_shift_matrix(y0, m_val, d)), y0)
             if canonical is not None and canonical != vec:
                 return False
-        if y == y0 and divmod(sub.index(*y[-2:]), sub.q) == y_s2:
+        if y == y0 and sub.index(*y[-2:]) == box_s2:
             # canonical h-data (r_last reduces to the rep of s2); compare
             # against the r'-side read
             y_side = y[:-2] + y_prime
@@ -347,16 +342,9 @@ def partial_decomposition_check(fam: FJFamily, m_prime, s2: CosetClass, r_prime:
 def shear_generators(g: int, l: int, tag: FieldTag) -> list[UnitMatrix]:
     """The index-preserving unit matrices (I 0; lambda* I) for lambda a
     single-entry matrix over the integral basis."""
-    gens = []
-    a = g - l
-    w = FieldElement.omega(tag)
-    for p in range(a):
-        for q in range(l):
-            for v in (FieldElement.one(tag), w):
-                rows = [list(row) for row in linalg.identity(g, tag)]
-                rows[a + q][p] = v.conj()
-                gens.append(UnitMatrix(rows, tag))
-    return gens
+    a, units = g - l, (FieldElement.one(tag), FieldElement.omega(tag))
+    return [UnitMatrix.elementary(g, a + q, p, v.conj())
+            for p in range(a) for q in range(l) for v in units]
 
 
 class FamilyReport(Immutable):

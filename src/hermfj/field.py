@@ -34,7 +34,7 @@ import re
 from fractions import Fraction
 from functools import cache
 from math import floor, gcd, isqrt, lcm
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -152,6 +152,14 @@ def _clear_dens(xs: Sequence["FieldElement"], den: int | None = None) -> tuple[i
     if den is None:
         den = lcm(*(x.den for x in xs))
     return den, [c * (den // x.den) for x in xs for c in (x.p, x.q)]
+
+
+def _in_field(xs: Iterable["FieldElement"], tag: "FieldTag", what: str) -> None:
+    """Raises ValueError, naming it as a `what`, at the first of `xs` over a
+    field other than that of `tag`, whose ints would be misread under tag."""
+    for x in xs:
+        if x.tag.d != tag.d:
+            raise ValueError("%s %r is not in the field d=%d" % (what, x, tag.d))
 
 
 def _as_fraction(x: RationalLike) -> Fraction:

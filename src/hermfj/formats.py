@@ -197,27 +197,21 @@ def _interned(parse, tag: FieldTag):
     return get
 
 
-def _rejected(exc: ValueError, records, record_lines: list[int], line: int | None = None):
-    """`exc`, raised by a public constructor on the records read, as a
-    ParseError: at the line of the record it names, when it is a
-    `RecordError`, where `record_lines[i]` is the line of the i-th of
-    `records` in constructor order; else at `line`."""
-    if isinstance(exc, RecordError):
-        line = record_lines[list(records).index(exc.record)]
-    return ParseError(str(exc), line)
-
-
 def _construct(make, data, record_lines: list[int], records=None):
     """`make(data)`, a public constructor on what was read; a rejection is
-    raised through `_rejected`, at its record's line, else at line 1, the
-    header.  `records` lists the records of `data` in constructor order
-    when they are not its keys.  A reader calls it on empty `data` right
-    after the header, so that a header value the constructor rejects fails
-    at line 1."""
+    raised as a ParseError: a `RecordError` at the line of the record it
+    names, `record_lines[i]` being the line of the i-th of `records` in
+    constructor order, and any other at line 1, the header.  `records`
+    lists the records of `data` when they are not its keys.  A reader calls
+    it on empty `data` right after the header, so that a header value the
+    constructor rejects fails at line 1."""
     try:
         return make(data)
     except ValueError as exc:
-        raise _rejected(exc, data if records is None else records, record_lines, 1) from exc
+        line = 1
+        if isinstance(exc, RecordError):
+            line = record_lines[list(data if records is None else records).index(exc.record)]
+        raise ParseError(str(exc), line) from exc
 
 
 def _vec_text(vec) -> str:

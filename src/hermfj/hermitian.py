@@ -23,6 +23,7 @@ from .field import (
     Immutable,
     _clear_dens,
     _herm_psd_rank,
+    _in_field,
     _lattice_points,
     _ldl_pivots,
     _norm_levels,
@@ -51,9 +52,9 @@ class HermMatrix(Immutable):
     and skips the checks for `add`, `sub`, `_congruent`, `join_block` and
     `_join_raw`, `split_block`, `enumerate_semi_integral`, the shift
     matrices of `jacobi._shift_matrix` (cached on the ints (y, m, d), y =
-    sqrt(D) r), the leading block of `ffj.extract_psi0`, the n blocks of
-    `ffj._cogenus_one_slice` and the blocks that `FJFamily` reads off its
-    keys for its views and the FJFAM writer.
+    sqrt(D) r), the n blocks of `ffj._corner`, which `ffj.extract_psi0`
+    and `ffj._cogenus_one_slice` read, and the blocks that `FJFamily`
+    reads off its keys for its views and the FJFAM writer.
     Semi-integrality is a separate query, as theta supports carry rational
     diagonals.  Definiteness and rank come from the LDL* of the key over O
     (`_psd_rank`); the 2g x 2g trace form `_gram` is built only for the
@@ -70,9 +71,8 @@ class HermMatrix(Immutable):
         if not linalg.is_hermitian(rows):
             raise ValueError("matrix is not Hermitian")
         upper = [e for i, row in enumerate(rows) for e in row[i:]]
-        for e in upper:  # `linalg.is_hermitian` ties each lower entry to its upper one
-            if e.tag.d != tag.d:
-                raise ValueError("entry %r is not in the field d=%d" % (e, tag.d))
+        # `linalg.is_hermitian` ties each lower entry to its upper one
+        _in_field(upper, tag, "entry")
         den, coords = _clear_dens(upper)
         _store(self, n, [den] + coords, tag)
 
@@ -268,10 +268,13 @@ def _store(x: HermMatrix, g: int, raw: Sequence[int], tag: FieldTag) -> HermMatr
 
 def join_block(n: HermMatrix, r: linalg.Matrix, m: HermMatrix) -> HermMatrix:
     """The block matrix (n r; r* m), for an n.g x m.g matrix r; Hermitian
-    by construction, by `_join_raw` on the coordinates of r."""
+    by construction, by `_join_raw` on the coordinates of r.  Rejects an m
+    or an entry of r over another field than n."""
     if len(r) != n.g or any(len(row) != m.g for row in r):
         raise ValueError("r must be %d x %d" % (n.g, m.g))
     flat = [x for row in r for x in row]
+    _in_field((m,), n.tag, "block")
+    _in_field(flat, n.tag, "r component")
     den = lcm(n._key[0], m._key[0], *(x.den for x in flat))
     return _join_raw(n, _clear_dens(flat, den)[1], den, m)
 
@@ -666,9 +669,8 @@ class CosetClass(Immutable):
             raise ValueError("class modulus must be >= 1, got %r" % (m,))
         if not rep:
             raise ValueError("class representative must have at least one component")
+        _in_field(rep, tag, "class component")
         for x in rep:
-            if x.tag != tag:
-                raise ValueError("class component %r is not in the field d=%d" % (x, tag.d))
             if not x.is_dual_integral():
                 raise ValueError("class component %r is not in the inverse different" % (x,))
         self._fill(m, rep, tag, hash((m, rep, tag.d)))
@@ -714,10 +716,12 @@ def _from_y(a: int, b: int, tag: FieldTag) -> FieldElement:
 
 def reduce_class(r: Sequence[FieldElement], m: int) -> CosetClass:
     """Canonical representative of the class of r in (O^#)^g / m O^g: each
-    y = sqrt(D) r_i reduced to its cell of the `_sublattice` box."""
+    y = sqrt(D) r_i reduced to its cell of the `_sublattice` box.  Rejects
+    a component over another field than the first."""
     if not r:
         raise ValueError("r must have at least one component")
     tag = r[0].tag
+    _in_field(r, tag, "component")
     sub = _sublattice(tag, m)
     rep = tuple(_from_y(*divmod(sub.index(*_y_coords(x)), sub.q), tag) for x in r)
     return CosetClass._trusted(m, rep, tag)

@@ -26,8 +26,8 @@ from math import gcd, inf
 from typing import Mapping, Sequence
 
 from .errors import ConsistencyError, RecordError
-from .field import (FieldElement, FieldTag, Immutable, _clear_dens, _pair_conj, _pair_mul,
-                    _pair_norm, _pair_sqrt_disc, make_field)
+from .field import (FieldElement, FieldTag, Immutable, _clear_dens, _in_field, _pair_conj,
+                    _pair_mul, _pair_norm, _pair_sqrt_disc, make_field)
 from .hermitian import (CosetClass, HermMatrix, Vector, _class_points, _delta_cells, _from_y,
                         _join_raw, _small_cell, _sublattice, _text_order, _trace_sum,
                         _trace_within, _y_coords, delta_classes, min_represented)
@@ -45,11 +45,13 @@ def shift_matrix(r: Sequence[FieldElement], m: int) -> HermMatrix:
     sqrt(D) r, which the library calls with the y of its tables: equal
     inputs share one matrix.  An r outside (O^#)^g has sqrt(D) r = y/e for
     an integral y and the least e > 1, and the shift of y at index e^2 m.
+    A component over another field than the first is rejected.
     """
     if m < 1:
         raise ValueError("index m must be >= 1, got %r" % (m,))
     r = tuple(r)
     tag = r[0].tag
+    _in_field(r, tag, "component")
     den, xs = _clear_dens(r)
     y = [c for i in range(0, len(xs), 2) for c in _pair_sqrt_disc(xs[i], xs[i + 1], tag)]
     e = gcd(den, *y)

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import linalg
 from .errors import RecordError
-from .field import FieldElement, FieldTag, Immutable, unit_group
+from .field import FieldElement, FieldTag, Immutable, _in_field, unit_group
 from .hermitian import HermMatrix, UnitMatrix, min_represented
 from .hermitian import _canonical_order, _congruence, _congruent, _trace_sum, _trace_within
 
@@ -37,9 +37,7 @@ def _nonzero(coeffs: Mapping) -> dict:
 def _all_zero(vec: Vec, tag: FieldTag) -> bool:
     """Whether every entry of `vec` is zero.  Rejects an entry of another
     field, which the writers would print as coordinates under tag's d."""
-    for v in vec:
-        if v.tag.d != tag.d:
-            raise ValueError("coefficient %r is not in the field d=%d" % (v, tag.d))
+    _in_field(vec, tag, "coefficient")
     return all(v.is_zero() for v in vec)
 
 

@@ -7,7 +7,9 @@ pairs, and every other module calls those helpers.  So the basis constants
 The FJFAM writer reads the blocks off the assembled keys: `formats.py`
 names neither `split_block` nor the `tables` view.  The cogenus-1 slice
 reads its n and y = sqrt(D) r off the key ints too: `ffj._cogenus_one_slice`
-does not name `split_block`.
+does not name `split_block`.  `ffj` reads the cogenus-1 corner of its keys
+in one place: `ffj.py` names `._key` only inside `_corner`, and it builds
+its shears by `UnitMatrix.elementary`, not from `linalg.identity` rows.
 
 Code that no library or CLI path reaches is not kept in the library:
 `in_same_class`, `block_key`, `sqrt_disc`, `UnitMatrix.conj_transpose_entries`,
@@ -70,11 +72,15 @@ def test_the_coset_vector_search_is_gone():
     assert not found, "\n".join(found)
 
 
-#: names deleted because no library or CLI path reached them; each has its
-#: former body, or a rewrite, in the tests' `util`.  `sort_key` and
+#: names deleted because no library or CLI path reached them, or because
+#: another implementation of the same step replaced them (`_leading_block`,
+#: `_index_blocks`; `_rejected` is folded into `formats._construct`); each
+#: unreached or replaced one has its former body, or a rewrite, in the
+#: tests' `util`.  `sort_key` and
 #: `support` are pinned per class, as `FieldElement.sort_key` stays and
 #: "support" names the keys of a series in prose.
-RETIRED_NAMES = r"\b(in_same_class|block_key|sqrt_disc|conj_transpose_entries)\b|\.support\b"
+RETIRED_NAMES = (r"\b(in_same_class|block_key|sqrt_disc|conj_transpose_entries|_leading_block"
+                 r"|_index_blocks|_rejected)\b|\.support\b")
 RETIRED_METHODS = {("HermMatrix", "sort_key"), ("FourierSeries", "support"),
                    ("JacobiTable", "support")}
 
@@ -122,3 +128,20 @@ def test_cogenus_one_slice_splits_no_block():
     names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
     assert "split_block" not in names
+
+
+def test_ffj_reads_keys_only_in_the_corner_selector():
+    tree = ast.parse((SRC / "ffj.py").read_text(encoding="utf-8"))
+    corner = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_corner")
+    inside = {id(node) for node in ast.walk(corner)}
+    found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and node.attr == "_key" and id(node) not in inside]
+    assert not found, found
+    assert any(isinstance(node, ast.Attribute) and node.attr == "_key" for node in ast.walk(corner))
+
+
+def test_ffj_builds_no_identity_rows():
+    found = [line.strip() for line in (SRC / "ffj.py").read_text(encoding="utf-8").splitlines()
+             if re.search(r"\blinalg\.identity\b", line)]
+    assert not found, "\n".join(found)

@@ -22,7 +22,8 @@ from hermfj.ffj import (
     zero_pad,
 )
 from hermfj.field import FieldElement, make_field
-from hermfj.hermitian import HermMatrix, delta_classes, enumerate_semi_integral, reduce_class, small_rep
+from hermfj.hermitian import (CosetClass, HermMatrix, _canonical_order, delta_classes,
+                              enumerate_semi_integral, reduce_class, small_rep)
 from hermfj.jacobi import JacobiTable, shift_matrix, theta_decompose
 from hermfj.series import FourierSeries, gl_generators, symmetrize
 from util import (
@@ -31,13 +32,17 @@ from util import (
     all_tags,
     assemble_by_tables,
     build_degree3_family,
+    cogenus_one_slice_by_split_block,
     cogenus_one_slice_by_tables,
     degree3_tables,
     disassemble_by_tables,
+    extract_psi0_by_key_walk,
     extract_psi0_by_tables,
+    index_blocks_by_split,
     matrix_order_by_fractions,
     psi0_body,
     rearrange_by_tables,
+    shear_generators_by_identity_rows,
     theta_built_psi_body,
     zero_pad_by_tables,
 )
@@ -180,6 +185,14 @@ def test_family_views_match_split_table_oracle():
             assert zero_pad_by_tables(oracle).matches(zero_pad(fam))
             for m in (1, 2, 3):
                 assert _cogenus_one_slice(fam, m) == cogenus_one_slice_by_tables(oracle, m)
+            # against the key-walk oracles
+            blocks = index_blocks_by_split(fam)
+            assert fam.indices() == _canonical_order(blocks)
+            assert repr(fam).endswith(" %d indices)" % len(blocks))
+            if fam.l >= 2:
+                assert extract_psi0(fam) == extract_psi0_by_key_walk(fam)
+            for m in (0, 1, 2, 3):
+                assert _cogenus_one_slice(fam, m) == cogenus_one_slice_by_split_block(fam, m)
 
 
 def test_rearrange_single_coefficient_lands_at_expected_index():
@@ -332,6 +345,25 @@ def test_partial_decomposition_detects_perturbation():
     assert not partial_decomposition_check(fam2, 1, s2, broken_key[-1])
 
 
+def test_partial_decomposition_verdict_does_not_depend_on_the_shift_rep():
+    # dropping the index-1 keys whose last r component is r' breaks the
+    # identity at some classes; every rep of s2 must see the same
+    for tag in all_tags():
+        fam1 = build_degree3_family(random.Random(103), tag)
+        idx1 = HermMatrix.from_rational(1, tag)
+        for s2 in delta_classes(1, 1, tag):
+            for step in (FieldElement.one(tag), FieldElement.omega(tag)):
+                r_prime = small_rep(s2)[0] + step
+                body = {key: vec for key, vec in fam1.tables[idx1].items()
+                        if key[1][-1][0] != r_prime}
+                fam2 = disassemble(assemble(FJFamily(3, 1, fam1.k, tag, fam1.trunc,
+                                                     {**fam1.tables, idx1: body})), 2)
+                reps = (s2, CosetClass(1, (s2.rep[0] + 1,), tag),
+                        CosetClass(1, (s2.rep[0] + step,), tag))
+                verdicts = {partial_decomposition_check(fam2, 1, s, r_prime) for s in reps}
+                assert len(verdicts) == 1, (tag.d, s2, r_prime)
+
+
 def test_partial_decomposition_zero_family_true():
     tag = make_field(-3)
     fam = FJFamily(3, 2, 8, tag, 3, {})
@@ -369,9 +401,13 @@ def test_check_family_empty_family_passes():
 
 
 def test_shear_generators_are_unit_matrices():
-    for tag in (make_field(-1), make_field(-11)):
-        for u in shear_generators(3, 2, tag):
-            assert u.det_unit.norm() == 1
+    for tag in all_tags():
+        for g in range(2, 6):
+            for l in range(1, g):
+                got, want = shear_generators(g, l, tag), shear_generators_by_identity_rows(g, l, tag)
+                assert got == want
+                assert [u.det_unit for u in got] == [u.det_unit for u in want]
+                assert all(u.det_unit.norm() == 1 for u in got)
 
 
 def test_psi0_inherits_family_symmetry():

@@ -13,7 +13,7 @@ from math import gcd
 import pytest
 
 from hermfj import linalg
-from hermfj.ffj import _leading_block, join_block, split_block
+from hermfj.ffj import join_block, split_block
 from hermfj.field import FieldElement, unit_group
 from hermfj.hermitian import HermMatrix, UnitMatrix, gl_action
 from hermfj.jacobi import shift_matrix
@@ -23,6 +23,7 @@ from util import (
     gl_action_rows_by_mat_mul,
     gram_by_elements,
     join_rows_by_elements,
+    leading_block_by_key_walk,
     random_field_element,
     random_hermitian_rows,
     random_unit_matrix,
@@ -95,7 +96,7 @@ def test_join_and_split_match_field_element_oracles(tag):
                 assert_is(got_m, m_cut)
                 assert got_r == r_cut
             assert split_block(block, l) == (n, r, m)
-            assert_is(_leading_block(block), split_rows_by_elements(rows, 1)[0])
+            assert_is(leading_block_by_key_walk(block), split_rows_by_elements(rows, 1)[0])
 
 
 def widened(rows, rng) -> str:

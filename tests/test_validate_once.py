@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from hermfj.errors import ParseError
-from hermfj.ffj import FJFamily, assemble, disassemble, rearrange_cogenus
+from hermfj.ffj import FJFamily, assemble, disassemble, join_block, rearrange_cogenus
 from hermfj.field import FieldElement, make_field
 from hermfj.formats import (
     read_components,
@@ -133,6 +133,24 @@ CONSTRUCTOR_CASES = {
 def test_public_constructors_reject_each_invalid_kind(case):
     with pytest.raises(ValueError):
         CONSTRUCTOR_CASES[case]()
+
+
+#: public functions handed an element of another field (d = -3) than the
+#: rest of their input (d = -1), whose ints they would misread as over d = -1
+FOREIGN_FIELD_CASES = {
+    "join_block r": lambda: join_block(q(2), ((FieldElement.omega(F3),),), q(3)),
+    "join_block m": lambda: join_block(q(2), ((fe(0),),), HermMatrix.from_rational(3, F3)),
+    "reduce_class": lambda: reduce_class((fe(Fraction(1, 2)), FieldElement.one(F3)), 1),
+    "shift_matrix": lambda: shift_matrix((fe(Fraction(1, 2)), FieldElement.one(F3)), 1),
+    "FJFamily.coefficient": lambda: FJFamily(2, 1, 4, TAG, 3, {}).coefficient(
+        q(1), q(1), ((FieldElement.omega(F3),),)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOREIGN_FIELD_CASES))
+def test_a_component_of_another_field_is_rejected(case):
+    with pytest.raises(ValueError, match=r"is not in the field d=-1$"):
+        FOREIGN_FIELD_CASES[case]()
 
 
 def test_bundle_cases_are_valid_apart_from_the_defect():

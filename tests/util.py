@@ -1186,6 +1186,54 @@ def cogenus_one_slice_by_tables(fam: SplitTableFamily, m: int):
     return JacobiTable(fam.g - 1, fam.k, m, fam.tag, fam.trunc - m, coeffs, fam.dim)
 
 
+def leading_block_by_key_walk(t):
+    """t without its last row and column: each row of the key's upper
+    triangle without its last entry (the former `ffj._leading_block`)."""
+    from hermfj.hermitian import HermMatrix
+
+    g, key = t.g, t._key
+    raw, k = [key[0]], 1
+    for i in range(g - 1):
+        raw += key[k:k + 2 * (g - 1 - i)]
+        k += 2 * (g - i)
+    return HermMatrix._trusted(g - 1, raw, t.tag)
+
+
+def extract_psi0_by_key_walk(fam):
+    """The former `ffj.extract_psi0` on an `FJFamily`: the leading block of
+    each key with a zero corner, by `leading_block_by_key_walk`."""
+    from hermfj.ffj import FJFamily, _split_tables
+
+    kept = {leading_block_by_key_walk(t): vec for t, vec in fam.coeffs.items() if not t._key[-2]}
+    return FJFamily(fam.g - 1, fam.l - 1, fam.k, fam.tag, fam.trunc,
+                    _split_tables(kept, fam.l - 1), fam.dim)
+
+
+def index_blocks_by_split(fam) -> set:
+    """The distinct index blocks m of the keys of an `FJFamily`, each key
+    split once more (the former `FJFamily._index_blocks`)."""
+    from hermfj.hermitian import HermMatrix, _split_raw
+
+    l, tag = fam.l, fam.tag
+    return {HermMatrix._trusted(l, raw, tag) for raw in {_split_raw(t, l)[2] for t in fam.coeffs}}
+
+
+def shear_generators_by_identity_rows(g: int, l: int, tag: FieldTag) -> list:
+    """The former `ffj.shear_generators`: each shear (I 0; lambda* I) from
+    the identity rows with one entry set, through the public constructor."""
+    from hermfj import linalg
+    from hermfj.hermitian import UnitMatrix
+
+    gens, a, w = [], g - l, FieldElement.omega(tag)
+    for p in range(a):
+        for q in range(l):
+            for v in (FieldElement.one(tag), w):
+                rows = [list(row) for row in linalg.identity(g, tag)]
+                rows[a + q][p] = v.conj()
+                gens.append(UnitMatrix(rows, tag))
+    return gens
+
+
 def write_family_by_tables(fam) -> str:
     """The former `formats.write_family`: through the `tables` view, which
     splits every key into its n and m matrices and the field elements of r,
