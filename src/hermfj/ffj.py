@@ -23,10 +23,10 @@ from typing import Mapping, Optional, Sequence
 
 from . import linalg
 from .errors import RecordError
-from .field import FieldElement, FieldTag, Immutable, _pair_sqrt_disc
+from .field import FieldElement, FieldTag, Immutable, _clear_dens, _pair_sqrt_disc
 from .hermitian import CosetClass, HermMatrix, UnitMatrix, join_block
-from .hermitian import _canonical_order, _delta_cells, _split_raw, _sublattice, _trace_within, \
-    _y_coords, split_block
+from .hermitian import _canonical_order, _delta_cells, _join_raw, _split_raw, _sublattice, \
+    _trace_within, _y_coords, split_block
 from .jacobi import JacobiTable, _shift_matrix, theta_decompose
 from .series import FourierSeries, RhoMap, Vec, _all_zero, _nonzero, _zero_vec, check_symmetry
 
@@ -82,12 +82,15 @@ class FJFamily(Immutable):
                     continue
                 if n.g != g - l or n.tag != tag:
                     raise RecordError("key size or field mismatch at %r" % (n,), (m, key))
-                for row in r:
-                    for x in row:
-                        if x.tag != tag:
-                            raise RecordError("r component %r is not in the field d=%d"
-                                              % (x, tag.d), (m, key))
-                block = join_block(n, r, m)
+                flat = [x for row in r for x in row]
+                for x in flat:
+                    if x.tag != tag:
+                        raise RecordError("r component %r is not in the field d=%d"
+                                          % (x, tag.d), (m, key))
+                if len(r) != g - l or any(len(row) != l for row in r):
+                    raise ValueError("r must be %d x %d" % (g - l, l))
+                den, coords = _clear_dens(flat)  # each component's field checked above
+                block = _join_raw(n, coords, den, m)
                 if not block.is_semi_integral():
                     raise RecordError("assembled key %r is not semi-integral" % (block,),
                                       (m, key))

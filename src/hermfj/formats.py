@@ -13,7 +13,10 @@ error is raised at its first occurrence), and rejects a repeated key.  The
 FJFAM writer reads the blocks off the family's assembled keys, as ints.  An
 HJF table holds each r as y = sqrt(D) r in O^g: the reader parses r texts
 straight to ints, and the writer prints |D| r = -sqrt(D) y over |D|.  Each
-writer renders each distinct key matrix, and each HJF r, once.
+writer renders each distinct key matrix once, and the HJF writer each r
+and each coefficient vector.  An HJC class rep whose text is the canonical
+text of its class is matched by that text, with no parse; any other
+spelling is parsed and checked by the `CosetClass` constructor.
 
     FJS v1; d=<d>; g=<g>; k=<k>; trunc=<N>; dim=<v>
     t = <matrix> ; c = <elem>,<elem>,...
@@ -46,7 +49,7 @@ from math import gcd
 from .errors import ParseError, RecordError
 from .ffj import FJFamily
 from .field import FieldElement, FieldTag, _parse_token, make_field
-from .hermitian import CosetClass, HermMatrix, _entries_text, _text_order
+from .hermitian import CosetClass, HermMatrix, _entries_text, _text_order, delta_classes
 from .jacobi import JacobiTable, ThetaComponentVector
 from .series import FourierSeries
 
@@ -163,8 +166,9 @@ def _parse_vector(text: str, count: int, tag: FieldTag, line: int, elements=None
     parts = text.strip().split(",")
     if len(parts) != count:
         raise ParseError("expected %d elements, got %d" % (count, len(parts)), line)
-    elements = {} if elements is None else elements
     try:
+        if elements is None:
+            return tuple([parse(p, tag) for p in parts])
         elements.update((p, parse(p, tag)) for p in parts if p not in elements)
     except ValueError as exc:
         raise ParseError(str(exc), line) from exc
@@ -255,15 +259,21 @@ def read_series(text: str) -> FourierSeries:
 
 def write_jacobi(t: JacobiTable) -> str:
     """Prints the records of `JacobiTable._records`, in the canonical order:
-    each distinct n is rendered once, and each distinct r once, from the
-    ints X = |D| r by `_entries_text`."""
+    each distinct n is rendered once, each distinct r once, from the ints
+    X = |D| r by `_entries_text`, and each coefficient vector object once,
+    as a theta table shares the vector of each n' among its keys."""
     lines = [_header_line("HJF v1", t.tag.d, t.g, t.k, t.m, t.trunc, t.dim)]
-    disc, r_texts = abs(t.tag.disc), {}
+    disc, r_texts, vec_texts = abs(t.tag.disc), {}, {}
     for (_trace, n_text), x, _n, y, vec in t._records():
         r_text = r_texts.get(y)
         if r_text is None:
             r_text = r_texts[y] = _entries_text(zip(x[::2], x[1::2]), disc)
-        lines.append("(%s ; %s) = %s" % (n_text, r_text, _vec_text(vec)))
+        # by id: each vec lives in the table for the call, and hashing it
+        # would hash its elements
+        v_text = vec_texts.get(id(vec))
+        if v_text is None:
+            v_text = vec_texts[id(vec)] = _vec_text(vec)
+        lines.append("(%s ; %s) = %s" % (n_text, r_text, v_text))
     return "\n".join(lines) + "\n"
 
 
@@ -374,7 +384,8 @@ def read_components(text: str) -> ThetaComponentVector:
     """Builds each section's series when the next section or the end of the
     file is reached, so errors come in file order.  The class list is
     checked by the `ThetaComponentVector` constructor; a class out of place
-    is reported at its section's line."""
+    is reported at its section's line.  A rep that is the canonical text of
+    its section's class is that class of `delta_classes`, unparsed."""
     lines = text.splitlines()
     tag, g, k, m, trunc, dim = _parse_header(lines, "HJC v1")
     if m < 1:
@@ -384,6 +395,12 @@ def read_components(text: str) -> ThetaComponentVector:
         return partial(FourierSeries, g, k, tag, h_trunc, dim=dim, semi_integral=False)
 
     _construct(component(trunc), {}, [])
+    # Delta_g(m) is listed only if the lines can hold its (m^2 |D|)^g
+    # sections, which |D| >= 3 rules out for g >= size.bit_length(); a bundle
+    # short of sections fails the constructor's count check unlisted
+    size = len(lines)
+    listed = g < size.bit_length() and (m * m * abs(tag.disc)) ** g < size
+    canonical = delta_classes(g, m, tag) if listed else ()
     matrix, vector = _interned(_parse_matrix, tag), _interned(_parse_vector, tag)
     rep_elements: dict[str, FieldElement] = {}
     htruncs: dict[str, Fraction] = {}  # each distinct htrunc text is parsed once
@@ -402,11 +419,15 @@ def read_components(text: str) -> ThetaComponentVector:
                 raise ParseError("bad class header", i)
             if parts[0] != "class %d" % len(classes):
                 raise ParseError("expected section 'class %d'" % len(classes), i)
-            rep = _parse_vector(parts[1][len("rep = "):], g, tag, i, rep_elements)
-            try:
-                classes.append(CosetClass(m, rep, tag))
-            except ValueError as exc:
-                raise ParseError(str(exc), i) from exc
+            rep_text, at = parts[1][len("rep = "):], len(classes)
+            if at < len(canonical) and rep_text == canonical[at].to_text():
+                classes.append(canonical[at])  # the text is the check
+            else:
+                rep = _parse_vector(rep_text, g, tag, i, rep_elements)
+                try:
+                    classes.append(CosetClass(m, rep, tag))
+                except ValueError as exc:
+                    raise ParseError(str(exc), i) from exc
             class_lines.append(i)
             h_text = parts[2][len("htrunc = "):]
             h_trunc = htruncs.get(h_text)

@@ -409,9 +409,10 @@ class UnitMatrix(Immutable):
 
     @classmethod
     def elementary(cls, g: int, i: int, j: int, value: FieldElement) -> "UnitMatrix":
-        """I + value * E_ij for i != j."""
-        if i == j:
-            raise ValueError("elementary matrix requires i != j")
+        """I + value * E_ij for 0 <= i, j < g and i != j."""
+        if not (0 <= i < g and 0 <= j < g) or i == j:
+            raise ValueError("elementary matrix requires 0 <= i, j < %d and i != j, got %r, %r"
+                             % (g, i, j))
         rows = [list(r) for r in linalg.identity(g, value.tag)]
         rows[i][j] = value
         return cls(rows, value.tag)

@@ -354,6 +354,7 @@ def theta_decompose(phi: JacobiTable, strict: bool = False) -> ThetaComponentVec
     the points of the classes with keys (`hermitian._class_points`); a
     class short of keys is walked on the keys of its theta table.  Every r
     is its y = sqrt(D) r throughout, and r0 + m e_1 is y0 + m sqrt(D) e_1.
+    Each n' is built once per distinct (n, r m^-1 r*) pair of the call.
 
     Raises ConsistencyError with a witness (n', r, r') at the first failed
     probe, by key in the order of phi.coeffs, then by class: r0 + m e_1
@@ -368,9 +369,11 @@ def theta_decompose(phi: JacobiTable, strict: bool = False) -> ThetaComponentVec
     tag, g, trunc = phi.tag, phi.g, phi.trunc
     cells, sub, scale = _delta_cells(m, tag), _sublattice(tag, m), abs(tag.disc) * m
     # per class index: [body, keys off y0, y0]; per distinct y: (its class's
-    # entry, r m^-1 r*, whether y = y0)
+    # entry, r m^-1 r*, whether y = y0, the n' of its shift); per distinct
+    # shift key: {n key: n' = n - shift}
     found: dict[int, list] = {}
     seen: dict[Y, tuple] = {}
+    diffs: dict[tuple[int, ...], dict] = {}
     off_y0 = []
     for (n, y), vec in phi._coeffs.items():
         info = seen.get(y)
@@ -379,9 +382,13 @@ def theta_decompose(phi: JacobiTable, strict: bool = False) -> ThetaComponentVec
             if index not in found:
                 y0 = tuple([c for i in sub.digits(index, g) for c in cells[i][0]])
                 found[index] = [{}, 0, y0]
-            info = seen[y] = (found[index], _shift_matrix(y, m, tag.d), y == found[index][2])
-        entry, shift, at_y0 = info
-        nprime = n.sub(shift)
+            shift = _shift_matrix(y, m, tag.d)
+            info = seen[y] = (found[index], shift, y == found[index][2],
+                              diffs.setdefault(shift._key, {}))
+        entry, shift, at_y0, diff = info
+        nprime = diff.get(n._key)
+        if nprime is None:
+            nprime = diff[n._key] = n.sub(shift)
         if at_y0:
             entry[0][nprime] = vec
         else:  # hold the place of n' in the body, in the order of the keys
@@ -449,8 +456,10 @@ def theta_recompose(v: ThetaComponentVector, trunc) -> JacobiTable:
     Component truncations must reach trunc minus the minimal class shift;
     raises ValueError otherwise.  The y = sqrt(D) r of the classes with a
     nonzero component come from `hermitian._class_points` and key the
-    table as they are.  Each key has the PSD n' as its Schur complement
-    and r in O^#, so the table skips re-validation.
+    table as they are.  Each n = n' + r m^-1 r* is built once per distinct
+    (n', r m^-1 r*) pair of the call and shared by every y that gives it;
+    at genus 1 the shift depends only on N(y).  Each key has the PSD n' as
+    its Schur complement and r in O^#, so the table skips re-validation.
     """
     m = v.m
     trunc = Fraction(trunc)
@@ -471,13 +480,18 @@ def theta_recompose(v: ThetaComponentVector, trunc) -> JacobiTable:
         if h.coeffs:
             live[index] = [(nprime, nprime._trace, vec) for nprime, vec in h.coeffs.items()]
     coeffs: dict[tuple[HermMatrix, Y], Vec] = {}
+    sums: dict[tuple[int, ...], dict] = {}  # per shift key: {n' key: n' + shift}
     for index, norm, y in _class_points(g, m, tag, top * scale // den, live):
         shift = _shift_matrix(y, m, tag.d)
+        total = sums.setdefault(shift._key, {})
         # tr n' <= trunc - N(y)/(|D| m), on ints
         room = top * scale - norm * den
         for nprime, (num, d), vec in live[index]:
             if num * den * scale <= room * d:
-                coeffs[(nprime.add(shift), y)] = vec
+                n = total.get(nprime._key)
+                if n is None:
+                    n = total[nprime._key] = nprime.add(shift)
+                coeffs[(n, y)] = vec
     return JacobiTable._trusted(g, weight + 1, m, tag, trunc, coeffs, dim)
 
 

@@ -113,6 +113,17 @@ def test_gl_action_examples():
     assert swapped == HermMatrix.diagonal([3, 1], t1)
 
 
+def test_elementary_rejects_an_index_out_of_range():
+    tag = make_field(-3)
+    w = fe(0, 1, tag)
+    assert UnitMatrix.elementary(3, 2, 0, w).entries[2][0] == w
+    # a negative index used to write through Python indexing: (3, 2, -1)
+    # gave diag(1, 1, w), and an index >= g raised IndexError
+    for i, j in ((2, -1), (-1, 0), (0, 5), (3, 0), (1, 1)):
+        with pytest.raises(ValueError, match="elementary matrix requires"):
+            UnitMatrix.elementary(3, i, j, w)
+
+
 def test_gl_action_is_right_action():
     rng = random.Random(3)
     for tag in all_tags():

@@ -306,14 +306,11 @@ def test_readers_match_the_per_line_oracle():
     assert seen == {"FJS", "HJF", "FJFAM", "HJC"}
 
 
-def test_bundle_class_reps_parse_each_component_text_once(monkeypatch):
-    # Delta_2(2) over Q(i) has 256 classes, whose 512 rep components are 16
-    # distinct texts; every class but one has an empty body
+def bundle_parses(monkeypatch, text: str) -> tuple[Counter, list[str], list[str]]:
+    """The token parses of reading the HJC `text`, its rep component texts
+    and its value texts; the bundle read equals `read_by_lines`."""
     from hermfj import field
 
-    tag = make_field(-1)
-    s = delta_classes(2, 2, tag)[37]
-    text = write_components(theta_decompose(theta_coeffs(2, s, 2)))
     parsed = []
     parse = field._parse_token
 
@@ -321,13 +318,49 @@ def test_bundle_class_reps_parse_each_component_text_once(monkeypatch):
         parsed.append(token)
         return parse(token)
 
-    monkeypatch.setattr(field, "_parse_token", counted)
-    bundle = read_any(text)
+    with monkeypatch.context() as patch:
+        patch.setattr(field, "_parse_token", counted)
+        bundle = read_any(text)
+    assert bundle == read_by_lines(text)
     reps = [part for line in text.splitlines() if line.startswith("[class ")
             for part in line.split("; rep = ")[1].split(";")[0].split(",")]
     values = [line.split(" ; c = ")[1] for line in text.splitlines() if " ; c = " in line]
+    return Counter(parsed), reps, values
+
+
+def delta_2_2_bundle() -> str:
+    # Delta_2(2) over Q(i) has 256 classes, whose 512 rep components are 16
+    # distinct texts; every class but one has an empty body
+    tag = make_field(-1)
+    s = delta_classes(2, 2, tag)[37]
+    return write_components(theta_decompose(theta_coeffs(2, s, 2)))
+
+
+def test_bundle_class_reps_parse_each_component_text_once(monkeypatch):
+    parsed, reps, values = bundle_parses(monkeypatch, delta_2_2_bundle())
     assert len(reps) == 512 and len(set(reps)) == 16
+    # a canonical rep is matched by its text and not parsed; one parse per
+    # distinct value
+    assert parsed == Counter(set(values))
+
+
+def test_bundle_class_reps_in_other_spellings_parse_each_component_text_once(monkeypatch):
+    # each rep component "a/b+..." spelled "2a/2b+...": the same classes, and
+    # no rep is the canonical text of its class
+    def doubled(component):
+        left, rest = component.split("+", 1)
+        a, b = left.split("/")
+        return "%d/%d+%s" % (2 * int(a), 2 * int(b), rest)
+
+    lines = []
+    for line in delta_2_2_bundle().splitlines():
+        if line.startswith("[class "):
+            head, rep, tail = re.match(r"(.*; rep = )(.*)(; htrunc = .*)", line).groups()
+            line = head + ",".join(doubled(c) for c in rep.split(",")) + tail
+        lines.append(line)
+    text = "\n".join(lines) + "\n"
+    parsed, reps, values = bundle_parses(monkeypatch, text)
+    assert len(reps) == 512 and len(set(reps)) == 16
+    assert all(rep.split("/")[1].split("+")[0] in ("2", "4") for rep in reps)
     # one parse per distinct rep component text, and one per distinct value
-    assert Counter(parsed) == Counter(set(reps)) + Counter(set(values))
-    monkeypatch.undo()
-    assert bundle == read_by_lines(text)
+    assert parsed == Counter(set(reps)) + Counter(set(values))

@@ -393,3 +393,32 @@ def test_jacobi_table_checks_each_distinct_r_once(monkeypatch):
         JacobiTable(1, 1, 1, TAG, 3, {**coeffs, **bad})
     assert caught.value.record == (q(2), (third,))
     assert "not in the inverse different" in str(caught.value)
+
+
+def test_family_checks_each_r_component_once(monkeypatch):
+    # the constructor checks the field of each r component and joins the key
+    # on ints; join_block, which would check them again, is not reached
+    from hermfj import hermitian, series
+    from hermfj.errors import RecordError
+    from util import degree3_tables
+
+    tables = degree3_tables(random.Random(2700), F3)
+    keys = sum(len(body) for body in tables.values())
+    checks = []
+    for module in (hermitian, series):
+        check = module._in_field
+        monkeypatch.setattr(module, "_in_field", lambda xs, tag, what, check=check:
+                            checks.append(what) or check(xs, tag, what))
+    fam = FJFamily(3, 1, 8, F3, 4, tables)
+    # one pass per key, over its coefficient vector
+    assert checks == ["coefficient"] * keys
+    monkeypatch.undo()
+    assert fam.coeffs == {join_block(n, r, m): vec for m, body in tables.items()
+                          for (n, r), vec in body.items()}
+    m, body = next(iter(tables.items()))
+    (n, r), vec = next(iter(body.items()))
+    with pytest.raises(ValueError, match=r"^r must be 2 x 1$"):
+        FJFamily(3, 1, 8, F3, 4, {m: {(n, r[:1]): vec}})
+    other = FieldElement(1, 0, make_field(-7))
+    with pytest.raises(RecordError, match="r component .* is not in the field d=-3"):
+        FJFamily(3, 1, 8, F3, 4, {m: {(n, ((other,),) + r[1:]): vec}})

@@ -1869,3 +1869,203 @@ def write_components_by_support(v) -> str:
         for n in _canonical_order(h.coeffs):
             lines.append("n = %s ; c = %s" % (n.to_text(), _vec_text(h.coeffs[n])))
     return "\n".join(lines) + "\n"
+
+
+# ----------------------------------------------------------------------
+# the theta path before each key sum, class and coefficient text was built
+# once per call
+
+
+def theta_recompose_by_point_sums(v, trunc):
+    """The former `jacobi.theta_recompose`: n' + r m^-1 r* built for every
+    point y and every n' its room admits."""
+    from hermfj.hermitian import _class_points, _delta_cells, _sublattice
+    from hermfj.jacobi import JacobiTable, _shift_matrix
+
+    m = v.m
+    trunc = Fraction(trunc)
+    sample = next(iter(v.components.values()))
+    tag, g, dim, weight = sample.tag, sample.g, sample.dim, sample.k
+    cells, sub, scale = _delta_cells(m, tag), _sublattice(tag, m), abs(tag.disc) * m
+    top, den = trunc.as_integer_ratio()
+    live = {}
+    for index, s in enumerate(v.classes):
+        h = v.components[s]
+        if (h.g, h.tag, h.dim, h.k) != (g, tag, dim, weight):
+            raise ValueError("inconsistent components")
+        norm0, (num, d) = sum(cells[i][1] for i in sub.digits(index, g)), h.trunc.as_integer_ratio()
+        if num * den * scale < (top * scale - den * norm0) * d:
+            raise ValueError("component truncation %s insufficient for target %s"
+                             % (h.trunc, trunc))
+        if h.coeffs:
+            live[index] = [(nprime, nprime._trace, vec) for nprime, vec in h.coeffs.items()]
+    coeffs = {}
+    for index, norm, y in _class_points(g, m, tag, top * scale // den, live):
+        shift = _shift_matrix(y, m, tag.d)
+        room = top * scale - norm * den
+        for nprime, (num, d), vec in live[index]:
+            if num * den * scale <= room * d:
+                coeffs[(nprime.add(shift), y)] = vec
+    return JacobiTable._trusted(g, weight + 1, m, tag, trunc, coeffs, dim)
+
+
+def theta_decompose_by_key_diffs(phi, strict: bool = False):
+    """The former `jacobi.theta_decompose`: n - r m^-1 r* built for every
+    key of phi."""
+    from bisect import bisect_right
+
+    from hermfj.errors import ConsistencyError
+    from hermfj.field import _pair_sqrt_disc
+    from hermfj.hermitian import (_class_points, _delta_cells, _sublattice, _trace_sum,
+                                  _trace_within, delta_classes)
+    from hermfj.jacobi import ThetaComponentVector, _r_of, _shift_matrix, theta_coeffs
+    from hermfj.series import FourierSeries
+
+    m = phi.m
+    if m < 1:
+        raise ValueError("decomposition requires index >= 1")
+    tag, g, trunc = phi.tag, phi.g, phi.trunc
+    cells, sub, scale = _delta_cells(m, tag), _sublattice(tag, m), abs(tag.disc) * m
+    found, seen, off_y0 = {}, {}, []
+    for (n, y), vec in phi._coeffs.items():
+        info = seen.get(y)
+        if info is None:
+            index = sub.class_index(y)
+            if index not in found:
+                y0 = tuple([c for i in sub.digits(index, g) for c in cells[i][0]])
+                found[index] = [{}, 0, y0]
+            info = seen[y] = (found[index], _shift_matrix(y, m, tag.d), y == found[index][2])
+        entry, shift, at_y0 = info
+        nprime = n.sub(shift)
+        if at_y0:
+            entry[0][nprime] = vec
+        else:
+            entry[0].setdefault(nprime, None)
+            entry[1] += 1
+            off_y0.append((nprime, y, vec, entry))
+    for nprime, y, vec, (body, _off, y0) in off_y0:
+        if body[nprime] != vec:
+            raise ConsistencyError("well-definedness violation: representatives disagree",
+                                   witness=(nprime, _r_of(y, tag), _r_of(y0, tag)))
+    top, den = trunc.as_integer_ratio()
+    norms = {}
+    if strict:
+        for index, norm, _y in _class_points(g, m, tag, top * scale // den, found):
+            norms.setdefault(index, []).append(norm)
+        for ns in norms.values():
+            ns.sort()
+    step = _pair_sqrt_disc(m, 0, tag)
+    classes, components = delta_classes(g, m, tag), {}
+    for index, s in enumerate(classes):
+        norm0 = sum(cells[i][1] for i in sub.digits(index, g))
+        h_trunc = Fraction(top * scale - den * norm0, den * scale)
+        body, off, y0 = found.get(index) or ({}, 0, ())
+        components[s] = FourierSeries._trusted(g, phi.k - 1, tag, h_trunc, body, phi.dim,
+                                               semi_integral=False)
+        if not body:
+            continue
+        y1 = (y0[0] + step[0], y0[1] + step[1]) + y0[2:]
+        shift1 = _shift_matrix(y1, m, tag.d)
+        room1 = _trace_sum((top, den), shift1._trace, -1)
+        for nprime, vec in body.items():
+            if _trace_within(nprime, room1) and \
+                    phi._coeffs.get((nprime.add(shift1), y1)) != vec:
+                raise ConsistencyError("well-definedness violation at spare representative",
+                                       witness=(nprime, _r_of(y0, tag), _r_of(y1, tag)))
+        if strict and len(body) + off != sum(
+                bisect_right(norms.get(index, ()), (top * d - num * den) * scale // (den * d))
+                for num, d in (nprime._trace for nprime in body)):
+            points = theta_coeffs(m, s, trunc)._coeffs
+            for nprime, vec in body.items():
+                room = _trace_sum((top, den), nprime._trace, -1)
+                for shift, y_any in points:
+                    if not _trace_within(shift, room):
+                        break
+                    if phi._coeffs.get((nprime.add(shift), y_any)) != vec:
+                        r_any = _r_of(y_any, tag)
+                        raise ConsistencyError(
+                            "well-definedness violation at representative %r" % (r_any,),
+                            witness=(nprime, _r_of(y0, tag), r_any))
+    return ThetaComponentVector(m, classes, components)
+
+
+def write_jacobi_by_record_vecs(t) -> str:
+    """The former `formats.write_jacobi`: each coefficient vector rendered
+    per record."""
+    from hermfj.formats import _header_line, _vec_text
+    from hermfj.hermitian import _entries_text
+
+    lines = [_header_line("HJF v1", t.tag.d, t.g, t.k, t.m, t.trunc, t.dim)]
+    disc, r_texts = abs(t.tag.disc), {}
+    for (_trace, n_text), x, _n, y, vec in t._records():
+        r_text = r_texts.get(y)
+        if r_text is None:
+            r_text = r_texts[y] = _entries_text(zip(x[::2], x[1::2]), disc)
+        lines.append("(%s ; %s) = %s" % (n_text, r_text, _vec_text(vec)))
+    return "\n".join(lines) + "\n"
+
+
+def read_components_by_parsed_reps(text: str):
+    """The former `formats.read_components`: every class rep parsed and
+    built by the `CosetClass` constructor."""
+    from functools import partial
+
+    from hermfj.errors import ParseError
+    from hermfj.formats import (_body, _construct, _interned, _parse_header, _parse_matrix,
+                                _parse_q, _parse_vector, _split_labelled)
+    from hermfj.hermitian import CosetClass
+    from hermfj.jacobi import ThetaComponentVector
+    from hermfj.series import FourierSeries
+
+    lines = text.splitlines()
+    tag, g, k, m, trunc, dim = _parse_header(lines, "HJC v1")
+    if m < 1:
+        raise ParseError("index m must be >= 1", 1)
+
+    def component(h_trunc):
+        return partial(FourierSeries, g, k, tag, h_trunc, dim=dim, semi_integral=False)
+
+    _construct(component(trunc), {}, [])
+    matrix, vector = _interned(_parse_matrix, tag), _interned(_parse_vector, tag)
+    rep_elements, htruncs, classes, class_lines, components = {}, {}, [], [], {}
+    for i, raw in _body(lines):
+        if raw.startswith("[class "):
+            if classes:
+                components[classes[-1]] = _construct(component(h_trunc), body, body_lines)
+            if not raw.endswith("]"):
+                raise ParseError("unterminated class header", i)
+            parts = [p.strip() for p in raw[1:-1].split(";")]
+            if len(parts) != 3 or not parts[1].startswith("rep = ") \
+                    or not parts[2].startswith("htrunc = "):
+                raise ParseError("bad class header", i)
+            if parts[0] != "class %d" % len(classes):
+                raise ParseError("expected section 'class %d'" % len(classes), i)
+            rep = _parse_vector(parts[1][len("rep = "):], g, tag, i, rep_elements)
+            try:
+                classes.append(CosetClass(m, rep, tag))
+            except ValueError as exc:
+                raise ParseError(str(exc), i) from exc
+            class_lines.append(i)
+            h_text = parts[2][len("htrunc = "):]
+            h_trunc = htruncs.get(h_text)
+            if h_trunc is None:
+                h_trunc = htruncs[h_text] = _parse_q(h_text, i)
+            body, body_lines = {}, []
+            continue
+        if not classes:
+            raise ParseError("record before any [class ...] section", i)
+        n_text, value = _split_labelled(raw, "n", i)
+        n = matrix(n_text, g, i)
+        if n in body:
+            raise ParseError("repeated key n = %s in class %d" % (n.to_text(), len(classes) - 1), i)
+        body[n] = vector(value, dim, i)
+        body_lines.append(i)
+    if not classes:
+        raise ParseError("bundle holds no classes", 1)
+    components[classes[-1]] = _construct(component(h_trunc), body, body_lines)
+    bundle = _construct(partial(ThetaComponentVector, m, classes), components, class_lines,
+                        range(len(classes)))
+    if trunc != components[classes[0]].trunc:
+        raise ParseError("header trunc=%s must equal the class 0 htrunc %s"
+                         % (trunc, components[classes[0]].trunc), 1)
+    return bundle
