@@ -17,6 +17,7 @@ writer renders each distinct key matrix once, and the HJF writer each r
 and each coefficient vector.  An HJC class rep whose text is the canonical
 text of its class is matched by that text, with no parse; any other
 spelling is parsed and checked by the `CosetClass` constructor.
+Each distinct matrix entry text, too, is parsed once per read.
 
     FJS v1; d=<d>; g=<g>; k=<k>; trunc=<N>; dim=<v>
     t = <matrix> ; c = <elem>,<elem>,...
@@ -151,9 +152,14 @@ def _split_pair(raw: str, line: int) -> tuple[str, str, str]:
     return n_text, r_text, raw[close + 4:]
 
 
-def _parse_matrix(text: str, g: int, tag: FieldTag, line: int) -> HermMatrix:
+def _parse_matrix(text: str, g: int, tag: FieldTag, line: int, tokens: dict) -> HermMatrix:
+    """`HermMatrix.from_text`, with each distinct entry text parsed once into `tokens`."""
+    parts = text.split(",")
     try:
-        return HermMatrix.from_text(text.strip(), g, tag)
+        if len(parts) != g * g:  # from_text raises the count error
+            return HermMatrix.from_text(text, g, tag)
+        cells = [tokens[p] if p in tokens else tokens.setdefault(p, _parse_token(p)) for p in parts]
+        return HermMatrix._from_cells(cells, g, tag)
     except ValueError as exc:
         raise ParseError(str(exc), line) from exc
 
@@ -183,19 +189,19 @@ def _token_ints(text: str, _tag: FieldTag) -> tuple[int, int, int]:
     return p // c, q // c, den // c
 
 
-def _interned(parse, tag: FieldTag):
-    """`parse(text, size, tag, line)` on the stripped text, once per distinct
-    (text, size) within one read: a repeat gets the object its first
-    occurrence parsed to, and an invalid text raises at its first
-    occurrence.  Each reader makes one per role, so the map dies with the
-    call."""
+def _interned(parse, tag: FieldTag, **maps):
+    """`parse(text, size, tag, line, **maps)` on the stripped text, once per
+    distinct (text, size) within one read: a repeat gets the object its
+    first occurrence parsed to, and an invalid text raises at its first
+    occurrence.  Each reader makes one per role, with any `maps` the role
+    shares between texts, so the maps die with the call."""
     seen: dict[tuple[str, int], object] = {}
 
     def get(text: str, size: int, line: int):
         key = (text.strip(), size)
         value = seen.get(key)
         if value is None:
-            value = seen[key] = parse(key[0], size, tag, line)
+            value = seen[key] = parse(key[0], size, tag, line, **maps)
         return value
 
     return get
@@ -241,7 +247,7 @@ def read_series(text: str) -> FourierSeries:
     tag, g, k, trunc, dim = _parse_header(lines, "FJS v1")
     make = partial(FourierSeries, g, k, tag, trunc, dim=dim)
     _construct(make, {}, [])
-    matrix, vector = _interned(_parse_matrix, tag), _interned(_parse_vector, tag)
+    matrix, vector = _interned(_parse_matrix, tag, tokens={}), _interned(_parse_vector, tag)
     coeffs, record_lines = {}, []
     for i, raw in _body(lines):
         t_text, value = _split_labelled(raw, "t", i)
@@ -284,7 +290,7 @@ def read_jacobi(text: str) -> JacobiTable:
     tag, g, k, m, trunc, dim = _parse_header(lines, "HJF v1")
     make = partial(JacobiTable._from_parsed, g, k, m, tag, trunc, dim=dim)
     _construct(make, {}, [])
-    matrix, vector = _interned(_parse_matrix, tag), _interned(_parse_vector, tag)
+    matrix, vector = _interned(_parse_matrix, tag, tokens={}), _interned(_parse_vector, tag)
     r_vector = _interned(partial(_parse_vector, parse=_token_ints), tag)
     coeffs, record_lines = {}, []
     for i, raw in _body(lines):
@@ -336,7 +342,7 @@ def read_family(text: str) -> FJFamily:
         flat = _parse_vector(r_text, count, r_tag, line)
         return tuple(flat[row * l:(row + 1) * l] for row in range(a))
 
-    index, matrix = _interned(_parse_matrix, tag), _interned(_parse_matrix, tag)
+    index, matrix = (_interned(_parse_matrix, tag, tokens={}) for _role in range(2))
     r_matrix, vector = _interned(parse_r, tag), _interned(_parse_vector, tag)
     tables: dict[HermMatrix, dict] = {}
     record_lines: list[int] = []
@@ -401,7 +407,7 @@ def read_components(text: str) -> ThetaComponentVector:
     size = len(lines)
     listed = g < size.bit_length() and (m * m * abs(tag.disc)) ** g < size
     canonical = delta_classes(g, m, tag) if listed else ()
-    matrix, vector = _interned(_parse_matrix, tag), _interned(_parse_vector, tag)
+    matrix, vector = _interned(_parse_matrix, tag, tokens={}), _interned(_parse_vector, tag)
     rep_elements: dict[str, FieldElement] = {}
     htruncs: dict[str, Fraction] = {}  # each distinct htrunc text is parsed once
     classes: list[CosetClass] = []

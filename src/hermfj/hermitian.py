@@ -13,7 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
-from math import gcd, lcm
+from math import ceil, gcd, inf, lcm
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -221,11 +221,16 @@ class HermMatrix(Immutable):
     @classmethod
     def from_text(cls, text: str, g: int, tag: FieldTag) -> "HermMatrix":
         """Parse `to_text` output straight into the key, with the errors of
-        `FieldElement.from_text` on each entry, then of the constructor."""
+        `FieldElement.from_text` on each entry, then those of `_from_cells`."""
         parts = text.split(",")
         if len(parts) != g * g:
             raise ValueError("expected %d entries, got %d" % (g * g, len(parts)))
-        cells = [_parse_token(p) for p in parts]
+        return cls._from_cells([_parse_token(p) for p in parts], g, tag)
+
+    @classmethod
+    def _from_cells(cls, cells: Sequence[tuple], g: int, tag: FieldTag) -> "HermMatrix":
+        """The matrix on the g*g row-major entries (p, q, den) of `_parse_token`,
+        checked Hermitian: the one body of `from_text` and the readers."""
         if g == 1:
             p, q, den = cells[0]
             if q:
@@ -323,18 +328,18 @@ def split_block(t: HermMatrix, l: int) -> tuple[HermMatrix, linalg.Matrix, HermM
     return HermMatrix._trusted(t.g - l, n_raw, tag), r, HermMatrix._trusted(l, m_raw, tag)
 
 
+def _entry_text(a: int, b: int, den: int) -> str:
+    """The entry (a + b*w)/den in the form of `FieldElement.to_text`: each
+    coordinate in lowest terms, over a positive denominator."""
+    if a % den or b % den:
+        ga, gb = gcd(a, den), gcd(b, den)
+        return "%d/%d+%d/%d*w" % (a // ga, den // ga, b // gb, den // gb)
+    return "%d/1+%d/1*w" % (a // den, b // den)
+
+
 def _entries_text(pairs: Iterable[tuple[int, int]], den: int) -> str:
-    """The entries (a + b*w)/den of `pairs`, comma-joined in the form of
-    `FieldElement.to_text`: each coordinate in lowest terms, over a positive
-    denominator."""
-    out = []
-    for a, b in pairs:
-        if a % den or b % den:
-            ga, gb = gcd(a, den), gcd(b, den)
-            out.append("%d/%d+%d/%d*w" % (a // ga, den // ga, b // gb, den // gb))
-        else:
-            out.append("%d/1+%d/1*w" % (a // den, b // den))
-    return ",".join(out)
+    """The entries (a + b*w)/den of `pairs` by `_entry_text`, comma-joined."""
+    return ",".join([_entry_text(a, b, den) for a, b in pairs])
 
 
 def _trace_sum(x: tuple[int, int], y: tuple[int, int], sign: int) -> tuple[int, int]:
@@ -354,11 +359,20 @@ def _trace_within(t: HermMatrix, bound: tuple[int, int]) -> bool:
 def _text_order(mats: Iterable[HermMatrix]) -> dict[HermMatrix, tuple[int, str]]:
     """{t: (trace, text)} for the distinct matrices of `mats`: the canonical
     order of the text formats as a sort key, by trace, then by `to_text`,
-    on ints (traces scale by the lcm of their denominators), with each text
-    rendered once."""
-    mats = set(mats)
+    on ints (traces scale by the lcm of their denominators).  The writers
+    print that whole text; for g > 1 each entry (a, b, den) is rendered once
+    per call, into a map that dies with it."""
+    mats, texts = set(mats), {}
     big = lcm(*(t._trace[1] for t in mats))
-    return {t: (t._trace[0] * (big // t._trace[1]), t.to_text()) for t in mats}
+
+    def text(t: HermMatrix) -> str:
+        if t.g == 1:
+            return t.to_text()
+        rows, den = t._int_coords()
+        cells = [(a, b, den) for a, b in chain.from_iterable(rows)]
+        return ",".join([texts.get(c) or texts.setdefault(c, _entry_text(*c)) for c in cells])
+
+    return {t: (t._trace[0] * (big // t._trace[1]), text(t)) for t in mats}
 
 
 def _canonical_order(keys: Iterable[HermMatrix]) -> list[HermMatrix]:
@@ -577,28 +591,32 @@ def enumerate_semi_integral(g: int, trace_bound: int, tag: FieldTag) -> list[Her
 
 
 def min_represented(t: HermMatrix) -> Fraction:
-    """min over nonzero omega in O^g of omega* t omega, for PSD t.
+    """min over nonzero omega in O^g of omega* t omega, for PSD t: the
+    one-key case of `_least_represented`."""
+    return _least_represented((t,))
 
-    Exact, from one elimination, `field._ldl_pivots` of the integral trace
-    form `t._gram()`.  A t that is not positive semidefinite raises
-    ValueError.  Degenerate t (fewer pivots than 2g) represents 0: a kernel
-    vector over E scales to an integral one by clearing denominators.  For
-    definite t the same pivots give the levels of the `field._lattice_points`
-    search on the coordinate lattice Z^{2g} of O^g, certified by the
-    smallest diagonal entry, which e_i attains; the result is the least
-    nonzero value it finds.
-    """
-    gram, den = t._gram()
-    pivots = _ldl_pivots(gram)
-    if pivots is None:
-        raise ValueError("matrix is not positive semidefinite")
-    dim = len(gram)
-    if len(pivots) < dim:
-        return Fraction(0)
-    points = _lattice_points(_search_levels(gram, pivots), (0,) * dim, 1,
-                             min(gram[i][i] for i in range(0, dim, 2)))
-    # a definite form vanishes only at the origin
-    return Fraction(min(q for q, _v in points if q), 2 * den)
+
+def _least_represented(keys: Iterable[HermMatrix]) -> Fraction | float:
+    """min over `keys` of `min_represented`, +inf for none: the search of both
+    vanishing orders.  `_ldl_pivots` of a key's trace form `_gram()` rejects
+    a non-PSD key, and a degenerate one represents 0 (scale a kernel vector
+    into O^g).  A definite key lists only the points strictly below cap =
+    min(least diagonal, ceil(2*den*best)), which e_i attains or which cannot
+    improve best: its value is the least nonzero one, else the diagonal."""
+    best = inf
+    for t in keys:
+        gram, den = t._gram()
+        pivots = _ldl_pivots(gram)
+        if pivots is None:
+            raise ValueError("matrix is not positive semidefinite")
+        if len(pivots) < len(gram):
+            best = Fraction(0)
+            continue
+        diag = min(gram[i][i] for i in range(0, len(gram), 2))
+        cap = diag if best == inf else min(diag, ceil(2 * den * best))
+        points = _lattice_points(_search_levels(gram, pivots), (0,) * len(gram), 1, cap - 1)
+        best = min(best, Fraction(min((q for q, _v in points if q), default=diag), 2 * den))
+    return best
 
 
 # ----------------------------------------------------------------------

@@ -29,8 +29,8 @@ from .errors import ConsistencyError, RecordError
 from .field import (FieldElement, FieldTag, Immutable, _clear_dens, _in_field, _pair_conj,
                     _pair_mul, _pair_norm, _pair_sqrt_disc, make_field)
 from .hermitian import (CosetClass, HermMatrix, Vector, _class_points, _delta_cells, _from_y,
-                        _join_raw, _small_cell, _sublattice, _text_order, _trace_sum,
-                        _trace_within, _y_coords, delta_classes, min_represented)
+                        _join_raw, _least_represented, _small_cell, _sublattice, _text_order,
+                        _trace_sum, _trace_within, _y_coords, delta_classes)
 from .series import FourierSeries, Vec, _all_zero, _nonzero, _zero_vec
 
 #: y = sqrt(D) r in O^g as (a_1, b_1, ..., a_g, b_g)
@@ -213,8 +213,8 @@ class JacobiTable(Immutable):
 
     def vanishing_order(self):
         """min over supported keys of the minimal value represented by the
-        n-block; +inf on empty support."""
-        return min((min_represented(n) for (n, _y) in self._coeffs), default=inf)
+        n-block, by `hermitian._least_represented`; +inf on empty support."""
+        return _least_represented(n for n, _y in self._coeffs)
 
     def vanishing_order_at(self, r: Sequence[FieldElement]):
         """Smallest corner entry n[g-1][g-1] over supported keys with second

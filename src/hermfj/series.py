@@ -12,14 +12,13 @@ relaxes the key validation but changes nothing else.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import linalg
 from .errors import RecordError
 from .field import FieldElement, FieldTag, Immutable, _in_field, unit_group
-from .hermitian import HermMatrix, UnitMatrix, min_represented
-from .hermitian import _canonical_order, _congruence, _congruent, _trace_sum, _trace_within
+from .hermitian import (HermMatrix, UnitMatrix, _canonical_order, _congruence, _congruent,
+                        _least_represented, _trace_sum, _trace_within)
 
 Vec = tuple[FieldElement, ...]
 
@@ -173,7 +172,9 @@ class FourierSeries(Immutable):
 
     def __mul__(self, other: "FourierSeries") -> "FourierSeries":
         """Cauchy product on the support; scalar-valued factors only.  A sum
-        of two valid keys is valid, so the product skips re-validation."""
+        of two valid keys is valid, so the product skips re-validation.  Each
+        t1 walks `other`'s keys, sorted by trace once per call, up to the first
+        over the room tr t1 leaves; exact sums do not depend on their order."""
         if not isinstance(other, FourierSeries):
             return NotImplemented
         self._check_compatible(other, need_weight=False)
@@ -181,12 +182,13 @@ class FourierSeries(Immutable):
             raise ValueError("product requires scalar-valued series")
         trunc = min(self.trunc, other.trunc)
         bound = trunc.as_integer_ratio()
+        right = sorted(other.coeffs.items(), key=lambda item: Fraction(*item[0]._trace))
         out: dict[HermMatrix, Vec] = {}
         for t1, v1 in self.coeffs.items():
             room = _trace_sum(bound, t1._trace, -1)
-            for t2, v2 in other.coeffs.items():
+            for t2, v2 in right:
                 if not _trace_within(t2, room):
-                    continue
+                    break
                 t = t1.add(t2)
                 prod = v1[0] * v2[0]
                 prev = out.get(t)
@@ -198,8 +200,9 @@ class FourierSeries(Immutable):
 
     def vanishing_order(self):
         """min over supported t of the minimal represented value; +inf for
-        the zero series.  Truncation-relative: only stored keys enter."""
-        return min((min_represented(t) for t in self.coeffs), default=inf)
+        the zero series.  Truncation-relative: only stored keys enter, by the
+        strict-cap search `hermitian._least_represented`."""
+        return _least_represented(self.coeffs)
 
 
 # ----------------------------------------------------------------------
@@ -323,6 +326,9 @@ def symmetrize(f: FourierSeries, units: Iterable[UnitMatrix]) -> FourierSeries:
     the window and once, building no key, per step out of it; the maps and
     the record die with the call, and an empty support builds no map.
     """
+    units = list(units)
+    if any(u.g != f.g or u.tag != f.tag for u in units):  # as check_symmetry rejects them
+        raise ValueError("generator size or field mismatch")
     index, inv = _steps(units)
     steps = [(_congruence(u), u.det_unit.conj() ** f.k) for u in index] if f.coeffs else []
     bound = f.trunc.as_integer_ratio()

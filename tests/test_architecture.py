@@ -18,7 +18,9 @@ Code that no library or CLI path reaches is not kept in the library:
 
 The orbit walks of `series` act on keys by the int maps of
 `hermitian._congruence` alone: `series.py` names neither `gl_action` nor
-`_int_coords`.
+`_int_coords`.  Both vanishing orders, of `series` and of `jacobi`, reach
+the lattice through the one strict-cap search `hermitian._least_represented`
+and never call `min_represented`, its one-key case.
 
 Lattice searches have one home too: `field._lattice_points` is called only
 in `field` and `hermitian`, and the points of a class of Delta_g(m) come
@@ -145,3 +147,18 @@ def test_ffj_builds_no_identity_rows():
     found = [line.strip() for line in (SRC / "ffj.py").read_text(encoding="utf-8").splitlines()
              if re.search(r"\blinalg\.identity\b", line)]
     assert not found, "\n".join(found)
+
+
+def test_vanishing_orders_share_one_search():
+    # both vanishing orders are `hermitian._least_represented`, the search
+    # whose one-key case `min_represented` is
+    for name in ("series.py", "jacobi.py"):
+        text = (SRC / name).read_text(encoding="utf-8")
+        assert not re.search(r"\bmin_represented\(", text), name
+        methods = [node for node in ast.walk(ast.parse(text))
+                   if isinstance(node, ast.FunctionDef) and node.name == "vanishing_order"]
+        assert methods, name
+        for method in methods:
+            called = {node.func.id for node in ast.walk(method)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+            assert "_least_represented" in called, name

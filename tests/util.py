@@ -1816,7 +1816,7 @@ def read_jacobi_by_elements(text: str):
     tag, g, k, m, trunc, dim = _parse_header(lines, "HJF v1")
     make = partial(JacobiTable, g, k, m, tag, trunc, dim=dim)
     _construct(make, {}, [])
-    matrix, vector = _interned(_parse_matrix, tag), _interned(_parse_vector, tag)
+    matrix, vector = _interned(_parse_matrix, tag, tokens={}), _interned(_parse_vector, tag)
     r_vector = _interned(_parse_vector, tag)
     coeffs, record_lines = {}, []
     for i, raw in _body(lines):
@@ -2026,7 +2026,7 @@ def read_components_by_parsed_reps(text: str):
         return partial(FourierSeries, g, k, tag, h_trunc, dim=dim, semi_integral=False)
 
     _construct(component(trunc), {}, [])
-    matrix, vector = _interned(_parse_matrix, tag), _interned(_parse_vector, tag)
+    matrix, vector = _interned(_parse_matrix, tag, tokens={}), _interned(_parse_vector, tag)
     rep_elements, htruncs, classes, class_lines, components = {}, {}, [], [], {}
     for i, raw in _body(lines):
         if raw.startswith("[class "):
@@ -2069,3 +2069,97 @@ def read_components_by_parsed_reps(text: str):
         raise ParseError("header trunc=%s must equal the class 0 htrunc %s"
                          % (trunc, components[classes[0]].trunc), 1)
     return bundle
+
+
+# ----------------------------------------------------------------------
+# the series-ring path before the trace window, the strict cap, the
+# per-read token map and the per-call entry map
+
+
+def mul_by_all_pairs(f, h):
+    """The former `FourierSeries.__mul__` on scalar series of one degree and
+    field: every pair of keys tested against the room tr t1 leaves."""
+    from hermfj.hermitian import _trace_sum, _trace_within
+    from hermfj.series import FourierSeries
+
+    trunc = min(f.trunc, h.trunc)
+    bound = trunc.as_integer_ratio()
+    out = {}
+    for t1, v1 in f.coeffs.items():
+        room = _trace_sum(bound, t1._trace, -1)
+        for t2, v2 in h.coeffs.items():
+            if not _trace_within(t2, room):
+                continue
+            t = t1.add(t2)
+            prod = v1[0] * v2[0]
+            prev = out.get(t)
+            out[t] = ((prev[0] + prod),) if prev is not None else (prod,)
+    return FourierSeries._trusted(f.g, f.k + h.k, f.tag, trunc, out, 1,
+                                  f.semi_integral and h.semi_integral)
+
+
+def min_represented_by_inclusive_bound(t) -> Fraction:
+    """The former `hermitian.min_represented`: one key searched up to and
+    including its least diagonal entry, with no bound shared between keys."""
+    from hermfj.field import _lattice_points, _ldl_pivots, _search_levels
+
+    gram, den = t._gram()
+    pivots = _ldl_pivots(gram)
+    if pivots is None:
+        raise ValueError("matrix is not positive semidefinite")
+    dim = len(gram)
+    if len(pivots) < dim:
+        return Fraction(0)
+    points = _lattice_points(_search_levels(gram, pivots), (0,) * dim, 1,
+                             min(gram[i][i] for i in range(0, dim, 2)))
+    return Fraction(min(q for q, _v in points if q), 2 * den)
+
+
+def vanishing_order_by_keys(keys):
+    """The former vanishing orders: the least `min_represented_by_inclusive_bound`
+    over `keys`, +inf for none."""
+    from math import inf
+
+    return min((min_represented_by_inclusive_bound(t) for t in keys), default=inf)
+
+
+def text_order_by_full_text(mats) -> dict:
+    """The former `hermitian._text_order`: (trace, `to_text`) per distinct
+    matrix, each text rendered whole."""
+    from math import lcm
+
+    mats = set(mats)
+    big = lcm(*(t._trace[1] for t in mats))
+    return {t: (t._trace[0] * (big // t._trace[1]), t.to_text()) for t in mats}
+
+
+def from_text_by_whole_tokens(text: str, g: int, tag: FieldTag):
+    """The former `HermMatrix.from_text`: every entry of the text parsed by
+    `field._parse_token`, then the hermicity check and the key build."""
+    from math import lcm
+
+    from hermfj.field import _pair_conj, _parse_token
+    from hermfj.hermitian import HermMatrix
+
+    parts = text.split(",")
+    if len(parts) != g * g:
+        raise ValueError("expected %d entries, got %d" % (g * g, len(parts)))
+    cells = [_parse_token(p) for p in parts]
+    if g == 1:
+        p, q, den = cells[0]
+        if q:
+            raise ValueError("matrix is not Hermitian")
+        return HermMatrix._trusted(1, (den, p, 0), tag)
+    if g < 1:
+        return HermMatrix((), tag)
+    upper = []
+    for i in range(g):
+        for j in range(i, g):
+            (p, q, den), (pc, qc, dc) = cells[i * g + j], cells[j * g + i]
+            pc, qc = _pair_conj(pc, qc, tag)
+            if p * dc != pc * den or q * dc != qc * den:
+                raise ValueError("matrix is not Hermitian")
+            upper.append((p, q, den))
+    den = lcm(*(d for _p, _q, d in upper))
+    return HermMatrix._trusted(g, [den] + [c * (den // d) for p, q, d in upper for c in (p, q)],
+                               tag)
