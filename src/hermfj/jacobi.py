@@ -19,7 +19,6 @@ of y, and its shift r m^-1 r* is y y* / (|D| m).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, inf
@@ -45,11 +44,13 @@ def shift_matrix(r: Sequence[FieldElement], m: int) -> HermMatrix:
     sqrt(D) r, which the library calls with the y of its tables: equal
     inputs share one matrix.  An r outside (O^#)^g has sqrt(D) r = y/e for
     an integral y and the least e > 1, and the shift of y at index e^2 m.
-    A component over another field than the first is rejected.
+    An empty r, or a component over another field than the first, is rejected.
     """
     if m < 1:
         raise ValueError("index m must be >= 1, got %r" % (m,))
     r = tuple(r)
+    if not r:
+        raise ValueError("r must have at least one component")
     tag = r[0].tag
     _in_field(r, tag, "component")
     den, xs = _clear_dens(r)
@@ -303,8 +304,8 @@ class ThetaComponentVector(Immutable):
     """The components (h_s)_s of a theta decomposition: one shifted series
     per class of Delta_g(m).  The classes are exactly `delta_classes(g, m)`,
     in that canonical order; each has modulus m and g components, which lie
-    in O^# by `CosetClass`.  A class out of place raises `errors.RecordError`
-    naming its position in `classes`."""
+    in O^# by `CosetClass`; each series has the field, weight and dimension
+    of the first.  A class out of place raises `errors.RecordError`."""
 
     __slots__ = ("m", "classes", "components")
 
@@ -315,8 +316,10 @@ class ThetaComponentVector(Immutable):
             raise ValueError("at least one class is required")
         if set(classes) != set(components):
             raise ValueError("exactly one component per class is required")
+        if len({(h.tag, h.k, h.dim) for h in components.values()}) > 1:
+            raise ValueError("inconsistent components")
         for s in classes:
-            if s.m != m or s.g != components[s].g:
+            if s.m != m or s.g != components[s].g or s.tag != components[s].tag:
                 raise ValueError("class %r does not fit modulus %d and its series" % (s, m))
         g, tag = classes[0].g, classes[0].tag
         # compare counts before listing Delta_g(m), which has (m^2 |D|)^g classes
@@ -350,11 +353,12 @@ def theta_decompose(phi: JacobiTable, strict: bool = False) -> ThetaComponentVec
     n' = n - r m^-1 r*; then each n' is probed at r0 + m e_1.  With
     `strict`, every r of s with tr(n' + r m^-1 r*) <= phi.trunc must give
     body[n'].  The keys of s, all matched, map one-to-one into these pairs
-    (n', r), so it is enough that s has as many keys as pairs, counted on
-    the points of the classes with keys (`hermitian._class_points`); a
-    class short of keys is walked on the keys of its theta table.  Every r
-    is its y = sqrt(D) r throughout, and r0 + m e_1 is y0 + m sqrt(D) e_1.
-    Each n' is built once per distinct (n, r m^-1 r*) pair of the call.
+    (n', r), so each pair must be among the (n', y) of the keys: the pairs
+    are walked on the points of the classes with keys, from one
+    `hermitian._class_points` search, and no theta table is built.  Every
+    r is its y = sqrt(D) r throughout, and r0 + m e_1 is y0 + m sqrt(D)
+    e_1.  Each n' is built once per distinct (n, r m^-1 r*) pair of the
+    call.
 
     Raises ConsistencyError with a witness (n', r, r') at the first failed
     probe, by key in the order of phi.coeffs, then by class: r0 + m e_1
@@ -368,10 +372,10 @@ def theta_decompose(phi: JacobiTable, strict: bool = False) -> ThetaComponentVec
         raise ValueError("decomposition requires index >= 1")
     tag, g, trunc = phi.tag, phi.g, phi.trunc
     cells, sub, scale = _delta_cells(m, tag), _sublattice(tag, m), abs(tag.disc) * m
-    # per class index: [body, keys off y0, y0]; per distinct y: (its class's
-    # entry, r m^-1 r*, whether y = y0, the n' of its shift); per distinct
-    # shift key: {n key: n' = n - shift}
-    found: dict[int, list] = {}
+    # per class index: (body, y0); per distinct y: (its class's entry,
+    # r m^-1 r*, whether y = y0, the n' of its shift); per distinct shift
+    # key: {n key: n' = n - shift}
+    found: dict[int, tuple] = {}
     seen: dict[Y, tuple] = {}
     diffs: dict[tuple[int, ...], dict] = {}
     off_y0 = []
@@ -380,10 +384,9 @@ def theta_decompose(phi: JacobiTable, strict: bool = False) -> ThetaComponentVec
         if info is None:
             index = sub.class_index(y)
             if index not in found:
-                y0 = tuple([c for i in sub.digits(index, g) for c in cells[i][0]])
-                found[index] = [{}, 0, y0]
+                found[index] = ({}, tuple([c for i in sub.digits(index, g) for c in cells[i][0]]))
             shift = _shift_matrix(y, m, tag.d)
-            info = seen[y] = (found[index], shift, y == found[index][2],
+            info = seen[y] = (found[index], shift, y == found[index][1],
                               diffs.setdefault(shift._key, {}))
         entry, shift, at_y0, diff = info
         nprime = diff.get(n._key)
@@ -393,30 +396,28 @@ def theta_decompose(phi: JacobiTable, strict: bool = False) -> ThetaComponentVec
             entry[0][nprime] = vec
         else:  # hold the place of n' in the body, in the order of the keys
             entry[0].setdefault(nprime, None)
-            entry[1] += 1
             off_y0.append((nprime, y, vec, entry))
     # Rounding makes each r0_i least in norm over its coset, so
     # tr(r0 m^-1 r0*) <= tr(r m^-1 r*): the read n' + r0 m^-1 r0* of a key
     # is always within the truncation.
-    for nprime, y, vec, (body, _off, y0) in off_y0:
+    for nprime, y, vec, (body, y0) in off_y0:
         if body[nprime] != vec:
             raise ConsistencyError("well-definedness violation: representatives disagree",
                                    witness=(nprime, _r_of(y, tag), _r_of(y0, tag)))
 
     top, den = trunc.as_integer_ratio()
-    norms: dict[int, list[int]] = {}
-    if strict:
-        for index, norm, _y in _class_points(g, m, tag, top * scale // den, found):
-            norms.setdefault(index, []).append(norm)
-        for ns in norms.values():
-            ns.sort()
+    if strict:  # (n', y) of each key, off the maps above; (N(y), X, y) of the points by class
+        pairs = {(seen[y][3][n._key]._key, y) for n, y in phi._coeffs}
+        points = {index: [] for index in found}
+        for index, norm, y in _class_points(g, m, tag, top * scale // den, found):
+            points[index].append((norm, _x_of(y, tag), y))
     step = _pair_sqrt_disc(m, 0, tag)  # m e_1 as y
     classes, components = delta_classes(g, m, tag), {}
     for index, s in enumerate(classes):
         # trunc less the trace of the shift of r0
         norm0 = sum(cells[i][1] for i in sub.digits(index, g))
         h_trunc = Fraction(top * scale - den * norm0, den * scale)
-        body, off, y0 = found.get(index) or ({}, 0, ())
+        body, y0 = found.get(index) or ({}, ())
         components[s] = FourierSeries._trusted(g, phi.k - 1, tag, h_trunc, body, phi.dim,
                                                semi_integral=False)
         if not body:
@@ -431,22 +432,18 @@ def theta_decompose(phi: JacobiTable, strict: bool = False) -> ThetaComponentVec
                     phi._coeffs.get((nprime.add(shift1), y1)) != vec:
                 raise ConsistencyError("well-definedness violation at spare representative",
                                        witness=(nprime, _r_of(y0, tag), _r_of(y1, tag)))
-        # the pairs (n', r) with N(y) <= (trunc - tr n') |D| m, against the
-        # keys; short of keys, walk the keys of theta_s to the witness
-        if strict and len(body) + off != sum(
-                bisect_right(norms.get(index, ()), (top * d - num * den) * scale // (den * d))
-                for num, d in (nprime._trace for nprime in body)):
-            points = theta_coeffs(m, s, trunc)._coeffs
-            for nprime, vec in body.items():
-                room = _trace_sum((top, den), nprime._trace, -1)
-                for shift, y_any in points:
-                    if not _trace_within(shift, room):
+        if strict:  # each pair (n', r) with N(y) <= (trunc - tr n') |D| m is a key
+            walk = sorted(points[index])
+            for nprime in body:
+                num, d = nprime._trace
+                bound = (top * d - num * den) * scale // (den * d)
+                for norm, _x, y in walk:
+                    if norm > bound:
                         break
-                    if phi._coeffs.get((nprime.add(shift), y_any)) != vec:
-                        r_any = _r_of(y_any, tag)
-                        raise ConsistencyError(
-                            "well-definedness violation at representative %r" % (r_any,),
-                            witness=(nprime, _r_of(y0, tag), r_any))
+                    if (nprime._key, y) not in pairs:
+                        r_any = _r_of(y, tag)
+                        raise ConsistencyError("well-definedness violation at representative %r"
+                                               % (r_any,), witness=(nprime, _r_of(y0, tag), r_any))
     return ThetaComponentVector(m, classes, components)
 
 
@@ -470,8 +467,6 @@ def theta_recompose(v: ThetaComponentVector, trunc) -> JacobiTable:
     live: dict[int, list] = {}
     for index, s in enumerate(v.classes):
         h = v.components[s]
-        if (h.g, h.tag, h.dim, h.k) != (g, tag, dim, weight):
-            raise ValueError("inconsistent components")
         # h.trunc >= trunc less the trace of the shift of r0, on ints
         norm0, (num, d) = sum(cells[i][1] for i in sub.digits(index, g)), h.trunc.as_integer_ratio()
         if num * den * scale < (top * scale - den * norm0) * d:
@@ -496,19 +491,24 @@ def theta_recompose(v: ThetaComponentVector, trunc) -> JacobiTable:
 
 
 def series_times_theta(h: FourierSeries, theta: JacobiTable) -> JacobiTable:
-    """The product table h(tau) * theta(tau, w, z), exact.
-
-    The output truncation is h.trunc plus the minimal class shift; the theta
-    table must be truncated at least there.  A PSD n' plus a valid key of
-    theta is a valid key, so the table skips re-validation.
+    """The product table h(tau) * theta(tau, w, z), exact, for theta a theta
+    table: each key (r m^-1 r*, r) of one class with coefficient 1, or
+    ValueError names the key.  The output truncation is h.trunc plus the
+    minimal class shift; theta must be truncated at least there.  A PSD n'
+    plus a key of theta is a valid key, so the table skips re-validation.
     """
     m, tag = theta.m, theta.tag
     if not theta._coeffs:
         raise ValueError("empty theta table")
     if m < 1:
         raise ValueError("m must be >= 1")
-    # tr(r0 m^-1 r0*) for r0 the small representative of the class of the keys
     y = next(iter(theta._coeffs))[1]
+    one, sub = (FieldElement.one(tag),), _sublattice(tag, m)
+    for (n, y_any), vec in theta._coeffs.items():
+        if (vec, n, sub.class_index(y_any)) != (one, _shift_matrix(y_any, m, tag.d),
+                                                 sub.class_index(y)):
+            raise ValueError("not a theta table of one class at key %r" % ((n, _r_of(y_any, tag)),))
+    # tr(r0 m^-1 r0*) for r0 the small representative of the class of the keys
     shift0 = Fraction(sum(_small_cell(y[i], y[i + 1], m, tag)[1] for i in range(0, len(y), 2)),
                       abs(tag.disc) * m)
     out_trunc = h.trunc + shift0
@@ -519,7 +519,6 @@ def series_times_theta(h: FourierSeries, theta: JacobiTable) -> JacobiTable:
     for (n_theta, y), _one in theta._coeffs.items():
         for nprime, vec in h.coeffs.items():
             n = nprime.add(n_theta)
-            if not _trace_within(n, bound):
-                continue
-            coeffs[(n, y)] = vec
+            if _trace_within(n, bound):
+                coeffs[(n, y)] = vec
     return JacobiTable._trusted(h.g, h.k + 1, m, h.tag, out_trunc, coeffs, h.dim)

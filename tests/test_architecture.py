@@ -26,6 +26,9 @@ Lattice searches have one home too: `field._lattice_points` is called only
 in `field` and `hermitian`, and the points of a class of Delta_g(m) come
 from `hermitian._class_points` alone.  So `jacobi` imports no search from
 `field`, nor the class reductions `reduce_class` and `small_rep`.
+Strict decomposition walks the points of that one search against the keys:
+`theta_decompose` names neither `theta_coeffs` nor `bisect_right`, and
+`jacobi.py` imports no `bisect`.
 """
 
 import ast
@@ -107,6 +110,19 @@ def test_jacobi_imports_no_search_and_no_class_reduction():
     banned = {("field", name) for name in FIELD_SEARCHES}
     banned |= {("hermitian", "reduce_class"), ("hermitian", "small_rep"), (None, "field")}
     assert not imported & banned, imported & banned
+
+
+def test_strict_decomposition_builds_no_theta_table_and_counts_nothing():
+    tree = ast.parse((SRC / "jacobi.py").read_text(encoding="utf-8"))
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "theta_decompose")
+    names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
+    assert not names & {"theta_coeffs", "bisect_right"}, names & {"theta_coeffs", "bisect_right"}
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "bisect" not in modules
 
 
 def test_formats_reads_no_split_tables():

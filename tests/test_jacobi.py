@@ -348,3 +348,54 @@ def test_reading_a_genus_two_table_builds_its_index_matrix_once(monkeypatch):
     with pytest.raises(RecordError, match=r"block key \(n r; r\* m\) is not positive") as caught:
         JacobiTable(2, table.k, 2, tag, 3, {**table.coeffs, bad: (FieldElement.one(tag),)})
     assert caught.value.record == bad
+
+
+def test_component_vector_rejects_series_of_mixed_weight_dimension_or_field():
+    """Such a bundle once wrote a file that read back different: weights
+    9, 5, 5, 5 came back as 9, 9, 9, 9."""
+    tag, other = make_field(-1), make_field(-3)
+    classes = delta_classes(1, 1, tag)
+
+    def series(k, t=tag, dim=1):
+        return FourierSeries(1, k, t, 1, {HermMatrix.from_rational(0, t): (fe(1, 0, t),) * dim},
+                             dim=dim, semi_integral=False)
+
+    comps = {s: series(9) for s in classes}
+    ThetaComponentVector(1, classes, comps)
+    mixed = [{s: series(9 if i == 0 else 5) for i, s in enumerate(classes)}]
+    mixed += [{**comps, classes[1]: h} for h in (series(5), series(9, other), series(9, dim=2))]
+    for bundle in mixed:
+        with pytest.raises(ValueError, match="^inconsistent components$"):
+            ThetaComponentVector(1, classes, bundle)
+    # every series over another field than its class
+    with pytest.raises(ValueError, match="does not fit"):
+        ThetaComponentVector(1, classes, {s: series(9, other) for s in classes})
+
+
+def test_series_times_theta_takes_only_a_theta_table_of_one_class():
+    """h * (2 theta) once equalled h * theta, and a table over two classes
+    took its truncation from whichever class came first."""
+    tag = make_field(-1)
+    classes = delta_classes(1, 1, tag)
+    h = FourierSeries(1, 5, tag, 1, {HermMatrix.from_rational(0, tag): (fe(1, 0, tag),)})
+    theta, other = theta_coeffs(1, classes[0], 3), theta_coeffs(1, classes[1], 3)
+    assert series_times_theta(h, theta).trunc == 1
+    zero = (FieldElement.zero(tag),)
+    moved = (HermMatrix.from_rational(1, tag), zero)  # n = 1, not the shift 0 of r = 0
+    cases = [
+        (JacobiTable(1, 1, 1, tag, 3, {key: (fe(2, 0, tag),) for key in theta.coeffs}),
+         next(iter(theta.coeffs))),
+        (JacobiTable(1, 1, 1, tag, 3, {moved: (fe(1, 0, tag),)}), moved),
+        (JacobiTable(1, 1, 1, tag, 3, {**theta.coeffs, **other.coeffs}), next(iter(other.coeffs))),
+        (JacobiTable(1, 1, 1, tag, 3, {**other.coeffs, **theta.coeffs}), next(iter(theta.coeffs))),
+    ]
+    for table, key in cases:
+        with pytest.raises(ValueError) as caught:
+            series_times_theta(h, table)
+        assert str(caught.value) == "not a theta table of one class at key %r" % (key,)
+
+
+def test_shift_matrix_rejects_an_empty_r():
+    for r in ((), iter(())):
+        with pytest.raises(ValueError, match="^r must have at least one component$"):
+            shift_matrix(r, 1)

@@ -4,8 +4,8 @@ class-by-class code they replaced (kept in `tests/util.py`).
 Small representatives rounded per component on ints are compared with
 rounding in field arithmetic; one listing of y = sqrt(D) r sorted into
 class buckets with one `util._coset_vectors` search per class; and
-decomposition that reads each body at r0 and checks `strict` by counting
-with decomposition by probes: the same components, or the same exception
+decomposition that reads each body at r0 and checks `strict` on the pairs
+(n', r) of each class with decomposition by probes: the same components, or the same exception
 with the same witness, on consistent tables, on tables with a coefficient
 changed and on tables with a deep key removed, plain and strict.  All five
 fields, g <= 2 with m <= 3, and g = 3 with m = 1.

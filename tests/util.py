@@ -1911,7 +1911,9 @@ def theta_recompose_by_point_sums(v, trunc):
 
 def theta_decompose_by_key_diffs(phi, strict: bool = False):
     """The former `jacobi.theta_decompose`: n - r m^-1 r* built for every
-    key of phi."""
+    key of phi, and with `strict` the pairs (n', r) of each class counted
+    against its keys, a class short of keys walked on the keys of its
+    `theta_coeffs` table to the witness."""
     from bisect import bisect_right
 
     from hermfj.errors import ConsistencyError
