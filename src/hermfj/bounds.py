@@ -42,6 +42,8 @@ def jacobi_index_threshold(k: int, g: int, tag: FieldTag) -> Fraction:
 def truncation_budget(k: int, g: int, d_start: int, tag: FieldTag) -> tuple[int, list[int]]:
     """The indices m with d_start <= m <= floor(c^-1 k / w_{g-1}) that can
     carry nonzero high-order coefficients; returns (count, list)."""
+    if k < 0:
+        raise ValueError("weight must be >= 0")
     if d_start < 0:
         raise ValueError("d_start must be >= 0")
     if g < 2:

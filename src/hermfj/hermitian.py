@@ -97,11 +97,7 @@ class HermMatrix(Immutable):
 
     @classmethod
     def diagonal(cls, values: Sequence, tag: FieldTag) -> "HermMatrix":
-        g = len(values)
-        rows = [[FieldElement.zero(tag)] * g for _ in range(g)]
-        for i, v in enumerate(values):
-            rows[i][i] = v if isinstance(v, FieldElement) else FieldElement(Fraction(v), 0, tag)
-        return cls(rows, tag)
+        return cls(linalg.diagonal(values, tag), tag)
 
     @property
     def entries(self) -> linalg.Matrix:
@@ -397,10 +393,7 @@ class UnitMatrix(Immutable):
         n, m = linalg.shape(rows)
         if n != m or n == 0:
             raise ValueError("expected a nonempty square matrix")
-        for row in rows:
-            for e in row:
-                if not e.is_integral():
-                    raise ValueError("unit matrix entries must lie in O")
+        linalg._integral_entries((rows,), tag, "unit matrix entries must lie in O")
         d = linalg.det(rows)
         if d.norm() != 1:
             raise ValueError("determinant is not a unit of O")
@@ -433,9 +426,7 @@ class UnitMatrix(Immutable):
 
     @classmethod
     def diagonal_units(cls, units: Sequence[FieldElement], tag: FieldTag) -> "UnitMatrix":
-        z = FieldElement.zero(tag)
-        return cls([[u if i == j else z for j in range(len(units))] for i, u in enumerate(units)],
-                   tag)
+        return cls(linalg.diagonal(units, tag), tag)
 
     @property
     def entries(self) -> linalg.Matrix:

@@ -3,17 +3,21 @@
 Matrices are immutable tuples of tuples of FieldElement: the entries of
 the unitary groups, the rows that the `HermMatrix` and `UnitMatrix`
 constructors check (`is_hermitian`, `det`), and the `entries` views of
-both.  Determinants and inverses come from one Gaussian elimination over
-E, O(n^3) field operations, so a `UnitMatrix` of any genus is cheap to
-build and to invert.  `HermMatrix` and `UnitMatrix` are held as ints, and
-their products and actions in `hermitian` work on those.
+both.  Block and diagonal matrices have one assembler each, `blocks` and
+`diagonal`, and the group elements test their entries by one check,
+`_integral_entries`.  Determinants and inverses come from one Gaussian
+elimination over E, O(n^3) field operations, so a `UnitMatrix` of any genus
+is cheap to build and to invert.  `HermMatrix` and `UnitMatrix` are held as
+ints, and their products and actions in `hermitian` work on those.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
-from .field import FieldElement, FieldTag, _pair_conj
+from .field import FieldElement, FieldTag, _in_field, _pair_conj
 
 Matrix = tuple[tuple[FieldElement, ...], ...]
 
@@ -31,10 +35,37 @@ def zeros(rows: int, cols: int, tag: FieldTag) -> Matrix:
     return tuple(tuple(z for _ in range(cols)) for _ in range(rows))
 
 
-def identity(n: int, tag: FieldTag) -> Matrix:
-    one = FieldElement.one(tag)
+def diagonal(values: Sequence, tag: FieldTag) -> Matrix:
+    """The square matrix with `values` on the diagonal and 0 elsewhere; a
+    value that is not a FieldElement is read as a rational."""
     z = FieldElement.zero(tag)
-    return tuple(tuple(one if i == j else z for j in range(n)) for i in range(n))
+    vals = [v if isinstance(v, FieldElement) else FieldElement(Fraction(v), 0, tag) for v in values]
+    return tuple(tuple(v if i == j else z for j in range(len(vals))) for i, v in enumerate(vals))
+
+
+def identity(n: int, tag: FieldTag) -> Matrix:
+    return diagonal([FieldElement.one(tag)] * n, tag)
+
+
+def blocks(grid: Sequence[Sequence], tag: FieldTag) -> Matrix:
+    """The matrix of a grid of blocks, assembled row by row.  A cell is a
+    matrix or 0, the zero block; each block row and each block column holds
+    a matrix, whose height or width it takes."""
+    z = FieldElement.zero(tag)
+    heights = [next(len(m) for m in row if m != 0) for row in grid]
+    widths = [next(shape(m)[1] for m in col if m != 0) for col in zip(*grid)]
+    return tuple(tuple(chain.from_iterable((z,) * w if m == 0 else m[i]
+                                           for m, w in zip(row, widths)))
+                 for row, h in zip(grid, heights) for i in range(h))
+
+
+def _integral_entries(mats: Sequence[Matrix], tag: FieldTag, message: str) -> None:
+    """Raises ValueError at an entry of `mats` over another field than that
+    of `tag`, else with `message` at an entry outside O."""
+    flat = list(chain.from_iterable(chain.from_iterable(mats)))
+    _in_field(flat, tag, "entry")
+    if not all(e.is_integral() for e in flat):
+        raise ValueError(message)
 
 
 def mat_add(x: Matrix, y: Matrix) -> Matrix:

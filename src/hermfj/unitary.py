@@ -1,9 +1,10 @@
 """Integral unitary groups U(g,g)(Z), the rot embedding, the discrete
 Heisenberg group, and the embedding of the Jacobi group into U(g+l, g+l)(Z).
 
-Elements are plain integral matrices; the defining relation gamma* J gamma = J
-is an explicit operation (`is_unitary`), not a constructor invariant, so that
-perturbed non-members can be represented and tested.
+Elements are plain integral matrices, each block matrix a grid put together
+by `linalg.blocks`; the defining relation gamma* J gamma = J is an explicit
+operation (`is_unitary`), not a constructor invariant, so that perturbed
+non-members can be represented and tested.
 """
 
 from __future__ import annotations
@@ -16,17 +17,8 @@ from .hermitian import UnitMatrix
 
 
 def _j_matrix(g: int, tag: FieldTag) -> linalg.Matrix:
-    one = FieldElement.one(tag)
-    z = FieldElement.zero(tag)
-    rows = []
-    for i in range(2 * g):
-        row = [z] * (2 * g)
-        if i < g:
-            row[i + g] = one
-        else:
-            row[i - g] = -one
-        rows.append(tuple(row))
-    return tuple(rows)
+    i = linalg.identity(g, tag)
+    return linalg.blocks([[0, i], [linalg.mat_neg(i), 0]], tag)
 
 
 class UnitaryElement(Immutable):
@@ -39,21 +31,13 @@ class UnitaryElement(Immutable):
         n, m = linalg.shape(rows)
         if n != m or n == 0 or n % 2:
             raise ValueError("expected a 2g x 2g matrix, got %dx%d" % (n, m))
-        for row in rows:
-            for e in row:
-                if not e.is_integral():
-                    raise ValueError("entries must lie in O")
+        linalg._integral_entries((rows,), tag, "entries must lie in O")
         self._fill(n // 2, rows, tag)
 
     @classmethod
     def from_blocks(cls, a, b, c, d, tag: FieldTag) -> "UnitaryElement":
-        g = len(a)
-        rows = []
-        for i in range(g):
-            rows.append(tuple(a[i]) + tuple(b[i]))
-        for i in range(g):
-            rows.append(tuple(c[i]) + tuple(d[i]))
-        return cls(rows, tag)
+        """The element [[a, b], [c, d]]; a block may be 0, the zero block."""
+        return cls(linalg.blocks([[a, b], [c, d]], tag), tag)
 
     @classmethod
     def identity(cls, g: int, tag: FieldTag) -> "UnitaryElement":
@@ -64,10 +48,12 @@ class UnitaryElement(Immutable):
         return cls(_j_matrix(g, tag), tag)
 
     def block(self, which: str) -> linalg.Matrix:
+        """The g x g block "a", "b", "c" or "d" of [[a, b], [c, d]]."""
+        if which not in ("a", "b", "c", "d"):
+            raise ValueError("block must be one of a, b, c, d; got %r" % (which,))
         g = self.g
-        r0 = 0 if which in ("a", "b") else g
-        c0 = 0 if which in ("a", "c") else g
-        return tuple(tuple(self.entries[r0 + i][c0 + j] for j in range(g)) for i in range(g))
+        r0, c0 = (g * k for k in divmod("abcd".index(which), 2))
+        return tuple(row[c0:c0 + g] for row in self.entries[r0:r0 + g])
 
     def mul(self, other: "UnitaryElement") -> "UnitaryElement":
         if other.g != self.g or other.tag != self.tag:
@@ -78,12 +64,8 @@ class UnitaryElement(Immutable):
 
     def inverse(self) -> "UnitaryElement":
         """J^-1 gamma* J, valid when self is actually unitary."""
-        a, b = self.block("a"), self.block("b")
-        c, d = self.block("c"), self.block("d")
-        ct = linalg.conj_transpose
-        return UnitaryElement.from_blocks(
-            ct(d), linalg.mat_neg(ct(b)), linalg.mat_neg(ct(c)), ct(a), self.tag
-        )
+        a, b, c, d = (linalg.conj_transpose(self.block(x)) for x in "abcd")
+        return UnitaryElement.from_blocks(d, linalg.mat_neg(b), linalg.mat_neg(c), a, self.tag)
 
     def __eq__(self, other):
         return (
@@ -113,8 +95,7 @@ def is_unitary(gamma: UnitaryElement) -> bool:
 def block_conditions(gamma: UnitaryElement) -> bool:
     """The equivalent three block conditions: a*c = c*a, b*d = d*b,
     a*d - c*b = I."""
-    a, b = gamma.block("a"), gamma.block("b")
-    c, d = gamma.block("c"), gamma.block("d")
+    a, b, c, d = (gamma.block(x) for x in "abcd")
     ct = linalg.conj_transpose
     if linalg.mat_mul(ct(a), c) != linalg.mat_mul(ct(c), a):
         return False
@@ -126,11 +107,8 @@ def block_conditions(gamma: UnitaryElement) -> bool:
 
 def rot(u: UnitMatrix) -> UnitaryElement:
     """The embedding u -> diag(u, (u*)^-1) of GL_g(O) into U(g,g)(Z)."""
-    g = u.g
-    tag = u.tag
     lower = linalg.conj_transpose(u.inverse().entries)
-    zero = linalg.zeros(g, g, tag)
-    return UnitaryElement.from_blocks(u.entries, zero, zero, lower, tag)
+    return UnitaryElement.from_blocks(u.entries, 0, 0, lower, u.tag)
 
 
 class HeisenbergElement(Immutable):
@@ -148,11 +126,7 @@ class HeisenbergElement(Immutable):
             raise ValueError("lambda and mu must have the same shape")
         if linalg.shape(kappa) != (l, l):
             raise ValueError("kappa must be l x l")
-        for mat in (lam, mu, kappa):
-            for row in mat:
-                for e in row:
-                    if not e.is_integral():
-                        raise ValueError("Heisenberg entries must lie in O")
+        linalg._integral_entries((lam, mu, kappa), tag, "Heisenberg entries must lie in O")
         test = linalg.mat_add(kappa, linalg.mat_mul(mu, linalg.conj_transpose(lam)))
         if not linalg.is_hermitian(test):
             raise ValueError("kappa + mu lambda* must be Hermitian")
@@ -211,11 +185,9 @@ def heisenberg_transform(h: HeisenbergElement, gamma: UnitaryElement) -> Heisenb
     l x 2g row block, kappa unchanged."""
     if h.g != gamma.g or h.tag != gamma.tag:
         raise ValueError("size or field mismatch")
-    a, b = gamma.block("a"), gamma.block("b")
-    c, d = gamma.block("c"), gamma.block("d")
-    lam = linalg.mat_add(linalg.mat_mul(h.lam, a), linalg.mat_mul(h.mu, c))
-    mu = linalg.mat_add(linalg.mat_mul(h.lam, b), linalg.mat_mul(h.mu, d))
-    return HeisenbergElement(lam, mu, h.kappa, h.tag)
+    row = linalg.mat_mul(linalg.blocks([[h.lam, h.mu]], h.tag), gamma.entries)
+    g = h.g
+    return HeisenbergElement(tuple(r[:g] for r in row), tuple(r[g:] for r in row), h.kappa, h.tag)
 
 
 def jacobi_mul(
@@ -230,66 +202,33 @@ def jacobi_mul(
 
 def jacobi_embed(gamma: UnitaryElement, h: HeisenbergElement) -> UnitaryElement:
     """The embedding of the Jacobi group into U(g+l, g+l)(Z): the product of
-    the block-extended gamma with the Heisenberg block matrix."""
+    the block-extended gamma with the Heisenberg block matrix, two 4 x 4 grids
+    on the blocks (tau part, Jacobi part, then their duals)."""
     if not is_unitary(gamma):
         raise ValueError("gamma is not in U(g,g)(Z)")
     if h.g != gamma.g or h.tag != gamma.tag:
         raise ValueError("size or field mismatch")
-    g, l = gamma.g, h.l
     tag = gamma.tag
-    n = g + l
-    one = FieldElement.one(tag)
-    z = FieldElement.zero(tag)
-
-    def blank():
-        return [[z] * (2 * n) for _ in range(2 * n)]
-
-    # block coordinates: [0:g] tau-part, [g:g+l] jacobi part, then duals
-    m1 = blank()
-    a, b = gamma.block("a"), gamma.block("b")
-    c, d = gamma.block("c"), gamma.block("d")
-    for i in range(g):
-        for j in range(g):
-            m1[i][j] = a[i][j]
-            m1[i][n + j] = b[i][j]
-            m1[n + i][j] = c[i][j]
-            m1[n + i][n + j] = d[i][j]
-    for i in range(l):
-        m1[g + i][g + i] = one
-        m1[n + g + i][n + g + i] = one
-
-    m2 = blank()
-    for i in range(2 * n):
-        m2[i][i] = one
-    lam_ct = linalg.conj_transpose(h.lam)
-    mu_ct = linalg.conj_transpose(h.mu)
-    for i in range(g):
-        for j in range(l):
-            m2[i][n + g + j] = mu_ct[i][j]  # mu* block
-            m2[n + i][n + g + j] = -lam_ct[i][j]  # -lambda* block
-    for i in range(l):
-        for j in range(g):
-            m2[g + i][j] = h.lam[i][j]
-            m2[g + i][n + j] = h.mu[i][j]
-        for j in range(l):
-            m2[g + i][n + g + j] = h.kappa[i][j]
-
-    product = linalg.mat_mul(linalg.freeze(m1), linalg.freeze(m2))
-    return UnitaryElement(product, tag)
+    ig, il = linalg.identity(gamma.g, tag), linalg.identity(h.l, tag)
+    a, b, c, d = (gamma.block(x) for x in "abcd")
+    lam_ct, mu_ct = linalg.conj_transpose(h.lam), linalg.conj_transpose(h.mu)
+    m1 = linalg.blocks([[a, 0, b, 0], [0, il, 0, 0], [c, 0, d, 0], [0, 0, 0, il]], tag)
+    m2 = linalg.blocks([[ig, 0, 0, mu_ct], [h.lam, il, h.mu, h.kappa],
+                        [0, 0, ig, linalg.mat_neg(lam_ct)], [0, 0, 0, il]], tag)
+    return UnitaryElement(linalg.mat_mul(m1, m2), tag)
 
 
 def diag_embed(j: int, gamma1: UnitaryElement, g: int) -> UnitaryElement:
     """Places a degree-1 element at the j-th diagonal slot (1-based) of
-    I_{2g}: entries land at (j,j), (j,j+g), (j+g,j), (j+g,j+g)."""
+    I_{2g}, as four diagonal blocks: at (j,j), (j,j+g), (j+g,j), (j+g,j+g)."""
     if gamma1.g != 1:
         raise ValueError("expected a degree-1 element")
     if not 1 <= j <= g:
         raise ValueError("index out of range: j=%d, g=%d" % (j, g))
     tag = gamma1.tag
-    rows = [list(r) for r in linalg.identity(2 * g, tag)]
-    i = j - 1
-    rows[i][i] = gamma1.entries[0][0]
-    rows[i][i + g] = gamma1.entries[0][1]
-    rows[i + g][i] = gamma1.entries[1][0]
-    rows[i + g][i + g] = gamma1.entries[1][1]
-    return UnitaryElement(rows, tag)
+    (a, b), (c, d) = gamma1.entries
+
+    def slot(value, rest):
+        return linalg.diagonal([value if k == j - 1 else rest for k in range(g)], tag)
+
+    return UnitaryElement.from_blocks(slot(a, 1), slot(b, 0), slot(c, 0), slot(d, 1), tag)

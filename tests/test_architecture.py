@@ -29,6 +29,13 @@ from `hermitian._class_points` alone.  So `jacobi` imports no search from
 Strict decomposition walks the points of that one search against the keys:
 `theta_decompose` names neither `theta_coeffs` nor `bisect_right`, and
 `jacobi.py` imports no `bisect`.
+
+Block and diagonal matrices over E have one assembler each, `linalg.blocks`
+and `linalg.diagonal`: `unitary.py` assigns no matrix entry by index and
+defines no `blank` rows; `linalg.identity`, `HermMatrix.diagonal` and
+`UnitMatrix.diagonal_units` call `diagonal`.  The group-element
+constructors test their entries by the one `linalg._integral_entries`,
+with no loop of their own.
 """
 
 import ast
@@ -178,3 +185,50 @@ def test_vanishing_orders_share_one_search():
             called = {node.func.id for node in ast.walk(method)
                       if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
             assert "_least_represented" in called, name
+
+
+def function(path: str, *names: str) -> ast.FunctionDef:
+    """The function `names[-1]`, inside the classes `names[:-1]`, of `path`."""
+    node = ast.parse((SRC / path).read_text(encoding="utf-8"))
+    for name in names:
+        node = next(n for n in node.body
+                    if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == name)
+    return node
+
+
+def called(node: ast.AST) -> set[str]:
+    """The names called in node, `f` or `module.f`."""
+    out = set()
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            f = call.func
+            if isinstance(f, ast.Name):
+                out.add(f.id)
+            elif isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+                out.add("%s.%s" % (f.value.id, f.attr))
+    return out
+
+
+def test_unitary_assigns_no_entry_by_index():
+    tree = ast.parse((SRC / "unitary.py").read_text(encoding="utf-8"))
+    targets = [t for node in ast.walk(tree) if isinstance(node, ast.Assign) for t in node.targets]
+    targets += [node.target for node in ast.walk(tree)
+                if isinstance(node, (ast.AugAssign, ast.AnnAssign))]
+    found = [sub.lineno for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Subscript)]
+    assert not found, found
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "blank"]
+
+
+def test_diagonal_builders_call_the_one_diagonal():
+    assert "diagonal" in called(function("linalg.py", "identity"))
+    assert "linalg.diagonal" in called(function("hermitian.py", "HermMatrix", "diagonal"))
+    assert "linalg.diagonal" in called(function("hermitian.py", "UnitMatrix", "diagonal_units"))
+
+
+def test_group_elements_check_their_entries_in_one_place():
+    for path, cls in (("hermitian.py", "UnitMatrix"), ("unitary.py", "UnitaryElement"),
+                      ("unitary.py", "HeisenbergElement")):
+        init = function(path, cls, "__init__")
+        assert "linalg._integral_entries" in called(init), cls
+        assert not [node for node in ast.walk(init) if isinstance(node, ast.For)], cls

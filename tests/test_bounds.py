@@ -69,6 +69,15 @@ def test_truncation_budget():
         assert indices == [] or indices[0] >= d_start
 
 
+def test_truncation_budget_rejects_a_negative_weight():
+    # it returned (0, []) for k = -5, where its siblings raise
+    t1 = make_field(-1)
+    for k in (-5, -1):
+        with pytest.raises(ValueError, match="weight must be >= 0"):
+            truncation_budget(k, 2, 0, t1)
+    assert truncation_budget(0, 2, 0, t1) == (1, [0])
+
+
 def test_dimension_exponents():
     assert dimension_exponents(1) == (1, 2)
     assert dimension_exponents(2) == (4, 5)

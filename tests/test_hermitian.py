@@ -124,6 +124,19 @@ def test_elementary_rejects_an_index_out_of_range():
             UnitMatrix.elementary(3, i, j, w)
 
 
+def test_unit_matrix_rejects_entries_of_another_field():
+    # diag(i, 1) over Q(i), given the tag of Q(sqrt(-2)), was accepted and
+    # read as diag(sqrt(-2), 1): gl_action(u, I_2) gave diag(2, 1)
+    t1, t2 = make_field(-1), make_field(-2)
+    one, z = fe(1, 0, t1), fe(0, 0, t1)
+    with pytest.raises(ValueError, match="is not in the field d=-2"):
+        UnitMatrix([[fe(0, 1, t1), z], [z, one]], t2)
+    with pytest.raises(ValueError, match="is not in the field d=-2"):
+        UnitMatrix.diagonal_units([fe(0, 1, t1), one], t2)
+    with pytest.raises(ValueError, match="unit matrix entries must lie in O"):
+        UnitMatrix([[fe(Fraction(1, 2), 0, t1)]], t1)
+
+
 def test_gl_action_is_right_action():
     rng = random.Random(3)
     for tag in all_tags():

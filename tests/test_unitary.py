@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hermfj import linalg
 from hermfj.field import FieldElement, make_field, unit_group
 from hermfj.hermitian import UnitMatrix
 from hermfj.unitary import (
@@ -56,8 +57,6 @@ def random_heisenberg(rng, l, g, tag):
             x = fe(rng.randint(-2, 2), rng.randint(-2, 2), tag)
             herm[i][j] = x
             herm[j][i] = x.conj()
-    from hermfj import linalg
-
     kappa = linalg.mat_sub(
         linalg.freeze(herm),
         linalg.mat_mul(linalg.freeze(mu), linalg.conj_transpose(linalg.freeze(lam))),
@@ -255,3 +254,38 @@ def test_jacobi_embed_higher_cogenus():
             ex = jacobi_embed(*x)
             assert ex.g == g + 2 and is_unitary(ex)
             assert ex.mul(jacobi_embed(*y)) == jacobi_embed(*jacobi_mul(x, y))
+
+
+def test_group_elements_reject_entries_of_another_field():
+    # I_2 over Q(i) under the tag of Q(sqrt(-2)) was accepted, and
+    # block_conditions then read it as not unitary
+    t1, t2 = make_field(-1), make_field(-2)
+    one, z = fe(1, 0, t1), fe(0, 0, t1)
+    with pytest.raises(ValueError, match="is not in the field d=-2"):
+        UnitaryElement([[one, z], [z, one]], t2)
+    with pytest.raises(ValueError, match="is not in the field d=-2"):
+        UnitaryElement.from_blocks([[one]], [[z]], [[z]], [[one]], t2)
+    with pytest.raises(ValueError, match="is not in the field d=-2"):
+        HeisenbergElement([[z]], [[z]], [[z]], t2)
+    with pytest.raises(ValueError, match="is not in the field d=-2"):
+        HeisenbergElement([[fe(0, 0, t2)]], [[z]], [[fe(0, 0, t2)]], t2)
+
+
+def test_group_elements_keep_their_integrality_messages():
+    t1 = make_field(-1)
+    half, z = fe(Fraction(1, 2), 0, t1), fe(0, 0, t1)
+    with pytest.raises(ValueError, match="^entries must lie in O$"):
+        UnitaryElement([[half, z], [z, z]], t1)
+    with pytest.raises(ValueError, match="^Heisenberg entries must lie in O$"):
+        HeisenbergElement([[z]], [[half]], [[z]], t1)
+
+
+def test_block_rejects_a_name_other_than_a_b_c_d():
+    # any name but "a", "b" or "c" used to give the d block
+    t1 = make_field(-1)
+    gamma = UnitaryElement.j_element(2, t1)
+    for which in ("x", "", "ab", "D"):
+        with pytest.raises(ValueError, match="block must be one of a, b, c, d"):
+            gamma.block(which)
+    assert gamma.block("b") == ((fe(1, 0, t1), fe(0, 0, t1)), (fe(0, 0, t1), fe(1, 0, t1)))
+    assert gamma.block("c") == linalg.mat_neg(gamma.block("b"))

@@ -2165,3 +2165,157 @@ def from_text_by_whole_tokens(text: str, g: int, tag: FieldTag):
     den = lcm(*(d for _p, _q, d in upper))
     return HermMatrix._trusted(g, [den] + [c * (den // d) for p, q, d in upper for c in (p, q)],
                                tag)
+
+
+# ----------------------------------------------------------------------
+# block and diagonal matrices written entry by entry (the former bodies of
+# `unitary._j_matrix`, `UnitaryElement.from_blocks`, `jacobi_embed`,
+# `diag_embed`, `heisenberg_transform`, `UnitaryElement.inverse`,
+# `linalg.identity`, `HermMatrix.diagonal` and `UnitMatrix.diagonal_units`)
+
+
+def identity_by_entries(n: int, tag: FieldTag):
+    one = FieldElement.one(tag)
+    z = FieldElement.zero(tag)
+    return tuple(tuple(one if i == j else z for j in range(n)) for i in range(n))
+
+
+def j_matrix_by_entries(g: int, tag: FieldTag):
+    one = FieldElement.one(tag)
+    z = FieldElement.zero(tag)
+    rows = []
+    for i in range(2 * g):
+        row = [z] * (2 * g)
+        if i < g:
+            row[i + g] = one
+        else:
+            row[i - g] = -one
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def from_blocks_by_rows(a, b, c, d, tag: FieldTag):
+    from hermfj.unitary import UnitaryElement
+
+    g = len(a)
+    rows = []
+    for i in range(g):
+        rows.append(tuple(a[i]) + tuple(b[i]))
+    for i in range(g):
+        rows.append(tuple(c[i]) + tuple(d[i]))
+    return UnitaryElement(rows, tag)
+
+
+def block_by_index(gamma, which: str):
+    """The former `UnitaryElement.block`, for which in "abcd"."""
+    g = gamma.g
+    r0 = 0 if which in ("a", "b") else g
+    c0 = 0 if which in ("a", "c") else g
+    return tuple(tuple(gamma.entries[r0 + i][c0 + j] for j in range(g)) for i in range(g))
+
+
+def unitary_inverse_by_blocks(gamma):
+    from hermfj import linalg
+
+    a, b = block_by_index(gamma, "a"), block_by_index(gamma, "b")
+    c, d = block_by_index(gamma, "c"), block_by_index(gamma, "d")
+    ct = linalg.conj_transpose
+    return from_blocks_by_rows(ct(d), linalg.mat_neg(ct(b)), linalg.mat_neg(ct(c)), ct(a),
+                               gamma.tag)
+
+
+def heisenberg_transform_by_blocks(h, gamma):
+    from hermfj import linalg
+    from hermfj.unitary import HeisenbergElement
+
+    a, b = block_by_index(gamma, "a"), block_by_index(gamma, "b")
+    c, d = block_by_index(gamma, "c"), block_by_index(gamma, "d")
+    lam = linalg.mat_add(linalg.mat_mul(h.lam, a), linalg.mat_mul(h.mu, c))
+    mu = linalg.mat_add(linalg.mat_mul(h.lam, b), linalg.mat_mul(h.mu, d))
+    return HeisenbergElement(lam, mu, h.kappa, h.tag)
+
+
+def jacobi_embed_by_entries(gamma, h):
+    from hermfj import linalg
+    from hermfj.unitary import UnitaryElement, is_unitary
+
+    if not is_unitary(gamma):
+        raise ValueError("gamma is not in U(g,g)(Z)")
+    if h.g != gamma.g or h.tag != gamma.tag:
+        raise ValueError("size or field mismatch")
+    g, l = gamma.g, h.l
+    tag = gamma.tag
+    n = g + l
+    one = FieldElement.one(tag)
+    z = FieldElement.zero(tag)
+
+    def blank():
+        return [[z] * (2 * n) for _ in range(2 * n)]
+
+    # block coordinates: [0:g] tau-part, [g:g+l] jacobi part, then duals
+    m1 = blank()
+    a, b = block_by_index(gamma, "a"), block_by_index(gamma, "b")
+    c, d = block_by_index(gamma, "c"), block_by_index(gamma, "d")
+    for i in range(g):
+        for j in range(g):
+            m1[i][j] = a[i][j]
+            m1[i][n + j] = b[i][j]
+            m1[n + i][j] = c[i][j]
+            m1[n + i][n + j] = d[i][j]
+    for i in range(l):
+        m1[g + i][g + i] = one
+        m1[n + g + i][n + g + i] = one
+
+    m2 = blank()
+    for i in range(2 * n):
+        m2[i][i] = one
+    lam_ct = linalg.conj_transpose(h.lam)
+    mu_ct = linalg.conj_transpose(h.mu)
+    for i in range(g):
+        for j in range(l):
+            m2[i][n + g + j] = mu_ct[i][j]  # mu* block
+            m2[n + i][n + g + j] = -lam_ct[i][j]  # -lambda* block
+    for i in range(l):
+        for j in range(g):
+            m2[g + i][j] = h.lam[i][j]
+            m2[g + i][n + j] = h.mu[i][j]
+        for j in range(l):
+            m2[g + i][n + g + j] = h.kappa[i][j]
+
+    product = linalg.mat_mul(linalg.freeze(m1), linalg.freeze(m2))
+    return UnitaryElement(product, tag)
+
+
+def diag_embed_by_entries(j: int, gamma1, g: int):
+    from hermfj.unitary import UnitaryElement
+
+    if gamma1.g != 1:
+        raise ValueError("expected a degree-1 element")
+    if not 1 <= j <= g:
+        raise ValueError("index out of range: j=%d, g=%d" % (j, g))
+    tag = gamma1.tag
+    rows = [list(r) for r in identity_by_entries(2 * g, tag)]
+    i = j - 1
+    rows[i][i] = gamma1.entries[0][0]
+    rows[i][i + g] = gamma1.entries[0][1]
+    rows[i + g][i] = gamma1.entries[1][0]
+    rows[i + g][i + g] = gamma1.entries[1][1]
+    return UnitaryElement(rows, tag)
+
+
+def herm_diagonal_by_entries(values, tag: FieldTag):
+    from hermfj.hermitian import HermMatrix
+
+    g = len(values)
+    rows = [[FieldElement.zero(tag)] * g for _ in range(g)]
+    for i, v in enumerate(values):
+        rows[i][i] = v if isinstance(v, FieldElement) else FieldElement(Fraction(v), 0, tag)
+    return HermMatrix(rows, tag)
+
+
+def diagonal_units_by_entries(units, tag: FieldTag):
+    from hermfj.hermitian import UnitMatrix
+
+    z = FieldElement.zero(tag)
+    return UnitMatrix([[u if i == j else z for j in range(len(units))]
+                       for i, u in enumerate(units)], tag)
